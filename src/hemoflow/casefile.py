@@ -19,7 +19,7 @@ from .fv.boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
                           pulsatile_waveform)
 from .fv.piso import FluidProperties, SolverConfig
 from .mesh import read_mesh
-from .units import MMHG_TO_PA, lmin_to_m3s
+from .units import MMHG_TO_DYN_CM2, MMHG_TO_PA, lmin_to_m3s
 from .windkessel import WindkesselOutlet
 
 SCHEMA = "hemoflow-case/1"
@@ -108,7 +108,7 @@ def _build_pressure(spec, patch):
         for key in ("R_p", "R_d", "C"):
             _require(key in spec,
                      f"boundary.{patch}.pressure: windkessel needs {key}")
-        p0 = float(spec.get("p0_mmhg", 0.0)) * 1333.22
+        p0 = float(spec.get("p0_mmhg", 0.0)) * MMHG_TO_DYN_CM2
         return WindkesselBC(WindkesselOutlet(patch, float(spec["R_p"]),
                                              float(spec["R_d"]),
                                              float(spec["C"]), p_p=p0))
@@ -151,7 +151,7 @@ def load_case(path):
             _require(part in spec, f"boundary.{name}: missing {part!r}")
 
     out = raw.get("output", {})
-    _check_keys(out, {"dir", "write_interval", "probes", "fields"}, "output")
+    _check_keys(out, {"dir", "probes"}, "output")
 
     init = raw.get("initial", {})
     _check_keys(init, {"from_inflow"}, "initial")

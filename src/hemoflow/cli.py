@@ -178,31 +178,28 @@ def cmd_sweep(args):
         log.info("resuming sweep: %d entries already complete", skipped)
 
     def run_one(pf):
-        mesh, solver, fields, omega, elapsed = _sweep_one(args.case, pf,
-                                                          plan.delta_p)
-        return pf, mesh, solver, fields, omega, elapsed
+        return (pf,) + _sweep_one(args.case, pf, plan.delta_p)
 
-    results = []
+    def store(results):
+        """Persist each entry as soon as its point has finished."""
+        for pf, mesh, solver, fields, omega, elapsed in results:
+            db.add_entry(pf, fields, omega_rpm=omega, fom_seconds=elapsed)
+            log.info("PF=%.3f l/min  omega=%.0f rpm  %.1f s", pf, omega, elapsed)
+            if not db.manifest["weights"]:
+                db.set_weights("p", mesh.cell_volume)
+                for ax in "xyz"[:mesh.dim]:
+                    db.set_weights(f"u_{ax}", mesh.cell_volume)
+                if "wss" in fields:
+                    db.set_weights("wss", np.concatenate([
+                        mesh.face_area_mag[mesh.patches[n].face_ids]
+                        for n in _wall_patches(mesh)]))
+
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, params))
+            store(pool.map(run_one, params))
     else:
-        results = [run_one(pf) for pf in params]
-
-    for pf, mesh, solver, fields, omega, elapsed in results:
-        db.add_entry(pf, fields, omega_rpm=omega, fom_seconds=elapsed)
-        log.info("PF=%.3f l/min  omega=%.0f rpm  %.1f s", pf, omega, elapsed)
-    if results and not db.manifest["weights"]:
-        _, mesh, solver, fields, _, _ = results[0]
-        db.set_weights("p", mesh.cell_volume)
-        for ax in "xyz"[:mesh.dim]:
-            db.set_weights(f"u_{ax}", mesh.cell_volume)
-        if "wss" in fields:
-            areas = np.concatenate([
-                mesh.face_area_mag[mesh.patches[n].face_ids]
-                for n in _wall_patches(mesh)])
-            db.set_weights("wss", areas)
+        store(map(run_one, params))
     print(f"snapshot database: {args.out} ({db.params().size} entries)")
     return 0
 
@@ -379,6 +376,10 @@ def cmd_report(args):
 
 # -- parser -----------------------------------------------------------------------
 
+def _resolution(text):
+    return int(text) if text.isdigit() else text
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="hemoflow",
                                 description=__doc__.splitlines()[0])
@@ -391,7 +392,8 @@ def build_parser():
     pm.add_argument("--height", type=float, default=0.01)
     pm.add_argument("--branch-diameter", type=float, default=0.012)
     pm.add_argument("--branch-angle", type=float, default=60.0)
-    pm.add_argument("--resolution", default="medium")
+    pm.add_argument("--resolution", type=_resolution, default="medium",
+                    help="cells across the trunk, or coarse/medium/fine")
     pm.add_argument("--axial", type=int, default=30)
     pm.add_argument("--radial", type=int, default=10)
     pm.add_argument("--out", required=True)

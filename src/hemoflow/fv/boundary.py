@@ -53,11 +53,16 @@ class InflowBC:
         return self.flow_rate(t) if callable(self.flow_rate) else float(self.flow_rate)
 
     def face_velocities(self, mesh, patch, t):
+        u, influx = self.shape_velocities(mesh, patch)
+        return u * (self.rate(t) / influx)
+
+    def shape_velocities(self, mesh, patch):
+        """Unscaled inward face velocities and the influx they carry [m^3/s];
+        ``u * (rate / influx)`` delivers ``rate``."""
         fids = patch.face_ids
         A = mesh.face_area[fids]            # outward
         xf = mesh.face_centroid[fids]
         n = A / np.linalg.norm(A, axis=1)[:, None]
-        q = self.rate(t)
         if self.profile == "plug":
             shape = np.ones(len(fids))
         elif self.profile == "parabolic":
@@ -84,13 +89,12 @@ class InflowBC:
         influx = -np.einsum("ij,ij->", u, A)
         if influx <= 0:
             raise InvalidArgumentError("degenerate inflow patch")
-        return u * (q / influx)
+        return u, influx
 
 
 @dataclass
 class NoSlipBC:
-    def face_velocities(self, mesh, patch, t):
-        return np.zeros((len(patch.face_ids), mesh.dim))
+    pass
 
 
 @dataclass

@@ -1,12 +1,19 @@
 """Explicit finite-volume operators (face sums over control volumes).
 
-Boundary face values enter through ``BoundaryValues``: per-boundary-face
-values in the global boundary-face ordering (mesh.fv.boundary). A value of
-None means zero-gradient (the owner value is used); for the diffusion
-operator it means zero diffusive flux through that face.
+Every face-to-cell sum is a product with the signed cell-face incidence
+matrix of the mesh (``mesh.fv.D`` and its internal/boundary column blocks
+``D_int``/``D_b``): +1 at the owner, -1 at the neighbor.
+
+Boundary face values enter through ``BoundaryValues``: a value array in
+the global boundary-face ordering (mesh.fv.boundary) plus a mask of the
+faces that carry a value. A face without a value is zero-gradient: it
+takes its owner cell's value, so the diffusion operator sees zero flux
+through it. ``bvals=None`` makes every boundary face zero-gradient.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,45 +22,61 @@ from ..errors import InvalidArgumentError
 CONVECTION_SCHEMES = ("upwind", "second-order-upwind", "central")
 
 
-def boundary_values_from_patches(mesh, patch_values, default=None):
-    """Assemble a per-boundary-face value array from per-patch values.
+@dataclass
+class BoundaryValues:
+    """Per-boundary-face values, (n_b,) or (n_b, k), and the (n_b,) mask
+    of faces that carry one."""
 
-    ``patch_values``: dict patch name -> scalar, (n,)/(n,dim) array, or
-    callable(face_centroids) -> values. Unlisted patches get ``default``
-    (None = zero-gradient marker).
+    values: np.ndarray
+    fixed: np.ndarray
+
+
+def boundary_values_from_patches(mesh, patch_values):
+    """Assemble ``BoundaryValues`` from per-patch values.
+
+    ``patch_values``: dict patch name -> scalar or vector (same on every
+    face), (n,)/(n, dim) array (one per face), or callable(face_centroid)
+    -> value. Faces of unlisted patches are zero-gradient.
     """
     g = mesh.fv
-    out = [default] * len(g.boundary)
+    rows, vals = [], []
     for name, val in patch_values.items():
-        patch = mesh.patches[name]
-        for k, f in enumerate(patch.face_ids):
-            idx = g.b_index[int(f)]
-            if callable(val):
-                out[idx] = val(mesh.face_centroid[f])
-            elif np.ndim(val) >= 1 and np.asarray(val).shape[0] == len(patch.face_ids) \
-                    and np.asarray(val).dtype != object:
-                out[idx] = np.asarray(val)[k]
-            else:
-                out[idx] = val
-    return out
+        fids = mesh.patches[name].face_ids
+        if callable(val):
+            val = [val(x) for x in mesh.face_centroid[fids]]
+        val = np.asarray(val, dtype=float)
+        if val.ndim == 0 or len(val) != len(fids):  # one value for all faces
+            val = np.broadcast_to(val, (len(fids),) + val.shape)
+        rows.append(g.b_index[fids])
+        vals.append(val)
+    shape = np.broadcast_shapes(*(v.shape[1:] for v in vals))
+    values = np.zeros((len(g.boundary),) + shape)
+    fixed = np.zeros(len(g.boundary), dtype=bool)
+    for r, v in zip(rows, vals):
+        values[r] = v
+        fixed[r] = True
+    return BoundaryValues(values, fixed)
 
 
 def _boundary_value_array(mesh, field, bvals):
-    """Resolve boundary face values; None entries -> owner cell value."""
-    g = mesh.fv
-    vals = np.asarray(field)[g.b_owner].astype(float).copy()
+    """Boundary face values: the given value on fixed faces, the owner
+    cell value elsewhere."""
+    vals = np.asarray(field, dtype=float)[mesh.fv.b_owner]
     if bvals is not None:
-        for i, v in enumerate(bvals):
-            if v is not None:
-                vals[i] = v
+        vals[bvals.fixed] = bvals.values[bvals.fixed]
     return vals
+
+
+def _along(w, f):
+    """Reshape the 1-D ``w`` to broadcast along the first axis of ``f``."""
+    return w.reshape(w.shape + (1,) * (np.ndim(f) - 1))
 
 
 def face_interpolate(field, mesh):
     """Linear interpolation of a cell field to internal faces."""
     g = mesh.fv
     f = np.asarray(field, dtype=float)
-    w = g.w_owner if f.ndim == 1 else g.w_owner[:, None]
+    w = _along(g.w_owner, f)
     return w * f[g.i_owner] + (1.0 - w) * f[g.i_neigh]
 
 
@@ -61,24 +84,24 @@ def gradient_term(field, mesh, bvals=None):
     """Sum of face-interpolated values times face area vectors, per cell.
 
     This is the Gauss pressure-gradient face sum (volume-scaled gradient);
-    divide by cell volumes for the gradient itself.
+    divide by cell volumes for the gradient itself. A (nc,) field gives
+    (nc, dim), a (nc, k) field gives (nc, k, dim).
     """
     g = mesh.fv
     f = np.asarray(field, dtype=float)
-    out = np.zeros((mesh.n_cells, mesh.dim))
-    ff = face_interpolate(f, mesh)
-    A = mesh.face_area[g.internal]
-    contrib = ff[:, None] * A
-    np.add.at(out, g.i_owner, contrib)
-    np.add.at(out, g.i_neigh, -contrib)
-    fb = _boundary_value_array(mesh, f, bvals)
-    np.add.at(out, g.b_owner, fb[:, None] * mesh.face_area[g.boundary])
-    return out
+    A = mesh.face_area.reshape(
+        (mesh.n_faces,) + (1,) * (f.ndim - 1) + (mesh.dim,))
+    vf = face_interpolate(f, mesh)[..., None] * A[g.internal]
+    vb = _boundary_value_array(mesh, f, bvals)[..., None] * A[g.boundary]
+    out = g.D_int @ vf.reshape(len(vf), -1) + g.D_b @ vb.reshape(len(vb), -1)
+    return out.reshape(f.shape + (mesh.dim,))
 
 
 def gauss_gradient(field, mesh, bvals=None):
-    """Cell-centered Gauss gradient of a scalar field, shape (nc, dim)."""
-    return gradient_term(field, mesh, bvals) / mesh.cell_volume[:, None]
+    """Cell-centered Gauss gradient: (nc, dim) for a scalar field,
+    (nc, k, dim) for a (nc, k) field."""
+    grad = gradient_term(field, mesh, bvals)
+    return grad / _along(mesh.cell_volume, grad)
 
 
 def vector_gauss_gradient(u, mesh, bvals=None):
@@ -86,14 +109,7 @@ def vector_gauss_gradient(u, mesh, bvals=None):
 
     out[c, i, j] = d u_i / d x_j at cell c.
     """
-    u = np.asarray(u, dtype=float)
-    out = np.empty((mesh.n_cells, u.shape[1], mesh.dim))
-    for i in range(u.shape[1]):
-        comp_b = None
-        if bvals is not None:
-            comp_b = [None if v is None else np.asarray(v)[i] for v in bvals]
-        out[:, i, :] = gauss_gradient(u[:, i], mesh, comp_b)
-    return out
+    return gauss_gradient(u, mesh, bvals)
 
 
 def _face_values(u, phi, mesh, scheme, bvals):
@@ -108,7 +124,7 @@ def _face_values(u, phi, mesh, scheme, bvals):
     if scheme == "upwind":
         return uf
     if scheme == "second-order-upwind":
-        grad = vector_gauss_gradient(u, mesh, bvals)
+        grad = gauss_gradient(u, mesh, bvals)
         dx = mesh.face_centroid[g.internal] - mesh.cell_centroid[donors]
         return uf + np.einsum("fij,fj->fi", grad[donors], dx)
     raise InvalidArgumentError(f"unknown convection scheme {scheme!r}")
@@ -125,16 +141,9 @@ def convective_term(u, phi, mesh, scheme="second-order-upwind", bvals=None):
     g = mesh.fv
     u = np.asarray(u, dtype=float)
     uf = _face_values(u, phi, mesh, scheme, bvals)
-    out = np.zeros_like(u)
-    contrib = phi[g.internal][:, None] * uf
-    np.add.at(out, g.i_owner, contrib)
-    np.add.at(out, g.i_neigh, -contrib)
-    ub = np.stack([_boundary_value_array(mesh, u[:, i],
-                                         None if bvals is None else
-                                         [None if v is None else np.asarray(v)[i] for v in bvals])
-                   for i in range(u.shape[1])], axis=1)
-    np.add.at(out, g.b_owner, phi[g.boundary][:, None] * ub)
-    return out
+    ub = _boundary_value_array(mesh, u, bvals)
+    return (g.D_int @ (phi[g.internal][:, None] * uf)
+            + g.D_b @ (phi[g.boundary][:, None] * ub))
 
 
 def diffusion_term(u, mesh, n_corr=1, bvals=None):
@@ -150,26 +159,11 @@ def diffusion_term(u, mesh, n_corr=1, bvals=None):
         raise InvalidArgumentError("n_corr must be >= 0")
     g = mesh.fv
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 1
-    uu = u[:, None] if scalar else u
-    out = np.zeros_like(uu)
 
-    flux = g.orth_coeff[:, None] * (uu[g.i_neigh] - uu[g.i_owner])
+    flux = _along(g.orth_coeff, u) * (u[g.i_neigh] - u[g.i_owner])
     if n_corr >= 1 and not np.allclose(g.T, 0.0):
-        grads = vector_gauss_gradient(uu, mesh, bvals if not scalar else
-                                      (None if bvals is None else
-                                       [None if v is None else np.atleast_1d(v) for v in bvals]))
-        w = g.w_owner[:, None, None]
-        gf = w * grads[g.i_owner] + (1.0 - w) * grads[g.i_neigh]
-        flux = flux + np.einsum("fij,fj->fi", gf, g.T)
-    np.add.at(out, g.i_owner, flux)
-    np.add.at(out, g.i_neigh, -flux)
-
-    if bvals is not None:
-        for i, v in enumerate(bvals):
-            if v is None:
-                continue
-            v = np.atleast_1d(np.asarray(v, dtype=float))
-            c = g.b_owner[i]
-            out[c] += g.b_orth_coeff[i] * (v - uu[c])
-    return out[:, 0] if scalar else out
+        gf = face_interpolate(gauss_gradient(u, mesh, bvals), mesh)
+        flux = flux + np.einsum("f...j,fj->f...", gf, g.T)
+    ub = _boundary_value_array(mesh, u, bvals)
+    b_flux = _along(g.b_orth_coeff, u) * (ub - u[g.b_owner])
+    return g.D_int @ flux + g.D_b @ b_flux

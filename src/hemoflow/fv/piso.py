@@ -14,14 +14,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import InvalidArgumentError, SolverFailure
+from ..units import DYN_CM2_TO_PA, M3S_TO_CM3S
 from ..windkessel import advance_outlet
 from . import linsolve
 from .boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
                        NoSlipBC, PressureZeroGradientBC,
                        VelocityZeroGradientBC, WindkesselBC)
-from .operators import (CONVECTION_SCHEMES, boundary_values_from_patches,
-                        convective_term, diffusion_term, face_interpolate,
-                        gauss_gradient, gradient_term)
+from .operators import (CONVECTION_SCHEMES, BoundaryValues,
+                        boundary_values_from_patches, convective_term,
+                        diffusion_term, face_interpolate, gauss_gradient,
+                        gradient_term)
 
 
 @dataclass
@@ -89,29 +91,16 @@ class FlowState:
 
     def continuity_error(self):
         """Max cell imbalance of face fluxes, relative to the gross flux."""
-        mesh = self.mesh
-        g = mesh.fv
-        net = np.zeros(mesh.n_cells)
-        gross = np.zeros(mesh.n_cells)
-        pf = self.phi[g.internal]
-        np.add.at(net, g.i_owner, pf)
-        np.add.at(net, g.i_neigh, -pf)
-        np.add.at(gross, g.i_owner, np.abs(pf))
-        np.add.at(gross, g.i_neigh, np.abs(pf))
-        np.add.at(net, g.b_owner, self.phi[g.boundary])
-        np.add.at(gross, g.b_owner, np.abs(self.phi[g.boundary]))
+        g = self.mesh.fv
+        net = g.D @ self.phi
+        gross = g.D_abs @ np.abs(self.phi)
         scale = max(gross.max(), 1e-300)
         return float(np.abs(net).max() / scale)
 
     def cfl(self, dt):
         """Max cell Courant number (half the gross flux sweep per volume)."""
-        mesh = self.mesh
-        g = mesh.fv
-        gross = np.zeros(mesh.n_cells)
-        np.add.at(gross, g.i_owner, np.abs(self.phi[g.internal]))
-        np.add.at(gross, g.i_neigh, np.abs(self.phi[g.internal]))
-        np.add.at(gross, g.b_owner, np.abs(self.phi[g.boundary]))
-        return float((0.5 * dt * gross / mesh.cell_volume).max())
+        gross = self.mesh.fv.D_abs @ np.abs(self.phi)
+        return float((0.5 * dt * gross / self.mesh.cell_volume).max())
 
 
 class PisoSolver:
@@ -125,18 +114,22 @@ class PisoSolver:
         self.fluid = fluid or FluidProperties()
         self.config = config or SolverConfig()
         g = mesh.fv
-        # fixed-velocity / fixed-pressure boundary face masks
-        self._fixed_u = np.zeros(len(g.boundary), dtype=bool)
+        # velocity boundary values: no-slip faces stay at rest, inflow
+        # faces hold their profile, scaled to the inflow rate every step
+        shapes, self._inflows = {}, []
+        for name, (vbc, _) in bcs.conditions.items():
+            patch = mesh.patches[name]
+            if isinstance(vbc, InflowBC):
+                shapes[name], influx = vbc.shape_velocities(mesh, patch)
+                self._inflows.append((g.b_index[patch.face_ids], vbc, influx))
+            elif isinstance(vbc, NoSlipBC):
+                shapes[name] = np.zeros(mesh.dim)
+        self._bu_shape = boundary_values_from_patches(mesh, shapes)
+        self._fixed_u = self._bu_shape.fixed
         self._fixed_p = np.zeros(len(g.boundary), dtype=bool)
-        for name, (vbc, pbc) in bcs.conditions.items():
-            rows = [g.b_index[int(f)] for f in mesh.patches[name].face_ids]
-            if isinstance(vbc, (InflowBC, NoSlipBC)):
-                self._fixed_u[rows] = True
+        for name, (_, pbc) in bcs.conditions.items():
             if isinstance(pbc, (FixedPressureBC, WindkesselBC)):
-                self._fixed_p[rows] = True
-        self._fixed_u_idx = np.flatnonzero(self._fixed_u)
-        self._free_u_idx = np.flatnonzero(~self._fixed_u)
-        self._fixed_p_idx = np.flatnonzero(self._fixed_p)
+                self._fixed_p[g.b_index[mesh.patches[name].face_ids]] = True
         self._has_nonorth = not (np.allclose(g.T, 0.0)
                                  and np.allclose(g.b_T, 0.0))
         self._wk_pressure = {}   # patch name -> current boundary value [Pa]
@@ -147,12 +140,10 @@ class PisoSolver:
     # -- boundary value assembly ----------------------------------------
 
     def _velocity_bvals(self, t):
-        vals = {}
-        for name, (vbc, _) in self.bcs.conditions.items():
-            if isinstance(vbc, (InflowBC, NoSlipBC)):
-                vals[name] = vbc.face_velocities(
-                    self.mesh, self.mesh.patches[name], t)
-        return boundary_values_from_patches(self.mesh, vals)
+        values = self._bu_shape.values.copy()
+        for rows, bc, influx in self._inflows:
+            values[rows] *= bc.rate(t) / influx
+        return BoundaryValues(values, self._fixed_u)
 
     def _pressure_bvals(self):
         vals = {}
@@ -166,13 +157,8 @@ class PisoSolver:
     def _boundary_flux(self, bu):
         """Prescribed fluxes on fixed-velocity faces (0 elsewhere)."""
         g = self.mesh.fv
-        phi_b = np.zeros(len(g.boundary))
-        idx = self._fixed_u_idx
-        if idx.size:
-            ub = np.array([bu[i] for i in idx], dtype=float)
-            A = self.mesh.face_area[g.boundary][idx]
-            phi_b[idx] = np.einsum("ij,ij->i", ub, A)
-        return phi_b
+        phi_b = np.einsum("ij,ij->i", bu.values, self.mesh.face_area[g.boundary])
+        return np.where(bu.fixed, phi_b, 0.0)
 
     def initialize(self, u=None, p=None, t=0.0):
         """Build a consistent initial state (fluxes from the velocity)."""
@@ -220,9 +206,10 @@ class PisoSolver:
         rAU_f = face_interpolate(rAU, mesh)
         c_int = rAU_f * g.orth_coeff
         c_b = rAU[g.b_owner] * g.b_orth_coeff
-        A_p, bp_fixed = self._pressure_matrix(c_int, c_b, bp)
-        free = self._free_u_idx
-        fixed_p_rows = self._fixed_p_idx
+        A_p = self._pressure_matrix(c_int, c_b)
+        fixed_p = self._fixed_p
+        bp_fixed = bp.values[fixed_p]
+        free = ~self._fixed_u
         bA = mesh.face_area[g.boundary]
 
         u, p = u_star, state.p.copy()
@@ -240,19 +227,15 @@ class PisoSolver:
                 "ij,ij->i", HbyA[g.b_owner[free]], bA[free])
             phi_star[g.boundary] = phi_b_star
 
-            rhs_p0 = self._pressure_rhs(phi_star, c_b, bp_fixed)
+            rhs_p0 = self._pressure_rhs(phi_star, c_b, bp)
 
             corr = np.zeros(len(g.internal))
             for _ in range(max(cfg.n_nonorth, 1)):
                 rhs_p = rhs_p0
                 if self._has_nonorth:
-                    rhs_p = rhs_p0.copy()
-                    gp = gauss_gradient(p, mesh, bp)
-                    w = g.w_owner[:, None]
-                    gpf = w * gp[g.i_owner] + (1.0 - w) * gp[g.i_neigh]
+                    gpf = face_interpolate(gauss_gradient(p, mesh, bp), mesh)
                     corr = rAU_f * np.einsum("ij,ij->i", gpf, g.T)
-                    np.add.at(rhs_p, g.i_owner, corr)
-                    np.add.at(rhs_p, g.i_neigh, -corr)
+                    rhs_p = rhs_p0 + g.D_int @ corr
                 p = linsolve.solve_cg(A_p, rhs_p, x0=p, tol=cfg.lin_tol)
                 if not self._has_nonorth:
                     break
@@ -262,9 +245,9 @@ class PisoSolver:
             dp = p[g.i_neigh] - p[g.i_owner]
             phi_new = phi_star.copy()
             phi_new[g.internal] -= c_int * dp + corr
-            phi_new[g.boundary[fixed_p_rows]] = (
-                phi_star[g.boundary[fixed_p_rows]]
-                - c_b[fixed_p_rows] * (bp_fixed - p[g.b_owner[fixed_p_rows]]))
+            phi_new[g.boundary[fixed_p]] = (
+                phi_star[g.boundary[fixed_p]]
+                - c_b[fixed_p] * (bp_fixed - p[g.b_owner[fixed_p]]))
             phi = phi_new
             u = HbyA - rAU[:, None] * gauss_gradient(p, mesh, bp)
 
@@ -304,11 +287,8 @@ class PisoSolver:
         # faces contribute implicit donor convection only
         bval = np.where(self._fixed_u, mu * g.b_orth_coeff,
                         rho * np.maximum(phi_b, 0.0))
-        fi = self._fixed_u_idx
-        if fi.size:
-            ub = np.array([bu[i] for i in fi], dtype=float)
-            contrib = (mu * g.b_orth_coeff[fi] - rho * phi_b[fi])[:, None] * ub
-            np.add.at(rhs, bo[fi], contrib)
+        coeff = np.where(self._fixed_u, mu * g.b_orth_coeff - rho * phi_b, 0.0)
+        rhs += g.D_b @ (coeff[:, None] * bu.values)
         rows = np.concatenate([rows, np.arange(nc), bo])
         cols = np.concatenate([cols, np.arange(nc), bo])
         vals = np.concatenate([vals, diag_t, bval])
@@ -326,8 +306,8 @@ class PisoSolver:
                          - diffusion_term(state.u, mesh, n_corr=0, bvals=bu))
         return diag, A, rhs
 
-    def _pressure_matrix(self, c_int, c_b, bp):
-        """Pressure-correction matrix and the fixed boundary pressures.
+    def _pressure_matrix(self, c_int, c_b):
+        """Pressure-correction matrix.
 
         Only the right-hand side changes between PISO correctors, so the
         matrix is assembled once per time step.
@@ -340,27 +320,16 @@ class PisoSolver:
         cols = np.concatenate([o, n, n, o])
         vals = np.concatenate([c_int, -c_int, c_int, -c_int])
 
-        fixed = self._fixed_p_idx
-        bp_fixed = np.array([bp[i] for i in fixed], dtype=float)
-        if fixed.size:
-            bo = g.b_owner[fixed]
-            rows = np.concatenate([rows, bo])
-            cols = np.concatenate([cols, bo])
-            vals = np.concatenate([vals, c_b[fixed]])
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(nc, nc))
-        return A, bp_fixed
+        bo = g.b_owner[self._fixed_p]
+        rows = np.concatenate([rows, bo])
+        cols = np.concatenate([cols, bo])
+        vals = np.concatenate([vals, c_b[self._fixed_p]])
+        return sp.csr_matrix((vals, (rows, cols)), shape=(nc, nc))
 
-    def _pressure_rhs(self, phi_star, c_b, bp_fixed):
-        mesh = self.mesh
-        g = mesh.fv
-        rhs = np.zeros(mesh.n_cells)
-        np.add.at(rhs, g.i_owner, -phi_star[g.internal])
-        np.add.at(rhs, g.i_neigh, phi_star[g.internal])
-        np.add.at(rhs, g.b_owner, -phi_star[g.boundary])
-        fixed = self._fixed_p_idx
-        if fixed.size:
-            np.add.at(rhs, g.b_owner[fixed], c_b[fixed] * bp_fixed)
-        return rhs
+    def _pressure_rhs(self, phi_star, c_b, bp):
+        g = self.mesh.fv
+        return (g.D_b @ np.where(bp.fixed, c_b * bp.values, 0.0)
+                - g.D @ phi_star)
 
     # -- time loop -----------------------------------------------------------
 
@@ -370,8 +339,8 @@ class PisoSolver:
         for name in self.bcs.windkessel_patches():
             outlet = self.bcs.pressure(name).outlet
             Q = state.patch_flux(name)           # m^3/s, outward
-            outlet, p_next = advance_outlet(outlet, Q * 1e6, dt)
-            self._wk_pressure[name] = p_next * 0.1   # dyn/cm^2 -> Pa
+            outlet, p_next = advance_outlet(outlet, Q * M3S_TO_CM3S, dt)
+            self._wk_pressure[name] = p_next * DYN_CM2_TO_PA
 
     def run(self, state=None, observer=None):
         """March to t_end (or steady state). Returns the final state."""

@@ -71,7 +71,7 @@ def wall_shear_stress(state, mesh, props, wall_patch):
     if patch.kind != "wall":
         raise InvalidArgumentError(f"patch {wall_patch!r} is not a wall")
     g = mesh.fv
-    rows = np.array([g.b_index[int(f)] for f in patch.face_ids])
+    rows = g.b_index[patch.face_ids]
     n = g.b_normal[rows]
     delta = g.b_delta[rows]
     u_c = state.u[g.b_owner[rows]]

@@ -12,9 +12,10 @@ exact Gauss closure of every cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import InvalidArgumentError
 
@@ -22,6 +23,9 @@ PATCH_KINDS = ("inlet", "outlet", "wall")
 
 # Mesh generation refuses meshes beyond this face non-orthogonality.
 NON_ORTHOGONALITY_CAP_DEG = 70.0
+
+# Faces per vectorised geometry block; bounds the size of the temporaries.
+_BLOCK = 2048
 
 
 @dataclass
@@ -69,6 +73,9 @@ class Mesh:
     face_nodes : list of vertex-id tuples, one loop per face
     owner, neighbor : per-face cell ids; neighbor == -1 on boundary faces
     patches : list of Patch covering every boundary face exactly once
+
+    ``incidence`` is the signed cell-face incidence matrix D (+1 at the
+    owner, -1 at the neighbor): every face-to-cell sum is a product with it.
     """
 
     def __init__(self, dim, points, face_nodes, owner, neighbor, patches):
@@ -87,100 +94,106 @@ class Mesh:
 
         self.n_faces = len(self.face_nodes)
         self.n_cells = int(max(self.owner.max(), self.neighbor.max()) + 1)
+        self.incidence = _incidence(self.owner, self.neighbor, self.n_cells)
         self._compute_geometry()
         self._validate()
         self._fv = None
 
     # -- geometry ---------------------------------------------------------
 
+    def _loop_blocks(self, faces):
+        """Yield (positions in ``faces``, (k, nv) vertex loops) for blocks
+        of at most _BLOCK faces with equal loop length."""
+        for nv in np.unique(self._loop_len[faces]):
+            pos = np.flatnonzero(self._loop_len[faces] == nv)
+            for start in range(0, len(pos), _BLOCK):
+                sel = pos[start:start + _BLOCK]
+                yield sel, self._loop_flat[
+                    self._loop_start[faces[sel], None] + np.arange(nv)]
+
     def _raw_face_geometry(self):
-        """Area vector and centroid of every face from its vertex loop."""
+        """Area vector and centroid of every face from its vertex loop
+        (3D: fan triangulation about the vertex mean)."""
         nf = self.n_faces
         area = np.zeros((nf, self.dim))
         centroid = np.zeros((nf, self.dim))
-        pts = self.points
-        if self.dim == 2:
-            for i, (a, b) in enumerate(self.face_nodes):
-                e = pts[b] - pts[a]
-                area[i] = (e[1], -e[0])  # unit depth
-                centroid[i] = 0.5 * (pts[a] + pts[b])
-        else:
-            for i, loop in enumerate(self.face_nodes):
-                v = pts[list(loop)]
-                m = v.mean(axis=0)
-                a_sum = np.zeros(3)
-                c_sum = np.zeros(3)
-                w_sum = 0.0
-                for j in range(len(loop)):
-                    p1 = v[j] - m
-                    p2 = v[(j + 1) % len(loop)] - m
-                    a_t = 0.5 * np.cross(p1, p2)
-                    w = np.linalg.norm(a_t)
-                    a_sum += a_t
-                    c_sum += w * (m + v[j] + v[(j + 1) % len(loop)]) / 3.0
-                    w_sum += w
-                area[i] = a_sum
-                centroid[i] = c_sum / w_sum if w_sum > 0 else m
+        for sel, loops in self._loop_blocks(np.arange(nf)):
+            v = self.points[loops]
+            if self.dim == 2:
+                e = v[:, 1] - v[:, 0]
+                area[sel] = np.column_stack([e[:, 1], -e[:, 0]])  # unit depth
+                centroid[sel] = 0.5 * (v[:, 0] + v[:, 1])
+                continue
+            m = v.mean(axis=1)
+            a_sum = np.zeros_like(m)
+            c_sum = np.zeros_like(m)
+            w_sum = np.zeros(len(m))
+            for j in range(loops.shape[1]):
+                v1, v2 = v[:, j], v[:, (j + 1) % loops.shape[1]]
+                a_t = 0.5 * np.cross(v1 - m, v2 - m)
+                w = np.linalg.norm(a_t, axis=1)
+                a_sum += a_t
+                c_sum += w[:, None] * (m + v1 + v2) / 3.0
+                w_sum += w
+            area[sel] = a_sum
+            centroid[sel] = np.divide(c_sum, w_sum[:, None], out=m,
+                                      where=w_sum[:, None] > 0)
         return area, centroid
 
     def _compute_geometry(self):
+        # the vertex loops as given (before orientation), flattened
+        loops = self.face_nodes
+        self._loop_len = np.fromiter(map(len, loops), np.int64, len(loops))
+        self._loop_start = np.cumsum(self._loop_len) - self._loop_len
+        self._loop_flat = np.fromiter(chain.from_iterable(loops), np.int64,
+                                      self._loop_len.sum())
         area, fc = self._raw_face_geometry()
+        D = self.incidence
 
         # Approximate cell centers to fix face orientation (owner -> out).
-        approx = np.zeros((self.n_cells, self.dim))
-        cnt = np.zeros(self.n_cells)
-        for i in range(self.n_faces):
-            approx[self.owner[i]] += fc[i]
-            cnt[self.owner[i]] += 1
-            if self.neighbor[i] >= 0:
-                approx[self.neighbor[i]] += fc[i]
-                cnt[self.neighbor[i]] += 1
-        approx /= cnt[:, None]
-
-        for i in range(self.n_faces):
-            if self.neighbor[i] >= 0:
-                want = approx[self.neighbor[i]] - approx[self.owner[i]]
-            else:
-                want = fc[i] - approx[self.owner[i]]
-            if np.dot(area[i], want) < 0.0:
-                self.face_nodes[i] = tuple(reversed(self.face_nodes[i]))
-                area[i] = -area[i]
+        approx = (abs(D) @ fc) / np.diff(D.indptr)[:, None]
+        far = np.where(self.neighbor[:, None] >= 0, approx[self.neighbor], fc)
+        flip = np.einsum("ij,ij->i", area, far - approx[self.owner]) < 0.0
+        for i in np.flatnonzero(flip):
+            self.face_nodes[i] = tuple(reversed(self.face_nodes[i]))
+        area[flip] = -area[flip]
 
         self.face_area = area
         self.face_centroid = fc
         self.face_area_mag = np.linalg.norm(area, axis=1)
 
         # Exact volumes and centroids by simplex decomposition about the
-        # approximate cell center (any interior reference point works).
-        vol = np.zeros(self.n_cells)
-        cmom = np.zeros((self.n_cells, self.dim))
+        # approximate cell center (any interior reference point works),
+        # one simplex fan per (cell, face) nonzero of D. The loops are the
+        # unflipped ones, so a flipped face counts with the opposite sign.
+        cell = np.repeat(np.arange(self.n_cells), np.diff(D.indptr))
+        face = D.indices
+        sign = D.data * np.where(flip, -1.0, 1.0)[face]
+        vol = np.zeros(len(face))
+        mom = np.zeros((len(face), self.dim))
         pts = self.points
-        for i in range(self.n_faces):
-            cells = [(self.owner[i], 1.0)]
-            if self.neighbor[i] >= 0:
-                cells.append((self.neighbor[i], -1.0))
-            loop = self.face_nodes[i]
-            for cid, sgn in cells:
-                x0 = approx[cid]
-                if self.dim == 2:
-                    a, b = loop
-                    va, vb = pts[a] - x0, pts[b] - x0
-                    v = sgn * 0.5 * (va[0] * vb[1] - va[1] * vb[0])
-                    c = x0 + (va + vb) / 3.0
-                    vol[cid] += v
-                    cmom[cid] += v * c
-                else:
-                    m = fc[i]
-                    for j in range(len(loop)):
-                        p1 = pts[loop[j]]
-                        p2 = pts[loop[(j + 1) % len(loop)]]
-                        v = sgn * np.dot(np.cross(p1 - x0, p2 - x0), m - x0) / 6.0
-                        c = 0.25 * (x0 + p1 + p2 + m)
-                        vol[cid] += v
-                        cmom[cid] += v * c
-        self.cell_volume = vol
+        for sel, lp in self._loop_blocks(face):
+            x0 = approx[cell[sel]]
+            s = sign[sel]
+            if self.dim == 2:
+                va, vb = pts[lp[:, 0]] - x0, pts[lp[:, 1]] - x0
+                v = s * 0.5 * (va[:, 0] * vb[:, 1] - va[:, 1] * vb[:, 0])
+                vol[sel] = v
+                mom[sel] = v[:, None] * (x0 + (va + vb) / 3.0)
+                continue
+            m = fc[face[sel]]
+            for j in range(lp.shape[1]):
+                p1 = pts[lp[:, j]]
+                p2 = pts[lp[:, (j + 1) % lp.shape[1]]]
+                v = s * np.einsum("ij,ij->i", np.cross(p1 - x0, p2 - x0),
+                                  m - x0) / 6.0
+                vol[sel] += v
+                mom[sel] += v[:, None] * (0.25 * (x0 + p1 + p2 + m))
+        self.cell_volume = np.bincount(cell, vol, self.n_cells)
+        cmom = np.column_stack([np.bincount(cell, mom[:, k], self.n_cells)
+                                for k in range(self.dim)])
         with np.errstate(invalid="ignore"):
-            self.cell_centroid = cmom / vol[:, None]
+            self.cell_centroid = cmom / self.cell_volume[:, None]
 
     def _validate(self):
         if np.any(self.cell_volume <= 0.0):
@@ -189,14 +202,8 @@ class Mesh:
                 f"non-positive cell volume at cell {bad}: {self.cell_volume[bad]:.3e}"
             )
         # Gauss closure, relative to cell surface area
-        closure = np.zeros((self.n_cells, self.dim))
-        surf = np.zeros(self.n_cells)
-        for i in range(self.n_faces):
-            closure[self.owner[i]] += self.face_area[i]
-            surf[self.owner[i]] += self.face_area_mag[i]
-            if self.neighbor[i] >= 0:
-                closure[self.neighbor[i]] -= self.face_area[i]
-                surf[self.neighbor[i]] += self.face_area_mag[i]
+        closure = self.incidence @ self.face_area
+        surf = abs(self.incidence) @ self.face_area_mag
         rel = np.linalg.norm(closure, axis=1) / surf
         if np.max(rel) > 1e-12:
             raise InvalidArgumentError(
@@ -206,7 +213,7 @@ class Mesh:
         boundary = np.flatnonzero(self.neighbor < 0)
         claimed = np.concatenate([p.face_ids for p in self.patches.values()]) \
             if self.patches else np.array([], dtype=np.int64)
-        if sorted(claimed.tolist()) != sorted(boundary.tolist()):
+        if not np.array_equal(np.sort(claimed), boundary):
             raise InvalidArgumentError("patches do not partition the boundary faces")
 
     # -- derived connectivity (cached) -------------------------------------
@@ -218,24 +225,19 @@ class Mesh:
             self._fv = _FvGeometry(self)
         return self._fv
 
-    @property
-    def internal_faces(self):
-        return self.fv.internal
 
-    @property
-    def boundary_faces(self):
-        return self.fv.boundary
-
-    def patch_of_face(self):
-        """Map boundary face id -> patch name."""
-        out = {}
-        for p in self.patches.values():
-            for f in p.face_ids:
-                out[int(f)] = p.name
-        return out
-
-    def total_volume(self):
-        return float(self.cell_volume.sum())
+def _incidence(owner, neighbor, n_cells):
+    """Signed cell-face incidence matrix D (CSR, n_cells x n_faces): +1 at
+    the owner, -1 at the neighbor. ``D @ flux`` sums outward face fluxes
+    per cell."""
+    internal = np.flatnonzero(neighbor >= 0)
+    D = sp.csr_matrix(
+        (np.concatenate([np.ones(len(owner)), -np.ones(len(internal))]),
+         (np.concatenate([owner, neighbor[internal]]),
+          np.concatenate([np.arange(len(owner)), internal]))),
+        shape=(n_cells, len(owner)))
+    D.sort_indices()
+    return D
 
 
 class _FvGeometry:
@@ -244,6 +246,11 @@ class _FvGeometry:
     def __init__(self, mesh: Mesh):
         self.internal = np.flatnonzero(mesh.neighbor >= 0)
         self.boundary = np.flatnonzero(mesh.neighbor < 0)
+        D = mesh.incidence
+        self.D = D
+        self.D_abs = abs(D)
+        self.D_int = D[:, self.internal]
+        self.D_b = D[:, self.boundary]
 
         o = mesh.owner[self.internal]
         n = mesh.neighbor[self.internal]
@@ -279,11 +286,12 @@ class _FvGeometry:
         AbdotDb = np.einsum("ij,ij->i", Ab, db)
         if np.any(AbdotDb <= 0.0):
             raise InvalidArgumentError("boundary face with non-positive A.d")
-        self.b_orth_coeff = np.einsum("ij,ij->i", Ab, Ab) / AbdotDb
-        self.b_E = db / AbdotDb[:, None] * np.einsum("ij,ij->i", Ab, Ab)[:, None]
-        self.b_T = Ab - self.b_E
-        # position of each boundary face inside the boundary ordering
-        self.b_index = {int(f): i for i, f in enumerate(self.boundary)}
+        AbdotAb = np.einsum("ij,ij->i", Ab, Ab)
+        self.b_orth_coeff = AbdotAb / AbdotDb
+        self.b_T = Ab - db / AbdotDb[:, None] * AbdotAb[:, None]
+        # position of each face inside the boundary ordering (-1: internal)
+        self.b_index = np.full(mesh.n_faces, -1, dtype=np.int64)
+        self.b_index[self.boundary] = np.arange(len(self.boundary))
 
 
 def mesh_quality(mesh: Mesh) -> QualityReport:

@@ -11,7 +11,6 @@ coefficients to measured curve points by ordinary least squares.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,46 +123,3 @@ def sample_curve_points(model=None, speeds=None, flows=None):
                 pts.append(PumpCurvePoint(float(w), float(q), float(dp)))
     return pts
 
-
-# -- CSV I/O -------------------------------------------------------------------
-
-def read_curve_csv(path):
-    """Read pump curve points from CSV with header omega_rpm, pf_lpm, dp_mmHg."""
-    pts = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            pts.append(PumpCurvePoint(float(row["omega_rpm"]),
-                                      float(row["pf_lpm"]),
-                                      float(row["dp_mmHg"])))
-    return pts
-
-
-def write_curve_csv(path, points):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["omega_rpm", "pf_lpm", "dp_mmHg"])
-        for p in points:
-            w.writerow([f"{p.omega:.15g}", f"{p.PF:.15g}", f"{p.delta_p:.15g}"])
-
-
-def write_model_csv(path, model: PumpModel):
-    """Serialize the fitted coefficients as a small named-value table."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["coefficient", "value"])
-        w.writerow(["K_A", f"{model.K_A:.15g}"])
-        w.writerow(["K_B", f"{model.K_B:.15g}"])
-        w.writerow(["K_C", f"{model.K_C:.15g}"])
-        w.writerow(["rms_residual", f"{model.rms_residual:.15g}"])
-
-
-def read_model_csv(path):
-    vals = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            vals[row["coefficient"]] = float(row["value"])
-    try:
-        return PumpModel(vals["K_A"], vals["K_B"], vals["K_C"],
-                         vals.get("rms_residual", 0.0))
-    except KeyError as e:
-        raise InvalidArgumentError(f"pump model file missing {e}") from None

@@ -118,8 +118,11 @@ class SnapshotDB:
         return True
 
     def add_entry(self, param, fields, **meta):
-        """Store field arrays for one parameter point (overwrites)."""
-        sub = f"point_{param:.6f}"
+        """Store field arrays for one parameter point (overwrites).
+
+        The directory is named by the exact repr of the parameter, so
+        distinct parameters never share files."""
+        sub = f"point_{float(param)!r}"
         os.makedirs(os.path.join(self.root, sub), exist_ok=True)
         recs = {}
         for name, values in fields.items():

@@ -21,6 +21,9 @@ from .units import (
     LMIN_TO_CM3S,
     DYNSCM5_TO_PASM3,
     CM5DYN_TO_M3PA,
+    DYN_CM2_TO_PA,
+    M3S_TO_CM3S,
+    PA_TO_DYN_CM2,
 )
 
 PROXIMAL_FRACTION = 0.056
@@ -85,11 +88,6 @@ class WindkesselOutlet:
         if min(self.R_p, self.R_d, self.C) <= 0:
             raise InvalidArgumentError("R_p, R_d, C must be positive")
 
-    # unit views ------------------------------------------------------------
-    @property
-    def p_p_mmhg(self):
-        return self.p_p / MMHG_TO_DYN_CM2
-
     def to_si(self):
         """(R_p, R_d, C) in Pa.s/m^3 and m^3/Pa."""
         return (self.R_p * DYNSCM5_TO_PASM3,
@@ -99,12 +97,12 @@ class WindkesselOutlet:
     @classmethod
     def from_si(cls, name, R_p_si, R_d_si, C_si, p_p_pa=0.0):
         return cls(name, R_p_si / DYNSCM5_TO_PASM3, R_d_si / DYNSCM5_TO_PASM3,
-                   C_si / CM5DYN_TO_M3PA, p_p=p_p_pa * 10.0)
+                   C_si / CM5DYN_TO_M3PA, p_p=p_p_pa * PA_TO_DYN_CM2)
 
     def pressure_pa(self, Q_m3s):
         """Downstream boundary pressure p = p_p + R_p Q, in Pa."""
-        q = Q_m3s * 1e6  # cm^3/s
-        return (self.p_p + self.R_p * q) * 0.1  # dyn/cm^2 -> Pa
+        q = Q_m3s * M3S_TO_CM3S
+        return (self.p_p + self.R_p * q) * DYN_CM2_TO_PA
 
 
 def cardiac_period(SV, CO):

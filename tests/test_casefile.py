@@ -76,6 +76,15 @@ def test_windkessel_pressure_spec(case_dir):
     assert bc.outlet.p_p == pytest.approx(80.0 * 1333.22, rel=1e-9)
 
 
+@pytest.mark.parametrize("key, value", [("write_interval", 10),
+                                        ("fields", ["p"])])
+def test_unimplemented_output_keys_are_rejected(case_dir, key, value):
+    doc = base_case()
+    doc["output"][key] = value
+    with pytest.raises(SchemaError, match=key):
+        load_case(write_case(case_dir, doc))
+
+
 def test_unknown_key_is_named_in_the_error(case_dir):
     doc = base_case()
     doc["solver"]["dtt"] = 0.01

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import hemoflow.cli
 from hemoflow.cli import main
+from hemoflow.errors import SolverFailure
+from hemoflow.mesh import generate_bifurcation_mesh, read_mesh
 from hemoflow.snapshots import SnapshotDB, load_models
 
 
@@ -132,6 +135,49 @@ class TestWorkflow:
                      "--out-dir", str(out)]) == 0
         assert (out / "sweep_summary.csv").exists()
         assert (out / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch,
+                                                 workers):
+    """A failing 2nd point ends the sweep with exit 1; the point solved
+    before it stays in the database and a rerun solves only the missing
+    ones, on the serial and on the thread path."""
+    case = make_case(tmp_path)
+    db = str(tmp_path / "db")
+    solve = hemoflow.cli._sweep_one
+    solved = []
+
+    def fail_second(case_path, pf, delta_p):
+        if pf == 4.0:
+            raise SolverFailure("injected failure", [1.0])
+        return solve(case_path, pf, delta_p)
+
+    def record(case_path, pf, delta_p):
+        solved.append(pf)
+        return solve(case_path, pf, delta_p)
+
+    argv = ["sweep", str(case), "--lo", "3", "--hi", "5", "--count", "3",
+            "--workers", workers, "--out", db]
+    monkeypatch.setattr(hemoflow.cli, "_sweep_one", fail_second)
+    assert main(argv) == 1
+    assert np.allclose(SnapshotDB(db).params(), [3.0])
+    assert SnapshotDB(db).weights("p") is not None
+
+    monkeypatch.setattr(hemoflow.cli, "_sweep_one", record)
+    assert main(argv) == 0
+    assert np.allclose(sorted(solved), [4.0, 5.0])
+    assert np.allclose(SnapshotDB(db).params(), [3.0, 4.0, 5.0])
+
+
+def test_mesh_accepts_integer_resolution(tmp_path):
+    out = tmp_path / "bif.hfm"
+    assert main(["mesh", "bifurcation", "--resolution", "8",
+                 "--out", str(out)]) == 0
+    want = generate_bifurcation_mesh(0.1, 0.02, 0.012, 60.0, resolution=8)
+    assert read_mesh(out).n_cells == want.n_cells
+    assert main(["mesh", "bifurcation", "--resolution", "huge",
+                 "--out", str(out)]) == 1
 
 
 class TestExitCodes:

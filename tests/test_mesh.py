@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hemoflow.errors import InvalidArgumentError
-from hemoflow.mesh import (generate_bifurcation_mesh, generate_box_mesh,
-                           generate_channel_mesh, generate_pipe_mesh,
-                           mesh_quality)
+from hemoflow.mesh import (Mesh, Patch, generate_bifurcation_mesh,
+                           generate_box_mesh, generate_channel_mesh,
+                           generate_pipe_mesh, mesh_quality)
 
 
 def check_gauss_closure(mesh, tol=1e-12):
@@ -112,3 +112,91 @@ class TestQualityReport:
         assert q.max_skewness == pytest.approx(0.0, abs=1e-10)
         assert q.h_min <= q.h_max
         assert "cells=4" in str(q)
+
+
+def reference_geometry(dim, pts, face_nodes, owner, neighbor):
+    """Face-by-face geometry, kept as the reference for the vectorised
+    Mesh: face areas and centroids from fan triangulation, orientation
+    from approximate cell centres, volumes and centroids from simplices."""
+    pts = np.asarray(pts, dtype=float)
+    loops = [tuple(f) for f in face_nodes]
+    nf, nc = len(loops), int(max(max(owner), max(neighbor)) + 1)
+    area, fc = np.zeros((nf, dim)), np.zeros((nf, dim))
+    for i, loop in enumerate(loops):
+        v = pts[list(loop)]
+        if dim == 2:
+            e = v[1] - v[0]
+            area[i], fc[i] = (e[1], -e[0]), 0.5 * (v[0] + v[1])
+            continue
+        m = v.mean(axis=0)
+        a_sum, c_sum, w_sum = np.zeros(3), np.zeros(3), 0.0
+        for j in range(len(loop)):
+            p1, p2 = v[j], v[(j + 1) % len(loop)]
+            a_t = 0.5 * np.cross(p1 - m, p2 - m)
+            w = np.linalg.norm(a_t)
+            a_sum += a_t
+            c_sum += w * (m + p1 + p2) / 3.0
+            w_sum += w
+        area[i], fc[i] = a_sum, (c_sum / w_sum if w_sum > 0 else m)
+
+    approx, cnt = np.zeros((nc, dim)), np.zeros(nc)
+    for i in range(nf):
+        for c in (owner[i], neighbor[i]):
+            if c >= 0:
+                approx[c] += fc[i]
+                cnt[c] += 1
+    approx /= cnt[:, None]
+    for i in range(nf):
+        far = approx[neighbor[i]] if neighbor[i] >= 0 else fc[i]
+        if np.dot(area[i], far - approx[owner[i]]) < 0.0:
+            loops[i] = tuple(reversed(loops[i]))
+            area[i] = -area[i]
+
+    vol, cmom = np.zeros(nc), np.zeros((nc, dim))
+    for i, loop in enumerate(loops):
+        for c, sgn in ((owner[i], 1.0), (neighbor[i], -1.0)):
+            if c < 0:
+                continue
+            x0 = approx[c]
+            if dim == 2:
+                va, vb = pts[loop[0]] - x0, pts[loop[1]] - x0
+                v = sgn * 0.5 * (va[0] * vb[1] - va[1] * vb[0])
+                vol[c] += v
+                cmom[c] += v * (x0 + (va + vb) / 3.0)
+                continue
+            for j in range(len(loop)):
+                p1, p2 = pts[loop[j]], pts[loop[(j + 1) % len(loop)]]
+                v = sgn * np.dot(np.cross(p1 - x0, p2 - x0), fc[i] - x0) / 6.0
+                vol[c] += v
+                cmom[c] += v * (0.25 * (x0 + p1 + p2 + fc[i]))
+    return {"face_nodes": loops, "face_area": area, "face_centroid": fc,
+            "cell_volume": vol, "cell_centroid": cmom / vol[:, None]}
+
+
+def with_reversed_loops(mesh):
+    """The same mesh with every other face loop reversed on input."""
+    loops = [f[::-1] if i % 2 else f for i, f in enumerate(mesh.face_nodes)]
+    patches = [Patch(p.name, p.kind, p.face_ids, dict(p.meta))
+               for p in mesh.patches.values()]
+    return mesh.dim, mesh.points, loops, mesh.owner, mesh.neighbor, patches
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_box_mesh(6, 4, (1.0, 0.6), shear=0.3),
+    lambda: generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, 8),
+    lambda: generate_pipe_mesh(0.03, 0.01, 5, 3),
+], ids=["sheared_box", "bifurcation", "pipe"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["as_built", "reversed"])
+def test_geometry_matches_face_by_face_reference(make, reverse):
+    built = make()
+    args = (with_reversed_loops(built) if reverse else
+            (built.dim, built.points, built.face_nodes, built.owner,
+             built.neighbor, list(built.patches.values())))
+    ref = reference_geometry(*args[:5])
+    mesh = Mesh(*args) if reverse else built
+    if reverse:
+        assert sum(a != b for a, b in zip(args[2], mesh.face_nodes)) > 0
+    assert mesh.face_nodes == ref["face_nodes"]
+    for name in ("face_area", "face_centroid", "cell_volume", "cell_centroid"):
+        got, want = getattr(mesh, name), ref[name]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hemoflow.errors import InvalidArgumentError
 from hemoflow.fv import (boundary_values_from_patches, convective_term,
                          diffusion_term, face_interpolate, gauss_gradient,
-                         vector_gauss_gradient)
+                         gradient_term, vector_gauss_gradient)
+from hemoflow.fv.operators import CONVECTION_SCHEMES, BoundaryValues
 from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh
 
 
@@ -64,6 +65,40 @@ def test_diffusion_of_linear_field_vanishes_in_interior():
     interior[g.b_owner] = False
     assert interior.any()
     assert np.abs(lap[interior]).max() < 1e-9 * np.abs(f).max()
+
+
+def test_diffusion_of_quadratic_field_in_interior():
+    """On an orthogonal box the interior Laplacian of x^2 + 3y^2 is 8."""
+    mesh = generate_box_mesh(6, 5, (1.0, 0.8))
+    x = mesh.cell_centroid
+    f = x[:, 0] ** 2 + 3.0 * x[:, 1] ** 2
+    bvals = linear_bvals(mesh, lambda p: p[0] ** 2 + 3.0 * p[1] ** 2)
+    lap = diffusion_term(f, mesh, n_corr=1, bvals=bvals) / mesh.cell_volume
+    interior = np.ones(mesh.n_cells, dtype=bool)
+    interior[mesh.fv.b_owner] = False
+    assert interior.any()
+    assert np.allclose(lap[interior], 8.0, rtol=1e-10)
+
+
+def test_boundary_values_without_fixed_faces_match_none():
+    """Zero-gradient everywhere is what bvals=None means."""
+    mesh = generate_box_mesh(5, 4, (1.0, 0.7), shear=0.3)
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(mesh.n_cells)
+    u = rng.standard_normal((mesh.n_cells, 2))
+    phi = rng.standard_normal(mesh.n_faces)
+    free = BoundaryValues(np.full((len(mesh.fv.boundary), 2), 7.0),
+                          np.zeros(len(mesh.fv.boundary), dtype=bool))
+    assert np.array_equal(gradient_term(u, mesh, free), gradient_term(u, mesh))
+    for scheme in CONVECTION_SCHEMES:
+        assert np.array_equal(convective_term(u, phi, mesh, scheme, free),
+                              convective_term(u, phi, mesh, scheme))
+    assert np.array_equal(diffusion_term(u, mesh, 1, free),
+                          diffusion_term(u, mesh, 1))
+    scalar_free = boundary_values_from_patches(mesh, {})
+    assert not scalar_free.fixed.any()
+    assert np.array_equal(diffusion_term(f, mesh, 1, scalar_free),
+                          diffusion_term(f, mesh, 1))
 
 
 def test_convection_of_constant_field_is_divergence_free():

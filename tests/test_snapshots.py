@@ -83,13 +83,22 @@ class TestSnapshotDB:
         db = self.populate(root)
         assert db.has_entry(3.5)
         assert not db.has_entry(4.5)
-        victim = root / "point_3.500000" / "p.bin"
+        entry = next(e for e in db.manifest["entries"] if e["param"] == 3.5)
+        victim = root / entry["fields"]["p"]["file"]
         data = bytearray(victim.read_bytes())
         data[-1] ^= 0xFF
         victim.write_bytes(bytes(data))
         assert not db.has_entry(3.5)
         with pytest.raises(SchemaError):
             db.load_field(3.5, "p")
+
+    def test_close_parameters_keep_separate_files(self, tmp_path):
+        db = SnapshotDB(tmp_path / "db")
+        db.add_entry(3.0, {"p": np.full(4, 1.0)})
+        db.add_entry(3.0000002, {"p": np.full(4, 2.0)})
+        assert db.has_entry(3.0) and db.has_entry(3.0000002)
+        assert np.all(db.load_field(3.0, "p") == 1.0)
+        assert np.all(db.load_field(3.0000002, "p") == 2.0)
 
     def test_add_entry_overwrites_in_place(self, tmp_path):
         db = self.populate(tmp_path / "db")
