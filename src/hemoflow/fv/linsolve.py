@@ -1,9 +1,13 @@
 """Sparse linear solvers for the segregated solver.
 
-Pressure systems are SPD and use Jacobi-preconditioned conjugate
-gradients (CG needs an SPD preconditioner, which rules out ILU); the
-mildly non-symmetric momentum systems use ILU-preconditioned BiCGStab.
-Both fall back to a direct sparse LU when the iteration stalls.
+Pressure systems are SPD. Within one time step the pressure matrix is the
+same for every corrector, so on 2D meshes the step factors it once with a
+sparse LU (``factor``) and every pressure solve of that step reuses the
+factor; on 3D meshes, where the LU fill is tens of times the matrix,
+pressure uses Jacobi-preconditioned conjugate gradients. Momentum systems
+are mildly non-symmetric and have the diagonal rho V / dt > 0, so they use
+Jacobi-preconditioned BiCGStab on every mesh. Both iterations fall back to
+a direct sparse LU when they do not converge.
 """
 
 from __future__ import annotations
@@ -14,32 +18,36 @@ import scipy.sparse.linalg as spla
 from ..errors import SolverFailure
 
 
-def _ilu_preconditioner(A):
+def _jacobi(A):
+    d = A.diagonal()
+    return spla.LinearOperator(A.shape, lambda v: v / d)
+
+
+def factor(A):
+    """Sparse LU of ``A``; SolverFailure if it is singular."""
     try:
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-6, fill_factor=12)
-    except RuntimeError:
-        # incomplete factorization can hit a zero pivot even for a
-        # well-posed system; fall back to diagonal scaling
-        d = A.diagonal()
-        return spla.LinearOperator(A.shape, lambda v: v / d)
-    return spla.LinearOperator(A.shape, ilu.solve)
+        return spla.splu(A.tocsc())
+    except RuntimeError as exc:
+        raise SolverFailure(f"LU factorization failed: {exc}")
 
 
-def solve_cg(A, b, x0=None, tol=1e-6, maxiter=5000):
-    """Preconditioned CG; LU fallback, SolverFailure on divergence.
+def solve_cg(A, b, x0=None, tol=1e-6, maxiter=5000, lu=None):
+    """Solve the SPD system A x = b.
 
-    Convergence is measured against the initial residual (not ||b||) so
-    that large boundary source terms do not mask a poorly solved interior.
+    With ``lu`` (a factor of ``A`` from ``factor``) the solve is direct.
+    Otherwise Jacobi-preconditioned CG, converged against the initial
+    residual (not ||b||) so that large boundary source terms do not mask
+    a poorly solved interior; LU fallback, SolverFailure on divergence.
     """
+    if lu is not None:
+        return lu.solve(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0 and x0 is None:
         return np.zeros_like(b)
     r0 = np.linalg.norm(b if x0 is None else b - A @ x0)
     if r0 == 0.0:
         return np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    d = A.diagonal()
-    M = spla.LinearOperator(A.shape, lambda v: v / d)
-    x, info = spla.cg(A, b, x0=x0, rtol=0.0, atol=tol * r0, M=M,
+    x, info = spla.cg(A, b, x0=x0, rtol=0.0, atol=tol * r0, M=_jacobi(A),
                       maxiter=maxiter)
     if info != 0:
         res = float(np.linalg.norm(b - A @ x) / r0)
@@ -51,10 +59,11 @@ def solve_cg(A, b, x0=None, tol=1e-6, maxiter=5000):
 
 
 def solve_bicgstab(A, B, x0=None, tol=1e-6, maxiter=2000):
-    """Solve A x = b for each column of B (shared matrix and ILU)."""
+    """Solve A x = b for each column of B (shared matrix and Jacobi
+    preconditioner, one LU fallback shared by the columns that stall)."""
     B = np.atleast_2d(B.T).T
     X = np.empty_like(B, dtype=float)
-    M = _ilu_preconditioner(A)
+    M = _jacobi(A)
     lu = None
     for j in range(B.shape[1]):
         b = B[:, j]

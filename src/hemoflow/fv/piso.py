@@ -49,7 +49,7 @@ class SolverConfig:
     n_piso: int = 2
     n_nonorth: int = 1
     convection_scheme: str = "second-order-upwind"
-    lin_tol: float = 1e-6
+    lin_tol: float = 1e-6             # momentum and 3D pressure (2D: LU)
     cfl_max: float = 5.0
     cfl_action: str = "warn"          # "warn" | "error"
     steady_tol: float = None          # stop early when |du|/dt stalls
@@ -207,6 +207,9 @@ class PisoSolver:
         c_int = rAU_f * g.orth_coeff
         c_b = rAU[g.b_owner] * g.b_orth_coeff
         A_p = self._pressure_matrix(c_int, c_b)
+        # a 2D pressure LU costs less than one CG solve and is reused by all
+        # n_piso x n_nonorth solves; in 3D its fill is tens of times A_p
+        lu_p = linsolve.factor(A_p) if mesh.dim == 2 else None
         fixed_p = self._fixed_p
         bp_fixed = bp.values[fixed_p]
         free = ~self._fixed_u
@@ -236,7 +239,8 @@ class PisoSolver:
                     gpf = face_interpolate(gauss_gradient(p, mesh, bp), mesh)
                     corr = rAU_f * np.einsum("ij,ij->i", gpf, g.T)
                     rhs_p = rhs_p0 + g.D_int @ corr
-                p = linsolve.solve_cg(A_p, rhs_p, x0=p, tol=cfg.lin_tol)
+                p = linsolve.solve_cg(A_p, rhs_p, x0=p, tol=cfg.lin_tol,
+                                      lu=lu_p)
                 if not self._has_nonorth:
                     break
 

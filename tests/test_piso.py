@@ -6,7 +6,7 @@ import pytest
 from hemoflow.errors import InvalidArgumentError, SolverFailure
 from hemoflow.fv import (FlowState, FluidProperties, PisoSolver,
                          SolverConfig, poiseuille_bcs)
-from hemoflow.mesh import generate_channel_mesh
+from hemoflow.mesh import generate_channel_mesh, generate_pipe_mesh
 
 H = 0.2      # channel height [m]
 U_MEAN = 1.0  # bulk velocity [m/s]
@@ -103,6 +103,24 @@ def test_continuity_gate_raises():
     solver = PisoSolver(mesh, bcs, FLUID, cfg)
     with pytest.raises(SolverFailure, match="continuity"):
         solver.run()
+
+
+def test_continuity_gate_raises_on_loose_3d_pressure_solve():
+    """2D pressure solves are direct, so the gate above trips only at
+    round-off; in 3D the pressure is iterative and lin_tol reaches it."""
+    mesh = generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12)
+    assert mesh.n_cells == 216
+    bcs = poiseuille_bcs(mesh, 1e-5, profile="parabolic")
+
+    def first_step(lin_tol):
+        cfg = SolverConfig(dt=0.005, t_end=1.0, lin_tol=lin_tol,
+                           continuity_tol=1e-6)
+        solver = PisoSolver(mesh, bcs, FLUID, cfg)
+        return solver.step(solver.initialize())
+
+    assert first_step(1e-8).continuity_error() < 1e-6
+    with pytest.raises(SolverFailure, match="continuity"):
+        first_step(1e-2)
 
 
 def test_state_shape_validation():
