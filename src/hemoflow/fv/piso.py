@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import InvalidArgumentError, SolverFailure
 from ..units import DYN_CM2_TO_PA, M3S_TO_CM3S
@@ -22,8 +21,9 @@ from .boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
                        VelocityZeroGradientBC, WindkesselBC)
 from .operators import (CONVECTION_SCHEMES, BoundaryValues,
                         boundary_values_from_patches, convective_term,
-                        diffusion_term, face_interpolate, gauss_gradient,
-                        gradient_term)
+                        face_interpolate, gauss_gradient, gradient_term)
+# not called here, but perfbench/tracing.py wraps it under this name
+from .operators import diffusion_term  # noqa: F401
 
 
 @dataclass
@@ -49,7 +49,7 @@ class SolverConfig:
     n_piso: int = 2
     n_nonorth: int = 1
     convection_scheme: str = "second-order-upwind"
-    lin_tol: float = 1e-6             # momentum and 3D pressure (2D: LU)
+    lin_tol: float = 1e-6             # Krylov solves (not narrow-band 2D)
     cfl_max: float = 5.0
     cfl_action: str = "warn"          # "warn" | "error"
     steady_tol: float = None          # stop early when |du|/dt stalls
@@ -132,6 +132,26 @@ class PisoSolver:
                 self._fixed_p[g.b_index[mesh.patches[name].face_ids]] = True
         self._has_nonorth = not (np.allclose(g.T, 0.0)
                                  and np.allclose(g.b_T, 0.0))
+        # both step matrices live on one pattern: the diagonal and both
+        # off-diagonal entries of every internal face; the slots map the
+        # COO values of _momentum_system and _pressure_matrix into it
+        o, n = g.i_owner, g.i_neigh
+        cells = np.arange(mesh.n_cells)
+        self._pattern = linsolve.Pattern(mesh.n_cells,
+                                         np.concatenate([cells, o, n]),
+                                         np.concatenate([cells, n, o]))
+        diag = self._pattern.slots(cells, cells)
+        faces = self._pattern.slots(np.concatenate([o, o, n, n]),
+                                    np.concatenate([o, n, n, o]))
+        self._diag_slots = diag
+        self._m_slots = np.concatenate([faces, diag, diag[g.b_owner]])
+        self._p_slots = np.concatenate([faces,
+                                        diag[g.b_owner[self._fixed_p]]])
+        # 2D: both systems are banded LUs in the pattern's RCM order
+        # unless the band is too wide
+        self._band = (linsolve.band_order(self._pattern.indptr,
+                                          self._pattern.indices)
+                      if mesh.dim == 2 else None)
         self._wk_pressure = {}   # patch name -> current boundary value [Pa]
         for name in bcs.windkessel_patches():
             out = bcs.pressure(name).outlet
@@ -195,10 +215,12 @@ class PisoSolver:
         phi[g.boundary[self._fixed_u]] = phi_b_fixed[self._fixed_u]
 
         # ---- momentum predictor ----
+        band = self._band
         diag, A_m, rhs0 = self._momentum_system(state, phi, bu, dt)
         grad_p = gradient_term(state.p, mesh, bp)
+        lu_m = linsolve.factor(A_m, band) if band is not None else None
         u_star = linsolve.solve_bicgstab(A_m, rhs0 - grad_p, x0=state.u,
-                                         tol=cfg.lin_tol)
+                                         tol=cfg.lin_tol, lu=lu_m)
 
         # everything built from the momentum diagonal is fixed for the
         # whole corrector sequence, so assemble the pressure matrix once
@@ -207,15 +229,22 @@ class PisoSolver:
         c_int = rAU_f * g.orth_coeff
         c_b = rAU[g.b_owner] * g.b_orth_coeff
         A_p = self._pressure_matrix(c_int, c_b)
-        # a 2D pressure LU costs less than one CG solve and is reused by all
-        # n_piso x n_nonorth solves; in 3D its fill is tens of times A_p
-        lu_p = linsolve.factor(A_p) if mesh.dim == 2 else None
+        # the 2D factor is reused by all n_piso x n_nonorth solves; in 3D
+        # its fill is tens of times A_p
+        if band is not None:
+            lu_p = linsolve.factor(A_p, band)
+        elif mesh.dim == 2:
+            lu_p = linsolve.sparse_factor(A_p)
+        else:
+            lu_p = None
         fixed_p = self._fixed_p
         bp_fixed = bp.values[fixed_p]
         free = ~self._fixed_u
         bA = mesh.face_area[g.boundary]
 
         u, p = u_star, state.p.copy()
+        # Gauss gradient of the current p, refreshed after each solve
+        grad = grad_p / mesh.cell_volume[:, None]
         for _ in range(cfg.n_piso):
             # H = rhs (no pressure) minus off-diagonal action
             off = A_m @ u - diag[:, None] * u
@@ -236,11 +265,12 @@ class PisoSolver:
             for _ in range(max(cfg.n_nonorth, 1)):
                 rhs_p = rhs_p0
                 if self._has_nonorth:
-                    gpf = face_interpolate(gauss_gradient(p, mesh, bp), mesh)
+                    gpf = face_interpolate(grad, mesh)
                     corr = rAU_f * np.einsum("ij,ij->i", gpf, g.T)
                     rhs_p = rhs_p0 + g.D_int @ corr
                 p = linsolve.solve_cg(A_p, rhs_p, x0=p, tol=cfg.lin_tol,
                                       lu=lu_p)
+                grad = gauss_gradient(p, mesh, bp)
                 if not self._has_nonorth:
                     break
 
@@ -253,7 +283,7 @@ class PisoSolver:
                 phi_star[g.boundary[fixed_p]]
                 - c_b[fixed_p] * (bp_fixed - p[g.b_owner[fixed_p]]))
             phi = phi_new
-            u = HbyA - rAU[:, None] * gauss_gradient(p, mesh, bp)
+            u = HbyA - rAU[:, None] * grad
 
         new = FlowState(mesh, u=u, p=p, phi=phi, time=t_new)
         err = new.continuity_error()
@@ -270,35 +300,29 @@ class PisoSolver:
         g = mesh.fv
         cfg = self.config
         rho, mu = self.fluid.rho, self.fluid.mu
-        nc = mesh.n_cells
 
+        # matrix values in the COO order of self._m_slots: the four
+        # entries of each internal face, the time term, boundary faces
         phi_i = phi[g.internal]
         conv_p = rho * np.maximum(phi_i, 0.0)   # owner-donor part
         conv_m = rho * np.minimum(phi_i, 0.0)   # neighbor-donor part
         dcoef = mu * g.orth_coeff
 
-        o, n = g.i_owner, g.i_neigh
-        rows = np.concatenate([o, o, n, n])
-        cols = np.concatenate([o, n, n, o])
-        vals = np.concatenate([conv_p + dcoef, conv_m - dcoef,
-                               -conv_m + dcoef, -conv_p - dcoef])
-
         diag_t = rho * mesh.cell_volume / dt
         rhs = diag_t[:, None] * state.u
         phi_b = phi[g.boundary]
-        bo = g.b_owner
         # fixed-velocity faces couple diffusively; zero-gradient (outflow)
         # faces contribute implicit donor convection only
         bval = np.where(self._fixed_u, mu * g.b_orth_coeff,
                         rho * np.maximum(phi_b, 0.0))
         coeff = np.where(self._fixed_u, mu * g.b_orth_coeff - rho * phi_b, 0.0)
         rhs += g.D_b @ (coeff[:, None] * bu.values)
-        rows = np.concatenate([rows, np.arange(nc), bo])
-        cols = np.concatenate([cols, np.arange(nc), bo])
-        vals = np.concatenate([vals, diag_t, bval])
+        vals = np.concatenate([conv_p + dcoef, conv_m - dcoef,
+                               -conv_m + dcoef, -conv_p - dcoef,
+                               diag_t, bval])
 
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(nc, nc))
-        diag = A.diagonal()
+        A = self._pattern.matrix(self._m_slots, vals)
+        diag = A.data[self._diag_slots]
 
         # deferred corrections from the previous time level
         if cfg.convection_scheme != "upwind":
@@ -306,8 +330,10 @@ class PisoSolver:
                                           cfg.convection_scheme, bu)
                           - convective_term(state.u, phi, mesh, "upwind", bu))
         if cfg.n_nonorth >= 1 and self._has_nonorth:
-            rhs += mu * (diffusion_term(state.u, mesh, n_corr=1, bvals=bu)
-                         - diffusion_term(state.u, mesh, n_corr=0, bvals=bu))
+            # non-orthogonal part of the diffusive face flux; its
+            # orthogonal and boundary parts are implicit in A
+            gf = face_interpolate(gauss_gradient(state.u, mesh, bu), mesh)
+            rhs += mu * (g.D_int @ np.einsum("fij,fj->fi", gf, g.T))
         return diag, A, rhs
 
     def _pressure_matrix(self, c_int, c_b):
@@ -316,19 +342,9 @@ class PisoSolver:
         Only the right-hand side changes between PISO correctors, so the
         matrix is assembled once per time step.
         """
-        mesh = self.mesh
-        g = mesh.fv
-        nc = mesh.n_cells
-        o, n = g.i_owner, g.i_neigh
-        rows = np.concatenate([o, o, n, n])
-        cols = np.concatenate([o, n, n, o])
-        vals = np.concatenate([c_int, -c_int, c_int, -c_int])
-
-        bo = g.b_owner[self._fixed_p]
-        rows = np.concatenate([rows, bo])
-        cols = np.concatenate([cols, bo])
-        vals = np.concatenate([vals, c_b[self._fixed_p]])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(nc, nc))
+        vals = np.concatenate([c_int, -c_int, c_int, -c_int,
+                               c_b[self._fixed_p]])
+        return self._pattern.matrix(self._p_slots, vals)
 
     def _pressure_rhs(self, phi_star, c_b, bp):
         g = self.mesh.fv

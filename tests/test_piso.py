@@ -5,8 +5,9 @@ import pytest
 
 from hemoflow.errors import InvalidArgumentError, SolverFailure
 from hemoflow.fv import (FlowState, FluidProperties, PisoSolver,
-                         SolverConfig, poiseuille_bcs)
-from hemoflow.mesh import generate_channel_mesh, generate_pipe_mesh
+                         SolverConfig, diffusion_term, poiseuille_bcs)
+from hemoflow.mesh import (generate_bifurcation_mesh, generate_channel_mesh,
+                           generate_pipe_mesh)
 
 H = 0.2      # channel height [m]
 U_MEAN = 1.0  # bulk velocity [m/s]
@@ -140,3 +141,28 @@ def test_config_validation():
         SolverConfig(n_piso=0)
     with pytest.raises(InvalidArgumentError):
         FluidProperties(rho=-1.0)
+
+
+def test_deferred_nonorth_momentum_correction_is_the_diffusion_difference():
+    """The explicit non-orthogonal momentum source equals the Laplacian
+    with one correction minus the one without (their orthogonal and
+    boundary parts cancel)."""
+    mesh = generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, resolution=8)
+    bcs = poiseuille_bcs(mesh, 1e-6, profile="plug")
+    solver = PisoSolver(mesh, bcs, FLUID,
+                        SolverConfig(convection_scheme="upwind"))
+    assert solver._has_nonorth
+    u = np.random.default_rng(5).normal(size=(mesh.n_cells, 2))
+    state = solver.initialize(u=u)
+    bu = solver._velocity_bvals(state.time)
+
+    def rhs(n_nonorth):
+        solver.config.n_nonorth = n_nonorth
+        return solver._momentum_system(state, state.phi, bu, 1e-3)[2]
+
+    with_corr, without = rhs(1), rhs(0)
+    ref = FLUID.mu * (diffusion_term(u, mesh, n_corr=1, bvals=bu)
+                      - diffusion_term(u, mesh, n_corr=0, bvals=bu))
+    assert np.abs(ref).max() > 1e-6 * np.abs(with_corr).max()
+    assert np.allclose(with_corr - without, ref, rtol=0.0,
+                       atol=1e-12 * np.abs(with_corr).max())
