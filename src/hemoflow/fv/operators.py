@@ -9,6 +9,15 @@ the global boundary-face ordering (mesh.fv.boundary) plus a mask of the
 faces that carry a value. A face without a value is zero-gradient: it
 takes its owner cell's value, so the diffusion operator sees zero flux
 through it. ``bvals=None`` makes every boundary face zero-gradient.
+
+Linear interpolation to internal faces is one product with the CSR
+matrix ``mesh.fv.W``, built with the mesh's face data. The solver's
+linear face operators are composed from it once per solver:
+``gradient_matrices`` (the Gauss gradient face sum for one mask of fixed
+boundary faces) and ``face_dot_matrix`` (interpolate a vector field, then
+dot it with one vector per internal face). Their vector layout is cell
+major: row or column ``c * dim + j`` is axis j of cell c, so an (nc, dim)
+array enters and leaves them as a flat view.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import InvalidArgumentError
 
@@ -74,10 +84,9 @@ def _along(w, f):
 
 def face_interpolate(field, mesh):
     """Linear interpolation of a cell field to internal faces."""
-    g = mesh.fv
+    W = mesh.fv.W
     f = np.asarray(field, dtype=float)
-    w = _along(g.w_owner, f)
-    return w * f[g.i_owner] + (1.0 - w) * f[g.i_neigh]
+    return (W @ f.reshape(len(f), -1)).reshape((W.shape[0],) + f.shape[1:])
 
 
 def gradient_term(field, mesh, bvals=None):
@@ -95,6 +104,46 @@ def gradient_term(field, mesh, bvals=None):
     vb = _boundary_value_array(mesh, f, bvals)[..., None] * A[g.boundary]
     out = g.D_int @ vf.reshape(len(vf), -1) + g.D_b @ vb.reshape(len(vb), -1)
     return out.reshape(f.shape + (mesh.dim,))
+
+
+def _by_cell(blocks):
+    """Stack per-axis row blocks so that row ``c * dim + j`` of the result
+    is row c of ``blocks[j]``."""
+    dim, n = len(blocks), blocks[0].shape[0]
+    order = np.arange(dim * n).reshape(dim, n).T.ravel()
+    return sp.vstack(blocks, format="csr")[order]
+
+
+def gradient_matrices(mesh, fixed):
+    """CSR matrices ``(G, G_b)`` of the Gauss gradient face sum when the
+    boundary faces in the mask ``fixed`` carry values.
+
+    ``G @ f + G_b @ values[fixed]``, reshaped to (nc, dim) for a (nc,)
+    field, equals ``gradient_term(f, mesh, BoundaryValues(values,
+    fixed))``. A (nc, k) field gives (nc * dim, k): cell major rows, so the
+    reshape is (nc, dim, k), the last two axes of ``gradient_term`` swapped.
+    """
+    g = mesh.fv
+    free = ~np.asarray(fixed, dtype=bool)
+    S = mesh.face_area[g.internal]
+    S_b = mesh.face_area[g.boundary]
+    D_free, D_fixed = g.D_b[:, free], g.D_b[:, ~free]
+    # D_b.T picks each boundary face's owner: the value of a free face
+    G = _by_cell([g.D_int @ sp.diags(S[:, j]) @ g.W
+                  + D_free @ sp.diags(S_b[free, j]) @ D_free.T
+                  for j in range(mesh.dim)])
+    G_b = _by_cell([D_fixed @ sp.diags(S_b[~free, j])
+                    for j in range(mesh.dim)])
+    return G, G_b
+
+
+def face_dot_matrix(mesh, vectors):
+    """CSR (n_internal x nc * dim) matrix that interpolates a cell major
+    (nc, dim) field to internal faces and dots each face value with its
+    row of ``vectors`` (n_internal, dim)."""
+    W = mesh.fv.W
+    return _by_cell([(sp.diags(vectors[:, j]) @ W).T
+                     for j in range(mesh.dim)]).T.tocsr()
 
 
 def gauss_gradient(field, mesh, bvals=None):
@@ -161,7 +210,7 @@ def diffusion_term(u, mesh, n_corr=1, bvals=None):
     u = np.asarray(u, dtype=float)
 
     flux = _along(g.orth_coeff, u) * (u[g.i_neigh] - u[g.i_owner])
-    if n_corr >= 1 and not np.allclose(g.T, 0.0):
+    if n_corr >= 1 and g.non_orthogonal:
         gf = face_interpolate(gauss_gradient(u, mesh, bvals), mesh)
         flux = flux + np.einsum("f...j,fj->f...", gf, g.T)
     ub = _boundary_value_array(mesh, u, bvals)

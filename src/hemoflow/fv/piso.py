@@ -4,6 +4,15 @@ One BDF1 time step = one implicit momentum predictor (first-order upwind
 convection and orthogonal diffusion in the matrix, higher-order convection
 and non-orthogonal diffusion as deferred corrections) followed by a fixed
 number of pressure correctors.
+
+The step's linear face operators depend only on the mesh and on the
+solver's fixed boundary masks, so ``PisoSolver`` composes them once, as
+CSR matrices, when it is built: the Gauss gradient face sum of the
+pressure (``operators.gradient_matrices``), the "interpolate, then dot
+with the face area vector" flux operator (``operators.face_dot_matrix``)
+and, on meshes with non-orthogonal faces, the velocity gradient and the
+"interpolate, then dot with T" operator of the non-orthogonal
+corrections. Each application in a step is one sparse product.
 """
 
 from __future__ import annotations
@@ -21,9 +30,11 @@ from .boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
                        VelocityZeroGradientBC, WindkesselBC)
 from .operators import (CONVECTION_SCHEMES, BoundaryValues,
                         boundary_values_from_patches, convective_term,
-                        face_interpolate, gauss_gradient, gradient_term)
-# not called here, but perfbench/tracing.py wraps it under this name
-from .operators import diffusion_term  # noqa: F401
+                        face_dot_matrix, gradient_matrices)
+# perfbench/tracing.py wraps each of these under its name in this module
+# (getattr); a traced run fails if one is missing, called here or not
+from .operators import (diffusion_term, face_interpolate,  # noqa: F401
+                        gauss_gradient, gradient_term)
 
 
 @dataclass
@@ -130,8 +141,14 @@ class PisoSolver:
         for name, (_, pbc) in bcs.conditions.items():
             if isinstance(pbc, (FixedPressureBC, WindkesselBC)):
                 self._fixed_p[g.b_index[mesh.patches[name].face_ids]] = True
-        self._has_nonorth = not (np.allclose(g.T, 0.0)
-                                 and np.allclose(g.b_T, 0.0))
+        self._has_nonorth = g.non_orthogonal
+        # the step's face operators (cell major vector layout)
+        self._vol = np.repeat(mesh.cell_volume, mesh.dim)
+        self._G_p, self._G_pb = gradient_matrices(mesh, self._fixed_p)
+        self._F = face_dot_matrix(mesh, mesh.face_area[g.internal])
+        if self._has_nonorth:
+            self._G_u, self._G_ub = gradient_matrices(mesh, self._fixed_u)
+            self._N = face_dot_matrix(mesh, g.T)
         # both step matrices live on one pattern: the diagonal and both
         # off-diagonal entries of every internal face; the slots map the
         # COO values of _momentum_system and _pressure_matrix into it
@@ -185,9 +202,7 @@ class PisoSolver:
         mesh = self.mesh
         state = FlowState(mesh, u=u, p=p, time=t)
         g = mesh.fv
-        uf = face_interpolate(state.u, mesh)
-        state.phi[g.internal] = np.einsum("ij,ij->i", uf,
-                                          mesh.face_area[g.internal])
+        state.phi[g.internal] = self._F @ state.u.ravel()
         bu = self._velocity_bvals(t)
         phi_b = self._boundary_flux(bu)
         ub_free = state.u[g.b_owner]
@@ -216,16 +231,19 @@ class PisoSolver:
 
         # ---- momentum predictor ----
         band = self._band
+        fixed_p = self._fixed_p
+        bp_fixed = bp.values[fixed_p]
         diag, A_m, rhs0 = self._momentum_system(state, phi, bu, dt)
-        grad_p = gradient_term(state.p, mesh, bp)
+        grad_p = self._G_p @ state.p + self._G_pb @ bp_fixed
         lu_m = linsolve.factor(A_m, band) if band is not None else None
-        u_star = linsolve.solve_bicgstab(A_m, rhs0 - grad_p, x0=state.u,
-                                         tol=cfg.lin_tol, lu=lu_m)
+        u_star = linsolve.solve_bicgstab(
+            A_m, rhs0 - grad_p.reshape(rhs0.shape), x0=state.u,
+            tol=cfg.lin_tol, lu=lu_m)
 
         # everything built from the momentum diagonal is fixed for the
         # whole corrector sequence, so assemble the pressure matrix once
         rAU = mesh.cell_volume / diag
-        rAU_f = face_interpolate(rAU, mesh)
+        rAU_f = g.W @ rAU
         c_int = rAU_f * g.orth_coeff
         c_b = rAU[g.b_owner] * g.b_orth_coeff
         A_p = self._pressure_matrix(c_int, c_b)
@@ -237,23 +255,20 @@ class PisoSolver:
             lu_p = linsolve.sparse_factor(A_p)
         else:
             lu_p = None
-        fixed_p = self._fixed_p
-        bp_fixed = bp.values[fixed_p]
         free = ~self._fixed_u
         bA = mesh.face_area[g.boundary]
 
         u, p = u_star, state.p.copy()
-        # Gauss gradient of the current p, refreshed after each solve
-        grad = grad_p / mesh.cell_volume[:, None]
+        # Gauss gradient of the current p (cell major, flat), refreshed
+        # after each solve
+        grad = grad_p / self._vol
         for _ in range(cfg.n_piso):
             # H = rhs (no pressure) minus off-diagonal action
             off = A_m @ u - diag[:, None] * u
             HbyA = (rhs0 - off) / diag[:, None]
 
             phi_star = np.empty(mesh.n_faces)
-            phi_star[g.internal] = np.einsum(
-                "ij,ij->i", face_interpolate(HbyA, mesh),
-                mesh.face_area[g.internal])
+            phi_star[g.internal] = self._F @ HbyA.ravel()
             phi_b_star = phi_b_fixed.copy()
             phi_b_star[free] = np.einsum(
                 "ij,ij->i", HbyA[g.b_owner[free]], bA[free])
@@ -265,12 +280,11 @@ class PisoSolver:
             for _ in range(max(cfg.n_nonorth, 1)):
                 rhs_p = rhs_p0
                 if self._has_nonorth:
-                    gpf = face_interpolate(grad, mesh)
-                    corr = rAU_f * np.einsum("ij,ij->i", gpf, g.T)
+                    corr = rAU_f * (self._N @ grad)
                     rhs_p = rhs_p0 + g.D_int @ corr
                 p = linsolve.solve_cg(A_p, rhs_p, x0=p, tol=cfg.lin_tol,
                                       lu=lu_p)
-                grad = gauss_gradient(p, mesh, bp)
+                grad = (self._G_p @ p + self._G_pb @ bp_fixed) / self._vol
                 if not self._has_nonorth:
                     break
 
@@ -283,11 +297,11 @@ class PisoSolver:
                 phi_star[g.boundary[fixed_p]]
                 - c_b[fixed_p] * (bp_fixed - p[g.b_owner[fixed_p]]))
             phi = phi_new
-            u = HbyA - rAU[:, None] * grad
+            u = HbyA - rAU[:, None] * grad.reshape(HbyA.shape)
 
         new = FlowState(mesh, u=u, p=p, phi=phi, time=t_new)
         err = new.continuity_error()
-        if err > cfg.continuity_tol:
+        if not err <= cfg.continuity_tol:   # NaN fails too
             raise SolverFailure(
                 f"continuity error {err:.3e} exceeds {cfg.continuity_tol:.1e} "
                 f"at t={t_new:.6g}", [err])
@@ -332,8 +346,10 @@ class PisoSolver:
         if cfg.n_nonorth >= 1 and self._has_nonorth:
             # non-orthogonal part of the diffusive face flux; its
             # orthogonal and boundary parts are implicit in A
-            gf = face_interpolate(gauss_gradient(state.u, mesh, bu), mesh)
-            rhs += mu * (g.D_int @ np.einsum("fij,fj->fi", gf, g.T))
+            grad_u = ((self._G_u @ state.u
+                       + self._G_ub @ bu.values[self._fixed_u])
+                      / self._vol[:, None])
+            rhs += mu * (g.D_int @ (self._N @ grad_u))
         return diag, A, rhs
 
     def _pressure_matrix(self, c_int, c_b):

@@ -274,6 +274,13 @@ class _FvGeometry:
             "ij,ij->i", mesh.face_centroid[self.internal] - mesh.cell_centroid[o], dhat
         ) / self.d_mag
         self.w_owner = np.clip(1.0 - t, 0.05, 0.95)
+        # the interpolation as a (n_internal x n_cells) matrix: w_owner in
+        # the owner column, 1 - w_owner in the neighbor column
+        self.W = sp.csr_matrix(
+            (np.column_stack([self.w_owner, 1.0 - self.w_owner]).ravel(),
+             np.column_stack([o, n]).ravel(),
+             np.arange(0, 2 * len(o) + 1, 2)),
+            shape=(len(o), mesh.n_cells))
 
         # boundary faces
         bo = mesh.owner[self.boundary]
@@ -289,6 +296,13 @@ class _FvGeometry:
         AbdotAb = np.einsum("ij,ij->i", Ab, Ab)
         self.b_orth_coeff = AbdotAb / AbdotDb
         self.b_T = Ab - db / AbdotDb[:, None] * AbdotAb[:, None]
+        # any face whose T is more than round-off of its area vector;
+        # relative per face, so it does not depend on the mesh's scale
+        self.non_orthogonal = bool(
+            np.any(np.linalg.norm(self.T, axis=1)
+                   > 1e-9 * np.linalg.norm(A, axis=1))
+            or np.any(np.linalg.norm(self.b_T, axis=1)
+                      > 1e-9 * np.linalg.norm(Ab, axis=1)))
         # position of each face inside the boundary ordering (-1: internal)
         self.b_index = np.full(mesh.n_faces, -1, dtype=np.int64)
         self.b_index[self.boundary] = np.arange(len(self.boundary))

@@ -9,8 +9,11 @@ from hemoflow.errors import InvalidArgumentError
 from hemoflow.fv import (boundary_values_from_patches, convective_term,
                          diffusion_term, face_interpolate, gauss_gradient,
                          gradient_term, vector_gauss_gradient)
-from hemoflow.fv.operators import CONVECTION_SCHEMES, BoundaryValues
-from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh
+from hemoflow.fv.operators import (CONVECTION_SCHEMES, BoundaryValues,
+                                   face_dot_matrix, gradient_matrices)
+from hemoflow.mesh import (Mesh, Patch, generate_bifurcation_mesh,
+                           generate_box_mesh, generate_pipe_mesh)
+from test_linsolve import twin_face_channel
 
 
 def linear_bvals(mesh, func):
@@ -131,3 +134,95 @@ def test_operators_work_on_3d_meshes():
     grad = gauss_gradient(f, mesh, bvals)
     assert np.allclose(grad[:, 2], 1.0, atol=1e-8)
     assert np.abs(grad[:, :2]).max() < 1e-8
+
+
+def sheared_pipe(length):
+    """A 4 x 2 x 8 pipe of diameter and length ``length``, sheared by
+    x += 0.3 z: its faces are up to 16.7 deg non-orthogonal."""
+    mesh = generate_pipe_mesh(length, length, 4, 2, n_theta=8)
+    points = mesh.points.copy()
+    points[:, 0] += 0.3 * points[:, 2]
+    patches = [Patch(p.name, p.kind, p.face_ids, dict(p.meta))
+               for p in mesh.patches.values()]
+    return Mesh(3, points, mesh.face_nodes, mesh.owner, mesh.neighbor,
+                patches)
+
+
+def interpolate_by_gather(field, mesh):
+    """Linear interpolation as written before ``mesh.fv.W`` existed."""
+    g = mesh.fv
+    f = np.asarray(field, dtype=float)
+    w = g.w_owner.reshape(g.w_owner.shape + (1,) * (f.ndim - 1))
+    return w * f[g.i_owner] + (1.0 - w) * f[g.i_neigh]
+
+
+def assert_close(value, ref):
+    assert value.shape == ref.shape
+    assert np.abs(value - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def assert_face_operators_match(mesh, rng):
+    """The composed CSR operators against the field operators, for
+    random fields, boundary values and a random fixed-face mask."""
+    g = mesh.fv
+    nc, dim, nb = mesh.n_cells, mesh.dim, len(g.boundary)
+    fixed = rng.random(nb) < 0.5
+    p = rng.standard_normal(nc)
+    u = rng.standard_normal((nc, dim))
+    bp = BoundaryValues(rng.standard_normal(nb), fixed)
+    bu = BoundaryValues(rng.standard_normal((nb, dim)), fixed)
+
+    G, G_b = gradient_matrices(mesh, fixed)
+    assert G.shape == (nc * dim, nc) and G_b.shape == (nc * dim, fixed.sum())
+    assert_close((G @ p + G_b @ bp.values[fixed]).reshape(nc, dim),
+                 gradient_term(p, mesh, bp))
+    assert_close((G @ u + G_b @ bu.values[fixed]).reshape(nc, dim, dim),
+                 gradient_term(u, mesh, bu).swapaxes(1, 2))
+
+    S = mesh.face_area[g.internal]
+    F = face_dot_matrix(mesh, S)
+    assert_close(F @ u.ravel(),
+                 np.einsum("ij,ij->i", face_interpolate(u, mesh), S))
+    N = face_dot_matrix(mesh, g.T)
+    grad = rng.standard_normal((nc, dim, dim))   # [cell, axis j, comp i]
+    assert_close(N @ grad.reshape(nc * dim, dim),
+                 np.einsum("fij,fj->fi",
+                           face_interpolate(grad.swapaxes(1, 2), mesh), g.T))
+
+    # after the products above, which must leave W as it was
+    for f in (p, u, grad):
+        assert np.array_equal(face_interpolate(f, mesh),
+                              interpolate_by_gather(f, mesh))
+
+
+@given(nx=st.integers(2, 7), ny=st.integers(2, 7),
+       lx=st.floats(1e-4, 1.0), ly=st.floats(1e-4, 1.0),
+       shear=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_face_operators_match_on_sheared_boxes(nx, ny, lx, ly, shear, seed):
+    mesh = generate_box_mesh(nx, ny, (lx, ly), shear=shear)
+    assert_face_operators_match(mesh, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0,
+                                      resolution=8),
+    lambda: generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12),
+    lambda: sheared_pipe(2e-4),
+    twin_face_channel,
+], ids=["bifurcation", "pipe", "sheared-pipe", "twin-face-channel"])
+def test_face_operators_match(make):
+    assert_face_operators_match(make(), np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("length", [2e-2, 1e-3, 2e-4])
+def test_non_orthogonality_is_detected_at_any_scale(length):
+    """Non-orthogonal faces are found relative to their area, so the
+    correction is kept at the 35-51 um cells of a 0.2 mm pipe too."""
+    assert not generate_pipe_mesh(length, length, 4, 2, n_theta=8) \
+        .fv.non_orthogonal
+    mesh = sheared_pipe(length)
+    assert mesh.fv.non_orthogonal
+    u = np.random.default_rng(3).standard_normal((mesh.n_cells, 3))
+    corr = diffusion_term(u, mesh, n_corr=1) - diffusion_term(u, mesh, 0)
+    assert np.abs(corr).max() > 1e-3 * np.abs(diffusion_term(u, mesh)).max()

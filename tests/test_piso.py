@@ -6,8 +6,11 @@ import pytest
 from hemoflow.errors import InvalidArgumentError, SolverFailure
 from hemoflow.fv import (FlowState, FluidProperties, PisoSolver,
                          SolverConfig, diffusion_term, poiseuille_bcs)
+from hemoflow.fv.operators import face_dot_matrix, gradient_matrices
 from hemoflow.mesh import (generate_bifurcation_mesh, generate_channel_mesh,
                            generate_pipe_mesh)
+from test_linsolve import twin_face_channel
+from test_operators import sheared_pipe
 
 H = 0.2      # channel height [m]
 U_MEAN = 1.0  # bulk velocity [m/s]
@@ -122,6 +125,62 @@ def test_continuity_gate_raises_on_loose_3d_pressure_solve():
     assert first_step(1e-8).continuity_error() < 1e-6
     with pytest.raises(SolverFailure, match="continuity"):
         first_step(1e-2)
+
+
+def test_nan_velocity_raises_on_the_banded_2d_path():
+    mesh = generate_channel_mesh(1.0, H, 12, 4)
+    bcs = poiseuille_bcs(mesh, U_MEAN * H, profile="parabolic")
+    solver = PisoSolver(mesh, bcs, FLUID, SolverConfig(dt=0.005, t_end=0.05))
+    assert solver._band is not None
+    u0 = np.zeros((mesh.n_cells, 2))
+    u0[5, 0] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(SolverFailure, match="continuity"):
+        solver.run(solver.initialize(u=u0))
+
+
+def test_nan_pressure_raises_on_the_3d_krylov_path():
+    """The momentum and pressure matrices stay finite, so the Krylov
+    solves fall back to LU solves that return NaN fields."""
+    mesh = generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12)
+    bcs = poiseuille_bcs(mesh, 1e-5, profile="parabolic")
+    solver = PisoSolver(mesh, bcs, FLUID, SolverConfig(dt=0.005))
+    assert solver._band is None
+    state = solver.initialize()
+    state.p[5] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(SolverFailure, match="continuity"):
+        solver.step(state)
+
+
+@pytest.mark.parametrize("make, nonorth", [
+    (lambda: generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0,
+                                       resolution=8), True),
+    (lambda: generate_pipe_mesh(0.02, 0.02, 20, 10, n_theta=40), False),
+    (lambda: sheared_pipe(2e-4), True),
+    (twin_face_channel, False),
+], ids=["bifurcation", "benchmark-pipe", "sheared-pipe", "twin-face-channel"])
+def test_solver_builds_the_face_operators_of_its_masks(make, nonorth):
+    """The pressure gradient and flux operators always; the velocity
+    gradient and the T operator only on non-orthogonal meshes."""
+    mesh = make()
+    solver = PisoSolver(mesh, poiseuille_bcs(mesh, 1e-6, profile="plug"),
+                        FLUID)
+    assert solver._has_nonorth == nonorth
+
+    def same(A, B):
+        return A.shape == B.shape and (A != B).nnz == 0
+
+    g = mesh.fv
+    G, G_b = gradient_matrices(mesh, solver._fixed_p)
+    assert same(solver._G_p, G) and same(solver._G_pb, G_b)
+    assert same(solver._F, face_dot_matrix(mesh, mesh.face_area[g.internal]))
+    assert hasattr(solver, "_N") == nonorth
+    assert hasattr(solver, "_G_u") == nonorth
+    if nonorth:
+        G, G_b = gradient_matrices(mesh, solver._fixed_u)
+        assert same(solver._G_u, G) and same(solver._G_ub, G_b)
+        assert same(solver._N, face_dot_matrix(mesh, g.T))
 
 
 def test_state_shape_validation():
