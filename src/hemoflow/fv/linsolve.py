@@ -2,18 +2,20 @@
 
 Both systems of a step live on one sparsity pattern per mesh: the
 diagonal plus the owner/neighbour pair of every internal face.
-``Pattern`` builds that CSR structure once and scatters each step's
-values into it, so no step sorts or merges coordinates.
+``Pattern`` builds that CSR structure once, and the CSR matrices on it;
+each step overwrites their values in place (``Pattern.fill``), so no step
+sorts or merges coordinates or constructs a sparse matrix.
 
 On 2D meshes ``band_order`` computes once a reverse Cuthill-McKee
 ordering of the pattern (Cuthill & McKee, 1969), in which the matrix is
 banded with a narrow bandwidth k. While the banded LU work n k^2 stays
-within ``BAND_MAX_WORK``, ``factor`` makes a LAPACK banded LU
-(``dgbtrf``) of the momentum and of the pressure matrix each step; the
-momentum components share one solve and every pressure corrector of the
-step reuses the pressure factor. On wider 2D bands the pressure factor is
-a sparse LU (``sparse_factor``), again shared by the correctors, and
-momentum is iterative. The iterations: pressure (SPD, 3D meshes) uses
+within ``BAND_MAX_WORK``, each step makes a LAPACK banded LU (``factor``,
+``dgbtrf``) of the momentum matrix, whose components share one solve, and
+a banded Cholesky factor (``cholesky``, ``dpbtrf``) of the symmetric
+positive definite pressure matrix, which every pressure corrector of the
+step reuses. On wider 2D bands the pressure factor is a sparse LU
+(``sparse_factor``), again shared by the correctors, and momentum is
+iterative. The iterations: pressure (SPD, 3D meshes) uses
 Jacobi-preconditioned conjugate gradients and momentum (mildly
 non-symmetric, diagonal rho V / dt > 0) Jacobi-preconditioned BiCGStab;
 both fall back to a sparse LU when they do not converge.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..errors import SolverFailure
@@ -61,17 +63,24 @@ class Pattern:
         return np.searchsorted(self._keys, np.asarray(rows) * self.shape[0]
                                + cols)
 
-    def matrix(self, slots, vals):
-        """CSR matrix holding ``vals`` summed into ``slots``."""
-        data = np.bincount(slots, weights=vals, minlength=self.nnz)
-        return sp.csr_matrix((data, self.indices, self.indptr),
+    def matrix(self):
+        """A zero CSR matrix on this pattern, to be filled by ``fill``."""
+        return sp.csr_matrix((np.zeros(self.nnz), self.indices, self.indptr),
                              shape=self.shape)
+
+    def fill(self, A, slots, vals):
+        """Overwrite the values of ``A`` (from ``matrix``) with ``vals``
+        summed into ``slots``; returns ``A``."""
+        A.data[:] = np.bincount(slots, weights=vals, minlength=self.nnz)
+        return A
 
 
 class BandOrder:
     """Reverse Cuthill-McKee ordering of a structurally symmetric CSR
-    pattern, its bandwidth ``k`` and the position of every CSR slot in
-    LAPACK (3k + 1, n) band storage (Fortran order, flattened)."""
+    pattern, its bandwidth ``k``, the position of every CSR slot in LAPACK
+    (3k + 1, n) band storage for the LU, and of every upper-triangle slot
+    in (k + 1, n) storage for the Cholesky factor (Fortran order,
+    flattened)."""
 
     def __init__(self, indptr, indices):
         n = len(indptr) - 1
@@ -88,6 +97,9 @@ class BandOrder:
         self.ldab = 3 * self.k + 1
         # A[i, j] sits at ab[2k + i - j, j] (kl = ku = k)
         self.at = (2 * self.k + i - j) + j * self.ldab
+        # upper triangle: A[i, j] (i <= j) sits at ab[k + i - j, j]
+        self.upper = np.flatnonzero(i <= j)
+        self.at_upper = ((self.k + i - j) + j * (self.k + 1))[self.upper]
 
     def band(self, A):
         """``A`` (CSR, this pattern) permuted and in band storage; the
@@ -96,22 +108,55 @@ class BandOrder:
         ab[self.at] = A.data
         return ab.reshape((self.ldab, self.n), order="F")
 
+    def upper_band(self, A):
+        """The upper triangle of the symmetric ``A`` (CSR, this pattern)
+        permuted and in (k + 1, n) band storage."""
+        ab = np.zeros((self.k + 1) * self.n)
+        ab[self.at_upper] = A.data[self.upper]
+        return ab.reshape((self.k + 1, self.n), order="F")
 
-class BandLU:
-    """Banded LU of a matrix in ``BandOrder``; ``solve`` takes one or more
-    right-hand side columns in the original ordering."""
 
-    def __init__(self, lu, piv, order):
-        self.lu, self.piv, self.order = lu, piv, order
+class BandFactor:
+    """Banded factor of a matrix in ``BandOrder``; ``solve`` takes one or
+    more right-hand side columns in the original ordering."""
+
+    name = ""
+
+    def __init__(self, order):
+        self.order = order
 
     def solve(self, b):
-        k, perm = self.order.k, self.order.perm
-        x, info = dgbtrs(self.lu, k, k, b[perm], self.piv, overwrite_b=1)
+        perm = self.order.perm
+        x, info = self._solve(b[perm])
         if info != 0:
-            raise SolverFailure(f"banded LU solve failed (info={info})")
+            raise SolverFailure(
+                f"banded {self.name} solve failed (info={info})")
         out = np.empty_like(x)
         out[perm] = x
         return out
+
+
+class BandLU(BandFactor):
+    name = "LU"
+
+    def __init__(self, lu, piv, order):
+        super().__init__(order)
+        self.lu, self.piv = lu, piv
+
+    def _solve(self, b):
+        k = self.order.k
+        return dgbtrs(self.lu, k, k, b, self.piv, overwrite_b=1)
+
+
+class BandCholesky(BandFactor):
+    name = "Cholesky"
+
+    def __init__(self, c, order):
+        super().__init__(order)
+        self.c = c
+
+    def _solve(self, b):
+        return dpbtrs(self.c, b, overwrite_b=1)
 
 
 def band_order(indptr, indices):
@@ -130,6 +175,16 @@ def factor(A, order):
     return BandLU(lu, piv, order)
 
 
+def cholesky(A, order):
+    """Banded Cholesky factor of the symmetric positive definite CSR matrix
+    ``A`` in ``order``, the ``BandOrder`` of its pattern; SolverFailure if
+    ``A`` is not positive definite."""
+    c, info = dpbtrf(order.upper_band(A), overwrite_ab=1)
+    if info != 0:
+        raise SolverFailure(f"Cholesky factorization failed (info={info})")
+    return BandCholesky(c, order)
+
+
 def sparse_factor(A):
     """Sparse LU of ``A``; SolverFailure if it is singular."""
     try:
@@ -146,8 +201,8 @@ def _jacobi(A):
 def solve_cg(A, b, x0=None, tol=1e-6, maxiter=5000, lu=None):
     """Solve the SPD system A x = b.
 
-    With ``lu`` (a factor of ``A`` from ``factor`` or ``sparse_factor``)
-    the solve is direct.
+    With ``lu`` (a factor of ``A`` from ``cholesky``, ``factor`` or
+    ``sparse_factor``) the solve is direct.
     Otherwise Jacobi-preconditioned CG, converged against the initial
     residual (not ||b||) so that large boundary source terms do not mask
     a poorly solved interior; LU fallback, SolverFailure on divergence.

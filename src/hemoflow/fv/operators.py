@@ -13,11 +13,14 @@ through it. ``bvals=None`` makes every boundary face zero-gradient.
 Linear interpolation to internal faces is one product with the CSR
 matrix ``mesh.fv.W``, built with the mesh's face data. The solver's
 linear face operators are composed from it once per solver:
-``gradient_matrices`` (the Gauss gradient face sum for one mask of fixed
-boundary faces) and ``face_dot_matrix`` (interpolate a vector field, then
-dot it with one vector per internal face). Their vector layout is cell
-major: row or column ``c * dim + j`` is axis j of cell c, so an (nc, dim)
-array enters and leaves them as a flat view.
+``gradient_matrix`` (the Gauss gradient face sum for one mask of fixed
+boundary faces, acting on the cell field stacked on the fixed faces'
+values), ``face_dot_matrix`` (interpolate a vector field, then dot it
+with one vector per internal face) and ``nonorth_flux_matrix`` (the two
+chained through the cell volumes: the non-orthogonal face flux of a
+field's gradient). Their vector layout is cell major: row or column
+``c * dim + j`` is axis j of cell c, so an (nc, dim) array enters and
+leaves them as a flat view.
 """
 
 from __future__ import annotations
@@ -114,12 +117,13 @@ def _by_cell(blocks):
     return sp.vstack(blocks, format="csr")[order]
 
 
-def gradient_matrices(mesh, fixed):
-    """CSR matrices ``(G, G_b)`` of the Gauss gradient face sum when the
-    boundary faces in the mask ``fixed`` carry values.
+def gradient_matrix(mesh, fixed):
+    """CSR matrix of the Gauss gradient face sum when the boundary faces
+    in the mask ``fixed`` carry values. It acts on a cell field stacked
+    on the values of the fixed faces.
 
-    ``G @ f + G_b @ values[fixed]``, reshaped to (nc, dim) for a (nc,)
-    field, equals ``gradient_term(f, mesh, BoundaryValues(values,
+    ``G @ np.concatenate([f, values[fixed]])``, reshaped to (nc, dim) for
+    a (nc,) field, equals ``gradient_term(f, mesh, BoundaryValues(values,
     fixed))``. A (nc, k) field gives (nc * dim, k): cell major rows, so the
     reshape is (nc, dim, k), the last two axes of ``gradient_term`` swapped.
     """
@@ -129,12 +133,10 @@ def gradient_matrices(mesh, fixed):
     S_b = mesh.face_area[g.boundary]
     D_free, D_fixed = g.D_b[:, free], g.D_b[:, ~free]
     # D_b.T picks each boundary face's owner: the value of a free face
-    G = _by_cell([g.D_int @ sp.diags(S[:, j]) @ g.W
-                  + D_free @ sp.diags(S_b[free, j]) @ D_free.T
-                  for j in range(mesh.dim)])
-    G_b = _by_cell([D_fixed @ sp.diags(S_b[~free, j])
-                    for j in range(mesh.dim)])
-    return G, G_b
+    return _by_cell([sp.hstack([g.D_int @ sp.diags(S[:, j]) @ g.W
+                                + D_free @ sp.diags(S_b[free, j]) @ D_free.T,
+                                D_fixed @ sp.diags(S_b[~free, j])])
+                     for j in range(mesh.dim)])
 
 
 def face_dot_matrix(mesh, vectors):
@@ -144,6 +146,16 @@ def face_dot_matrix(mesh, vectors):
     W = mesh.fv.W
     return _by_cell([(sp.diags(vectors[:, j]) @ W).T
                      for j in range(mesh.dim)]).T.tocsr()
+
+
+def nonorth_flux_matrix(mesh, G):
+    """CSR matrix that applies the gradient face sum ``G`` (from
+    ``gradient_matrix``), divides by the cell volumes, interpolates the
+    gradient to internal faces and dots it with the non-orthogonal part T
+    of each face: the explicit non-orthogonal face flux of the field."""
+    g = mesh.fv
+    inv_vol = sp.diags(np.repeat(1.0 / mesh.cell_volume, mesh.dim))
+    return (face_dot_matrix(mesh, g.T) @ inv_vol @ G).tocsr()
 
 
 def gauss_gradient(field, mesh, bvals=None):

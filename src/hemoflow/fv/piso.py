@@ -5,14 +5,29 @@ convection and orthogonal diffusion in the matrix, higher-order convection
 and non-orthogonal diffusion as deferred corrections) followed by a fixed
 number of pressure correctors.
 
-The step's linear face operators depend only on the mesh and on the
-solver's fixed boundary masks, so ``PisoSolver`` composes them once, as
-CSR matrices, when it is built: the Gauss gradient face sum of the
-pressure (``operators.gradient_matrices``), the "interpolate, then dot
-with the face area vector" flux operator (``operators.face_dot_matrix``)
-and, on meshes with non-orthogonal faces, the velocity gradient and the
-"interpolate, then dot with T" operator of the non-orthogonal
-corrections. Each application in a step is one sparse product.
+``PisoSolver.step`` does only the work that changes from step to step.
+The step's linear face operators depend only on the mesh, the fluid and
+the solver's fixed boundary masks, so the solver fuses them once, as CSR
+matrices, when it is built:
+
+- the Gauss gradient face sum of the pressure (``operators.
+  gradient_matrix``), acting on p stacked on the fixed boundary
+  pressures;
+- the "interpolate, then dot with the face area vector" flux operator
+  (``operators.face_dot_matrix``);
+- on meshes with non-orthogonal faces, the pressure gradient chained into
+  the non-orthogonal face flux (``operators.nonorth_flux_matrix``), and
+  the whole deferred non-orthogonal momentum source mu D_int N V^-1 G_u,
+  acting on u stacked on the fixed boundary velocities.
+
+Each application in a step is one sparse product, and the cell gradient
+of p is formed once per corrector, for the velocity update. The momentum
+and the pressure matrix are built once per solver on the fixed pattern
+of ``linsolve.Pattern``; each step overwrites their values in place. So
+does the pressure ``BoundaryValues``, of which a step writes only the
+Windkessel rows. On narrow-band 2D meshes the pressure matrix, symmetric
+positive definite, gets a banded Cholesky factor per step
+(``linsolve.cholesky``) and momentum a banded LU (``linsolve.factor``).
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ from .boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
                        VelocityZeroGradientBC, WindkesselBC)
 from .operators import (CONVECTION_SCHEMES, BoundaryValues,
                         boundary_values_from_patches, convective_term,
-                        face_dot_matrix, gradient_matrices)
+                        face_dot_matrix, gradient_matrix, nonorth_flux_matrix)
 # perfbench/tracing.py wraps each of these under its name in this module
 # (getattr); a traced run fails if one is missing, called here or not
 from .operators import (diffusion_term, face_interpolate,  # noqa: F401
@@ -77,6 +92,15 @@ class SolverConfig:
             raise InvalidArgumentError("cfl_action must be 'warn' or 'error'")
         if self.n_piso < 1:
             raise InvalidArgumentError("need at least one pressure corrector")
+        if self.n_nonorth < 0:
+            raise InvalidArgumentError("n_nonorth must be >= 0")
+        for name in ("lin_tol", "cfl_max", "continuity_tol"):
+            if not getattr(self, name) > 0:
+                raise InvalidArgumentError(f"{name} must be positive")
+        if self.steady_tol is not None and not self.steady_tol > 0:
+            raise InvalidArgumentError("steady_tol must be positive")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise InvalidArgumentError("max_steps must be >= 1")
 
 
 class FlowState:
@@ -115,7 +139,12 @@ class FlowState:
 
 
 class PisoSolver:
-    """Transient incompressible solver on a fixed mesh and BC set."""
+    """Transient incompressible solver on a fixed mesh and BC set.
+
+    The solver owns its step matrices and pressure boundary values and
+    overwrites them every step, so one solver steps in one thread at a
+    time (a sweep builds one solver per point).
+    """
 
     def __init__(self, mesh, bcs: BoundaryConditionSet, fluid=None,
                  config=None):
@@ -137,18 +166,30 @@ class PisoSolver:
                 shapes[name] = np.zeros(mesh.dim)
         self._bu_shape = boundary_values_from_patches(mesh, shapes)
         self._fixed_u = self._bu_shape.fixed
-        self._fixed_p = np.zeros(len(g.boundary), dtype=bool)
+        # pressure boundary values, built once: fixed values never change
+        # and each step writes the Windkessel rows from _wk_pressure
+        self._wk_pressure = {}   # patch name -> current boundary value [Pa]
+        pvals = {}
         for name, (_, pbc) in bcs.conditions.items():
-            if isinstance(pbc, (FixedPressureBC, WindkesselBC)):
-                self._fixed_p[g.b_index[mesh.patches[name].face_ids]] = True
+            if isinstance(pbc, FixedPressureBC):
+                pvals[name] = pbc.value
+            elif isinstance(pbc, WindkesselBC):
+                pvals[name] = self._wk_pressure[name] = \
+                    pbc.outlet.pressure_pa(0.0)
+        self._bp = boundary_values_from_patches(mesh, pvals)
+        self._fixed_p = self._bp.fixed
+        self._wk_rows = {name: g.b_index[mesh.patches[name].face_ids]
+                         for name in self._wk_pressure}
         self._has_nonorth = g.non_orthogonal
-        # the step's face operators (cell major vector layout)
+        # the step's fused face operators (cell major vector layout); the
+        # gradients act on a cell field stacked on its fixed boundary values
         self._vol = np.repeat(mesh.cell_volume, mesh.dim)
-        self._G_p, self._G_pb = gradient_matrices(mesh, self._fixed_p)
+        self._G = gradient_matrix(mesh, self._fixed_p)
         self._F = face_dot_matrix(mesh, mesh.face_area[g.internal])
         if self._has_nonorth:
-            self._G_u, self._G_ub = gradient_matrices(mesh, self._fixed_u)
-            self._N = face_dot_matrix(mesh, g.T)
+            self._NG = nonorth_flux_matrix(mesh, self._G)
+            self._K_u = (self.fluid.mu * g.D_int @ nonorth_flux_matrix(
+                mesh, gradient_matrix(mesh, self._fixed_u))).tocsr()
         # both step matrices live on one pattern: the diagonal and both
         # off-diagonal entries of every internal face; the slots map the
         # COO values of _momentum_system and _pressure_matrix into it
@@ -164,15 +205,13 @@ class PisoSolver:
         self._m_slots = np.concatenate([faces, diag, diag[g.b_owner]])
         self._p_slots = np.concatenate([faces,
                                         diag[g.b_owner[self._fixed_p]]])
-        # 2D: both systems are banded LUs in the pattern's RCM order
-        # unless the band is too wide
+        self._A_m = self._pattern.matrix()
+        self._A_p = self._pattern.matrix()
+        # 2D: momentum is a banded LU and pressure a banded Cholesky
+        # factor in the pattern's RCM order, unless the band is too wide
         self._band = (linsolve.band_order(self._pattern.indptr,
                                           self._pattern.indices)
                       if mesh.dim == 2 else None)
-        self._wk_pressure = {}   # patch name -> current boundary value [Pa]
-        for name in bcs.windkessel_patches():
-            out = bcs.pressure(name).outlet
-            self._wk_pressure[name] = out.pressure_pa(0.0)
 
     # -- boundary value assembly ----------------------------------------
 
@@ -183,13 +222,10 @@ class PisoSolver:
         return BoundaryValues(values, self._fixed_u)
 
     def _pressure_bvals(self):
-        vals = {}
-        for name, (_, pbc) in self.bcs.conditions.items():
-            if isinstance(pbc, FixedPressureBC):
-                vals[name] = pbc.value
-            elif isinstance(pbc, WindkesselBC):
-                vals[name] = self._wk_pressure[name]
-        return boundary_values_from_patches(self.mesh, vals)
+        bp = self._bp
+        for name, rows in self._wk_rows.items():
+            bp.values[rows] = self._wk_pressure[name]
+        return bp
 
     def _boundary_flux(self, bu):
         """Prescribed fluxes on fixed-velocity faces (0 elsewhere)."""
@@ -219,9 +255,9 @@ class PisoSolver:
         mesh = self.mesh
         g = mesh.fv
         cfg = self.config
-        rho, mu = self.fluid.rho, self.fluid.mu
         dt = cfg.dt if dt is None else dt
         t_new = state.time + dt
+        nc = mesh.n_cells
 
         bu = self._velocity_bvals(t_new)
         bp = self._pressure_bvals()
@@ -232,16 +268,20 @@ class PisoSolver:
         # ---- momentum predictor ----
         band = self._band
         fixed_p = self._fixed_p
-        bp_fixed = bp.values[fixed_p]
+        # p stacked on the fixed boundary pressures, the input of the
+        # pressure gradient operators; its head follows every solve
+        pb = np.concatenate([state.p, bp.values[fixed_p]])
+        bp_fixed = pb[nc:]
         diag, A_m, rhs0 = self._momentum_system(state, phi, bu, dt)
-        grad_p = self._G_p @ state.p + self._G_pb @ bp_fixed
+        grad_p = self._G @ pb
         lu_m = linsolve.factor(A_m, band) if band is not None else None
         u_star = linsolve.solve_bicgstab(
             A_m, rhs0 - grad_p.reshape(rhs0.shape), x0=state.u,
             tol=cfg.lin_tol, lu=lu_m)
 
         # everything built from the momentum diagonal is fixed for the
-        # whole corrector sequence, so assemble the pressure matrix once
+        # whole corrector sequence, so assemble the pressure matrix, its
+        # factor and the boundary part of its right-hand side once
         rAU = mesh.cell_volume / diag
         rAU_f = g.W @ rAU
         c_int = rAU_f * g.orth_coeff
@@ -250,18 +290,16 @@ class PisoSolver:
         # the 2D factor is reused by all n_piso x n_nonorth solves; in 3D
         # its fill is tens of times A_p
         if band is not None:
-            lu_p = linsolve.factor(A_p, band)
+            lu_p = linsolve.cholesky(A_p, band)
         elif mesh.dim == 2:
             lu_p = linsolve.sparse_factor(A_p)
         else:
             lu_p = None
+        rhs_pb = g.D_b @ np.where(fixed_p, c_b * bp.values, 0.0)
         free = ~self._fixed_u
         bA = mesh.face_area[g.boundary]
 
         u, p = u_star, state.p.copy()
-        # Gauss gradient of the current p (cell major, flat), refreshed
-        # after each solve
-        grad = grad_p / self._vol
         for _ in range(cfg.n_piso):
             # H = rhs (no pressure) minus off-diagonal action
             off = A_m @ u - diag[:, None] * u
@@ -274,17 +312,17 @@ class PisoSolver:
                 "ij,ij->i", HbyA[g.b_owner[free]], bA[free])
             phi_star[g.boundary] = phi_b_star
 
-            rhs_p0 = self._pressure_rhs(phi_star, c_b, bp)
+            rhs_p0 = rhs_pb - g.D @ phi_star
 
-            corr = np.zeros(len(g.internal))
+            corr = 0.0
             for _ in range(max(cfg.n_nonorth, 1)):
                 rhs_p = rhs_p0
                 if self._has_nonorth:
-                    corr = rAU_f * (self._N @ grad)
+                    corr = rAU_f * (self._NG @ pb)
                     rhs_p = rhs_p0 + g.D_int @ corr
                 p = linsolve.solve_cg(A_p, rhs_p, x0=p, tol=cfg.lin_tol,
                                       lu=lu_p)
-                grad = (self._G_p @ p + self._G_pb @ bp_fixed) / self._vol
+                pb[:nc] = p
                 if not self._has_nonorth:
                     break
 
@@ -297,6 +335,7 @@ class PisoSolver:
                 phi_star[g.boundary[fixed_p]]
                 - c_b[fixed_p] * (bp_fixed - p[g.b_owner[fixed_p]]))
             phi = phi_new
+            grad = (self._G @ pb) / self._vol
             u = HbyA - rAU[:, None] * grad.reshape(HbyA.shape)
 
         new = FlowState(mesh, u=u, p=p, phi=phi, time=t_new)
@@ -309,7 +348,10 @@ class PisoSolver:
 
     def _momentum_system(self, state, phi, bu, dt):
         """Implicit matrix (shared by all components), its diagonal, and
-        the pressure-free right-hand side."""
+        the pressure-free right-hand side.
+
+        The matrix is the solver's own: the next step overwrites it.
+        """
         mesh = self.mesh
         g = mesh.fv
         cfg = self.config
@@ -335,7 +377,7 @@ class PisoSolver:
                                -conv_m + dcoef, -conv_p - dcoef,
                                diag_t, bval])
 
-        A = self._pattern.matrix(self._m_slots, vals)
+        A = self._pattern.fill(self._A_m, self._m_slots, vals)
         diag = A.data[self._diag_slots]
 
         # deferred corrections from the previous time level
@@ -346,26 +388,20 @@ class PisoSolver:
         if cfg.n_nonorth >= 1 and self._has_nonorth:
             # non-orthogonal part of the diffusive face flux; its
             # orthogonal and boundary parts are implicit in A
-            grad_u = ((self._G_u @ state.u
-                       + self._G_ub @ bu.values[self._fixed_u])
-                      / self._vol[:, None])
-            rhs += mu * (g.D_int @ (self._N @ grad_u))
+            rhs += self._K_u @ np.concatenate(
+                [state.u, bu.values[self._fixed_u]])
         return diag, A, rhs
 
     def _pressure_matrix(self, c_int, c_b):
         """Pressure-correction matrix.
 
         Only the right-hand side changes between PISO correctors, so the
-        matrix is assembled once per time step.
+        matrix is assembled once per time step. It is the solver's own:
+        the next step overwrites it.
         """
         vals = np.concatenate([c_int, -c_int, c_int, -c_int,
                                c_b[self._fixed_p]])
-        return self._pattern.matrix(self._p_slots, vals)
-
-    def _pressure_rhs(self, phi_star, c_b, bp):
-        g = self.mesh.fv
-        return (g.D_b @ np.where(bp.fixed, c_b * bp.values, 0.0)
-                - g.D @ phi_star)
+        return self._pattern.fill(self._A_p, self._p_slots, vals)
 
     # -- time loop -----------------------------------------------------------
 

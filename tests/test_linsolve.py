@@ -1,6 +1,7 @@
-"""Linear-solver layer: fixed-pattern assembly, banded LU on narrow-band
-2D meshes, sparse LU and Jacobi-BiCGStab on wide-band 2D meshes,
-Jacobi-Krylov on 3D meshes."""
+"""Linear-solver layer: fixed-pattern assembly in place, banded LU
+(momentum) and banded Cholesky (pressure) on narrow-band 2D meshes,
+sparse LU and Jacobi-BiCGStab on wide-band 2D meshes, Jacobi-Krylov on
+3D meshes."""
 
 import numpy as np
 import pytest
@@ -69,18 +70,20 @@ def recorded_step(monkeypatch, solver, state):
 
     Returns (new state, [(A, b, lu)] per pressure solve,
     [(A, B, lu)] per momentum solve, [(A, lu)] per ``linsolve.factor``
-    call, sparse LU factorizations made through scipy).
+    (banded LU) or ``linsolve.cholesky`` call, sparse LU factorizations
+    made through scipy).
     """
     counter = _CountingLinalg()
     monkeypatch.setattr(linsolve, "spla", counter)
     pressure, momentum, factors = [], [], []
-    factor = linsolve.factor
     solve_cg, solve_bicgstab = linsolve.solve_cg, linsolve.solve_bicgstab
 
-    def counted_factor(A, *args):
-        lu = factor(A, *args)
-        factors.append((A, lu))
-        return lu
+    def counted(make):
+        def made(A, *args):
+            lu = make(A, *args)
+            factors.append((A, lu))
+            return lu
+        return made
 
     def cg(A, b, **kwargs):
         pressure.append((A, b.copy(), kwargs.get("lu")))
@@ -90,7 +93,8 @@ def recorded_step(monkeypatch, solver, state):
         momentum.append((A, B.copy(), kwargs.get("lu")))
         return solve_bicgstab(A, B, **kwargs)
 
-    monkeypatch.setattr(linsolve, "factor", counted_factor)
+    monkeypatch.setattr(linsolve, "factor", counted(linsolve.factor))
+    monkeypatch.setattr(linsolve, "cholesky", counted(linsolve.cholesky))
     monkeypatch.setattr(linsolve, "solve_cg", cg)
     monkeypatch.setattr(linsolve, "solve_bicgstab", bicgstab)
     new = solver.step(state)
@@ -117,9 +121,9 @@ def pipe_step():
 
 
 def test_2d_step_factors_the_pressure_matrix_once(bif_step):
-    """Two banded LUs per 2D step: one of the momentum matrix, used by
-    its single solve, and one of the pressure matrix, shared by all four
-    pressure solves; no scipy LU."""
+    """Two banded factors per 2D step: an LU of the momentum matrix, used
+    by its single solve, and a Cholesky factor of the pressure matrix,
+    shared by all four pressure solves; no scipy LU."""
     solver, _, (_, pressure, momentum, factors, splu_calls) = bif_step
     cfg = solver.config
     assert solver._has_nonorth
@@ -128,6 +132,10 @@ def test_2d_step_factors_the_pressure_matrix_once(bif_step):
     assert len(factors) == 2
     assert splu_calls == 0
     (A_m, lu_m), (A_p, lu_p) = factors
+    assert isinstance(lu_m, linsolve.BandLU)
+    assert isinstance(lu_p, linsolve.BandCholesky)
+    # the solver's own matrices, filled in place
+    assert A_m is solver._A_m and A_p is solver._A_p
     assert momentum[0][0] is A_m and momentum[0][2] is lu_m
     assert all(A is A_p and lu is lu_p for A, _, lu in pressure)
 
@@ -225,15 +233,45 @@ def test_singular_matrix_raises_solver_failure():
         linsolve.solve_bicgstab(A, b[:, None], maxiter=50)
 
 
-def test_banded_factor_of_singular_matrix_raises():
-    """The banded LU flags the zero pivot, also in a shuffled ordering
-    that reverse Cuthill-McKee has to undo."""
-    A = neumann_laplacian()
+def given_and_shuffled(A):
+    """``A`` and a symmetric permutation of it that reverse Cuthill-McKee
+    has to undo, both with sorted indices."""
     shuffle = np.random.default_rng(3).permutation(A.shape[0])
     for M in (A, A[shuffle][:, shuffle].tocsr()):
         M.sort_indices()
+        yield M
+
+
+def test_banded_factor_of_singular_matrix_raises():
+    """The banded LU flags the zero pivot."""
+    for M in given_and_shuffled(neumann_laplacian()):
         with pytest.raises(SolverFailure, match="LU factorization"):
             linsolve.factor(M, linsolve.BandOrder(M.indptr, M.indices))
+
+
+def test_banded_cholesky_of_singular_matrix_raises():
+    """The Neumann Laplacian is only semi-definite: the Cholesky factor
+    meets a non-positive pivot."""
+    for M in given_and_shuffled(neumann_laplacian()):
+        with pytest.raises(SolverFailure, match="Cholesky factorization"):
+            linsolve.cholesky(M, linsolve.BandOrder(M.indptr, M.indices))
+
+
+def test_banded_cholesky_matches_splu(bif_step):
+    """The pressure matrix is symmetric positive definite, and its banded
+    Cholesky solve agrees with a sparse LU."""
+    _, _, (_, pressure, _, _, _) = bif_step
+    A, b, _ = pressure[0]
+    assert abs(A - A.T).max() == 0.0
+    x_ref = spla.splu(A.tocsc()).solve(b)
+    x = linsolve.cholesky(A, linsolve.BandOrder(A.indptr, A.indices)).solve(b)
+    assert x.shape == b.shape
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    X = np.column_stack([b, 2.0 * b])
+    X_ref = np.column_stack([x_ref, 2.0 * x_ref])
+    X_chol = linsolve.cholesky(
+        A, linsolve.BandOrder(A.indptr, A.indices)).solve(X)
+    assert np.linalg.norm(X_chol - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
 
 
 @pytest.mark.parametrize("system", ["momentum", "pressure"])
@@ -254,6 +292,7 @@ def test_band_storage_holds_the_permuted_matrix(bif_step):
     n, k = solver.mesh.n_cells, band.k
     assert 0 < k < n // 10                  # narrow in RCM order
     for A, _ in factors:
+        P = A.toarray()[band.perm][:, band.perm]
         ab = band.band(A)
         assert ab.shape == (3 * k + 1, n) and ab.flags.f_contiguous
         assert not ab[:k].any()             # room for the LU fill
@@ -261,8 +300,15 @@ def test_band_storage_holds_the_permuted_matrix(bif_step):
         for d in range(-k, k + 1):          # diagonal j - i = d
             j = np.arange(max(d, 0), min(n, n + d))
             unpacked[j - d, j] = ab[2 * k - d, j]
-        P = A.toarray()[band.perm][:, band.perm]
         assert np.array_equal(unpacked, P)
+        # the upper triangle in the Cholesky's (k + 1, n) storage
+        ab = band.upper_band(A)
+        assert ab.shape == (k + 1, n) and ab.flags.f_contiguous
+        unpacked = np.zeros((n, n))
+        for d in range(k + 1):
+            j = np.arange(d, n)
+            unpacked[j - d, j] = ab[k - d, j]
+        assert np.array_equal(unpacked, np.triu(P))
 
 
 def coo_assembly(solver):
@@ -283,17 +329,18 @@ def coo_assembly(solver):
 
 
 def assert_matches_coo_assembly(monkeypatch, solver, state):
-    """Step once, and check that each fixed-pattern matrix equals the
-    COO -> CSR conversion of the same values."""
+    """Step once, and check that each fixed-pattern matrix, filled in
+    place, equals the COO -> CSR conversion of the same values."""
     built = []
-    matrix = solver._pattern.matrix
+    fill = solver._pattern.fill
 
-    def recording_matrix(slots, vals):
-        A = matrix(slots, vals)
-        built.append((vals.copy(), A))
+    def recording_fill(A, slots, vals):
+        filled = fill(A, slots, vals)
+        assert filled is A
+        built.append((vals.copy(), A.copy()))
         return A
 
-    monkeypatch.setattr(solver._pattern, "matrix", recording_matrix)
+    monkeypatch.setattr(solver._pattern, "fill", recording_fill)
     state = solver.step(state)
     monkeypatch.undo()
     coo = coo_assembly(solver)

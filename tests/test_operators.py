@@ -10,7 +10,8 @@ from hemoflow.fv import (boundary_values_from_patches, convective_term,
                          diffusion_term, face_interpolate, gauss_gradient,
                          gradient_term, vector_gauss_gradient)
 from hemoflow.fv.operators import (CONVECTION_SCHEMES, BoundaryValues,
-                                   face_dot_matrix, gradient_matrices)
+                                   face_dot_matrix, gradient_matrix,
+                                   nonorth_flux_matrix)
 from hemoflow.mesh import (Mesh, Patch, generate_bifurcation_mesh,
                            generate_box_mesh, generate_pipe_mesh)
 from test_linsolve import twin_face_channel
@@ -156,14 +157,15 @@ def interpolate_by_gather(field, mesh):
     return w * f[g.i_owner] + (1.0 - w) * f[g.i_neigh]
 
 
-def assert_close(value, ref):
+def assert_close(value, ref, scale=None):
     assert value.shape == ref.shape
-    assert np.abs(value - ref).max() <= 1e-13 * np.abs(ref).max()
+    scale = np.abs(ref).max() if scale is None else scale
+    assert np.abs(value - ref).max() <= 1e-13 * scale
 
 
 def assert_face_operators_match(mesh, rng):
-    """The composed CSR operators against the field operators, for
-    random fields, boundary values and a random fixed-face mask."""
+    """The composed and fused CSR operators against the field operators,
+    for random fields, boundary values and a random fixed-face mask."""
     g = mesh.fv
     nc, dim, nb = mesh.n_cells, mesh.dim, len(g.boundary)
     fixed = rng.random(nb) < 0.5
@@ -172,12 +174,27 @@ def assert_face_operators_match(mesh, rng):
     bp = BoundaryValues(rng.standard_normal(nb), fixed)
     bu = BoundaryValues(rng.standard_normal((nb, dim)), fixed)
 
-    G, G_b = gradient_matrices(mesh, fixed)
-    assert G.shape == (nc * dim, nc) and G_b.shape == (nc * dim, fixed.sum())
-    assert_close((G @ p + G_b @ bp.values[fixed]).reshape(nc, dim),
-                 gradient_term(p, mesh, bp))
-    assert_close((G @ u + G_b @ bu.values[fixed]).reshape(nc, dim, dim),
+    G = gradient_matrix(mesh, fixed)
+    assert G.shape == (nc * dim, nc + fixed.sum())
+    pb = np.concatenate([p, bp.values[fixed]])
+    ub = np.concatenate([u, bu.values[fixed]])
+    assert_close((G @ pb).reshape(nc, dim), gradient_term(p, mesh, bp))
+    assert_close((G @ ub).reshape(nc, dim, dim),
                  gradient_term(u, mesh, bu).swapaxes(1, 2))
+
+    # the gradient chained into the non-orthogonal face flux; its scale
+    # is that of the gradient's own face flux, as T is 0 on orthogonal
+    # faces
+    NG = nonorth_flux_matrix(mesh, G)
+    assert NG.shape == (len(g.internal), nc + fixed.sum())
+    grad_f = face_interpolate(gauss_gradient(p, mesh, bp), mesh)
+    assert_close(NG @ pb, np.einsum("fj,fj->f", grad_f, g.T),
+                 scale=np.abs(grad_f).max() * np.abs(mesh.face_area).max())
+    # summed into cells, it is the non-orthogonal part of the Laplacian
+    full = diffusion_term(u, mesh, n_corr=1, bvals=bu)
+    assert_close(g.D_int @ (NG @ ub),
+                 full - diffusion_term(u, mesh, n_corr=0, bvals=bu),
+                 scale=np.abs(full).max())
 
     S = mesh.face_area[g.internal]
     F = face_dot_matrix(mesh, S)
