@@ -15,10 +15,16 @@ a banded Cholesky factor (``cholesky``, ``dpbtrf``) of the symmetric
 positive definite pressure matrix, which every pressure corrector of the
 step reuses. On wider 2D bands the pressure factor is a sparse LU
 (``sparse_factor``), again shared by the correctors, and momentum is
-iterative. The iterations: pressure (SPD, 3D meshes) uses
-Jacobi-preconditioned conjugate gradients and momentum (mildly
-non-symmetric, diagonal rho V / dt > 0) Jacobi-preconditioned BiCGStab;
-both fall back to a sparse LU when they do not converge.
+iterative.
+
+On 3D meshes the pressure is solved by conjugate gradients preconditioned
+with ``TwoGrid``, a symmetric aggregation two-grid cycle (Notay, ETNA 37,
+2010): Jacobi smoothing on the fine grid and an exact solve on aggregates
+of cells, whose small banded Cholesky factor is lagged across steps
+(Knoll & Keyes, JCP 193, 2004). The aggregates depend only on the mesh,
+so the solver builds them once. Momentum (mildly non-symmetric, diagonal
+rho V / dt > 0) uses Jacobi-preconditioned BiCGStab. Both Krylov solves
+fall back to a sparse LU when they do not converge.
 """
 
 from __future__ import annotations
@@ -39,6 +45,30 @@ from ..errors import SolverFailure
 # solve ran from 5x faster to 1.5x slower than Jacobi-BiCGStab, and both
 # systems together were faster banded at every size tried.
 BAND_MAX_WORK = 4e7
+
+# The 3D pressure two-grid cycle. Face ij is a strong connection when its
+# geometric weight w_ij >= AGG_THETA sqrt(d_i d_j), d the row sums of the
+# weights. Over the 30 steps of the 8000-cell pipe (Re 500), theta 0.02,
+# 0.05, 0.08, 0.10 and 0.15 gave 1137, 1320, 1474, 1535 and 2029
+# aggregates (coarse bandwidth k 179-215) and 1340, 945, 828, 835 and 790
+# CG iterations over the 60 solves. The coarse solve costs about n k per
+# iteration, so 0.15 does more work for 5% fewer iterations; at 0.25 3840
+# cells have no strong neighbour, and 5226 aggregates with k = 461 need a
+# 19 MB factor.
+AGG_THETA = 0.08
+# Damping of the Jacobi smoother. The cycle is positive definite while
+# omega < 2 / max eig(D^-1 A), which is >= 1 for the weakly diagonally
+# dominant pressure matrix. On the same run omega 0.5, 2/3, 0.8 and 1.0
+# took 920, 828, 788 and 1101 iterations; 2/3 keeps a margin from the
+# smoothing loss at 1 on meshes other than this one.
+SMOOTH_OMEGA = 2.0 / 3.0
+# The lagged coarse factor is rebuilt when a solve takes more than this
+# many times the iterations of the first solve after the last rebuild.
+# On the same run the first step's factor held the solves at 12-15
+# iterations, 828 in all against 829 with a fresh factor every step,
+# while A moved 1.6e-3 relative: the rule only has to catch a matrix
+# that changes a lot.
+REFACTOR_GROWTH = 2
 
 
 class Pattern:
@@ -193,17 +223,169 @@ def sparse_factor(A):
         raise SolverFailure(f"LU factorization failed: {exc}")
 
 
+def aggregates(W):
+    """Greedy aggregation of the graph of ``W`` (CSR, symmetric, weights
+    >= 0 off the diagonal, zero on it); returns the aggregate of every
+    row, numbered from 0.
+
+    Entry ij is strong if w_ij >= AGG_THETA sqrt(d_i d_j), d the row sums
+    of ``W``. In row order, a row whose strong neighbours are all still free
+    seeds an aggregate with them (Vanek, Mandel & Brezina, Computing 56,
+    1996). Every row left over then joins the first-pass aggregate that
+    it is tied to most strongly in total, or starts its own when it has
+    no neighbour in one.
+    """
+    n = W.shape[0]
+    d = np.asarray(W.sum(axis=1)).ravel()
+    rows = np.repeat(np.arange(n), np.diff(W.indptr))
+    strong = (W.data > 0) & (W.data >= AGG_THETA * np.sqrt(d[rows]
+                                                           * d[W.indices]))
+    ptr = np.searchsorted(rows[strong], np.arange(n + 1)).tolist()
+    nbrs = W.indices[strong].tolist()
+    agg = [-1] * n
+    na = 0
+    for i in range(n):
+        group = nbrs[ptr[i]:ptr[i + 1]]
+        if agg[i] < 0 and all(agg[j] < 0 for j in group):
+            agg[i] = na
+            for j in group:
+                agg[j] = na
+            na += 1
+    agg = np.array(agg, dtype=np.int64)
+    left = np.flatnonzero(agg < 0)
+    if len(left):
+        done = np.flatnonzero(agg >= 0)
+        P = sp.csr_matrix((np.ones(len(done)), (done, agg[done])),
+                          shape=(n, na))
+        # weight from each left row to each aggregate, strongest first
+        ties = W[left] @ P
+        r = np.repeat(np.arange(len(left)), np.diff(ties.indptr))
+        k = np.lexsort((-ties.data, r))
+        r, first = np.unique(r[k], return_index=True)
+        join = na + np.arange(len(left))    # alone: a new aggregate
+        join[r] = ties.indices[k[first]]
+        agg[left] = join
+        agg = np.unique(agg, return_inverse=True)[1]    # close the gaps
+    return agg
+
+
+class TwoGrid:
+    """Symmetric aggregation two-grid preconditioner for CG on the SPD
+    matrices of one ``Pattern``, with a lagged coarse factor.
+
+    ``i``, ``j`` and ``w`` give the weight of every symmetric pair of
+    off-diagonal entries (repeated pairs add up); the aggregates come from
+    these weights alone, so they are built once. With P the
+    piecewise-constant prolongation from the aggregates, one application
+    of M^-1 to r is
+
+        z = S r;  z += P A_c^-1 P^T (r - A z);  z += S (r - A z),
+
+    with S = omega D^-1 and A_c = P^T A P: symmetric, and positive
+    definite for an SPD ``A``. A_c is summed from ``A.data`` into its own
+    fixed pattern, and its banded Cholesky factor is kept from solve to
+    solve until ``solve`` finds it stale.
+    """
+
+    def __init__(self, pattern, i, j, w):
+        n = pattern.shape[0]
+        W = pattern.fill(pattern.matrix(), pattern.slots(
+            np.concatenate([i, j]), np.concatenate([j, i])),
+            np.concatenate([w, w]))
+        self.aggregate = agg = aggregates(W)
+        na = int(agg.max()) + 1
+        rows = agg[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+        cols = agg[pattern.indices]
+        self.coarse = Pattern(na, rows, cols)
+        self._slots = self.coarse.slots(rows, cols)
+        self._A_c = self.coarse.matrix()
+        self.order = BandOrder(self.coarse.indptr, self.coarse.indices)
+        # each fine row's aggregate, as its position in the band order:
+        # restriction and prolongation then need no permutation
+        pos = np.empty(na, dtype=np.int64)
+        pos[self.order.perm] = np.arange(na)
+        self._to_band = pos[agg]
+        self._diag = pattern.slots(np.arange(n), np.arange(n))
+        self._factor = None
+        self._base_iters = None
+
+    def coarse_matrix(self, A):
+        """P^T A P, filled in place from ``A`` (CSR, this pattern)."""
+        return self.coarse.fill(self._A_c, self._slots, A.data)
+
+    def refactor(self, A):
+        """Factor the coarse matrix of ``A``; the next solve sets the
+        iteration count against which the factor is judged stale."""
+        self._factor = cholesky(self.coarse_matrix(A), self.order)
+        self._base_iters = None
+
+    def operator(self, A):
+        """M^-1 for ``A`` as a LinearOperator: the smoother uses the
+        diagonal of ``A``, the coarse solve the current factor."""
+        if self._factor is None:
+            self.refactor(A)
+        c = self._factor.c
+        to_band = self._to_band
+        na = self.order.n
+        s = SMOOTH_OMEGA / A.data[self._diag]
+
+        def cycle(r):
+            z = s * r
+            rc = np.bincount(to_band, weights=r - A @ z, minlength=na)
+            e, info = dpbtrs(c, rc, overwrite_b=1)
+            if info != 0:
+                raise SolverFailure(
+                    f"coarse Cholesky solve failed (info={info})")
+            z += e[to_band]
+            z += s * (r - A @ z)
+            return z
+        return spla.LinearOperator(A.shape, cycle)
+
+    def solve(self, A, b, x0, atol, maxiter):
+        """CG on A x = b to ``atol``, preconditioned by this cycle;
+        returns (x, info) as ``scipy.sparse.linalg.cg``.
+
+        The coarse factor is rebuilt when a solve takes more than
+        REFACTOR_GROWTH times the iterations of the first solve after the
+        last rebuild, and before one retry, from the last iterate, when a
+        solve with a factor of an older matrix does not converge.
+        """
+        fresh = self._factor is None
+        x, info, iters = self._cg(A, b, x0, atol, maxiter)
+        if info != 0 and not fresh:
+            self.refactor(A)
+            x, info, iters = self._cg(A, b, x, atol, maxiter)
+        if info == 0:
+            if self._base_iters is None:
+                self._base_iters = iters
+            elif iters > REFACTOR_GROWTH * self._base_iters:
+                self.refactor(A)
+        return x, info
+
+    def _cg(self, A, b, x0, atol, maxiter):
+        iters = 0
+
+        def count(_):
+            nonlocal iters
+            iters += 1
+        x, info = spla.cg(A, b, x0=x0, rtol=0.0, atol=atol,
+                          M=self.operator(A), maxiter=maxiter,
+                          callback=count)
+        return x, info, iters
+
+
 def _jacobi(A):
     d = A.diagonal()
     return spla.LinearOperator(A.shape, lambda v: v / d)
 
 
-def solve_cg(A, b, x0=None, tol=1e-6, maxiter=5000, lu=None):
+def solve_cg(A, b, x0=None, tol=1e-6, maxiter=5000, lu=None, two_grid=None):
     """Solve the SPD system A x = b.
 
     With ``lu`` (a factor of ``A`` from ``cholesky``, ``factor`` or
     ``sparse_factor``) the solve is direct.
-    Otherwise Jacobi-preconditioned CG, converged against the initial
+    Otherwise CG, preconditioned by ``two_grid`` (a ``TwoGrid`` of the
+    pattern of ``A``) or else by Jacobi, converged against the initial
     residual (not ||b||) so that large boundary source terms do not mask
     a poorly solved interior; LU fallback, SolverFailure on divergence.
     """
@@ -215,8 +397,11 @@ def solve_cg(A, b, x0=None, tol=1e-6, maxiter=5000, lu=None):
     r0 = np.linalg.norm(b if x0 is None else b - A @ x0)
     if r0 == 0.0:
         return np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    x, info = spla.cg(A, b, x0=x0, rtol=0.0, atol=tol * r0, M=_jacobi(A),
-                      maxiter=maxiter)
+    if two_grid is None:
+        x, info = spla.cg(A, b, x0=x0, rtol=0.0, atol=tol * r0,
+                          M=_jacobi(A), maxiter=maxiter)
+    else:
+        x, info = two_grid.solve(A, b, x0, tol * r0, maxiter)
     if info != 0:
         res = float(np.linalg.norm(b - A @ x) / r0)
         try:

@@ -28,6 +28,10 @@ does the pressure ``BoundaryValues``, of which a step writes only the
 Windkessel rows. On narrow-band 2D meshes the pressure matrix, symmetric
 positive definite, gets a banded Cholesky factor per step
 (``linsolve.cholesky``) and momentum a banded LU (``linsolve.factor``).
+On 3D meshes the solver builds once the aggregates of a two-grid
+preconditioner (``linsolve.TwoGrid``) from the faces' geometric weights;
+every pressure solve is CG with it, and its coarse factor is made on the
+first step and lagged across steps.
 """
 
 from __future__ import annotations
@@ -116,6 +120,7 @@ class FlowState:
         if self.u.shape != (nc, mesh.dim) or self.p.shape != (nc,) \
                 or self.phi.shape != (nf,):
             raise InvalidArgumentError("field shape does not match mesh")
+        self._gross = None      # (phi it was summed from, gross flux)
 
     def copy(self):
         return FlowState(self.mesh, self.u, self.p, self.phi, self.time)
@@ -124,18 +129,25 @@ class FlowState:
         """Net outward volumetric flux through a patch [m^3/s]."""
         return float(self.phi[self.mesh.patches[name].face_ids].sum())
 
+    def _gross_flux(self):
+        """Per cell, the sum of |phi| over its faces. Both checks below
+        use it, so it is summed once per ``phi`` array; a change to
+        ``phi`` in place after a check is not seen (assign a new array)."""
+        if self._gross is None or self._gross[0] is not self.phi:
+            self._gross = (self.phi,
+                           self.mesh.fv.D_abs @ np.abs(self.phi))
+        return self._gross[1]
+
     def continuity_error(self):
         """Max cell imbalance of face fluxes, relative to the gross flux."""
-        g = self.mesh.fv
-        net = g.D @ self.phi
-        gross = g.D_abs @ np.abs(self.phi)
-        scale = max(gross.max(), 1e-300)
+        net = self.mesh.fv.D @ self.phi
+        scale = max(self._gross_flux().max(), 1e-300)
         return float(np.abs(net).max() / scale)
 
     def cfl(self, dt):
         """Max cell Courant number (half the gross flux sweep per volume)."""
-        gross = self.mesh.fv.D_abs @ np.abs(self.phi)
-        return float((0.5 * dt * gross / self.mesh.cell_volume).max())
+        return float((0.5 * dt * self._gross_flux()
+                      / self.mesh.cell_volume).max())
 
 
 class PisoSolver:
@@ -212,6 +224,10 @@ class PisoSolver:
         self._band = (linsolve.band_order(self._pattern.indptr,
                                           self._pattern.indices)
                       if mesh.dim == 2 else None)
+        # 3D: the pressure CG is preconditioned by a two-grid cycle on
+        # aggregates of cells, grouped by the faces' |A|^2/(A.d) weights
+        self._two_grid = (linsolve.TwoGrid(self._pattern, o, n, g.orth_coeff)
+                          if mesh.dim == 3 else None)
 
     # -- boundary value assembly ----------------------------------------
 
@@ -288,7 +304,8 @@ class PisoSolver:
         c_b = rAU[g.b_owner] * g.b_orth_coeff
         A_p = self._pressure_matrix(c_int, c_b)
         # the 2D factor is reused by all n_piso x n_nonorth solves; in 3D
-        # its fill is tens of times A_p
+        # its fill is tens of times A_p, and CG with the two-grid cycle
+        # solves instead
         if band is not None:
             lu_p = linsolve.cholesky(A_p, band)
         elif mesh.dim == 2:
@@ -321,7 +338,7 @@ class PisoSolver:
                     corr = rAU_f * (self._NG @ pb)
                     rhs_p = rhs_p0 + g.D_int @ corr
                 p = linsolve.solve_cg(A_p, rhs_p, x0=p, tol=cfg.lin_tol,
-                                      lu=lu_p)
+                                      lu=lu_p, two_grid=self._two_grid)
                 pb[:nc] = p
                 if not self._has_nonorth:
                     break

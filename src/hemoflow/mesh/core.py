@@ -76,6 +76,8 @@ class Mesh:
 
     ``incidence`` is the signed cell-face incidence matrix D (+1 at the
     owner, -1 at the neighbor): every face-to-cell sum is a product with it.
+    The loops are kept as flat arrays; ``face_nodes``, the oriented loops
+    as tuples, is built on first use.
     """
 
     def __init__(self, dim, points, face_nodes, owner, neighbor, patches):
@@ -85,14 +87,20 @@ class Mesh:
         self.points = np.asarray(points, dtype=float)
         if self.points.shape[1] != dim:
             raise InvalidArgumentError("points shape does not match dim")
-        self.face_nodes = [tuple(int(v) for v in f) for f in face_nodes]
+        # the vertex loops as given (before orientation), flattened
+        self._loop_len = np.fromiter(map(len, face_nodes), np.int64,
+                                     len(face_nodes))
+        self._loop_start = np.cumsum(self._loop_len) - self._loop_len
+        self._loop_flat = np.fromiter(chain.from_iterable(face_nodes),
+                                      np.int64, self._loop_len.sum())
+        self._face_nodes = None
         self.owner = np.asarray(owner, dtype=np.int64).copy()
         self.neighbor = np.asarray(neighbor, dtype=np.int64).copy()
         self.patches = {p.name: p for p in patches}
         if len(self.patches) != len(patches):
             raise InvalidArgumentError("duplicate patch names")
 
-        self.n_faces = len(self.face_nodes)
+        self.n_faces = len(self._loop_len)
         self.n_cells = int(max(self.owner.max(), self.neighbor.max()) + 1)
         self.incidence = _incidence(self.owner, self.neighbor, self.n_cells)
         self._compute_geometry()
@@ -141,12 +149,6 @@ class Mesh:
         return area, centroid
 
     def _compute_geometry(self):
-        # the vertex loops as given (before orientation), flattened
-        loops = self.face_nodes
-        self._loop_len = np.fromiter(map(len, loops), np.int64, len(loops))
-        self._loop_start = np.cumsum(self._loop_len) - self._loop_len
-        self._loop_flat = np.fromiter(chain.from_iterable(loops), np.int64,
-                                      self._loop_len.sum())
         area, fc = self._raw_face_geometry()
         D = self.incidence
 
@@ -154,8 +156,7 @@ class Mesh:
         approx = (abs(D) @ fc) / np.diff(D.indptr)[:, None]
         far = np.where(self.neighbor[:, None] >= 0, approx[self.neighbor], fc)
         flip = np.einsum("ij,ij->i", area, far - approx[self.owner]) < 0.0
-        for i in np.flatnonzero(flip):
-            self.face_nodes[i] = tuple(reversed(self.face_nodes[i]))
+        self._flip = flip
         area[flip] = -area[flip]
 
         self.face_area = area
@@ -219,11 +220,35 @@ class Mesh:
     # -- derived connectivity (cached) -------------------------------------
 
     @property
+    def face_nodes(self):
+        """Vertex loop of every face as a tuple, ordered so that its area
+        vector points out of the owner."""
+        if self._face_nodes is None:
+            loops = face_loops(self._loop_flat, self._loop_len)
+            for i in np.flatnonzero(self._flip).tolist():
+                loops[i] = loops[i][::-1]
+            self._face_nodes = loops
+        return self._face_nodes
+
+    @property
     def fv(self):
         """Face-based quantities used by the discretization (cached)."""
         if self._fv is None:
             self._fv = _FvGeometry(self)
         return self._fv
+
+
+def face_loops(flat, lengths):
+    """The vertex loops of consecutive faces, as a list of tuples of
+    ints, from their concatenation ``flat`` and their ``lengths``."""
+    loops = [None] * len(lengths)
+    start = np.cumsum(lengths) - lengths
+    for nv in np.unique(lengths):
+        faces = np.flatnonzero(lengths == nv)
+        block = flat[start[faces, None] + np.arange(nv)].tolist()
+        for f, loop in zip(faces.tolist(), block):
+            loops[f] = tuple(loop)
+    return loops
 
 
 def _incidence(owner, neighbor, n_cells):

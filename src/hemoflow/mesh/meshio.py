@@ -23,7 +23,7 @@ import json
 import numpy as np
 
 from ..errors import SchemaError
-from .core import Mesh, Patch
+from .core import Mesh, Patch, face_loops
 
 _MAGIC = "hemoflow-mesh"
 _VERSION = 1
@@ -46,49 +46,75 @@ def write_mesh(mesh: Mesh, path):
             fh.write(" ".join(map(str, p.face_ids.tolist())) + "\n")
 
 
-def read_mesh(path) -> Mesh:
-    with open(path) as fh:
-        lines = iter(fh.read().splitlines())
+class _Lines:
+    """The lines of a native mesh file, taken section by section."""
+
+    def __init__(self, path):
+        with open(path) as fh:
+            self.lines = fh.read().splitlines()
+        self.path = path
+        self.at = 0
+
+    def take(self, n):
+        if self.at + n > len(self.lines):
+            raise SchemaError(f"truncated mesh file: {self.path}")
+        self.at += n
+        return self.lines[self.at - n:self.at]
+
+    def section(self, name):
+        """The count of a ``<name> <n>`` header line."""
+        tok = self.take(1)[0].split()
+        if len(tok) != 2 or tok[0] != name or not tok[1].isdigit():
+            raise SchemaError(f"expected {name} section")
+        return int(tok[1])
+
+
+def _numbers(lines, dtype, what):
+    """Every whitespace-separated number of ``lines``, parsed in one
+    array operation."""
     try:
-        head = next(lines).split()
-        if head[0] != _MAGIC or int(head[1]) != _VERSION:
-            raise SchemaError(f"not a {_MAGIC} v{_VERSION} file: {path}")
-        tok = next(lines).split()
-        if tok[0] != "DIM":
-            raise SchemaError("expected DIM section")
-        dim = int(tok[1])
-        tok = next(lines).split()
-        if tok[0] != "POINTS":
-            raise SchemaError("expected POINTS section")
-        npts = int(tok[1])
-        pts = np.array([[float(c) for c in next(lines).split()] for _ in range(npts)])
-        tok = next(lines).split()
-        if tok[0] != "FACES":
-            raise SchemaError("expected FACES section")
-        nf = int(tok[1])
-        face_nodes, owner, neighbor = [], [], []
-        for _ in range(nf):
-            nums = [int(t) for t in next(lines).split()]
-            nv = nums[0]
-            if len(nums) != nv + 3:
-                raise SchemaError("malformed FACES line")
-            face_nodes.append(tuple(nums[1:1 + nv]))
-            owner.append(nums[1 + nv])
-            neighbor.append(nums[2 + nv])
-        tok = next(lines).split()
-        if tok[0] != "PATCHES":
-            raise SchemaError("expected PATCHES section")
-        patches = []
-        for _ in range(int(tok[1])):
-            parts = next(lines).split(None, 3)
-            name, kind, cnt = parts[0], parts[1], int(parts[2])
-            meta = json.loads(parts[3]) if len(parts) > 3 else {}
-            ids = [int(t) for t in next(lines).split()]
-            if len(ids) != cnt:
-                raise SchemaError(f"patch {name}: face count mismatch")
-            patches.append(Patch(name, kind, np.array(ids, dtype=np.int64), meta=meta))
-    except StopIteration:
-        raise SchemaError(f"truncated mesh file: {path}")
+        return np.fromstring(" ".join(lines), dtype=dtype, sep=" ")
+    except ValueError:
+        raise SchemaError(f"malformed {what} section")
+
+
+def read_mesh(path) -> Mesh:
+    src = _Lines(path)
+    head = src.take(1)[0].split()
+    if head != [_MAGIC, str(_VERSION)]:
+        raise SchemaError(f"not a {_MAGIC} v{_VERSION} file: {path}")
+    dim = src.section("DIM")
+    npts = src.section("POINTS")
+    pts = _numbers(src.take(npts), float, "POINTS")
+    if len(pts) != npts * dim:
+        raise SchemaError("malformed POINTS section")
+    pts = pts.reshape(npts, dim)
+
+    # one face per line: nv v0 ... v(nv-1) owner neighbor
+    lines = src.take(src.section("FACES"))
+    width = np.fromiter(map(len, map(str.split, lines)), np.int64,
+                        len(lines))
+    flat = _numbers(lines, np.int64, "FACES")
+    start = np.cumsum(width) - width
+    if np.any(width < 3) or np.any(flat[start] != width - 3):
+        raise SchemaError("malformed FACES line")
+    end = start + width
+    owner, neighbor = flat[end - 2], flat[end - 1]
+    loops = np.delete(flat, np.concatenate([start, end - 2, end - 1]))
+    face_nodes = face_loops(loops, width - 3)
+
+    patches = []
+    for _ in range(src.section("PATCHES")):
+        head, ids = src.take(2)
+        parts = head.split(None, 3)
+        if len(parts) < 3 or not parts[2].isdigit():
+            raise SchemaError(f"malformed patch line: {head!r}")
+        name, kind, cnt = parts[0], parts[1], int(parts[2])
+        meta = json.loads(parts[3]) if len(parts) > 3 else {}
+        ids = _numbers([ids], np.int64, f"patch {name}")
+        if len(ids) != cnt:
+            raise SchemaError(f"patch {name}: face count mismatch")
+        patches.append(Patch(name, kind, ids, meta=meta))
     return Mesh(dim, pts, face_nodes, owner, neighbor, patches)
 
 

@@ -1,7 +1,7 @@
 """Linear-solver layer: fixed-pattern assembly in place, banded LU
 (momentum) and banded Cholesky (pressure) on narrow-band 2D meshes,
-sparse LU and Jacobi-BiCGStab on wide-band 2D meshes, Jacobi-Krylov on
-3D meshes."""
+sparse LU and Jacobi-BiCGStab on wide-band 2D meshes; on 3D meshes
+two-grid-preconditioned CG (pressure) and Jacobi-BiCGStab (momentum)."""
 
 import numpy as np
 import pytest
@@ -141,6 +141,7 @@ def test_2d_step_factors_the_pressure_matrix_once(bif_step):
 
 
 def test_3d_step_makes_no_factorization(pipe_step):
+    """The second 3D step reuses the coarse factor of the first."""
     solver, _, (_, pressure, momentum, factors, splu_calls) = pipe_step
     assert len(pressure) == solver.config.n_piso
     assert len(momentum) == 1
@@ -398,3 +399,132 @@ def test_two_faces_between_one_cell_pair_are_summed(monkeypatch):
     c_int = built[1][0][:len(g.internal)]   # A_p's internal coefficients
     assert A_p[0, 1] == pytest.approx(-c_int[twins].sum(), rel=1e-15)
     assert state.continuity_error() < 1e-10
+
+
+# -- the 3D pressure preconditioner --------------------------------------------
+
+def prolongation(two_grid):
+    """The piecewise-constant prolongation P (n x aggregates)."""
+    agg = two_grid.aggregate
+    return sp.csr_matrix((np.ones(len(agg)), (np.arange(len(agg)), agg)))
+
+
+class _CountingCG(_CountingLinalg):
+    """Also counts the iterations of every CG solve."""
+
+    def __init__(self):
+        super().__init__()
+        self.iterations = []
+
+    def cg(self, A, b, callback=None, **kwargs):
+        self.iterations.append(0)
+
+        def count(xk):
+            self.iterations[-1] += 1
+            if callback is not None:
+                callback(xk)
+        return spla.cg(A, b, callback=count, **kwargs)
+
+
+def test_coarse_matrix_is_the_galerkin_product(pipe_step):
+    solver, _, (_, pressure, _, _, _) = pipe_step
+    A = pressure[0][0]
+    two_grid = solver._two_grid
+    P = prolongation(two_grid)
+    assert P.shape == (A.shape[0], two_grid.order.n)
+    assert np.asarray(P.sum(axis=0)).min() > 0          # none empty
+    ref = (P.T @ A @ P).toarray()
+    A_c = two_grid.coarse_matrix(A)
+    assert A_c is two_grid.coarse_matrix(A)             # filled in place
+    assert np.abs(A_c.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_two_grid_cycle_is_symmetric_positive_definite(pipe_step):
+    solver, _, (_, pressure, _, _, _) = pipe_step
+    A = pressure[0][0]
+    n = A.shape[0]
+    M = solver._two_grid.operator(A)
+    dense = np.column_stack([M.matvec(e) for e in np.eye(n)])
+    assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+    assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+
+
+def test_two_grid_cg_takes_a_quarter_of_the_jacobi_iterations(monkeypatch):
+    """On the benchmark's 8000-cell pipe."""
+    mesh = generate_pipe_mesh(0.02, 0.02, 20, 10, n_theta=40)
+    cfg = SolverConfig(dt=0.01, convection_scheme="upwind", lin_tol=LIN_TOL,
+                       cfl_max=1e9)
+    solver = PisoSolver(mesh, poiseuille_bcs(mesh, 1e-4, profile="parabolic"),
+                        FluidProperties(), cfg)
+    _, pressure, _, _, _ = recorded_step(monkeypatch, solver,
+                                         solver.initialize())
+    A, b, _ = pressure[-1]
+    counter = _CountingCG()
+    monkeypatch.setattr(linsolve, "spla", counter)
+    x_jacobi = linsolve.solve_cg(A, b, tol=LIN_TOL)
+    x = linsolve.solve_cg(A, b, tol=LIN_TOL, two_grid=solver._two_grid)
+    jacobi, two_grid = counter.iterations
+    assert two_grid <= jacobi / 4
+    assert np.linalg.norm(b - A @ x) <= LIN_TOL * np.linalg.norm(b)
+    assert np.linalg.norm(x - x_jacobi) <= 10 * LIN_TOL * np.linalg.norm(x)
+
+
+def test_first_3d_step_factors_the_coarse_matrix(monkeypatch):
+    """The step's pressure solves are one ``solve_cg`` call each, all with
+    the solver's two-grid cycle, and momentum one ``solve_bicgstab``
+    call; the only factor is the coarse Cholesky, made once."""
+    solver = pipe_solver()
+    _, pressure, momentum, factors, splu_calls = recorded_step(
+        monkeypatch, solver, solver.initialize())
+    assert len(pressure) == solver.config.n_piso and len(momentum) == 1
+    assert splu_calls == 0
+    (A_c, chol), = factors
+    assert isinstance(chol, linsolve.BandCholesky)
+    assert A_c is solver._two_grid.coarse_matrix(solver._A_p)
+
+
+def test_coarse_factor_is_lagged_until_the_iterations_double(monkeypatch):
+    solver = pipe_solver()
+    factors = []
+    cholesky = linsolve.cholesky
+
+    def counted(A, order):
+        factors.append(A.data.copy())
+        return cholesky(A, order)
+
+    monkeypatch.setattr(linsolve, "cholesky", counted)
+    counter = _CountingCG()
+    monkeypatch.setattr(linsolve, "spla", counter)
+    state = solver.initialize()
+    for _ in range(5):
+        state = solver.step(state)
+    assert len(factors) == 1
+    assert max(counter.iterations) <= 2 * counter.iterations[0]
+    # a pressure matrix 30x larger leaves the coarse factor 30x too small
+    two_grid = solver._two_grid
+    A = 30.0 * solver._A_p
+    b = A @ np.ones(A.shape[0])
+    x = linsolve.solve_cg(A, b, tol=LIN_TOL, two_grid=two_grid)
+    assert counter.iterations[-1] > 2 * counter.iterations[0]
+    assert len(factors) == 2
+    ref = 30.0 * two_grid.coarse_matrix(solver._A_p).data
+    assert np.abs(factors[-1] - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.linalg.norm(b - A @ x) <= LIN_TOL * np.linalg.norm(b)
+    # the fresh factor brings the iterations back
+    linsolve.solve_cg(A, b, tol=LIN_TOL, two_grid=two_grid)
+    assert counter.iterations[-1] <= 2 * counter.iterations[0]
+    assert len(factors) == 2
+
+
+def test_stale_coarse_factor_is_rebuilt_before_the_lu_fallback(monkeypatch):
+    solver = pipe_solver()
+    state = solver.step(solver.initialize())
+    two_grid = solver._two_grid
+    A = 1e4 * solver._A_p
+    b = A @ np.ones(A.shape[0])
+    counter = _CountingCG()
+    monkeypatch.setattr(linsolve, "spla", counter)
+    x = linsolve.solve_cg(A, b, tol=LIN_TOL, maxiter=30, two_grid=two_grid)
+    assert counter.iterations[0] == 30 and len(counter.iterations) == 2
+    assert counter.factorizations == 0
+    assert np.linalg.norm(b - A @ x) <= LIN_TOL * np.linalg.norm(b)

@@ -1,5 +1,7 @@
 """Native mesh persistence and VTK export."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,91 @@ def test_read_rejects_truncated_file(tmp_path):
     clipped = path.read_text().splitlines()[:-4]
     path.write_text("\n".join(clipped) + "\n")
     with pytest.raises(SchemaError):
+        read_mesh(path)
+
+
+def line_by_line(path):
+    """The native format parsed one line at a time: the reference for the
+    section-at-once parse of ``read_mesh``."""
+    lines = iter(open(path).read().splitlines())
+    next(lines)
+    dim = int(next(lines).split()[1])
+    npts = int(next(lines).split()[1])
+    pts = np.array([[float(c) for c in next(lines).split()]
+                    for _ in range(npts)])
+    faces = [[int(t) for t in next(lines).split()]
+             for _ in range(int(next(lines).split()[1]))]
+    patches = {}
+    for _ in range(int(next(lines).split()[1])):
+        name, kind, _n, meta = next(lines).split(None, 3)
+        patches[name] = (kind, json.loads(meta),
+                         [int(t) for t in next(lines).split()])
+    return (dim, pts, [tuple(f[1:-2]) for f in faces],
+            [f[-2] for f in faces], [f[-1] for f in faces], patches)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_box_mesh(3, 2, (1.0, 0.5), shear=0.2),
+    lambda: generate_pipe_mesh(0.02, 0.02, 4, 3, n_theta=12),
+    lambda: generate_bifurcation_mesh(0.03, 0.006, 0.003, 45.0, "coarse"),
+])
+def test_read_matches_a_line_by_line_parse(tmp_path, make):
+    path = tmp_path / "mesh.hfm"
+    write_mesh(make(), path)
+    dim, pts, loops, owner, neighbor, patches = line_by_line(path)
+    mesh = read_mesh(path)
+    assert mesh.dim == dim
+    assert np.array_equal(mesh.points, pts)
+    assert mesh.face_nodes == loops        # written oriented: no flips
+    assert mesh.owner.tolist() == owner
+    assert mesh.neighbor.tolist() == neighbor
+    assert {name: (p.kind, p.meta, p.face_ids.tolist())
+            for name, p in mesh.patches.items()} == patches
+
+
+def section_line(lines, name):
+    return next(i for i, line in enumerate(lines) if line.startswith(name))
+
+
+def edit_line(name, offset, change):
+    """An edit of the tokens of the line ``offset`` lines below the header
+    of section ``name``."""
+    def edit(lines):
+        i = section_line(lines, name) + offset
+        lines[i] = " ".join(change(lines[i].split()))
+        return lines
+    return edit
+
+
+def cut_after(name, keep):
+    """An edit that keeps ``keep`` lines after a section's header."""
+    return lambda lines: lines[:section_line(lines, name) + 1 + keep]
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda lines: ["hemoflow-mesh 2"] + lines[1:], "not a hemoflow-mesh"),
+    (lambda lines: lines[:1], "truncated"),
+    (edit_line("DIM", 0, lambda t: ["DIMENSION", "3"]),
+     "expected DIM section"),
+    (edit_line("POINTS", 0, lambda t: ["NODES"] + t[1:]),
+     "expected POINTS section"),
+    (edit_line("FACES", 0, lambda t: ["CELLS"] + t[1:]),
+     "expected FACES section"),
+    (edit_line("PATCHES", 0, lambda t: ["GROUPS"] + t[1:]),
+     "expected PATCHES section"),
+    (edit_line("FACES", 1, lambda t: t + ["7"]), "malformed FACES line"),
+    (edit_line("FACES", 1, lambda t: t[:-1]), "malformed FACES line"),
+    (edit_line("FACES", 1, lambda t: ["x"] + t[1:]), "malformed FACES"),
+    (edit_line("PATCHES", 2, lambda t: t[:-1]), "face count mismatch"),
+    (cut_after("POINTS", 5), "truncated"),
+    (cut_after("FACES", 5), "truncated"),
+    (cut_after("PATCHES", 1), "truncated"),
+])
+def test_read_rejects_malformed_files(tmp_path, edit, match):
+    path = tmp_path / "mesh.hfm"
+    write_mesh(generate_pipe_mesh(0.02, 0.01, 4, 3), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(SchemaError, match=match):
         read_mesh(path)
 
 

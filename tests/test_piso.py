@@ -102,6 +102,57 @@ def test_cfl_breach_warns_by_default():
         solver.run()
 
 
+class _CountingProducts:
+    """Stands in for a sparse matrix and counts its products."""
+
+    def __init__(self, M):
+        self.M, self.products = M, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.M @ x
+
+
+def test_run_sums_the_gross_flux_once_per_step():
+    """The continuity gate in ``step`` and the CFL check in ``run`` share
+    one |D| |phi| product per step, and ``run`` warns and raises with the
+    same Courant numbers as a fresh sum over each state's fluxes."""
+    mesh = generate_channel_mesh(1.0, H, 24, 10)
+    bcs = poiseuille_bcs(mesh, U_MEAN * H, profile="parabolic")
+    dt, n_steps = 0.005, 4
+    g = mesh.fv
+    D_abs = g.D_abs
+
+    def cfl(state):
+        return float((0.5 * dt * (D_abs @ np.abs(state.phi))
+                      / mesh.cell_volume).max())
+
+    counting = _CountingProducts(D_abs)
+    g.D_abs = counting
+    try:
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, cfl_max=1e-6)
+        solver = PisoSolver(mesh, bcs, FLUID, cfg)
+        states = []
+        with pytest.warns(RuntimeWarning) as warned:
+            solver.run(observer=states.append)
+        assert counting.products == n_steps
+        cfg = SolverConfig(dt=dt, t_end=1.0, cfl_max=1e-6,
+                           cfl_action="error")
+        solver = PisoSolver(mesh, bcs, FLUID, cfg)
+        with pytest.raises(SolverFailure, match="CFL") as failed:
+            solver.run()
+    finally:
+        g.D_abs = D_abs
+    assert len(states) == len(warned) == n_steps
+    for state, w in zip(states, warned):
+        assert str(w.message) == (f"CFL {cfl(state):.2f} exceeds limit 1e-06 "
+                                  f"at t={state.time:.6g}")
+        assert state.cfl(dt) == cfl(state)
+    first = PisoSolver(mesh, bcs, FLUID, cfg)
+    assert failed.value.residual_history == [
+        cfl(first.step(first.initialize()))]
+
+
 def test_continuity_gate_raises():
     mesh = generate_channel_mesh(1.0, H, 24, 10)
     bcs = poiseuille_bcs(mesh, U_MEAN * H, profile="parabolic")

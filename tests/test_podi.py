@@ -186,3 +186,36 @@ class TestRomModel:
         for j, pi in enumerate(snaps.params):
             err = np.abs(model.predict(pi) - snaps.S[:, j]).max()
             assert err < 1e-8 * np.abs(snaps.S).max()
+
+
+class TestPermutationInvariance:
+    """Reordering the snapshot columns together with their parameters
+    changes neither the POD spectrum nor the PODI predictions."""
+
+    @given(seed=st.integers(0, 1000), ns=st.integers(3, 8),
+           weighted=st.booleans(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_pod_and_podi_ignore_the_column_order(self, seed, ns, weighted,
+                                                  data):
+        rng = np.random.default_rng(seed)
+        n = 40
+        S = rng.standard_normal((n, ns))
+        params = rng.uniform(1.0, 6.0, ns)
+        w = rng.uniform(0.5, 2.0, n) if weighted else None
+        perm = np.array(data.draw(st.permutations(range(ns))))
+        given_order = SnapshotSet(S, params, weight=w)
+        permuted = SnapshotSet(S[:, perm], params[perm], weight=w)
+
+        sv = pod_basis(given_order, energy_threshold=1.0).singular_values
+        sv_perm = pod_basis(permuted, energy_threshold=1.0).singular_values
+        assert np.abs(sv_perm - sv).max() <= 1e-10 * sv[0]
+
+        kind = data.draw(st.sampled_from(["linear", "rbf"]))
+        model = train(given_order, interpolation_kind=kind)
+        model_perm = train(permuted, interpolation_kind=kind)
+        queries = data.draw(st.lists(
+            st.floats(params.min(), params.max()), min_size=1, max_size=4))
+        for pi in queries:
+            ref = model.predict(pi)
+            err = np.linalg.norm(model_perm.predict(pi) - ref)
+            assert err <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
