@@ -387,7 +387,9 @@ def solve_cg(A, b, x0=None, tol=1e-6, maxiter=5000, lu=None, two_grid=None):
     Otherwise CG, preconditioned by ``two_grid`` (a ``TwoGrid`` of the
     pattern of ``A``) or else by Jacobi, converged against the initial
     residual (not ||b||) so that large boundary source terms do not mask
-    a poorly solved interior; LU fallback, SolverFailure on divergence.
+    a poorly solved interior; LU fallback, taken without iterating when
+    the initial residual is not finite (no iteration could converge);
+    SolverFailure on divergence.
     """
     if lu is not None:
         return lu.solve(b)
@@ -397,17 +399,19 @@ def solve_cg(A, b, x0=None, tol=1e-6, maxiter=5000, lu=None, two_grid=None):
     r0 = np.linalg.norm(b if x0 is None else b - A @ x0)
     if r0 == 0.0:
         return np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    if two_grid is None:
+    if not np.isfinite(r0):
+        x, info = None, "non-finite initial residual"
+    elif two_grid is None:
         x, info = spla.cg(A, b, x0=x0, rtol=0.0, atol=tol * r0,
                           M=_jacobi(A), maxiter=maxiter)
     else:
         x, info = two_grid.solve(A, b, x0, tol * r0, maxiter)
     if info != 0:
-        res = float(np.linalg.norm(b - A @ x) / r0)
+        res = r0 if x is None else np.linalg.norm(b - A @ x) / r0
         try:
             return spla.splu(A.tocsc()).solve(b)
         except RuntimeError:
-            raise SolverFailure(f"pressure CG diverged (info={info})", [res])
+            raise SolverFailure(f"pressure CG diverged (info={info})", [float(res)])
     return x
 
 
@@ -417,7 +421,8 @@ def solve_bicgstab(A, B, x0=None, tol=1e-6, maxiter=2000, lu=None):
     With ``lu`` (a factor of ``A`` from ``factor``) all columns are one
     direct solve. Otherwise Jacobi-preconditioned BiCGStab per column
     (shared matrix and preconditioner, one LU fallback shared by the
-    columns that stall).
+    columns that stall and by those with a non-finite initial residual,
+    which skip the iteration).
     """
     B = np.atleast_2d(B.T).T
     if lu is not None:
@@ -436,16 +441,20 @@ def solve_bicgstab(A, B, x0=None, tol=1e-6, maxiter=2000, lu=None):
         if r0 == 0.0:
             X[:, j] = xj0
             continue
-        x, info = spla.bicgstab(A, b, x0=xj0, rtol=0.0, atol=tol * r0,
-                                M=M, maxiter=maxiter)
+        if np.isfinite(r0):
+            x, info = spla.bicgstab(A, b, x0=xj0, rtol=0.0, atol=tol * r0,
+                                    M=M, maxiter=maxiter)
+        else:
+            x, info = None, "non-finite initial residual"
         if info != 0:
             if fallback is None:
                 try:
                     fallback = spla.splu(A.tocsc())
                 except RuntimeError:
+                    res = r0 if x is None else np.linalg.norm(b - A @ x) / bnorm
                     raise SolverFailure(
                         f"momentum solve failed (info={info}) and LU fallback failed",
-                        [float(np.linalg.norm(b - A @ x) / bnorm)])
+                        [float(res)])
             x = fallback.solve(b)
         X[:, j] = x
     return X

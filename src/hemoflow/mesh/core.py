@@ -76,8 +76,9 @@ class Mesh:
 
     ``incidence`` is the signed cell-face incidence matrix D (+1 at the
     owner, -1 at the neighbor): every face-to-cell sum is a product with it.
-    The loops are kept as flat arrays; ``face_nodes``, the oriented loops
-    as tuples, is built on first use.
+    The loops are kept as flat arrays; ``oriented_loops()`` gives them
+    oriented, and ``face_nodes``, the same loops as tuples, is built on
+    first use.
     """
 
     def __init__(self, dim, points, face_nodes, owner, neighbor, patches):
@@ -219,15 +220,22 @@ class Mesh:
 
     # -- derived connectivity (cached) -------------------------------------
 
+    def oriented_loops(self):
+        """The vertex loops of all faces, each ordered so that its area
+        vector points out of the owner, as (concatenated loops, lengths)."""
+        face = np.repeat(np.arange(self.n_faces), self._loop_len)
+        at = np.arange(len(self._loop_flat))
+        # a flipped loop stored at positions a..b is read from a + b - p
+        ends = 2 * self._loop_start + self._loop_len - 1
+        at = np.where(self._flip[face], ends[face] - at, at)
+        return self._loop_flat[at], self._loop_len
+
     @property
     def face_nodes(self):
         """Vertex loop of every face as a tuple, ordered so that its area
         vector points out of the owner."""
         if self._face_nodes is None:
-            loops = face_loops(self._loop_flat, self._loop_len)
-            for i in np.flatnonzero(self._flip).tolist():
-                loops[i] = loops[i][::-1]
-            self._face_nodes = loops
+            self._face_nodes = face_loops(*self.oriented_loops())
         return self._face_nodes
 
     @property

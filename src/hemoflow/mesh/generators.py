@@ -3,6 +3,14 @@
 Desk-scale substitutes for patient geometry: structured boxes/channels,
 a polar-grid circular pipe, and a 2D T-junction with an oblique side
 branch standing in for a cannula-to-vessel anastomosis.
+
+The box (and with it the channel) and the pipe are built with index
+arrays over their structured grids, with no per-face Python: every
+point, loop, owner, neighbour and patch face id is one array expression.
+Their face and point order is fixed (the solver's summation order and so
+its answers depend on it), and ``tests/test_mesh.py`` keeps face-by-face
+builds of both as references. The bifurcation is still built face by
+face.
 """
 
 from __future__ import annotations
@@ -46,40 +54,25 @@ def generate_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
     def pid(i, j):
         return j * (nx + 1) + i
 
-    pts = np.empty(((nx + 1) * (ny + 1), 2))
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            pts[pid(i, j)] = (x0 + xs[i] + shear * ys[j], y0 + ys[j])
-
     def cid(i, j):
         return j * nx + i
 
-    face_nodes, owner, neighbor = [], [], []
-    sides = {"xmin": [], "xmax": [], "ymin": [], "ymax": []}
-    # vertical faces (constant i)
-    for j in range(ny):
-        for i in range(nx + 1):
-            face_nodes.append((pid(i, j), pid(i, j + 1)))
-            if i == 0:
-                owner.append(cid(0, j)); neighbor.append(-1)
-                sides["xmin"].append(len(face_nodes) - 1)
-            elif i == nx:
-                owner.append(cid(nx - 1, j)); neighbor.append(-1)
-                sides["xmax"].append(len(face_nodes) - 1)
-            else:
-                owner.append(cid(i - 1, j)); neighbor.append(cid(i, j))
-    # horizontal faces (constant j)
-    for j in range(ny + 1):
-        for i in range(nx):
-            face_nodes.append((pid(i, j), pid(i + 1, j)))
-            if j == 0:
-                owner.append(cid(i, 0)); neighbor.append(-1)
-                sides["ymin"].append(len(face_nodes) - 1)
-            elif j == ny:
-                owner.append(cid(i, ny - 1)); neighbor.append(-1)
-                sides["ymax"].append(len(face_nodes) - 1)
-            else:
-                owner.append(cid(i, j - 1)); neighbor.append(cid(i, j))
+    pts = np.column_stack([((x0 + xs)[None, :] + shear * ys[:, None]).ravel(),
+                           np.repeat(y0 + ys, nx + 1)])
+
+    # vertical faces (constant i), then horizontal faces (constant j),
+    # each in (j, i) order
+    j, i = np.indices((ny, nx + 1)).reshape(2, -1)
+    vert = np.column_stack([pid(i, j), pid(i, j + 1)])
+    v_owner = cid(np.maximum(i - 1, 0), j)
+    v_neigh = np.where((i > 0) & (i < nx), cid(i, j), -1)
+    sides = {"xmin": np.flatnonzero(i == 0), "xmax": np.flatnonzero(i == nx)}
+    j, i = np.indices((ny + 1, nx)).reshape(2, -1)
+    horiz = np.column_stack([pid(i, j), pid(i + 1, j)])
+    h_owner = cid(i, np.maximum(j - 1, 0))
+    h_neigh = np.where((j > 0) & (j < ny), cid(i, j), -1)
+    sides["ymin"] = len(vert) + np.flatnonzero(j == 0)
+    sides["ymax"] = len(vert) + np.flatnonzero(j == ny)
 
     patch_kinds = patch_kinds or {}
     patches = []
@@ -87,10 +80,12 @@ def generate_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
     for side, faces in sides.items():
         kind = patch_kinds.get(side, "wall")
         name = kind if kind in ("inlet", "outlet") else "wall"
-        merged.setdefault((name, kind if name != "wall" else "wall"), []).extend(faces)
+        merged.setdefault((name, kind if name != "wall" else "wall"), []).append(faces)
     for (name, kind), faces in merged.items():
-        patches.append(Patch(name, kind, np.array(faces)))
-    return Mesh(2, pts, face_nodes, owner, neighbor, patches)
+        patches.append(Patch(name, kind, np.concatenate(faces)))
+    return Mesh(2, pts, np.concatenate([vert, horiz]).tolist(),
+                np.concatenate([v_owner, h_owner]),
+                np.concatenate([v_neigh, h_neigh]), patches)
 
 
 def generate_channel_mesh(length, height, nx, ny):
@@ -125,76 +120,57 @@ def generate_pipe_mesh(length, diameter, axial_cells, radial_cells,
     thetas = 2.0 * np.pi * np.arange(nt) / nt
     zs = np.linspace(0.0, length, nz + 1)
 
-    ppp = 1 + nr * nt  # points per cross-section plane
+    # a plane is the axis point then rings j = 1..nr of nt points each
+    ppp = 1 + nr * nt
+    ring = np.concatenate([
+        np.zeros((1, 2)),
+        np.stack([radii[:, None] * np.cos(thetas), radii[:, None] * np.sin(thetas)],
+                 axis=-1).reshape(-1, 2)])
+    pts = np.column_stack([np.tile(ring, (nz + 1, 1)), np.repeat(zs, ppp)])
 
     def pid(k, j, s):
-        # j = 0 is the axis point, rings are j = 1..nr
-        if j == 0:
-            return k * ppp
-        return k * ppp + 1 + (j - 1) * nt + (s % nt)
-
-    pts = np.empty(((nz + 1) * ppp, 3))
-    for k in range(nz + 1):
-        pts[pid(k, 0, 0)] = (0.0, 0.0, zs[k])
-        for j in range(1, nr + 1):
-            r = radii[j - 1]
-            for s in range(nt):
-                pts[pid(k, j, s)] = (r * np.cos(thetas[s]), r * np.sin(thetas[s]), zs[k])
-
-    ncross = nr * nt
+        # j = 0 is the axis point, whatever s
+        return np.where(j == 0, k * ppp, k * ppp + 1 + (j - 1) * nt + s % nt)
 
     def cid(k, j, s):
         # ring j = 1..nr, sector s
-        return k * ncross + (j - 1) * nt + (s % nt)
+        return k * nr * nt + (j - 1) * nt + s % nt
 
-    face_nodes, owner, neighbor = [], [], []
-    inlet, outlet, wall = [], [], []
+    # cross-section faces (constant z); the j = 1 loops are the wedge
+    # triangles around the axis, whose fourth vertex repeats the first
+    k, j, s = np.indices((nz + 1, nr, nt)).reshape(3, -1)
+    j = j + 1
+    cross = np.column_stack([pid(k, j - 1, s), pid(k, j, s),
+                             pid(k, j, s + 1), pid(k, j - 1, s + 1)])
+    c_owner = cid(np.maximum(k - 1, 0), j, s)
+    c_neigh = np.where((k > 0) & (k < nz), cid(k, j, s), -1)
+    inlet, outlet = np.flatnonzero(k == 0), np.flatnonzero(k == nz)
+    wedge = np.flatnonzero(j == 1)
 
-    def cross_loop(k, j, s):
-        if j == 1:
-            return (pid(k, 0, 0), pid(k, 1, s), pid(k, 1, s + 1))
-        return (pid(k, j - 1, s), pid(k, j, s), pid(k, j, s + 1), pid(k, j - 1, s + 1))
+    # radial faces (constant r = radii[j-1]), between ring j and j + 1
+    k, j, s = np.indices((nz, nr, nt)).reshape(3, -1)
+    j = j + 1
+    radial = np.column_stack([pid(k, j, s), pid(k, j, s + 1),
+                              pid(k + 1, j, s + 1), pid(k + 1, j, s)])
+    r_neigh = np.where(j < nr, cid(k, j + 1, s), -1)
+    wall = len(cross) + np.flatnonzero(j == nr)
 
-    # cross-section faces (constant z)
-    for k in range(nz + 1):
-        for j in range(1, nr + 1):
-            for s in range(nt):
-                face_nodes.append(cross_loop(k, j, s))
-                if k == 0:
-                    owner.append(cid(0, j, s)); neighbor.append(-1)
-                    inlet.append(len(face_nodes) - 1)
-                elif k == nz:
-                    owner.append(cid(nz - 1, j, s)); neighbor.append(-1)
-                    outlet.append(len(face_nodes) - 1)
-                else:
-                    owner.append(cid(k - 1, j, s)); neighbor.append(cid(k, j, s))
+    # azimuthal faces (constant theta), between sector s - 1 and s
+    azimuthal = np.column_stack([pid(k, j - 1, s), pid(k, j, s),
+                                 pid(k + 1, j, s), pid(k + 1, j - 1, s)])
 
-    # radial faces (constant r = radii[j-1]), between ring j and j+1
-    for k in range(nz):
-        for j in range(1, nr + 1):
-            for s in range(nt):
-                face_nodes.append((pid(k, j, s), pid(k, j, s + 1),
-                                   pid(k + 1, j, s + 1), pid(k + 1, j, s)))
-                if j == nr:
-                    owner.append(cid(k, nr, s)); neighbor.append(-1)
-                    wall.append(len(face_nodes) - 1)
-                else:
-                    owner.append(cid(k, j, s)); neighbor.append(cid(k, j + 1, s))
-
-    # azimuthal faces (constant theta), between sector s-1 and s
-    for k in range(nz):
-        for j in range(1, nr + 1):
-            for s in range(nt):
-                face_nodes.append((pid(k, j - 1, s), pid(k, j, s),
-                                   pid(k + 1, j, s), pid(k + 1, j - 1, s)))
-                owner.append(cid(k, j, s - 1)); neighbor.append(cid(k, j, s))
+    face_nodes = np.concatenate([cross, radial, azimuthal]).tolist()
+    for f in wedge.tolist():
+        del face_nodes[f][3]
+    owner = np.concatenate([c_owner, cid(k, j, s), cid(k, j, s - 1)])
+    neighbor = np.concatenate([c_neigh, r_neigh, cid(k, j, s)])
 
     patches = [
-        Patch("inlet", "inlet", np.array(inlet),
+        Patch("inlet", "inlet", inlet,
               meta={"center": [0.0, 0.0, 0.0], "radius": R, "axis": [0.0, 0.0, 1.0]}),
-        Patch("outlet", "outlet", np.array(outlet),
+        Patch("outlet", "outlet", outlet,
               meta={"center": [0.0, 0.0, length], "radius": R}),
-        Patch("wall", "wall", np.array(wall)),
+        Patch("wall", "wall", wall),
     ]
     return _check_quality(Mesh(3, pts, face_nodes, owner, neighbor, patches))
 

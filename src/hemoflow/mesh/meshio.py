@@ -14,6 +14,12 @@ Native format (version 1), whitespace separated::
 
 Geometry is recomputed from the points on load, so write -> read is
 lossless by construction.
+
+``write_mesh`` formats each of the POINTS and FACES sections with one
+``%`` operation over a flat array: the coordinates, and the
+``nv, loop, owner, neighbor`` numbers of every face laid end to end, with
+the loops oriented by ``Mesh.oriented_loops``. ``read_mesh`` parses each
+section in one array operation.
 """
 
 from __future__ import annotations
@@ -30,16 +36,25 @@ _VERSION = 1
 
 
 def write_mesh(mesh: Mesh, path):
+    loops, nv = mesh.oriented_loops()
+    # the FACES lines' numbers, [nv, loop, owner, neighbor] per face
+    width = nv + 3
+    end = np.cumsum(width)
+    rows = np.empty(end[-1], dtype=np.int64)
+    rows[end - width] = nv
+    rows[np.arange(len(loops)) + 3 * np.repeat(np.arange(mesh.n_faces), nv) + 1] = loops
+    rows[end - 2] = mesh.owner
+    rows[end - 1] = mesh.neighbor
+    row_format = {n: " ".join(["%d"] * (n + 3)) + "\n" for n in np.unique(nv).tolist()}
+    point_format = " ".join(["%.17g"] * mesh.dim) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{_MAGIC} {_VERSION}\n")
         fh.write(f"DIM {mesh.dim}\n")
         fh.write(f"POINTS {len(mesh.points)}\n")
-        for p in mesh.points:
-            fh.write(" ".join(f"{c:.17g}" for c in p) + "\n")
+        fh.write(point_format * len(mesh.points) % tuple(mesh.points.ravel().tolist()))
         fh.write(f"FACES {mesh.n_faces}\n")
-        for i, loop in enumerate(mesh.face_nodes):
-            fh.write(f"{len(loop)} " + " ".join(map(str, loop)) +
-                     f" {mesh.owner[i]} {mesh.neighbor[i]}\n")
+        fh.write("".join(map(row_format.__getitem__, nv.tolist()))
+                 % tuple(rows.tolist()))
         fh.write(f"PATCHES {len(mesh.patches)}\n")
         for p in mesh.patches.values():
             fh.write(f"{p.name} {p.kind} {len(p.face_ids)} {json.dumps(p.meta)}\n")

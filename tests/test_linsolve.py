@@ -528,3 +528,40 @@ def test_stale_coarse_factor_is_rebuilt_before_the_lu_fallback(monkeypatch):
     assert counter.iterations[0] == 30 and len(counter.iterations) == 2
     assert counter.factorizations == 0
     assert np.linalg.norm(b - A @ x) <= LIN_TOL * np.linalg.norm(b)
+
+
+class _CountingKrylov(_CountingCG):
+    """Also counts BiCGStab solves."""
+
+    def __init__(self):
+        super().__init__()
+        self.bicgstab_calls = 0
+
+    def bicgstab(self, *args, **kwargs):
+        self.bicgstab_calls += 1
+        return spla.bicgstab(*args, **kwargs)
+
+
+def test_non_finite_residual_skips_the_krylov_solves(monkeypatch):
+    """A NaN pressure makes the step's right-hand sides non-finite: every
+    solve goes straight to its LU fallback, and the continuity gate
+    raises."""
+    solver = pipe_solver()
+    state = solver.initialize()
+    state.p[5] = np.nan
+    counter = _CountingKrylov()
+    monkeypatch.setattr(linsolve, "spla", counter)
+    two_grid_solves = []
+    solve = linsolve.TwoGrid.solve
+
+    def counted(self, *args):
+        two_grid_solves.append(args)
+        return solve(self, *args)
+
+    monkeypatch.setattr(linsolve.TwoGrid, "solve", counted)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(SolverFailure, match="continuity"):
+        solver.step(state)
+    assert counter.iterations == [] and counter.bicgstab_calls == 0
+    assert two_grid_solves == []
+    assert counter.factorizations >= 1

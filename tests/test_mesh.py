@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hemoflow.errors import InvalidArgumentError
 from hemoflow.mesh import (Mesh, Patch, generate_bifurcation_mesh,
                            generate_box_mesh, generate_channel_mesh,
                            generate_pipe_mesh, mesh_quality)
+from hemoflow.mesh.core import PATCH_KINDS
+from hemoflow.mesh.generators import _check_quality
 
 
 def check_gauss_closure(mesh, tol=1e-12):
@@ -200,3 +204,170 @@ def test_geometry_matches_face_by_face_reference(make, reverse):
     for name in ("face_area", "face_centroid", "cell_volume", "cell_centroid"):
         got, want = getattr(mesh, name), ref[name]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+def loop_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
+                  patch_kinds=None):
+    """``generate_box_mesh`` built one point and one face at a time: the
+    reference for the array-built generator."""
+    lx, ly = lengths
+    x0, y0 = origin
+    xs = np.linspace(0.0, lx, nx + 1)
+    ys = np.linspace(0.0, ly, ny + 1)
+
+    def pid(i, j):
+        return j * (nx + 1) + i
+
+    pts = np.empty(((nx + 1) * (ny + 1), 2))
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            pts[pid(i, j)] = (x0 + xs[i] + shear * ys[j], y0 + ys[j])
+
+    def cid(i, j):
+        return j * nx + i
+
+    face_nodes, owner, neighbor = [], [], []
+    sides = {"xmin": [], "xmax": [], "ymin": [], "ymax": []}
+    for j in range(ny):
+        for i in range(nx + 1):
+            face_nodes.append((pid(i, j), pid(i, j + 1)))
+            if i == 0:
+                owner.append(cid(0, j)); neighbor.append(-1)
+                sides["xmin"].append(len(face_nodes) - 1)
+            elif i == nx:
+                owner.append(cid(nx - 1, j)); neighbor.append(-1)
+                sides["xmax"].append(len(face_nodes) - 1)
+            else:
+                owner.append(cid(i - 1, j)); neighbor.append(cid(i, j))
+    for j in range(ny + 1):
+        for i in range(nx):
+            face_nodes.append((pid(i, j), pid(i + 1, j)))
+            if j == 0:
+                owner.append(cid(i, 0)); neighbor.append(-1)
+                sides["ymin"].append(len(face_nodes) - 1)
+            elif j == ny:
+                owner.append(cid(i, ny - 1)); neighbor.append(-1)
+                sides["ymax"].append(len(face_nodes) - 1)
+            else:
+                owner.append(cid(i, j - 1)); neighbor.append(cid(i, j))
+
+    patch_kinds = patch_kinds or {}
+    merged = {}
+    for side, faces in sides.items():
+        kind = patch_kinds.get(side, "wall")
+        name = kind if kind in ("inlet", "outlet") else "wall"
+        merged.setdefault((name, kind if name != "wall" else "wall"), []).extend(faces)
+    patches = [Patch(name, kind, np.array(faces))
+               for (name, kind), faces in merged.items()]
+    return Mesh(2, pts, face_nodes, owner, neighbor, patches)
+
+
+def loop_pipe_mesh(length, diameter, axial_cells, radial_cells, n_theta=None):
+    """``generate_pipe_mesh`` built one point and one face at a time: the
+    reference for the array-built generator."""
+    nz, nr = int(axial_cells), int(radial_cells)
+    nt = int(n_theta) if n_theta else max(16, 2 * nr)
+    R = diameter / 2.0
+    radii = R * np.arange(1, nr + 1) / nr
+    thetas = 2.0 * np.pi * np.arange(nt) / nt
+    zs = np.linspace(0.0, length, nz + 1)
+    ppp = 1 + nr * nt
+
+    def pid(k, j, s):
+        if j == 0:
+            return k * ppp
+        return k * ppp + 1 + (j - 1) * nt + (s % nt)
+
+    pts = np.empty(((nz + 1) * ppp, 3))
+    for k in range(nz + 1):
+        pts[pid(k, 0, 0)] = (0.0, 0.0, zs[k])
+        for j in range(1, nr + 1):
+            r = radii[j - 1]
+            for s in range(nt):
+                pts[pid(k, j, s)] = (r * np.cos(thetas[s]), r * np.sin(thetas[s]), zs[k])
+
+    def cid(k, j, s):
+        return k * nr * nt + (j - 1) * nt + (s % nt)
+
+    face_nodes, owner, neighbor = [], [], []
+    inlet, outlet, wall = [], [], []
+    for k in range(nz + 1):
+        for j in range(1, nr + 1):
+            for s in range(nt):
+                if j == 1:
+                    face_nodes.append((pid(k, 0, 0), pid(k, 1, s), pid(k, 1, s + 1)))
+                else:
+                    face_nodes.append((pid(k, j - 1, s), pid(k, j, s),
+                                       pid(k, j, s + 1), pid(k, j - 1, s + 1)))
+                if k == 0:
+                    owner.append(cid(0, j, s)); neighbor.append(-1)
+                    inlet.append(len(face_nodes) - 1)
+                elif k == nz:
+                    owner.append(cid(nz - 1, j, s)); neighbor.append(-1)
+                    outlet.append(len(face_nodes) - 1)
+                else:
+                    owner.append(cid(k - 1, j, s)); neighbor.append(cid(k, j, s))
+    for k in range(nz):
+        for j in range(1, nr + 1):
+            for s in range(nt):
+                face_nodes.append((pid(k, j, s), pid(k, j, s + 1),
+                                   pid(k + 1, j, s + 1), pid(k + 1, j, s)))
+                if j == nr:
+                    owner.append(cid(k, nr, s)); neighbor.append(-1)
+                    wall.append(len(face_nodes) - 1)
+                else:
+                    owner.append(cid(k, j, s)); neighbor.append(cid(k, j + 1, s))
+    for k in range(nz):
+        for j in range(1, nr + 1):
+            for s in range(nt):
+                face_nodes.append((pid(k, j - 1, s), pid(k, j, s),
+                                   pid(k + 1, j, s), pid(k + 1, j - 1, s)))
+                owner.append(cid(k, j, s - 1)); neighbor.append(cid(k, j, s))
+
+    patches = [
+        Patch("inlet", "inlet", np.array(inlet),
+              meta={"center": [0.0, 0.0, 0.0], "radius": R, "axis": [0.0, 0.0, 1.0]}),
+        Patch("outlet", "outlet", np.array(outlet),
+              meta={"center": [0.0, 0.0, length], "radius": R}),
+        Patch("wall", "wall", np.array(wall)),
+    ]
+    return _check_quality(Mesh(3, pts, face_nodes, owner, neighbor, patches))
+
+
+def assert_same_mesh(got, want):
+    """Identical points, loops as given, owners, neighbours and patches:
+    the same mesh, face for face, not just an equivalent one."""
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got._loop_flat, want._loop_flat)
+    assert np.array_equal(got._loop_len, want._loop_len)
+    assert np.array_equal(got.owner, want.owner)
+    assert np.array_equal(got.neighbor, want.neighbor)
+    assert list(got.patches) == list(want.patches)
+    for name, p in want.patches.items():
+        q = got.patches[name]
+        assert (q.kind, q.meta) == (p.kind, p.meta)
+        assert np.array_equal(q.face_ids, p.face_ids)
+
+
+@given(nz=st.integers(2, 6), nr=st.integers(2, 5),
+       n_theta=st.none() | st.integers(3, 24))
+@settings(max_examples=40, deadline=None)
+def test_pipe_generator_matches_the_loop_reference(nz, nr, n_theta):
+    args = (0.03, 0.01, nz, nr)
+    assert_same_mesh(generate_pipe_mesh(*args, n_theta=n_theta),
+                     loop_pipe_mesh(*args, n_theta=n_theta))
+
+
+@given(nx=st.integers(1, 7), ny=st.integers(1, 7),
+       shear=st.floats(0.0, 0.5),
+       origin=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       patch_kinds=st.dictionaries(st.sampled_from(["xmin", "xmax", "ymin", "ymax"]),
+                                   st.sampled_from(PATCH_KINDS)))
+@settings(max_examples=60, deadline=None)
+def test_box_generator_matches_the_loop_reference(nx, ny, shear, origin,
+                                                  patch_kinds):
+    args = (nx, ny, (1.0, 0.4))
+    kwargs = dict(origin=origin, shear=shear, patch_kinds=patch_kinds)
+    assert_same_mesh(generate_box_mesh(*args, **kwargs),
+                     loop_box_mesh(*args, **kwargs))
+

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hemoflow.errors import SchemaError
-from hemoflow.mesh import (generate_bifurcation_mesh, generate_box_mesh,
-                           generate_pipe_mesh, read_mesh, write_mesh,
-                           write_vtk)
+from hemoflow.mesh import (Mesh, generate_bifurcation_mesh, generate_box_mesh,
+                           generate_channel_mesh, generate_pipe_mesh,
+                           read_mesh, write_mesh, write_vtk)
 
 
 @pytest.mark.parametrize("make", [
@@ -91,6 +91,71 @@ def test_read_matches_a_line_by_line_parse(tmp_path, make):
     assert mesh.neighbor.tolist() == neighbor
     assert {name: (p.kind, p.meta, p.face_ids.tolist())
             for name, p in mesh.patches.items()} == patches
+
+
+def write_line_by_line(mesh, path):
+    """The native format written one line at a time from ``face_nodes``:
+    the reference for the array-formatted ``write_mesh``."""
+    with open(path, "w") as fh:
+        fh.write("hemoflow-mesh 1\n")
+        fh.write(f"DIM {mesh.dim}\n")
+        fh.write(f"POINTS {len(mesh.points)}\n")
+        for p in mesh.points:
+            fh.write(" ".join(f"{c:.17g}" for c in p) + "\n")
+        fh.write(f"FACES {mesh.n_faces}\n")
+        for i, loop in enumerate(mesh.face_nodes):
+            fh.write(f"{len(loop)} " + " ".join(map(str, loop)) +
+                     f" {mesh.owner[i]} {mesh.neighbor[i]}\n")
+        fh.write(f"PATCHES {len(mesh.patches)}\n")
+        for p in mesh.patches.values():
+            fh.write(f"{p.name} {p.kind} {len(p.face_ids)} {json.dumps(p.meta)}\n")
+            fh.write(" ".join(map(str, p.face_ids.tolist())) + "\n")
+
+
+def with_reversed_loops(make):
+    """``make``'s mesh built with every other face loop reversed, so that
+    the written loops are the flipped ones."""
+    def made():
+        mesh = make()
+        loops = [f[::-1] if i % 2 else f for i, f in enumerate(mesh.face_nodes)]
+        mesh = Mesh(mesh.dim, mesh.points, loops, mesh.owner, mesh.neighbor,
+                    list(mesh.patches.values()))
+        assert mesh._flip.any()
+        return mesh
+    return made
+
+
+def pipe():
+    return generate_pipe_mesh(0.02, 0.02, 4, 3, n_theta=12)
+
+
+def bifurcation():
+    return generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, resolution=8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_box_mesh(5, 4, (1.0, 0.5), shear=0.3),
+    lambda: generate_channel_mesh(1.0, 0.2, 10, 5),
+    bifurcation,
+    lambda: generate_pipe_mesh(0.02, 0.02, 6, 4, n_theta=40),
+    lambda: generate_pipe_mesh(0.02, 0.02, 6, 4),
+    with_reversed_loops(pipe),
+    with_reversed_loops(bifurcation),
+], ids=["sheared_box", "channel", "bifurcation", "pipe_40", "pipe",
+        "reversed_pipe", "reversed_bifurcation"])
+def test_write_matches_a_line_by_line_write(tmp_path, make):
+    mesh = make()
+    write_mesh(mesh, tmp_path / "mesh.hfm")
+    assert mesh._face_nodes is None    # the tuple loops are not built
+    write_line_by_line(mesh, tmp_path / "reference.hfm")
+    written = (tmp_path / "mesh.hfm").read_bytes()
+    assert written == (tmp_path / "reference.hfm").read_bytes()
+    # the loops are written oriented, and write -> read -> write
+    # reproduces the bytes
+    back = read_mesh(tmp_path / "mesh.hfm")
+    assert not back._flip.any()
+    write_mesh(back, tmp_path / "again.hfm")
+    assert (tmp_path / "again.hfm").read_bytes() == written
 
 
 def section_line(lines, name):
