@@ -12,7 +12,6 @@ exact Gauss closure of every cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,33 +69,33 @@ class Mesh:
     ----------
     dim : 2 or 3
     points : (n_points, dim) vertex coordinates [m]
-    face_nodes : list of vertex-id tuples, one loop per face
+    loops : the vertex ids of every face's loop, concatenated face by face
+    lengths : per-face loop length; 2 in 2D (an edge), >= 3 in 3D
     owner, neighbor : per-face cell ids; neighbor == -1 on boundary faces
     patches : list of Patch covering every boundary face exactly once
 
+    The loops may run either way round; ``oriented_loops()`` gives them,
+    in the same (loops, lengths) form, ordered out of the owner. Every
+    generator and ``read_mesh`` pass their loops in this form.
     ``incidence`` is the signed cell-face incidence matrix D (+1 at the
     owner, -1 at the neighbor): every face-to-cell sum is a product with it.
-    The loops are kept as flat arrays; ``oriented_loops()`` gives them
-    oriented, and ``face_nodes``, the same loops as tuples, is built on
-    first use.
     """
 
-    def __init__(self, dim, points, face_nodes, owner, neighbor, patches):
+    def __init__(self, dim, points, loops, lengths, owner, neighbor, patches):
         if dim not in (2, 3):
             raise InvalidArgumentError("dim must be 2 or 3")
         self.dim = int(dim)
         self.points = np.asarray(points, dtype=float)
         if self.points.shape[1] != dim:
             raise InvalidArgumentError("points shape does not match dim")
-        # the vertex loops as given (before orientation), flattened
-        self._loop_len = np.fromiter(map(len, face_nodes), np.int64,
-                                     len(face_nodes))
+        # the vertex loops as given (before orientation)
+        self._loop_flat = np.array(loops, dtype=np.int64)
+        self._loop_len = np.array(lengths, dtype=np.int64)
         self._loop_start = np.cumsum(self._loop_len) - self._loop_len
-        self._loop_flat = np.fromiter(chain.from_iterable(face_nodes),
-                                      np.int64, self._loop_len.sum())
-        self._face_nodes = None
         self.owner = np.asarray(owner, dtype=np.int64).copy()
         self.neighbor = np.asarray(neighbor, dtype=np.int64).copy()
+        check_faces(self.dim, len(self.points), self._loop_flat,
+                    self._loop_len, self.owner, self.neighbor)
         self.patches = {p.name: p for p in patches}
         if len(self.patches) != len(patches):
             raise InvalidArgumentError("duplicate patch names")
@@ -231,14 +230,6 @@ class Mesh:
         return self._loop_flat[at], self._loop_len
 
     @property
-    def face_nodes(self):
-        """Vertex loop of every face as a tuple, ordered so that its area
-        vector points out of the owner."""
-        if self._face_nodes is None:
-            self._face_nodes = face_loops(*self.oriented_loops())
-        return self._face_nodes
-
-    @property
     def fv(self):
         """Face-based quantities used by the discretization (cached)."""
         if self._fv is None:
@@ -246,17 +237,40 @@ class Mesh:
         return self._fv
 
 
-def face_loops(flat, lengths):
-    """The vertex loops of consecutive faces, as a list of tuples of
-    ints, from their concatenation ``flat`` and their ``lengths``."""
-    loops = [None] * len(lengths)
-    start = np.cumsum(lengths) - lengths
-    for nv in np.unique(lengths):
-        faces = np.flatnonzero(lengths == nv)
-        block = flat[start[faces, None] + np.arange(nv)].tolist()
-        for f, loop in zip(faces.tolist(), block):
-            loops[f] = tuple(loop)
-    return loops
+def check_faces(dim, n_points, loops, lengths, owner, neighbor):
+    """Raise InvalidArgumentError unless the faces given as concatenated
+    ``loops`` with per-face ``lengths`` are well formed: 2 vertices per
+    face in 2D and at least 3 in 3D, vertex ids in [0, n_points), owners
+    in [0, n_cells), and each neighbor -1 or another cell. n_cells is the
+    number of distinct cell ids, so the ids must be 0, 1, ... without a
+    gap."""
+    if not (loops.ndim == lengths.ndim == owner.ndim == neighbor.ndim == 1
+            and len(lengths) == len(owner) == len(neighbor)
+            and len(loops) == lengths.sum()):
+        raise InvalidArgumentError(
+            "loops, lengths, owner and neighbor do not describe the same faces")
+    if len(lengths) == 0:
+        raise InvalidArgumentError("mesh has no faces")
+
+    def first(bad, what):
+        if np.any(bad):
+            raise InvalidArgumentError(f"face {int(np.argmax(bad))}: {what}")
+
+    if dim == 2:
+        first(lengths != 2, "a 2D face needs exactly 2 vertices")
+    else:
+        first(lengths < 3, "a 3D face needs at least 3 vertices")
+    out = (loops < 0) | (loops >= n_points)
+    if np.any(out):
+        at = int(np.argmax(out))
+        face = int(np.searchsorted(np.cumsum(lengths), at, side="right"))
+        raise InvalidArgumentError(
+            f"face {face}: vertex id {loops[at]} outside [0, {n_points})")
+    cells = np.concatenate([owner, neighbor])
+    n_cells = len(np.unique(cells[cells >= 0]))
+    first((owner < 0) | (owner >= n_cells), f"owner outside [0, {n_cells})")
+    first((neighbor < -1) | (neighbor >= n_cells) | (neighbor == owner),
+          "neighbor is neither -1 nor another cell")
 
 
 def _incidence(owner, neighbor, n_cells):

@@ -4,13 +4,16 @@ Desk-scale substitutes for patient geometry: structured boxes/channels,
 a polar-grid circular pipe, and a 2D T-junction with an oblique side
 branch standing in for a cannula-to-vessel anastomosis.
 
-The box (and with it the channel) and the pipe are built with index
-arrays over their structured grids, with no per-face Python: every
-point, loop, owner, neighbour and patch face id is one array expression.
-Their face and point order is fixed (the solver's summation order and so
-its answers depend on it), and ``tests/test_mesh.py`` keeps face-by-face
-builds of both as references. The bifurcation is still built face by
-face.
+Every generator is built with index arrays over its structured grids,
+with no per-face Python: every point, loop, owner, neighbour and patch
+face id is one array expression, and the loops reach ``Mesh`` as the
+flat (loops, lengths) arrays it stores. The box (and with it the
+channel) is one structured quad block, the bifurcation two (trunk and
+branch) that share the junction line, and both take their faces from
+``_block_faces``. The face and point order is fixed (the solver's
+summation order and so its answers depend on it), and
+``tests/test_mesh.py`` keeps face-by-face builds of every generator as
+references.
 """
 
 from __future__ import annotations
@@ -33,6 +36,39 @@ def _check_quality(mesh):
     return mesh
 
 
+def _grid(n_rows, n_cols, first=0):
+    """Consecutive ids from ``first`` on, as an (n_rows, n_cols) grid in
+    row-major order."""
+    return first + np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
+
+
+def _block_faces(P, C):
+    """The faces of a structured quad block with point ids ``P`` (ny + 1,
+    nx + 1) and cell ids ``C`` (ny, nx): its vertical faces (constant i),
+    then its horizontal faces (constant j), each in (j, i) order and each
+    as ((n, 2) loops, owner, neighbor), with neighbor -1 outside the
+    block."""
+    def cells(lo, hi):
+        # owner and neighbor of the faces between cells lo and hi
+        return (np.where(lo >= 0, lo, hi).ravel(),
+                np.where(lo >= 0, hi, -1).ravel())
+
+    Cv = np.pad(C, ((0, 0), (1, 1)), constant_values=-1)
+    Ch = np.pad(C, ((1, 1), (0, 0)), constant_values=-1)
+    return ((np.stack([P[:-1], P[1:]], axis=-1).reshape(-1, 2),
+             *cells(Cv[:, :-1], Cv[:, 1:])),
+            (np.stack([P[:, :-1], P[:, 1:]], axis=-1).reshape(-1, 2),
+             *cells(Ch[:-1], Ch[1:])))
+
+
+def _edge_mesh(pts, blocks, patches):
+    """A 2D mesh whose faces are the (loops, owner, neighbor) face groups
+    ``blocks``, concatenated."""
+    loops, owner, neighbor = (np.concatenate(a) for a in zip(*blocks))
+    return Mesh(2, pts, loops.ravel(), np.full(len(loops), 2), owner,
+                neighbor, patches)
+
+
 def generate_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
                       patch_kinds=None):
     """Structured 2D quad mesh.
@@ -50,29 +86,14 @@ def generate_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
     x0, y0 = origin
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
-
-    def pid(i, j):
-        return j * (nx + 1) + i
-
-    def cid(i, j):
-        return j * nx + i
-
     pts = np.column_stack([((x0 + xs)[None, :] + shear * ys[:, None]).ravel(),
                            np.repeat(y0 + ys, nx + 1)])
-
-    # vertical faces (constant i), then horizontal faces (constant j),
-    # each in (j, i) order
-    j, i = np.indices((ny, nx + 1)).reshape(2, -1)
-    vert = np.column_stack([pid(i, j), pid(i, j + 1)])
-    v_owner = cid(np.maximum(i - 1, 0), j)
-    v_neigh = np.where((i > 0) & (i < nx), cid(i, j), -1)
-    sides = {"xmin": np.flatnonzero(i == 0), "xmax": np.flatnonzero(i == nx)}
-    j, i = np.indices((ny + 1, nx)).reshape(2, -1)
-    horiz = np.column_stack([pid(i, j), pid(i + 1, j)])
-    h_owner = cid(i, np.maximum(j - 1, 0))
-    h_neigh = np.where((j > 0) & (j < ny), cid(i, j), -1)
-    sides["ymin"] = len(vert) + np.flatnonzero(j == 0)
-    sides["ymax"] = len(vert) + np.flatnonzero(j == ny)
+    blocks = _block_faces(_grid(ny + 1, nx + 1), _grid(ny, nx))
+    n_vert = ny * (nx + 1)
+    sides = {"xmin": np.arange(ny) * (nx + 1),
+             "xmax": np.arange(ny) * (nx + 1) + nx,
+             "ymin": n_vert + np.arange(nx),
+             "ymax": n_vert + ny * nx + np.arange(nx)}
 
     patch_kinds = patch_kinds or {}
     patches = []
@@ -83,9 +104,7 @@ def generate_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
         merged.setdefault((name, kind if name != "wall" else "wall"), []).append(faces)
     for (name, kind), faces in merged.items():
         patches.append(Patch(name, kind, np.concatenate(faces)))
-    return Mesh(2, pts, np.concatenate([vert, horiz]).tolist(),
-                np.concatenate([v_owner, h_owner]),
-                np.concatenate([v_neigh, h_neigh]), patches)
+    return _edge_mesh(pts, blocks, patches)
 
 
 def generate_channel_mesh(length, height, nx, ny):
@@ -137,7 +156,8 @@ def generate_pipe_mesh(length, diameter, axial_cells, radial_cells,
         return k * nr * nt + (j - 1) * nt + s % nt
 
     # cross-section faces (constant z); the j = 1 loops are the wedge
-    # triangles around the axis, whose fourth vertex repeats the first
+    # triangles around the axis, whose fourth vertex repeats the first and
+    # is masked out below
     k, j, s = np.indices((nz + 1, nr, nt)).reshape(3, -1)
     j = j + 1
     cross = np.column_stack([pid(k, j - 1, s), pid(k, j, s),
@@ -159,9 +179,9 @@ def generate_pipe_mesh(length, diameter, axial_cells, radial_cells,
     azimuthal = np.column_stack([pid(k, j - 1, s), pid(k, j, s),
                                  pid(k + 1, j, s), pid(k + 1, j - 1, s)])
 
-    face_nodes = np.concatenate([cross, radial, azimuthal]).tolist()
-    for f in wedge.tolist():
-        del face_nodes[f][3]
+    loops = np.concatenate([cross, radial, azimuthal])
+    lengths = np.full(len(loops), 4)
+    lengths[wedge] = 3
     owner = np.concatenate([c_owner, cid(k, j, s), cid(k, j, s - 1)])
     neighbor = np.concatenate([c_neigh, r_neigh, cid(k, j, s)])
 
@@ -172,7 +192,8 @@ def generate_pipe_mesh(length, diameter, axial_cells, radial_cells,
               meta={"center": [0.0, 0.0, length], "radius": R}),
         Patch("wall", "wall", wall),
     ]
-    return _check_quality(Mesh(3, pts, face_nodes, owner, neighbor, patches))
+    return _check_quality(Mesh(3, pts, loops[np.arange(4) < lengths[:, None]],
+                               lengths, owner, neighbor, patches))
 
 
 def generate_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
@@ -230,92 +251,36 @@ def generate_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
     jlo = n_left            # first junction column (x index into xs)
     jhi = n_left + nj       # one past last junction column
 
-    def tpid(i, j):
-        return j * (nx + 1) + i
-
-    pts = [(xs[i], ys[j]) for j in range(ny + 1) for i in range(nx + 1)]
-    n_trunk_pts = len(pts)
-
-    # branch points: layers above the junction line
+    # the trunk block, then the branch block: layers l = 0..nL of nj + 1
+    # points along the branch, whose layer 0 is the trunk's top row under
+    # the junction
     bdir = np.array([np.cos(th), np.sin(th)])
     dl = branch_length / nL
+    base = np.column_stack([xs[jlo:jhi + 1], np.full(nj + 1, W)])
+    layer = np.arange(1, nL + 1)[:, None, None]
+    pts = np.concatenate([
+        np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)]),
+        (base + layer * dl * bdir).reshape(-1, 2)])
+    P_trunk, C_trunk = _grid(ny + 1, nx + 1), _grid(ny, nx)
+    P_branch = np.concatenate([P_trunk[-1:, jlo:jhi + 1],
+                               _grid(nL, nj + 1, P_trunk.size)])
+    C_branch = _grid(nL, nj, C_trunk.size)
 
-    def bpid(l, m):
-        # layer l = 1..nL, junction column m = 0..nj
-        return n_trunk_pts + (l - 1) * (nj + 1) + m
+    t_vert, t_horiz = _block_faces(P_trunk, C_trunk)
+    b_vert, b_horiz = _block_faces(P_branch, C_branch)
+    # the trunk's top faces under the junction open into the branch, and
+    # stand for the branch's bottom row of faces
+    t_horiz[2][ny * nx + jlo:ny * nx + jhi] = C_branch[0]
+    b_horiz = tuple(a[nj:] for a in b_horiz)
+    blocks = [t_vert, t_horiz, b_horiz, b_vert]
 
-    for l in range(1, nL + 1):
-        for m in range(nj + 1):
-            base = np.array([xs[jlo + m], W])
-            pts.append(tuple(base + l * dl * bdir))
-    pts = np.asarray(pts)
-
-    def tcid(i, j):
-        return j * nx + i
-
-    n_trunk_cells = nx * ny
-
-    def bcid(l, m):
-        # layer l = 0..nL-1, column m = 0..nj-1
-        return n_trunk_cells + l * nj + m
-
-    face_nodes, owner, neighbor = [], [], []
-    inlet, outlet, wall = [], [], []
-
-    # trunk vertical faces
-    for j in range(ny):
-        for i in range(nx + 1):
-            face_nodes.append((tpid(i, j), tpid(i, j + 1)))
-            if i == 0:
-                owner.append(tcid(0, j)); neighbor.append(-1); wall.append(len(face_nodes) - 1)
-            elif i == nx:
-                owner.append(tcid(nx - 1, j)); neighbor.append(-1); outlet.append(len(face_nodes) - 1)
-            else:
-                owner.append(tcid(i - 1, j)); neighbor.append(tcid(i, j))
-    # trunk horizontal faces
-    for j in range(ny + 1):
-        for i in range(nx):
-            fid = len(face_nodes)
-            face_nodes.append((tpid(i, j), tpid(i + 1, j)))
-            if j == 0:
-                owner.append(tcid(i, 0)); neighbor.append(-1); wall.append(fid)
-            elif j == ny:
-                if jlo <= i < jhi:
-                    owner.append(tcid(i, ny - 1)); neighbor.append(bcid(0, i - jlo))
-                else:
-                    owner.append(tcid(i, ny - 1)); neighbor.append(-1); wall.append(fid)
-            else:
-                owner.append(tcid(i, j - 1)); neighbor.append(tcid(i, j))
-
-    def bnode(l, m):
-        # node at layer l (0 = junction line), column m
-        return tpid(jlo + m, ny) if l == 0 else bpid(l, m)
-
-    # branch faces along the axis direction (between layers) + inlet
-    for l in range(1, nL + 1):
-        for m in range(nj):
-            fid = len(face_nodes)
-            face_nodes.append((bnode(l, m), bnode(l, m + 1)))
-            if l == nL:
-                owner.append(bcid(nL - 1, m)); neighbor.append(-1); inlet.append(fid)
-            else:
-                owner.append(bcid(l - 1, m)); neighbor.append(bcid(l, m))
-    # branch lateral faces (between columns) + side walls
-    for l in range(nL):
-        for m in range(nj + 1):
-            fid = len(face_nodes)
-            face_nodes.append((bnode(l, m), bnode(l + 1, m)))
-            if m == 0:
-                owner.append(bcid(l, 0)); neighbor.append(-1); wall.append(fid)
-            elif m == nj:
-                owner.append(bcid(l, nj - 1)); neighbor.append(-1); wall.append(fid)
-            else:
-                owner.append(bcid(l, m - 1)); neighbor.append(bcid(l, m))
-
+    outlet = np.arange(ny) * (nx + 1) + nx
+    inlet = len(t_vert[0]) + len(t_horiz[0]) + (nL - 1) * nj + np.arange(nj)
+    boundary = np.flatnonzero(np.concatenate([b[2] for b in blocks]) < 0)
     patches = [
-        Patch("inlet", "inlet", np.array(inlet),
+        Patch("inlet", "inlet", inlet,
               meta={"axis": [-bdir[0], -bdir[1]], "half_width": wb / 2.0, "kind2d": True}),
-        Patch("outlet", "outlet", np.array(outlet)),
-        Patch("wall", "wall", np.array(wall)),
+        Patch("outlet", "outlet", outlet),
+        Patch("wall", "wall", np.setdiff1d(boundary, np.concatenate([inlet, outlet]))),
     ]
-    return _check_quality(Mesh(2, pts, face_nodes, owner, neighbor, patches))
+    return _check_quality(_edge_mesh(pts, blocks, patches))

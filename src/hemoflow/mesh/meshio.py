@@ -19,7 +19,11 @@ lossless by construction.
 ``%`` operation over a flat array: the coordinates, and the
 ``nv, loop, owner, neighbor`` numbers of every face laid end to end, with
 the loops oriented by ``Mesh.oriented_loops``. ``read_mesh`` parses each
-section in one array operation.
+section in one array operation and hands ``Mesh`` the face loops as the
+flat (loops, lengths) arrays it stores; faces whose vertex, owner or
+neighbor ids are out of range are a ``SchemaError`` of the FACES section.
+``write_vtk`` takes each cell's faces from the rows of ``Mesh.incidence``
+and their loops from ``Mesh.oriented_loops``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import json
 
 import numpy as np
 
-from ..errors import SchemaError
-from .core import Mesh, Patch, face_loops
+from ..errors import InvalidArgumentError, SchemaError
+from .core import Mesh, Patch, check_faces
 
 _MAGIC = "hemoflow-mesh"
 _VERSION = 1
@@ -45,7 +49,6 @@ def write_mesh(mesh: Mesh, path):
     rows[np.arange(len(loops)) + 3 * np.repeat(np.arange(mesh.n_faces), nv) + 1] = loops
     rows[end - 2] = mesh.owner
     rows[end - 1] = mesh.neighbor
-    row_format = {n: " ".join(["%d"] * (n + 3)) + "\n" for n in np.unique(nv).tolist()}
     point_format = " ".join(["%.17g"] * mesh.dim) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{_MAGIC} {_VERSION}\n")
@@ -53,12 +56,18 @@ def write_mesh(mesh: Mesh, path):
         fh.write(f"POINTS {len(mesh.points)}\n")
         fh.write(point_format * len(mesh.points) % tuple(mesh.points.ravel().tolist()))
         fh.write(f"FACES {mesh.n_faces}\n")
-        fh.write("".join(map(row_format.__getitem__, nv.tolist()))
-                 % tuple(rows.tolist()))
+        fh.write(_int_rows(rows, width))
         fh.write(f"PATCHES {len(mesh.patches)}\n")
         for p in mesh.patches.values():
             fh.write(f"{p.name} {p.kind} {len(p.face_ids)} {json.dumps(p.meta)}\n")
             fh.write(" ".join(map(str, p.face_ids.tolist())) + "\n")
+
+
+def _int_rows(numbers, width):
+    """Lines of ``width[k]`` space-separated integers each, taken in turn
+    from ``numbers``, formatted in one ``%`` operation."""
+    line = {n: " ".join(["%d"] * n) + "\n" for n in np.unique(width).tolist()}
+    return "".join(map(line.__getitem__, width.tolist())) % tuple(numbers.tolist())
 
 
 class _Lines:
@@ -116,7 +125,10 @@ def read_mesh(path) -> Mesh:
     end = start + width
     owner, neighbor = flat[end - 2], flat[end - 1]
     loops = np.delete(flat, np.concatenate([start, end - 2, end - 1]))
-    face_nodes = face_loops(loops, width - 3)
+    try:
+        check_faces(dim, npts, loops, width - 3, owner, neighbor)
+    except InvalidArgumentError as e:
+        raise SchemaError(f"malformed FACES section: {e}") from None
 
     patches = []
     for _ in range(src.section("PATCHES")):
@@ -130,23 +142,14 @@ def read_mesh(path) -> Mesh:
         if len(ids) != cnt:
             raise SchemaError(f"patch {name}: face count mismatch")
         patches.append(Patch(name, kind, ids, meta=meta))
-    return Mesh(dim, pts, face_nodes, owner, neighbor, patches)
+    return Mesh(dim, pts, loops, width - 3, owner, neighbor, patches)
 
 
-def _cell_faces(mesh):
-    out = [[] for _ in range(mesh.n_cells)]
-    for i in range(mesh.n_faces):
-        out[mesh.owner[i]].append(i)
-        if mesh.neighbor[i] >= 0:
-            out[mesh.neighbor[i]].append(i)
-    return out
-
-
-def _polygon_loop(mesh, faces):
-    """Order the 2-vertex faces of a 2D cell into a closed vertex loop."""
-    edges = {f: mesh.face_nodes[f] for f in faces}
+def _polygon_loop(edges):
+    """Order the (k, 2) vertex pairs of a 2D cell's faces into a closed
+    vertex loop."""
     adj = {}
-    for a, b in edges.values():
+    for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     start = next(iter(adj))
@@ -160,6 +163,35 @@ def _polygon_loop(mesh, faces):
             return loop[:-1]
 
 
+def _cell_rows(mesh):
+    """The numbers of the VTK CELLS rows laid end to end, and the count of
+    each row. A row is the count of the numbers that follow, then a 2D
+    cell's vertex loop, or a 3D cell's face stream: its face count, then
+    nv and the loop of each face. A cell's faces are its row of
+    ``mesh.incidence``."""
+    loops, nv = mesh.oriented_loops()
+    D = mesh.incidence
+    if mesh.dim == 2:
+        edges = loops.reshape(-1, 2)
+        body = [_polygon_loop(edges[D.indices[a:b]])
+                for a, b in zip(D.indptr[:-1], D.indptr[1:])]
+        size = np.fromiter(map(len, body), np.int64, len(body))
+        head = size[:, None]
+        body = np.concatenate(body)
+    else:
+        # nv and the loop of each face, gathered for every face of every cell
+        tokens = np.insert(loops, np.cumsum(nv) - nv, nv)
+        first = np.cumsum(nv + 1) - (nv + 1)
+        width = (nv + 1)[D.indices]
+        end = np.cumsum(width)
+        body = tokens[np.repeat(first[D.indices] - end + width, width)
+                      + np.arange(end[-1])]
+        size = np.add.reduceat(width, D.indptr[:-1])
+        head = np.column_stack([size + 1, np.diff(D.indptr)])
+    at = np.repeat(np.cumsum(size) - size, head.shape[1])
+    return np.insert(body, at, head.ravel()), size + head.shape[1]
+
+
 def write_vtk(mesh: Mesh, path, cell_data=None):
     """VTK legacy unstructured-grid export.
 
@@ -168,7 +200,7 @@ def write_vtk(mesh: Mesh, path, cell_data=None):
     (n_cells, dim) array.
     """
     cell_data = cell_data or {}
-    cf = _cell_faces(mesh)
+    cells, width = _cell_rows(mesh)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("hemoflow mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")
@@ -176,28 +208,11 @@ def write_vtk(mesh: Mesh, path, cell_data=None):
         for p in mesh.points:
             coords = list(p) + [0.0] * (3 - mesh.dim)
             fh.write(" ".join(f"{c:.12g}" for c in coords) + "\n")
-
-        conns, types = [], []
-        for c in range(mesh.n_cells):
-            if mesh.dim == 2:
-                loop = _polygon_loop(mesh, cf[c])
-                conns.append([len(loop)] + loop)
-                types.append(7)  # VTK_POLYGON
-            else:
-                stream = [len(cf[c])]
-                for f in cf[c]:
-                    loop = mesh.face_nodes[f]
-                    stream.append(len(loop))
-                    stream.extend(loop)
-                conns.append([len(stream)] + stream)
-                types.append(42)  # VTK_POLYHEDRON
-        total = sum(len(c) for c in conns)
-        fh.write(f"CELLS {mesh.n_cells} {total}\n")
-        for c in conns:
-            fh.write(" ".join(map(str, c)) + "\n")
+        fh.write(f"CELLS {mesh.n_cells} {len(cells)}\n")
+        fh.write(_int_rows(cells, width))
         fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        for t in types:
-            fh.write(f"{t}\n")
+        # VTK_POLYGON in 2D, VTK_POLYHEDRON in 3D
+        fh.write(("7\n" if mesh.dim == 2 else "42\n") * mesh.n_cells)
 
         if cell_data:
             fh.write(f"CELL_DATA {mesh.n_cells}\n")

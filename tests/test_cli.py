@@ -188,6 +188,21 @@ class TestExitCodes:
                                     "boundry": {}}))
         assert main(["fom-run", str(case)]) == 2
 
+    def test_mesh_naming_a_missing_point_is_a_usage_error(self, tmp_path,
+                                                           capsys):
+        case = make_case(tmp_path)
+        mesh = tmp_path / "channel.hfm"
+        lines = mesh.read_text().splitlines()
+        assert lines[2].startswith("POINTS ")
+        n_points = lines[2].split()[1]
+        at = next(i for i, line in enumerate(lines) if line.startswith("FACES"))
+        nv, _, *rest = lines[at + 1].split()
+        lines[at + 1] = " ".join([nv, n_points, *rest])   # one past the last
+        mesh.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fom-run", str(case)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_threshold_is_a_runtime_error(self, tmp_path):
         db = SnapshotDB(tmp_path / "db")
         db.add_entry(3.0, {"p": np.ones(4)})

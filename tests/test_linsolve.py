@@ -17,6 +17,8 @@ from hemoflow.mesh import (Mesh, Patch, generate_bifurcation_mesh,
                            generate_channel_mesh, generate_pipe_mesh)
 from hemoflow.windkessel import WindkesselOutlet
 
+from test_mesh import flat_loops, loop_list
+
 LIN_TOL = 1e-7
 
 
@@ -370,15 +372,15 @@ def twin_face_channel():
     mesh = generate_channel_mesh(0.03, 0.01, 3, 2)
     f = 1
     assert (mesh.owner[f], mesh.neighbor[f]) == (0, 1)
-    a, b = mesh.face_nodes[f]
+    loops = loop_list(*mesh.oriented_loops())
+    a, b = loops[f]
     points = np.vstack([mesh.points, 0.5 * (mesh.points[a] + mesh.points[b])])
     m = len(points) - 1
-    face_nodes = list(mesh.face_nodes)
-    face_nodes[f] = (a, m)
-    face_nodes.append((m, b))
+    loops[f] = (a, m)
+    loops.append((m, b))
     patches = [Patch(p.name, p.kind, p.face_ids, dict(p.meta))
                for p in mesh.patches.values()]
-    return Mesh(2, points, face_nodes, np.append(mesh.owner, 0),
+    return Mesh(2, points, *flat_loops(loops), np.append(mesh.owner, 0),
                 np.append(mesh.neighbor, 1), patches)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hemoflow.errors import InvalidArgumentError
@@ -11,6 +11,19 @@ from hemoflow.mesh import (Mesh, Patch, generate_bifurcation_mesh,
                            generate_pipe_mesh, mesh_quality)
 from hemoflow.mesh.core import PATCH_KINDS
 from hemoflow.mesh.generators import _check_quality
+
+
+def flat_loops(loops):
+    """The (concatenated loops, lengths) that ``Mesh`` takes, from a list
+    of vertex-id sequences."""
+    return (np.array([v for loop in loops for v in loop], dtype=np.int64),
+            np.array([len(loop) for loop in loops], dtype=np.int64))
+
+
+def loop_list(flat, lengths):
+    """The loops of (concatenated loops, lengths) as a list of tuples."""
+    start = np.cumsum(lengths) - lengths
+    return [tuple(flat[a:a + n].tolist()) for a, n in zip(start, lengths)]
 
 
 def check_gauss_closure(mesh, tol=1e-12):
@@ -118,6 +131,43 @@ class TestQualityReport:
         assert "cells=4" in str(q)
 
 
+def box_arrays():
+    """The arguments of ``Mesh`` for a 3 x 2 box (12 points, 6 cells),
+    as copies that a test may corrupt."""
+    mesh = generate_box_mesh(3, 2, (1.0, 0.5))
+    loops, lengths = mesh.oriented_loops()
+    return {"dim": 2, "points": mesh.points, "loops": loops.copy(),
+            "lengths": lengths.copy(), "owner": mesh.owner.copy(),
+            "neighbor": mesh.neighbor.copy(),
+            "patches": list(mesh.patches.values())}
+
+
+def set_at(name, index, value):
+    return lambda a: a[name].__setitem__(index, value)
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (set_at("loops", 0, 12), r"face 0: vertex id 12 outside \[0, 12\)"),
+    (set_at("loops", 1, -1), r"face 0: vertex id -1 outside \[0, 12\)"),
+    (set_at("owner", 2, -1), r"face 2: owner outside \[0, 6\)"),
+    (set_at("neighbor", 1, -2), "face 1: neighbor is neither -1 nor another cell"),
+    (set_at("neighbor", 1, 0), "face 1: neighbor is neither -1 nor another cell"),
+    (set_at("neighbor", 1, 7), "face 1: neighbor is neither -1 nor another cell"),
+    (lambda a: a["lengths"].__setitem__(slice(0, 2), (3, 1)),
+     "face 0: a 2D face needs exactly 2 vertices"),
+    (lambda a: a.update(dim=3, points=np.column_stack([a["points"], np.zeros(12)])),
+     "face 0: a 3D face needs at least 3 vertices"),
+    (lambda a: a.update(loops=a["loops"][:-1]), "do not describe the same faces"),
+], ids=["vertex-n_points", "vertex-minus-1", "owner-minus-1", "neighbor-minus-2",
+        "neighbor-is-owner", "neighbor-past-the-last-cell", "2d-face-of-3",
+        "3d-face-of-2", "loops-short"])
+def test_mesh_rejects_malformed_faces(corrupt, match):
+    args = box_arrays()
+    corrupt(args)
+    with pytest.raises(InvalidArgumentError, match=match):
+        Mesh(**args)
+
+
 def reference_geometry(dim, pts, face_nodes, owner, neighbor):
     """Face-by-face geometry, kept as the reference for the vectorised
     Mesh: face areas and centroids from fan triangulation, orientation
@@ -179,7 +229,8 @@ def reference_geometry(dim, pts, face_nodes, owner, neighbor):
 
 def with_reversed_loops(mesh):
     """The same mesh with every other face loop reversed on input."""
-    loops = [f[::-1] if i % 2 else f for i, f in enumerate(mesh.face_nodes)]
+    loops = [f[::-1] if i % 2 else f
+             for i, f in enumerate(loop_list(*mesh.oriented_loops()))]
     patches = [Patch(p.name, p.kind, p.face_ids, dict(p.meta))
                for p in mesh.patches.values()]
     return mesh.dim, mesh.points, loops, mesh.owner, mesh.neighbor, patches
@@ -194,13 +245,14 @@ def with_reversed_loops(mesh):
 def test_geometry_matches_face_by_face_reference(make, reverse):
     built = make()
     args = (with_reversed_loops(built) if reverse else
-            (built.dim, built.points, built.face_nodes, built.owner,
-             built.neighbor, list(built.patches.values())))
+            (built.dim, built.points, loop_list(*built.oriented_loops()),
+             built.owner, built.neighbor, list(built.patches.values())))
     ref = reference_geometry(*args[:5])
-    mesh = Mesh(*args) if reverse else built
+    mesh = Mesh(*args[:2], *flat_loops(args[2]), *args[3:]) if reverse else built
+    oriented = loop_list(*mesh.oriented_loops())
     if reverse:
-        assert sum(a != b for a, b in zip(args[2], mesh.face_nodes)) > 0
-    assert mesh.face_nodes == ref["face_nodes"]
+        assert sum(a != b for a, b in zip(args[2], oriented)) > 0
+    assert oriented == ref["face_nodes"]
     for name in ("face_area", "face_centroid", "cell_volume", "cell_centroid"):
         got, want = getattr(mesh, name), ref[name]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
@@ -259,7 +311,7 @@ def loop_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
         merged.setdefault((name, kind if name != "wall" else "wall"), []).extend(faces)
     patches = [Patch(name, kind, np.array(faces))
                for (name, kind), faces in merged.items()]
-    return Mesh(2, pts, face_nodes, owner, neighbor, patches)
+    return Mesh(2, pts, *flat_loops(face_nodes), owner, neighbor, patches)
 
 
 def loop_pipe_mesh(length, diameter, axial_cells, radial_cells, n_theta=None):
@@ -331,7 +383,119 @@ def loop_pipe_mesh(length, diameter, axial_cells, radial_cells, n_theta=None):
               meta={"center": [0.0, 0.0, length], "radius": R}),
         Patch("wall", "wall", np.array(wall)),
     ]
-    return _check_quality(Mesh(3, pts, face_nodes, owner, neighbor, patches))
+    return _check_quality(Mesh(3, pts, *flat_loops(face_nodes), owner,
+                               neighbor, patches))
+
+
+def loop_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
+                          branch_angle, resolution, branch_length=None,
+                          junction_at=0.45):
+    """``generate_bifurcation_mesh`` built one point and one face at a
+    time: the reference for the array-built generator. It takes an integer
+    resolution and checks no arguments."""
+    ny = resolution
+    W, wb = trunk_diameter, branch_diameter
+    th = np.radians(branch_angle)
+    h = W / ny
+    span = wb / np.sin(th)
+    if branch_length is None:
+        branch_length = 2.5 * wb
+    x_j0 = junction_at * trunk_length - span / 2.0
+    x_j1 = x_j0 + span
+    nj = max(3, int(round(span / h)))
+    n_left = max(2, int(round(x_j0 / h)))
+    n_right = max(2, int(round((trunk_length - x_j1) / h)))
+    nL = max(3, int(round(branch_length / h)))
+
+    xs = np.concatenate([
+        np.linspace(0.0, x_j0, n_left + 1),
+        np.linspace(x_j0, x_j1, nj + 1)[1:],
+        np.linspace(x_j1, trunk_length, n_right + 1)[1:],
+    ])
+    nx = len(xs) - 1
+    ys = np.linspace(0.0, W, ny + 1)
+    jlo = n_left
+    jhi = n_left + nj
+
+    def tpid(i, j):
+        return j * (nx + 1) + i
+
+    pts = [(xs[i], ys[j]) for j in range(ny + 1) for i in range(nx + 1)]
+    n_trunk_pts = len(pts)
+    bdir = np.array([np.cos(th), np.sin(th)])
+    dl = branch_length / nL
+
+    def bpid(l, m):
+        return n_trunk_pts + (l - 1) * (nj + 1) + m
+
+    for l in range(1, nL + 1):
+        for m in range(nj + 1):
+            base = np.array([xs[jlo + m], W])
+            pts.append(tuple(base + l * dl * bdir))
+    pts = np.asarray(pts)
+
+    def tcid(i, j):
+        return j * nx + i
+
+    n_trunk_cells = nx * ny
+
+    def bcid(l, m):
+        return n_trunk_cells + l * nj + m
+
+    face_nodes, owner, neighbor = [], [], []
+    inlet, outlet, wall = [], [], []
+    for j in range(ny):
+        for i in range(nx + 1):
+            face_nodes.append((tpid(i, j), tpid(i, j + 1)))
+            if i == 0:
+                owner.append(tcid(0, j)); neighbor.append(-1); wall.append(len(face_nodes) - 1)
+            elif i == nx:
+                owner.append(tcid(nx - 1, j)); neighbor.append(-1); outlet.append(len(face_nodes) - 1)
+            else:
+                owner.append(tcid(i - 1, j)); neighbor.append(tcid(i, j))
+    for j in range(ny + 1):
+        for i in range(nx):
+            fid = len(face_nodes)
+            face_nodes.append((tpid(i, j), tpid(i + 1, j)))
+            if j == 0:
+                owner.append(tcid(i, 0)); neighbor.append(-1); wall.append(fid)
+            elif j == ny:
+                if jlo <= i < jhi:
+                    owner.append(tcid(i, ny - 1)); neighbor.append(bcid(0, i - jlo))
+                else:
+                    owner.append(tcid(i, ny - 1)); neighbor.append(-1); wall.append(fid)
+            else:
+                owner.append(tcid(i, j - 1)); neighbor.append(tcid(i, j))
+
+    def bnode(l, m):
+        return tpid(jlo + m, ny) if l == 0 else bpid(l, m)
+
+    for l in range(1, nL + 1):
+        for m in range(nj):
+            fid = len(face_nodes)
+            face_nodes.append((bnode(l, m), bnode(l, m + 1)))
+            if l == nL:
+                owner.append(bcid(nL - 1, m)); neighbor.append(-1); inlet.append(fid)
+            else:
+                owner.append(bcid(l - 1, m)); neighbor.append(bcid(l, m))
+    for l in range(nL):
+        for m in range(nj + 1):
+            fid = len(face_nodes)
+            face_nodes.append((bnode(l, m), bnode(l + 1, m)))
+            if m == 0:
+                owner.append(bcid(l, 0)); neighbor.append(-1); wall.append(fid)
+            elif m == nj:
+                owner.append(bcid(l, nj - 1)); neighbor.append(-1); wall.append(fid)
+            else:
+                owner.append(bcid(l, m - 1)); neighbor.append(bcid(l, m))
+
+    patches = [
+        Patch("inlet", "inlet", np.array(inlet),
+              meta={"axis": [-bdir[0], -bdir[1]], "half_width": wb / 2.0, "kind2d": True}),
+        Patch("outlet", "outlet", np.array(outlet)),
+        Patch("wall", "wall", np.array(wall)),
+    ]
+    return Mesh(2, pts, *flat_loops(face_nodes), owner, neighbor, patches)
 
 
 def assert_same_mesh(got, want):
@@ -371,3 +535,18 @@ def test_box_generator_matches_the_loop_reference(nx, ny, shear, origin,
     assert_same_mesh(generate_box_mesh(*args, **kwargs),
                      loop_box_mesh(*args, **kwargs))
 
+
+
+@given(resolution=st.integers(3, 12), branch_angle=st.floats(30.0, 150.0),
+       junction_at=st.floats(0.2, 0.7),
+       branch_length=st.none() | st.floats(0.002, 0.03))
+@settings(max_examples=60, deadline=None)
+def test_bifurcation_generator_matches_the_loop_reference(
+        resolution, branch_angle, junction_at, branch_length):
+    args = (0.06, 0.01, 0.006, branch_angle, resolution)
+    kwargs = dict(branch_length=branch_length, junction_at=junction_at)
+    try:
+        got = generate_bifurcation_mesh(*args, **kwargs)
+    except InvalidArgumentError:
+        assume(False)
+    assert_same_mesh(got, loop_bifurcation_mesh(*args, **kwargs))

@@ -1,6 +1,8 @@
 """Native mesh persistence and VTK export."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hemoflow.errors import SchemaError
 from hemoflow.mesh import (Mesh, generate_bifurcation_mesh, generate_box_mesh,
                            generate_channel_mesh, generate_pipe_mesh,
                            read_mesh, write_mesh, write_vtk)
+
+from test_mesh import flat_loops, loop_list
 
 
 @pytest.mark.parametrize("make", [
@@ -23,7 +27,8 @@ def test_round_trip_is_lossless(tmp_path, make):
     back = read_mesh(path)
     assert back.dim == mesh.dim
     assert np.array_equal(back.points, mesh.points)
-    assert back.face_nodes == mesh.face_nodes
+    for got, want in zip(back.oriented_loops(), mesh.oriented_loops()):
+        assert np.array_equal(got, want)
     assert np.array_equal(back.owner, mesh.owner)
     assert np.array_equal(back.neighbor, mesh.neighbor)
     assert set(back.patches) == set(mesh.patches)
@@ -86,7 +91,7 @@ def test_read_matches_a_line_by_line_parse(tmp_path, make):
     mesh = read_mesh(path)
     assert mesh.dim == dim
     assert np.array_equal(mesh.points, pts)
-    assert mesh.face_nodes == loops        # written oriented: no flips
+    assert loop_list(*mesh.oriented_loops()) == loops   # written oriented: no flips
     assert mesh.owner.tolist() == owner
     assert mesh.neighbor.tolist() == neighbor
     assert {name: (p.kind, p.meta, p.face_ids.tolist())
@@ -94,8 +99,8 @@ def test_read_matches_a_line_by_line_parse(tmp_path, make):
 
 
 def write_line_by_line(mesh, path):
-    """The native format written one line at a time from ``face_nodes``:
-    the reference for the array-formatted ``write_mesh``."""
+    """The native format written one line at a time from the oriented
+    loops: the reference for the array-formatted ``write_mesh``."""
     with open(path, "w") as fh:
         fh.write("hemoflow-mesh 1\n")
         fh.write(f"DIM {mesh.dim}\n")
@@ -103,7 +108,7 @@ def write_line_by_line(mesh, path):
         for p in mesh.points:
             fh.write(" ".join(f"{c:.17g}" for c in p) + "\n")
         fh.write(f"FACES {mesh.n_faces}\n")
-        for i, loop in enumerate(mesh.face_nodes):
+        for i, loop in enumerate(loop_list(*mesh.oriented_loops())):
             fh.write(f"{len(loop)} " + " ".join(map(str, loop)) +
                      f" {mesh.owner[i]} {mesh.neighbor[i]}\n")
         fh.write(f"PATCHES {len(mesh.patches)}\n")
@@ -117,9 +122,10 @@ def with_reversed_loops(make):
     the written loops are the flipped ones."""
     def made():
         mesh = make()
-        loops = [f[::-1] if i % 2 else f for i, f in enumerate(mesh.face_nodes)]
-        mesh = Mesh(mesh.dim, mesh.points, loops, mesh.owner, mesh.neighbor,
-                    list(mesh.patches.values()))
+        loops = [f[::-1] if i % 2 else f
+                 for i, f in enumerate(loop_list(*mesh.oriented_loops()))]
+        mesh = Mesh(mesh.dim, mesh.points, *flat_loops(loops), mesh.owner,
+                    mesh.neighbor, list(mesh.patches.values()))
         assert mesh._flip.any()
         return mesh
     return made
@@ -146,7 +152,6 @@ def bifurcation():
 def test_write_matches_a_line_by_line_write(tmp_path, make):
     mesh = make()
     write_mesh(mesh, tmp_path / "mesh.hfm")
-    assert mesh._face_nodes is None    # the tuple loops are not built
     write_line_by_line(mesh, tmp_path / "reference.hfm")
     written = (tmp_path / "mesh.hfm").read_bytes()
     assert written == (tmp_path / "reference.hfm").read_bytes()
@@ -177,6 +182,16 @@ def cut_after(name, keep):
     return lambda lines: lines[:section_line(lines, name) + 1 + keep]
 
 
+def in_2d_box(edit):
+    """``edit`` made to the file of a 2D box mesh instead."""
+    def edited(_):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "box.hfm"
+            write_mesh(generate_box_mesh(3, 2, (1.0, 0.5)), path)
+            return edit(path.read_text().splitlines())
+    return edited
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda lines: ["hemoflow-mesh 2"] + lines[1:], "not a hemoflow-mesh"),
     (lambda lines: lines[:1], "truncated"),
@@ -195,6 +210,30 @@ def cut_after(name, keep):
     (cut_after("POINTS", 5), "truncated"),
     (cut_after("FACES", 5), "truncated"),
     (cut_after("PATCHES", 1), "truncated"),
+    pytest.param(edit_line("FACES", 1, lambda t: t[:1] + ["245"] + t[2:]),
+                 r"FACES section: face 0: vertex id 245 outside \[0, 245\)",
+                 id="vertex-id-n_points"),
+    pytest.param(edit_line("FACES", 1, lambda t: t[:1] + ["-1"] + t[2:]),
+                 r"FACES section: face 0: vertex id -1 outside \[0, 245\)",
+                 id="vertex-id-minus-1"),
+    pytest.param(edit_line("FACES", 1, lambda t: t[:-2] + ["-1", t[-1]]),
+                 r"FACES section: face 0: owner outside \[0, 192\)",
+                 id="owner-minus-1"),
+    pytest.param(edit_line("FACES", 1, lambda t: t[:-1] + ["-2"]),
+                 "FACES section: face 0: neighbor is neither -1 nor another cell",
+                 id="neighbor-minus-2"),
+    pytest.param(edit_line("FACES", 1, lambda t: t[:-1] + [t[-2]]),
+                 "FACES section: face 0: neighbor is neither -1 nor another cell",
+                 id="neighbor-is-owner"),
+    pytest.param(edit_line("FACES", 1, lambda t: t[:-1] + ["1920"]),
+                 "FACES section: face 0: neighbor is neither -1 nor another cell",
+                 id="neighbor-past-the-last-cell"),
+    pytest.param(edit_line("FACES", 1, lambda t: ["2"] + t[1:3] + t[-2:]),
+                 "FACES section: face 0: a 3D face needs at least 3 vertices",
+                 id="3d-face-of-2-vertices"),
+    pytest.param(in_2d_box(edit_line("FACES", 1, lambda t: ["3"] + t[1:3] + t[1:2] + t[-2:])),
+                 "FACES section: face 0: a 2D face needs exactly 2 vertices",
+                 id="2d-face-of-3-vertices"),
 ])
 def test_read_rejects_malformed_files(tmp_path, edit, match):
     path = tmp_path / "mesh.hfm"
@@ -213,3 +252,41 @@ def test_vtk_export_structure(tmp_path):
     assert "DATASET UNSTRUCTURED_GRID" in text
     assert f"POINTS {len(mesh.points)}" in text
     assert "CELL_DATA" in text and "SCALARS p" in text
+    # each cell's face stream: its faces in ascending order, each as nv
+    # and its loop oriented out of the owner
+    lines = text.splitlines()
+    at = section_line(lines, "CELLS")
+    assert lines[at].split()[1] == str(mesh.n_cells)
+    loops = loop_list(*mesh.oriented_loops())
+    for c, line in enumerate(lines[at + 1:at + 1 + mesh.n_cells]):
+        faces = np.flatnonzero((mesh.owner == c) | (mesh.neighbor == c))
+        stream = [len(faces)]
+        for f in faces:
+            stream += [len(loops[f]), *loops[f]]
+        assert list(map(int, line.split())) == [len(stream)] + stream
+    assert sum(len(line.split()) for line in lines[at + 1:at + 1 + mesh.n_cells]) \
+        == int(lines[at].split()[2])
+
+
+def test_vtk_export_of_a_2d_mesh(tmp_path):
+    """Every VTK polygon of the bifurcation is a closed loop over its
+    cell's faces, and its shoelace area is the cell's volume."""
+    mesh = generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, resolution=8)
+    path = tmp_path / "mesh.vtk"
+    write_vtk(mesh, path)
+    lines = path.read_text().splitlines()
+    at = section_line(lines, "CELLS")
+    assert lines[at].split()[1] == str(mesh.n_cells)
+    loops, _ = mesh.oriented_loops()
+    edges = loops.reshape(-1, 2)
+    for c, line in enumerate(lines[at + 1:at + 1 + mesh.n_cells]):
+        n, *loop = map(int, line.split())
+        assert n == len(loop) == len(set(loop))
+        sides = {frozenset(e) for e in zip(loop, loop[1:] + loop[:1])}
+        faces = np.flatnonzero((mesh.owner == c) | (mesh.neighbor == c))
+        assert sides == {frozenset(e.tolist()) for e in edges[faces]}
+        x, y = mesh.points[loop].T
+        area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+        assert area == pytest.approx(mesh.cell_volume[c], rel=1e-12)
+    at = section_line(lines, "CELL_TYPES")
+    assert lines[at + 1:at + 1 + mesh.n_cells] == ["7"] * mesh.n_cells

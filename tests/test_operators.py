@@ -145,7 +145,7 @@ def sheared_pipe(length):
     points[:, 0] += 0.3 * points[:, 2]
     patches = [Patch(p.name, p.kind, p.face_ids, dict(p.meta))
                for p in mesh.patches.values()]
-    return Mesh(3, points, mesh.face_nodes, mesh.owner, mesh.neighbor,
+    return Mesh(3, points, *mesh.oriented_loops(), mesh.owner, mesh.neighbor,
                 patches)
 
 
