@@ -350,6 +350,12 @@ class _FvGeometry:
                    > 1e-9 * np.linalg.norm(A, axis=1))
             or np.any(np.linalg.norm(self.b_T, axis=1)
                       > 1e-9 * np.linalg.norm(Ab, axis=1)))
+        # on an orthogonal mesh T is round-off: make it exactly 0, so the
+        # non-orthogonal flux operators agree with diffusion_term, which
+        # skips the correction there
+        if not self.non_orthogonal:
+            self.T = np.zeros_like(self.T)
+            self.b_T = np.zeros_like(self.b_T)
         # position of each face inside the boundary ordering (-1: internal)
         self.b_index = np.full(mesh.n_faces, -1, dtype=np.int64)
         self.b_index[self.boundary] = np.arange(len(self.boundary))

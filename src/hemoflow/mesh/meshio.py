@@ -21,9 +21,14 @@ lossless by construction.
 the loops oriented by ``Mesh.oriented_loops``. ``read_mesh`` parses each
 section in one array operation and hands ``Mesh`` the face loops as the
 flat (loops, lengths) arrays it stores; faces whose vertex, owner or
-neighbor ids are out of range are a ``SchemaError`` of the FACES section.
+neighbor ids are out of range are a ``SchemaError`` of the FACES section,
+and so is every other file content that ``Patch`` or ``Mesh`` refuses (an
+unknown patch kind, duplicate patch names, patches that do not partition
+the boundary, open cells).
 ``write_vtk`` takes each cell's faces from the rows of ``Mesh.incidence``
-and their loops from ``Mesh.oriented_loops``.
+and their loops from ``Mesh.oriented_loops``, walks the 2D cells' vertex
+loops for all cells at once, and formats each section in one ``%``
+operation.
 """
 
 from __future__ import annotations
@@ -137,30 +142,45 @@ def read_mesh(path) -> Mesh:
         if len(parts) < 3 or not parts[2].isdigit():
             raise SchemaError(f"malformed patch line: {head!r}")
         name, kind, cnt = parts[0], parts[1], int(parts[2])
-        meta = json.loads(parts[3]) if len(parts) > 3 else {}
         ids = _numbers([ids], np.int64, f"patch {name}")
         if len(ids) != cnt:
             raise SchemaError(f"patch {name}: face count mismatch")
-        patches.append(Patch(name, kind, ids, meta=meta))
-    return Mesh(dim, pts, loops, width - 3, owner, neighbor, patches)
+        try:
+            meta = json.loads(parts[3]) if len(parts) > 3 else {}
+            patches.append(Patch(name, kind, ids, meta=meta))
+        except ValueError as e:
+            raise SchemaError(f"patch {name}: {e}") from None
+    try:
+        return Mesh(dim, pts, loops, width - 3, owner, neighbor, patches)
+    except InvalidArgumentError as e:
+        raise SchemaError(f"invalid mesh in {path}: {e}") from None
 
 
-def _polygon_loop(edges):
-    """Order the (k, 2) vertex pairs of a 2D cell's faces into a closed
-    vertex loop."""
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    start = next(iter(adj))
-    loop = [start]
-    prev = None
-    while True:
-        nxts = [v for v in adj[loop[-1]] if v != prev]
-        prev = loop[-1]
-        loop.append(nxts[0])
-        if loop[-1] == start:
-            return loop[:-1]
+def _polygon_loops(mesh, edges):
+    """Every 2D cell's vertex loop, laid end to end in cell order. A loop
+    starts at the first vertex of the edge of the cell's first face and
+    runs along that edge first. All cells are walked at once: each cell's
+    edges are directed to run the same way round as its first face's, and
+    one vertex of every cell is taken per step along them."""
+    D = mesh.incidence
+    first = D.indptr[:-1]
+    size = np.diff(D.indptr)
+    cell = np.repeat(np.arange(mesh.n_cells), size)
+    e = edges[D.indices]
+    along = D.data == D.data[first][cell]
+    tail = np.where(along, e[:, 0], e[:, 1])
+    head = np.where(along, e[:, 1], e[:, 0])
+    key = cell * len(mesh.points) + tail
+    order = np.argsort(key)
+    key, head = key[order], head[order]
+    base = np.arange(mesh.n_cells) * len(mesh.points)
+    loops = np.empty(len(cell), dtype=np.int64)
+    at = tail[first]
+    for step in range(size.max()):
+        live = step < size
+        loops[first[live] + step] = at[live]
+        at = head[np.searchsorted(key, base + at)]
+    return loops, size
 
 
 def _cell_rows(mesh):
@@ -172,12 +192,8 @@ def _cell_rows(mesh):
     loops, nv = mesh.oriented_loops()
     D = mesh.incidence
     if mesh.dim == 2:
-        edges = loops.reshape(-1, 2)
-        body = [_polygon_loop(edges[D.indices[a:b]])
-                for a, b in zip(D.indptr[:-1], D.indptr[1:])]
-        size = np.fromiter(map(len, body), np.int64, len(body))
+        body, size = _polygon_loops(mesh, loops.reshape(-1, 2))
         head = size[:, None]
-        body = np.concatenate(body)
     else:
         # nv and the loop of each face, gathered for every face of every cell
         tokens = np.insert(loops, np.cumsum(nv) - nv, nv)
@@ -205,9 +221,7 @@ def write_vtk(mesh: Mesh, path, cell_data=None):
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("hemoflow mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(mesh.points)} double\n")
-        for p in mesh.points:
-            coords = list(p) + [0.0] * (3 - mesh.dim)
-            fh.write(" ".join(f"{c:.12g}" for c in coords) + "\n")
+        fh.write(_float_rows(mesh.points, 3))
         fh.write(f"CELLS {mesh.n_cells} {len(cells)}\n")
         fh.write(_int_rows(cells, width))
         fh.write(f"CELL_TYPES {mesh.n_cells}\n")
@@ -220,10 +234,16 @@ def write_vtk(mesh: Mesh, path, cell_data=None):
                 arr = np.asarray(arr, dtype=float)
                 if arr.ndim == 1:
                     fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                    for v in arr:
-                        fh.write(f"{v:.12g}\n")
+                    fh.write(_float_rows(arr[:, None], 1))
                 else:
                     fh.write(f"VECTORS {name} double\n")
-                    for row in arr:
-                        vec = list(row) + [0.0] * (3 - arr.shape[1])
-                        fh.write(" ".join(f"{v:.12g}" for v in vec) + "\n")
+                    fh.write(_float_rows(arr, 3))
+
+
+def _float_rows(values, width):
+    """The rows of ``values`` (n, <= width), zero-padded to ``width``
+    columns, as lines of %.12g numbers formatted in one ``%`` operation."""
+    rows = np.zeros((len(values), width))
+    rows[:, :values.shape[1]] = values
+    line = " ".join(["%.12g"] * width) + "\n"
+    return line * len(rows) % tuple(rows.ravel().tolist())

@@ -4,15 +4,35 @@ Snapshots of a field at sampled parameter values are compressed to a
 small orthonormal basis (method of snapshots), the modal coefficients are
 interpolated over the parameter, and new parameter points are evaluated
 by expanding the interpolated coefficients in the basis.
+
+The parameter is one scalar (the pump flow rate), so both interpolants
+are a few numpy lines over the sorted training parameters x_0 < ... <
+x_{n-1}, and each evaluates all k modal coefficients in one call:
+
+- ``linear``: piecewise linear. A query finds its interval with
+  ``searchsorted``, and the coefficients are ``slope * (x - x_lo) + c_lo``
+  with the interval's slope fixed at training time. This is
+  ``scipy.interpolate.interp1d``'s arithmetic, so the numbers agree bit
+  for bit. It does not extrapolate.
+- ``rbf``: the 1D thin-plate spline, phi(r) = r^2 log r with phi(0) = 0,
+  plus a degree-1 polynomial in (x - shift) / scale, where shift is the
+  midpoint of the parameter range and scale its half-width. The
+  (n + 2) x (n + 2) saddle-point system [[Phi, P], [P^T, 0]] is solved
+  once for all modes. This is ``RBFInterpolator(kernel=
+  "thin_plate_spline")`` up to the round-off of the solve; it
+  extrapolates with the polynomial part.
+
+Neither needs ``scipy.interpolate``, whose import also loads
+``scipy.optimize`` and ``scipy.spatial``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import RBFInterpolator, interp1d
 
 from .errors import (DegenerateInputError, ExtrapolationError,
                      InvalidArgumentError)
@@ -191,28 +211,77 @@ class RomModel:
 
     def _interpolant(self):
         if self._interp is None:
-            if self.interpolation_kind == "linear":
-                self._interp = interp1d(self.params, self.coefficients,
-                                        axis=1, kind="linear")
-            else:
-                self._interp = RBFInterpolator(
-                    self.params[:, None], self.coefficients.T,
-                    kernel="thin_plate_spline")
+            build = (_linear if self.interpolation_kind == "linear"
+                     else _thin_plate)
+            self._interp = build(self.params, self.coefficients)
         return self._interp
 
-    def coeffs_at(self, pi):
-        if self.interpolation_kind == "linear":
-            return self._interpolant()(pi)
-        return self._interpolant()(np.atleast_2d([pi]))[0]
-
-    def predict(self, pi, allow_extrapolation=False):
+    def _check_box(self, pi):
         lo, hi = self.param_box
-        if not allow_extrapolation and not lo <= pi <= hi:
+        if not lo <= pi <= hi:
             raise ExtrapolationError(
                 f"parameter {pi} outside training box [{lo}, {hi}]")
-        if allow_extrapolation and self.interpolation_kind == "linear":
-            pi = np.clip(pi, lo, hi)
+
+    def coeffs_at(self, pi):
+        """The (k,) modal coefficients at ``pi``; only ``rbf`` models
+        extrapolate."""
+        pi = _finite(pi)
+        if self.interpolation_kind == "linear":
+            self._check_box(pi)
+        return self._interpolant()(pi)
+
+    def predict(self, pi, allow_extrapolation=False):
+        pi = _finite(pi)
+        if not allow_extrapolation:
+            self._check_box(pi)
+        elif self.interpolation_kind == "linear":
+            lo, hi = self.param_box
+            pi = min(max(pi, lo), hi)
         return self.basis.modes @ self.coeffs_at(pi)
+
+
+def _finite(pi):
+    pi = float(pi)
+    if not math.isfinite(pi):
+        raise InvalidArgumentError(f"parameter {pi} is not finite")
+    return pi
+
+
+def _linear(x, C):
+    """Piecewise-linear interpolant of the columns of C (k, n) over the
+    sorted x (n,), for a query inside [x_0, x_{n-1}]."""
+    slope = np.diff(C, axis=1) / np.diff(x)
+    last = len(x) - 1
+
+    def at(pi):
+        lo = min(max(int(np.searchsorted(x, pi)), 1), last) - 1
+        return slope[:, lo] * (pi - x[lo]) + C[:, lo]
+    return at
+
+
+def _tps(r):
+    """The thin-plate kernel r^2 log r, 0 at r = 0."""
+    return r * r * np.log(r, out=np.zeros_like(r), where=r > 0.0)
+
+
+def _thin_plate(x, C):
+    """Thin-plate spline with a degree-1 polynomial tail through the
+    columns of C (k, n) at the sorted x (n,)."""
+    n = len(x)
+    shift, scale = (x[0] + x[-1]) / 2.0, (x[-1] - x[0]) / 2.0
+    P = np.column_stack([np.ones(n), (x - shift) / scale])
+    A = np.zeros((n + 2, n + 2))
+    A[:n, :n] = _tps(np.abs(x[:, None] - x))
+    A[:n, n:] = P
+    A[n:, :n] = P.T
+    rhs = np.zeros((n + 2, C.shape[0]))
+    rhs[:n] = C.T
+    w = np.linalg.solve(A, rhs).T           # (k, n + 2)
+
+    def at(pi):
+        return w @ np.concatenate([_tps(np.abs(pi - x)),
+                                   [1.0, (pi - shift) / scale]])
+    return at
 
 
 def train(snapshots: SnapshotSet, energy_threshold=0.999,

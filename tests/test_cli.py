@@ -203,6 +203,17 @@ class TestExitCodes:
         assert main(["fom-run", str(case)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_mesh_with_an_unknown_patch_kind_is_a_usage_error(self, tmp_path,
+                                                              capsys):
+        case = make_case(tmp_path)
+        mesh = tmp_path / "channel.hfm"
+        text = mesh.read_text()
+        assert "\nwall wall " in text
+        mesh.write_text(text.replace("\nwall wall ", "\nwall vein "))
+        capsys.readouterr()
+        assert main(["fom-run", str(case)]) == 2
+        assert "unknown patch kind 'vein'" in capsys.readouterr().err
+
     def test_bad_threshold_is_a_runtime_error(self, tmp_path):
         db = SnapshotDB(tmp_path / "db")
         db.add_entry(3.0, {"p": np.ones(4)})

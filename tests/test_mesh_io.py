@@ -243,6 +243,38 @@ def test_read_rejects_malformed_files(tmp_path, edit, match):
         read_mesh(path)
 
 
+def patch_line(offset, change):
+    """An edit of the tokens of the ``offset``-th patch's header line."""
+    return edit_line("PATCHES", 1 + 2 * offset, change)
+
+
+def drop_last_face_of_first_patch(lines):
+    lines = patch_line(0, lambda t: t[:2] + [str(int(t[2]) - 1)] + t[3:])(lines)
+    return edit_line("PATCHES", 2, lambda t: t[:-1])(lines)
+
+
+@pytest.mark.parametrize("edit, match", [
+    pytest.param(patch_line(2, lambda t: [t[0], "vein"] + t[2:]),
+                 "patch wall: unknown patch kind 'vein'", id="unknown-kind"),
+    pytest.param(patch_line(1, lambda t: ["inlet"] + t[1:]),
+                 "duplicate patch names", id="duplicate-names"),
+    pytest.param(drop_last_face_of_first_patch,
+                 "patches do not partition the boundary faces",
+                 id="boundary-not-partitioned"),
+    pytest.param(edit_line("FACES", 1, lambda t: t[:3] + ["5"] + t[4:]),
+                 "cell 0 violates Gauss closure", id="open-cell"),
+    pytest.param(patch_line(1, lambda t: t[:3] + ["{"]),
+                 "patch outlet: Expecting property name", id="bad-meta"),
+])
+def test_read_reports_what_mesh_refuses_as_schema_error(tmp_path, edit,
+                                                        match):
+    path = tmp_path / "mesh.hfm"
+    write_mesh(generate_pipe_mesh(0.02, 0.01, 4, 3), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(SchemaError, match=match):
+        read_mesh(path)
+
+
 def test_vtk_export_structure(tmp_path):
     mesh = generate_pipe_mesh(0.02, 0.01, 4, 3)
     path = tmp_path / "mesh.vtk"
@@ -285,8 +317,34 @@ def test_vtk_export_of_a_2d_mesh(tmp_path):
         sides = {frozenset(e) for e in zip(loop, loop[1:] + loop[:1])}
         faces = np.flatnonzero((mesh.owner == c) | (mesh.neighbor == c))
         assert sides == {frozenset(e.tolist()) for e in edges[faces]}
+        # the loop starts along the edge of the cell's lowest face
+        assert loop[:2] == edges[faces[0]].tolist()
         x, y = mesh.points[loop].T
         area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
         assert area == pytest.approx(mesh.cell_volume[c], rel=1e-12)
     at = section_line(lines, "CELL_TYPES")
     assert lines[at + 1:at + 1 + mesh.n_cells] == ["7"] * mesh.n_cells
+
+
+def test_vtk_numbers_are_formatted_as_per_line_format_strings(tmp_path):
+    """POINTS and CELL_DATA read as the former one-f-string-per-line
+    export wrote them: %.12g, zero-padded to 3 components."""
+    mesh = generate_box_mesh(4, 3, (1.0, 0.5), shear=0.2)
+    rng = np.random.default_rng(3)
+    p = rng.standard_normal(mesh.n_cells) * 1e3
+    p[:4] = [0.0, -0.0, 1e-300, 1e300]
+    u = rng.standard_normal((mesh.n_cells, 2))
+    path = tmp_path / "mesh.vtk"
+    write_vtk(mesh, path, cell_data={"p": p, "u": u})
+    lines = path.read_text().splitlines()
+
+    def rows(values):
+        return [" ".join(f"{c:.12g}" for c in list(row) + [0.0] * (3 - len(row)))
+                for row in values]
+
+    at = section_line(lines, "POINTS")
+    assert lines[at + 1:at + 1 + len(mesh.points)] == rows(mesh.points)
+    at = section_line(lines, "SCALARS p") + 2
+    assert lines[at:at + mesh.n_cells] == [f"{v:.12g}" for v in p]
+    at = section_line(lines, "VECTORS u") + 1
+    assert lines[at:at + mesh.n_cells] == rows(u)
