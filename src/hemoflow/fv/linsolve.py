@@ -6,16 +6,26 @@ diagonal plus the owner/neighbour pair of every internal face.
 each step overwrites their values in place (``Pattern.fill``), so no step
 sorts or merges coordinates or constructs a sparse matrix.
 
-On 2D meshes ``band_order`` computes once a reverse Cuthill-McKee
-ordering of the pattern (Cuthill & McKee, 1969), in which the matrix is
-banded with a narrow bandwidth k. While the banded LU work n k^2 stays
-within ``BAND_MAX_WORK``, each step makes a LAPACK banded LU (``factor``,
-``dgbtrf``) of the momentum matrix, whose components share one solve, and
-a banded Cholesky factor (``cholesky``, ``dpbtrf``) of the symmetric
-positive definite pressure matrix, which every pressure corrector of the
-step reuses. On wider 2D bands the pressure factor is a sparse LU
-(``sparse_factor``), again shared by the correctors, and momentum is
-iterative.
+``system_solvers`` is where the method of each system is chosen, once
+per mesh. It returns one solver object per system; a step calls
+``factor(A)`` on it with the step's matrix, then solves through
+``solve_bicgstab`` (momentum) or ``solve_cg`` (pressure), one call per
+solve whatever the method:
+
+    mesh                    momentum          pressure
+    2D, narrow RCM band     BandLU            BandCholesky
+    2D, wide RCM band       JacobiBiCGStab    SparseLU
+    3D                      JacobiBiCGStab    TwoGrid (CG)
+
+On 2D meshes ``band_order`` computes a reverse Cuthill-McKee ordering of
+the pattern (Cuthill & McKee, 1969), in which the matrix is banded with a
+narrow bandwidth k. While the banded LU work n k^2 stays within
+``BAND_MAX_WORK``, each step makes a LAPACK banded LU (``dgbtrf``) of the
+momentum matrix, whose components share one solve, and a banded Cholesky
+factor (``dpbtrf``) of the symmetric positive definite pressure matrix,
+which every pressure corrector of the step reuses. On wider 2D bands the
+pressure factor is a sparse LU, again shared by the correctors: per step
+it beat the two-grid CG below on bifurcations of 11000-28000 cells.
 
 On 3D meshes the pressure is solved by conjugate gradients preconditioned
 with ``TwoGrid``, a symmetric aggregation two-grid cycle (Notay, ETNA 37,
@@ -23,8 +33,9 @@ with ``TwoGrid``, a symmetric aggregation two-grid cycle (Notay, ETNA 37,
 of cells, whose small banded Cholesky factor is lagged across steps
 (Knoll & Keyes, JCP 193, 2004). The aggregates depend only on the mesh,
 so the solver builds them once. Momentum (mildly non-symmetric, diagonal
-rho V / dt > 0) uses Jacobi-preconditioned BiCGStab. Both Krylov solves
-fall back to a sparse LU when they do not converge.
+rho V / dt > 0) uses Jacobi-preconditioned BiCGStab. Both Krylov solvers
+share one guard (``Krylov.solve``) and fall back to a sparse LU when they
+do not converge.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from ..errors import SolverFailure
 
 # Largest n k^2 (cells times squared RCM bandwidth) that ``band_order``
 # accepts. Timed on bifurcation meshes of resolution 8-64, one host: the
-# banded pressure factor plus four solves beat ``sparse_factor`` up to
+# banded pressure factor plus four solves beat ``SparseLU`` up to
 # n k^2 = 3.4e7 (16 against 24 ms per step there), tied at 5.2e7 and lost
 # from 7.7e7 on (54 against 45 ms). Below the bound the banded momentum
 # solve ran from 5x faster to 1.5x slower than Jacobi-BiCGStab, and both
@@ -146,18 +157,36 @@ class BandOrder:
         return ab.reshape((self.k + 1, self.n), order="F")
 
 
+def band_order(indptr, indices):
+    """``BandOrder`` of a CSR pattern, or None when its banded LU work
+    n k^2 exceeds ``BAND_MAX_WORK``."""
+    order = BandOrder(indptr, indices)
+    return order if order.n * order.k ** 2 <= BAND_MAX_WORK else None
+
+
 class BandFactor:
-    """Banded factor of a matrix in ``BandOrder``; ``solve`` takes one or
-    more right-hand side columns in the original ordering."""
+    """Banded factor of each step's matrix in ``order``, the ``BandOrder``
+    of its pattern; ``solve`` takes one or more right-hand side columns in
+    the original ordering."""
 
     name = ""
 
     def __init__(self, order):
         self.order = order
 
-    def solve(self, b):
+    def factor(self, A):
+        """Factor ``A`` (CSR, the order's pattern); SolverFailure if it is
+        singular or, for the Cholesky factor, not positive definite."""
+        self.A = A
+        info = self._factor(A)
+        if info != 0:
+            raise SolverFailure(
+                f"{self.name} factorization failed (info={info})")
+        return self
+
+    def solve(self, B, x0=None, tol=None, maxiter=None):
         perm = self.order.perm
-        x, info = self._solve(b[perm])
+        x, info = self._solve(B[perm])
         if info != 0:
             raise SolverFailure(
                 f"banded {self.name} solve failed (info={info})")
@@ -169,9 +198,11 @@ class BandFactor:
 class BandLU(BandFactor):
     name = "LU"
 
-    def __init__(self, lu, piv, order):
-        super().__init__(order)
-        self.lu, self.piv = lu, piv
+    def _factor(self, A):
+        k = self.order.k
+        self.lu, self.piv, info = dgbtrf(self.order.band(A), k, k,
+                                         overwrite_ab=1)
+        return info
 
     def _solve(self, b):
         k = self.order.k
@@ -181,46 +212,94 @@ class BandLU(BandFactor):
 class BandCholesky(BandFactor):
     name = "Cholesky"
 
-    def __init__(self, c, order):
-        super().__init__(order)
-        self.c = c
+    def _factor(self, A):
+        self.c, info = dpbtrf(self.order.upper_band(A), overwrite_ab=1)
+        return info
 
     def _solve(self, b):
         return dpbtrs(self.c, b, overwrite_b=1)
 
 
-def band_order(indptr, indices):
-    """``BandOrder`` of a CSR pattern, or None when its banded LU work
-    n k^2 exceeds ``BAND_MAX_WORK``."""
-    order = BandOrder(indptr, indices)
-    return order if order.n * order.k ** 2 <= BAND_MAX_WORK else None
+class SparseLU:
+    """Sparse LU of each step's matrix; SolverFailure if it is
+    singular."""
+
+    def factor(self, A):
+        self.A = A
+        try:
+            self.lu = spla.splu(A.tocsc())
+        except RuntimeError as exc:
+            raise SolverFailure(f"LU factorization failed: {exc}")
+        return self
+
+    def solve(self, B, x0=None, tol=None, maxiter=None):
+        return self.lu.solve(B)
 
 
-def factor(A, order):
-    """Banded LU of the CSR matrix ``A`` in ``order``, the ``BandOrder``
-    of its pattern; SolverFailure if singular."""
-    lu, piv, info = dgbtrf(order.band(A), order.k, order.k, overwrite_ab=1)
-    if info != 0:
-        raise SolverFailure(f"LU factorization failed (info={info})")
-    return BandLU(lu, piv, order)
+class Krylov:
+    """A system solved by a preconditioned Krylov method. Subclasses give
+    ``name`` and ``_iterate(b, x0, atol, maxiter)``, which returns (x,
+    info) as ``scipy.sparse.linalg.cg``."""
+
+    name = ""
+
+    def factor(self, A):
+        self.A = A
+
+    def solve(self, B, x0=None, tol=1e-6, maxiter=5000):
+        """Solve A x = b for ``B``, one vector or columns, from ``x0``
+        (zero if None): each column to ``tol`` times its initial residual
+        r0, not ||b||, so that large boundary source terms do not mask a
+        poorly solved interior. A zero b gives x = 0. Columns that do not
+        converge, or whose r0 is not finite (they skip the iteration),
+        share one sparse LU of A; SolverFailure if it fails too, with the
+        column's ||b - A x|| / r0 at its last iterate.
+        """
+        A = self.A
+        cols = B.reshape(len(B), -1)
+        starts = None if x0 is None else x0.reshape(cols.shape)
+        X = np.zeros(cols.shape)
+        lu = None
+        for j in range(cols.shape[1]):
+            b = cols[:, j]
+            if not b.any():
+                continue
+            x = None if starts is None else starts[:, j]
+            r0 = np.linalg.norm(b if x is None else b - A @ x)
+            if r0 == 0.0:
+                X[:, j] = 0.0 if x is None else x
+                continue
+            info = "non-finite initial residual"
+            if np.isfinite(r0):
+                x, info = self._iterate(b, x, tol * r0, maxiter)
+            if info == 0:
+                X[:, j] = x
+                continue
+            if lu is None:
+                try:
+                    lu = spla.splu(A.tocsc())
+                except RuntimeError:
+                    r = b if x is None else b - A @ x
+                    raise SolverFailure(
+                        f"{self.name} failed (info={info}) and LU "
+                        f"fallback failed", [float(np.linalg.norm(r) / r0)])
+            X[:, j] = lu.solve(b)
+        return X.reshape(B.shape)
 
 
-def cholesky(A, order):
-    """Banded Cholesky factor of the symmetric positive definite CSR matrix
-    ``A`` in ``order``, the ``BandOrder`` of its pattern; SolverFailure if
-    ``A`` is not positive definite."""
-    c, info = dpbtrf(order.upper_band(A), overwrite_ab=1)
-    if info != 0:
-        raise SolverFailure(f"Cholesky factorization failed (info={info})")
-    return BandCholesky(c, order)
+class JacobiBiCGStab(Krylov):
+    """BiCGStab with the diagonal of A as the preconditioner."""
 
+    name = "BiCGStab"
 
-def sparse_factor(A):
-    """Sparse LU of ``A``; SolverFailure if it is singular."""
-    try:
-        return spla.splu(A.tocsc())
-    except RuntimeError as exc:
-        raise SolverFailure(f"LU factorization failed: {exc}")
+    def factor(self, A):
+        super().factor(A)
+        d = A.diagonal()
+        self._M = spla.LinearOperator(A.shape, lambda v: v / d)
+
+    def _iterate(self, b, x0, atol, maxiter):
+        return spla.bicgstab(self.A, b, x0=x0, rtol=0.0, atol=atol,
+                             M=self._M, maxiter=maxiter)
 
 
 def aggregates(W):
@@ -269,9 +348,9 @@ def aggregates(W):
     return agg
 
 
-class TwoGrid:
-    """Symmetric aggregation two-grid preconditioner for CG on the SPD
-    matrices of one ``Pattern``, with a lagged coarse factor.
+class TwoGrid(Krylov):
+    """CG on the SPD matrices of one ``Pattern``, preconditioned by a
+    symmetric aggregation two-grid cycle with a lagged coarse factor.
 
     ``i``, ``j`` and ``w`` give the weight of every symmetric pair of
     off-diagonal entries (repeated pairs add up); the aggregates come from
@@ -284,8 +363,10 @@ class TwoGrid:
     with S = omega D^-1 and A_c = P^T A P: symmetric, and positive
     definite for an SPD ``A``. A_c is summed from ``A.data`` into its own
     fixed pattern, and its banded Cholesky factor is kept from solve to
-    solve until ``solve`` finds it stale.
+    solve until a solve finds it stale.
     """
+
+    name = "CG"
 
     def __init__(self, pattern, i, j, w):
         n = pattern.shape[0]
@@ -316,7 +397,8 @@ class TwoGrid:
     def refactor(self, A):
         """Factor the coarse matrix of ``A``; the next solve sets the
         iteration count against which the factor is judged stale."""
-        self._factor = cholesky(self.coarse_matrix(A), self.order)
+        self._factor = BandCholesky(self.order).factor(
+            self.coarse_matrix(A))
         self._base_iters = None
 
     def operator(self, A):
@@ -341,120 +423,56 @@ class TwoGrid:
             return z
         return spla.LinearOperator(A.shape, cycle)
 
-    def solve(self, A, b, x0, atol, maxiter):
-        """CG on A x = b to ``atol``, preconditioned by this cycle;
-        returns (x, info) as ``scipy.sparse.linalg.cg``.
-
-        The coarse factor is rebuilt when a solve takes more than
+    def _iterate(self, b, x0, atol, maxiter):
+        """The coarse factor is rebuilt when a solve takes more than
         REFACTOR_GROWTH times the iterations of the first solve after the
         last rebuild, and before one retry, from the last iterate, when a
-        solve with a factor of an older matrix does not converge.
-        """
+        solve with a factor of an older matrix does not converge."""
         fresh = self._factor is None
-        x, info, iters = self._cg(A, b, x0, atol, maxiter)
+        x, info, iters = self._cg(b, x0, atol, maxiter)
         if info != 0 and not fresh:
-            self.refactor(A)
-            x, info, iters = self._cg(A, b, x, atol, maxiter)
+            self.refactor(self.A)
+            x, info, iters = self._cg(b, x, atol, maxiter)
         if info == 0:
             if self._base_iters is None:
                 self._base_iters = iters
             elif iters > REFACTOR_GROWTH * self._base_iters:
-                self.refactor(A)
+                self.refactor(self.A)
         return x, info
 
-    def _cg(self, A, b, x0, atol, maxiter):
+    def _cg(self, b, x0, atol, maxiter):
         iters = 0
 
         def count(_):
             nonlocal iters
             iters += 1
-        x, info = spla.cg(A, b, x0=x0, rtol=0.0, atol=atol,
-                          M=self.operator(A), maxiter=maxiter,
+        x, info = spla.cg(self.A, b, x0=x0, rtol=0.0, atol=atol,
+                          M=self.operator(self.A), maxiter=maxiter,
                           callback=count)
         return x, info, iters
 
 
-def _jacobi(A):
-    d = A.diagonal()
-    return spla.LinearOperator(A.shape, lambda v: v / d)
+def system_solvers(pattern, dim, owner, neigh, weights):
+    """The (momentum, pressure) solvers of the two step systems on
+    ``pattern``, by the table above; ``TwoGrid`` aggregates the cells by
+    the ``weights`` of the faces between ``owner`` and ``neigh``."""
+    if dim == 3:
+        return JacobiBiCGStab(), TwoGrid(pattern, owner, neigh, weights)
+    order = band_order(pattern.indptr, pattern.indices)
+    if order is None:
+        return JacobiBiCGStab(), SparseLU()
+    return BandLU(order), BandCholesky(order)
 
 
-def solve_cg(A, b, x0=None, tol=1e-6, maxiter=5000, lu=None, two_grid=None):
-    """Solve the SPD system A x = b.
-
-    With ``lu`` (a factor of ``A`` from ``cholesky``, ``factor`` or
-    ``sparse_factor``) the solve is direct.
-    Otherwise CG, preconditioned by ``two_grid`` (a ``TwoGrid`` of the
-    pattern of ``A``) or else by Jacobi, converged against the initial
-    residual (not ||b||) so that large boundary source terms do not mask
-    a poorly solved interior; LU fallback, taken without iterating when
-    the initial residual is not finite (no iteration could converge);
-    SolverFailure on divergence.
-    """
-    if lu is not None:
-        return lu.solve(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0 and x0 is None:
-        return np.zeros_like(b)
-    r0 = np.linalg.norm(b if x0 is None else b - A @ x0)
-    if r0 == 0.0:
-        return np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    if not np.isfinite(r0):
-        x, info = None, "non-finite initial residual"
-    elif two_grid is None:
-        x, info = spla.cg(A, b, x0=x0, rtol=0.0, atol=tol * r0,
-                          M=_jacobi(A), maxiter=maxiter)
-    else:
-        x, info = two_grid.solve(A, b, x0, tol * r0, maxiter)
-    if info != 0:
-        res = r0 if x is None else np.linalg.norm(b - A @ x) / r0
-        try:
-            return spla.splu(A.tocsc()).solve(b)
-        except RuntimeError:
-            raise SolverFailure(f"pressure CG diverged (info={info})", [float(res)])
-    return x
+def solve_cg(system, b, x0=None, tol=1e-6, maxiter=5000):
+    """One pressure solve: ``system`` (from ``system_solvers``, factored
+    for this step's matrix) solves for ``b``. The step solves only through
+    this and ``solve_bicgstab``, by which names perfbench/tracing.py counts
+    the solves of each system, direct ones included."""
+    return system.solve(b, x0, tol, maxiter)
 
 
-def solve_bicgstab(A, B, x0=None, tol=1e-6, maxiter=2000, lu=None):
-    """Solve A x = b for each column of B.
-
-    With ``lu`` (a factor of ``A`` from ``factor``) all columns are one
-    direct solve. Otherwise Jacobi-preconditioned BiCGStab per column
-    (shared matrix and preconditioner, one LU fallback shared by the
-    columns that stall and by those with a non-finite initial residual,
-    which skip the iteration).
-    """
-    B = np.atleast_2d(B.T).T
-    if lu is not None:
-        return lu.solve(B)
-    X = np.empty_like(B, dtype=float)
-    M = _jacobi(A)
-    fallback = None
-    for j in range(B.shape[1]):
-        b = B[:, j]
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            X[:, j] = 0.0
-            continue
-        xj0 = None if x0 is None else x0[:, j]
-        r0 = bnorm if xj0 is None else np.linalg.norm(b - A @ xj0)
-        if r0 == 0.0:
-            X[:, j] = xj0
-            continue
-        if np.isfinite(r0):
-            x, info = spla.bicgstab(A, b, x0=xj0, rtol=0.0, atol=tol * r0,
-                                    M=M, maxiter=maxiter)
-        else:
-            x, info = None, "non-finite initial residual"
-        if info != 0:
-            if fallback is None:
-                try:
-                    fallback = spla.splu(A.tocsc())
-                except RuntimeError:
-                    res = r0 if x is None else np.linalg.norm(b - A @ x) / bnorm
-                    raise SolverFailure(
-                        f"momentum solve failed (info={info}) and LU fallback failed",
-                        [float(res)])
-            x = fallback.solve(b)
-        X[:, j] = x
-    return X
+def solve_bicgstab(system, B, x0=None, tol=1e-6, maxiter=2000):
+    """One momentum solve, for every velocity component (column of
+    ``B``) at once."""
+    return system.solve(B, x0, tol, maxiter)

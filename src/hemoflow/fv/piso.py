@@ -25,13 +25,10 @@ of p is formed once per corrector, for the velocity update. The momentum
 and the pressure matrix are built once per solver on the fixed pattern
 of ``linsolve.Pattern``; each step overwrites their values in place. So
 does the pressure ``BoundaryValues``, of which a step writes only the
-Windkessel rows. On narrow-band 2D meshes the pressure matrix, symmetric
-positive definite, gets a banded Cholesky factor per step
-(``linsolve.cholesky``) and momentum a banded LU (``linsolve.factor``).
-On 3D meshes the solver builds once the aggregates of a two-grid
-preconditioner (``linsolve.TwoGrid``) from the faces' geometric weights;
-every pressure solve is CG with it, and its coarse factor is made on the
-first step and lagged across steps.
+Windkessel rows. The solver takes one linear solver per system from
+``linsolve.system_solvers`` when it is built; a step factors each with
+its matrix and solves through ``linsolve.solve_bicgstab`` and
+``linsolve.solve_cg``, and does not know which method either uses.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ class SolverConfig:
     n_piso: int = 2
     n_nonorth: int = 1
     convection_scheme: str = "second-order-upwind"
-    lin_tol: float = 1e-6             # Krylov solves (not narrow-band 2D)
+    lin_tol: float = 1e-6             # Krylov solves: 3D, wide-2D momentum
     cfl_max: float = 5.0
     cfl_action: str = "warn"          # "warn" | "error"
     steady_tol: float = None          # stop early when |du|/dt stalls
@@ -219,15 +216,8 @@ class PisoSolver:
                                         diag[g.b_owner[self._fixed_p]]])
         self._A_m = self._pattern.matrix()
         self._A_p = self._pattern.matrix()
-        # 2D: momentum is a banded LU and pressure a banded Cholesky
-        # factor in the pattern's RCM order, unless the band is too wide
-        self._band = (linsolve.band_order(self._pattern.indptr,
-                                          self._pattern.indices)
-                      if mesh.dim == 2 else None)
-        # 3D: the pressure CG is preconditioned by a two-grid cycle on
-        # aggregates of cells, grouped by the faces' |A|^2/(A.d) weights
-        self._two_grid = (linsolve.TwoGrid(self._pattern, o, n, g.orth_coeff)
-                          if mesh.dim == 3 else None)
+        self._momentum, self._pressure = linsolve.system_solvers(
+            self._pattern, mesh.dim, o, n, g.orth_coeff)
 
     # -- boundary value assembly ----------------------------------------
 
@@ -282,7 +272,6 @@ class PisoSolver:
         phi[g.boundary[self._fixed_u]] = phi_b_fixed[self._fixed_u]
 
         # ---- momentum predictor ----
-        band = self._band
         fixed_p = self._fixed_p
         # p stacked on the fixed boundary pressures, the input of the
         # pressure gradient operators; its head follows every solve
@@ -290,10 +279,10 @@ class PisoSolver:
         bp_fixed = pb[nc:]
         diag, A_m, rhs0 = self._momentum_system(state, phi, bu, dt)
         grad_p = self._G @ pb
-        lu_m = linsolve.factor(A_m, band) if band is not None else None
+        self._momentum.factor(A_m)
         u_star = linsolve.solve_bicgstab(
-            A_m, rhs0 - grad_p.reshape(rhs0.shape), x0=state.u,
-            tol=cfg.lin_tol, lu=lu_m)
+            self._momentum, rhs0 - grad_p.reshape(rhs0.shape), x0=state.u,
+            tol=cfg.lin_tol)
 
         # everything built from the momentum diagonal is fixed for the
         # whole corrector sequence, so assemble the pressure matrix, its
@@ -302,16 +291,7 @@ class PisoSolver:
         rAU_f = g.W @ rAU
         c_int = rAU_f * g.orth_coeff
         c_b = rAU[g.b_owner] * g.b_orth_coeff
-        A_p = self._pressure_matrix(c_int, c_b)
-        # the 2D factor is reused by all n_piso x n_nonorth solves; in 3D
-        # its fill is tens of times A_p, and CG with the two-grid cycle
-        # solves instead
-        if band is not None:
-            lu_p = linsolve.cholesky(A_p, band)
-        elif mesh.dim == 2:
-            lu_p = linsolve.sparse_factor(A_p)
-        else:
-            lu_p = None
+        self._pressure.factor(self._pressure_matrix(c_int, c_b))
         rhs_pb = g.D_b @ np.where(fixed_p, c_b * bp.values, 0.0)
         free = ~self._fixed_u
         bA = mesh.face_area[g.boundary]
@@ -337,8 +317,8 @@ class PisoSolver:
                 if self._has_nonorth:
                     corr = rAU_f * (self._NG @ pb)
                     rhs_p = rhs_p0 + g.D_int @ corr
-                p = linsolve.solve_cg(A_p, rhs_p, x0=p, tol=cfg.lin_tol,
-                                      lu=lu_p, two_grid=self._two_grid)
+                p = linsolve.solve_cg(self._pressure, rhs_p, x0=p,
+                                      tol=cfg.lin_tol)
                 pb[:nc] = p
                 if not self._has_nonorth:
                     break

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SchemaError
-from .podi import PodBasis, RomModel
+from .podi import INTERPOLATION_KINDS, PodBasis, RomModel
 
 MANIFEST_SCHEMA = "hemoflow-snapshots/1"
 MODEL_SCHEMA = "hemoflow-rom/1"
@@ -219,8 +219,25 @@ def load_models(path):
             basis = PodBasis(modes, z[f"{name}:singular_values"],
                              modes.shape[1],
                              float(z[f"{name}:energy"][0]), weight=weight)
-            models[name] = RomModel(basis, z[f"{name}:coefficients"],
-                                    z[f"{name}:params"],
-                                    str(z[f"{name}:kind"]), field_name=name)
+            coefficients = z[f"{name}:coefficients"]
+            params, kind = z[f"{name}:params"], str(z[f"{name}:kind"])
+            fault = _model_fault(modes, coefficients, params, kind)
+            if fault:
+                raise SchemaError(f"{path}: field {name!r}: {fault}")
+            models[name] = RomModel(basis, coefficients, params, kind,
+                                    field_name=name)
         meta = json.loads(str(z["meta"])) if "meta" in z else {}
     return models, meta
+
+
+def _model_fault(modes, coefficients, params, kind):
+    """What makes a stored model unusable, or None."""
+    if kind not in INTERPOLATION_KINDS:
+        return f"unknown interpolation kind {kind!r}"
+    if params.ndim != 1 or params.size < 2 or not np.isfinite(params).all() \
+            or not (np.diff(params) > 0).all():
+        return "params are not two or more finite, strictly increasing values"
+    if coefficients.shape != (modes.shape[1], params.size):
+        return (f"coefficients of shape {coefficients.shape} do not match "
+                f"{modes.shape[1]} modes x {params.size} params")
+    return None

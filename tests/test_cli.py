@@ -9,7 +9,7 @@ import hemoflow.cli
 from hemoflow.cli import main
 from hemoflow.errors import SolverFailure
 from hemoflow.mesh import generate_bifurcation_mesh, read_mesh
-from hemoflow.snapshots import SnapshotDB, load_models
+from hemoflow.snapshots import SnapshotDB, load_models, save_models
 
 
 def make_case(tmp_path):
@@ -121,6 +121,16 @@ class TestWorkflow:
         rc = main(["rom-eval", workflow["model"], "--params", "10.0",
                    "--out-dir", str(out)])
         assert rc == 1
+
+    def test_rom_eval_of_an_unusable_model_is_a_usage_error(self, workflow,
+                                                            tmp_path):
+        models, meta = load_models(workflow["model"])
+        models["p"].interpolation_kind = "cubic"
+        path = tmp_path / "cubic.npz"
+        save_models(path, models, meta)
+        rc = main(["rom-eval", str(path), "--params", "4.2",
+                   "--out-dir", str(tmp_path / "eval")])
+        assert rc == 2
 
     def test_rom_eval_extrapolation_opt_in(self, workflow):
         out = workflow["root"] / "eval_extrap"

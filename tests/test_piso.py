@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from hemoflow.errors import InvalidArgumentError, SolverFailure
 from hemoflow.fv import (FlowState, FluidProperties, PisoSolver,
-                         SolverConfig, diffusion_term, poiseuille_bcs)
+                         SolverConfig, diffusion_term, linsolve,
+                         poiseuille_bcs)
 from hemoflow.fv.operators import (face_dot_matrix, gradient_matrix,
                                    nonorth_flux_matrix)
 from hemoflow.mesh import (generate_bifurcation_mesh, generate_box_mesh,
@@ -185,7 +186,7 @@ def test_nan_velocity_raises_on_the_banded_2d_path():
     mesh = generate_channel_mesh(1.0, H, 12, 4)
     bcs = poiseuille_bcs(mesh, U_MEAN * H, profile="parabolic")
     solver = PisoSolver(mesh, bcs, FLUID, SolverConfig(dt=0.005, t_end=0.05))
-    assert solver._band is not None
+    assert isinstance(solver._pressure, linsolve.BandCholesky)
     u0 = np.zeros((mesh.n_cells, 2))
     u0[5, 0] = np.nan
     with np.errstate(invalid="ignore"), \
@@ -199,7 +200,7 @@ def test_nan_pressure_raises_on_the_3d_krylov_path():
     mesh = generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12)
     bcs = poiseuille_bcs(mesh, 1e-5, profile="parabolic")
     solver = PisoSolver(mesh, bcs, FLUID, SolverConfig(dt=0.005))
-    assert solver._band is None
+    assert isinstance(solver._pressure, linsolve.TwoGrid)
     state = solver.initialize()
     state.p[5] = np.nan
     with np.errstate(invalid="ignore"), \
@@ -266,7 +267,7 @@ def test_banded_step_balances_every_cell_on_sheared_boxes(
     fluid = FluidProperties(rho=1.0, mu=10 ** rng.uniform(-3, 0) * U * h)
     solver = PisoSolver(mesh, poiseuille_bcs(mesh, U * length, profile="plug"),
                         fluid, cfg)
-    assert solver._band is not None
+    assert isinstance(solver._pressure, linsolve.BandCholesky)
     state = solver.initialize(
         u=U * rng.standard_normal((mesh.n_cells, 2)),
         p=U ** 2 * rng.standard_normal(mesh.n_cells))

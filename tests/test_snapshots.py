@@ -143,6 +143,34 @@ class TestModelFiles:
                                    models[name].predict(pi),
                                    rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("fault, match", [
+        ("cubic", "interpolation kind 'cubic'"),
+        ("reversed", "strictly increasing"),
+        ("nan", "finite"),
+        ("one mode short", "coefficients of shape"),
+    ])
+    def test_unusable_model_is_rejected(self, tmp_path, fault, match):
+        """Each of these loaded silently and failed, or answered wrongly,
+        only at prediction time."""
+        params = np.linspace(3.0, 5.0, 5)
+        S = np.column_stack([np.cos(np.linspace(0, 1, 20) * pi)
+                             for pi in params])
+        model = train(SnapshotSet(S, params), energy_threshold=1.0)
+        if fault == "cubic":
+            model.interpolation_kind = "cubic"
+        elif fault == "reversed":
+            model.params = model.params[::-1]
+            model.coefficients = model.coefficients[:, ::-1]
+        elif fault == "nan":
+            model.params = np.where(model.params == 4.0, np.nan,
+                                    model.params)
+        else:
+            model.coefficients = model.coefficients[:-1]
+        path = tmp_path / "model.npz"
+        save_models(path, {"p": model})
+        with pytest.raises(SchemaError, match=match):
+            load_models(path)
+
     def test_foreign_model_file_is_rejected(self, tmp_path):
         path = tmp_path / "model.npz"
         np.savez(path, schema=np.array("other/1"), fields=np.array([]))
