@@ -24,7 +24,7 @@ import numpy as np
 from . import indicators, podi, pump, refdata, units, windkessel
 from .casefile import load_case
 from .errors import HemoflowError, InvalidArgumentError, SchemaError
-from .fv import PisoSolver
+from .fv import InflowBC, PisoSolver
 from .indicators import TimeSeries, pas_pad_pam, volume_avg_pressure, wall_shear_stress
 from .mesh import (generate_bifurcation_mesh, generate_channel_mesh,
                    generate_pipe_mesh, mesh_quality, read_mesh, write_mesh,
@@ -81,16 +81,14 @@ def _run_case(case, inflow_lmin=None, observer=None):
     mesh = case.load_mesh()
     bcs = case.build_bcs(mesh, inflow_override_lmin=inflow_lmin)
     solver = PisoSolver(mesh, bcs, case.fluid, case.solver)
-    state = solver.initialize()
+    u0 = None
     if case.initial.get("from_inflow"):
         # start from a uniform velocity matched to the inflow direction
-        from .fv import InflowBC
         for name, (vbc, _) in bcs.conditions.items():
             if isinstance(vbc, InflowBC):
                 uf = vbc.face_velocities(mesh, mesh.patches[name], 0.0)
-                state.u[:] = uf.mean(axis=0)
-        state = solver.initialize(u=state.u)
-    state = solver.run(state, observer=observer)
+                u0 = np.tile(uf.mean(axis=0), (mesh.n_cells, 1))
+    state = solver.run(solver.initialize(u=u0), observer=observer)
     return mesh, solver, state
 
 

@@ -66,23 +66,17 @@ class InflowBC:
         if self.profile == "plug":
             shape = np.ones(len(fids))
         elif self.profile == "parabolic":
+            # the patch's half width (2D) or radius (3D) and centre; without
+            # a size, centred on the faces' mean and just wider than them
             meta = patch.meta
-            if meta.get("kind2d") or mesh.dim == 2:
-                c = np.asarray(meta.get("center", xf.mean(axis=0)))
-                half = meta.get("half_width")
-                if half is None:
-                    r = np.linalg.norm(xf - xf.mean(axis=0), axis=1)
-                    half = r.max() * 1.05
-                    c = xf.mean(axis=0)
-                r = np.linalg.norm(xf - c, axis=1)
-                shape = np.clip(1.0 - (r / half) ** 2, 0.0, None)
-            else:
-                c = np.asarray(meta.get("center", xf.mean(axis=0)))
-                R = meta.get("radius")
-                if R is None:
-                    R = np.linalg.norm(xf - c, axis=1).max() * 1.05
-                r = np.linalg.norm(xf - c, axis=1)
-                shape = np.clip(1.0 - (r / R) ** 2, 0.0, None)
+            size = meta.get("half_width" if meta.get("kind2d")
+                            or mesh.dim == 2 else "radius")
+            c = xf.mean(axis=0) if size is None else np.asarray(
+                meta.get("center", xf.mean(axis=0)))
+            r = np.linalg.norm(xf - c, axis=1)
+            if size is None:
+                size = r.max() * 1.05
+            shape = np.clip(1.0 - (r / size) ** 2, 0.0, None)
         else:
             raise InvalidArgumentError(f"unknown inflow profile {self.profile!r}")
         u = -n * shape[:, None]
@@ -154,10 +148,6 @@ class BoundaryConditionSet:
 
     def pressure(self, name):
         return self.conditions[name][1]
-
-    def windkessel_patches(self):
-        return [n for n, (_, p) in self.conditions.items()
-                if isinstance(p, WindkesselBC)]
 
 
 def poiseuille_bcs(mesh, flow_rate, outlet_pressure=0.0, profile="parabolic"):

@@ -427,12 +427,17 @@ class TwoGrid(Krylov):
         """The coarse factor is rebuilt when a solve takes more than
         REFACTOR_GROWTH times the iterations of the first solve after the
         last rebuild, and before one retry, from the last iterate, when a
-        solve with a factor of an older matrix does not converge."""
-        fresh = self._factor is None
-        x, info, iters = self._cg(b, x0, atol, maxiter)
-        if info != 0 and not fresh:
-            self.refactor(self.A)
+        solve with a factor of an older matrix does not converge. A coarse
+        matrix that cannot be factored (A singular) fails the iteration,
+        at the last iterate, so the solve falls back to a sparse LU."""
+        x, fresh = x0, self._factor is None
+        try:
             x, info, iters = self._cg(b, x, atol, maxiter)
+            if info != 0 and not fresh:
+                self.refactor(self.A)
+                x, info, iters = self._cg(b, x, atol, maxiter)
+        except SolverFailure as failure:
+            return x, f"coarse {failure}"
         if info == 0:
             if self._base_iters is None:
                 self._base_iters = iters

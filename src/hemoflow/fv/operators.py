@@ -16,11 +16,12 @@ linear face operators are composed from it once per solver:
 ``gradient_matrix`` (the Gauss gradient face sum for one mask of fixed
 boundary faces, acting on the cell field stacked on the fixed faces'
 values), ``face_dot_matrix`` (interpolate a vector field, then dot it
-with one vector per internal face) and ``nonorth_flux_matrix`` (the two
-chained through the cell volumes: the non-orthogonal face flux of a
-field's gradient). Their vector layout is cell major: row or column
-``c * dim + j`` is axis j of cell c, so an (nc, dim) array enters and
-leaves them as a flat view.
+with one vector per internal face), ``flux_matrix`` (the face flux of a
+velocity on all faces, for one mask of fixed boundary faces) and
+``nonorth_flux_matrix`` (the first two chained through the cell volumes:
+the non-orthogonal face flux of a field's gradient). Their vector layout
+is cell major: row or column ``c * dim + j`` is axis j of cell c, so an
+(nc, dim) array enters and leaves them as a flat view.
 """
 
 from __future__ import annotations
@@ -139,13 +140,32 @@ def gradient_matrix(mesh, fixed):
                      for j in range(mesh.dim)])
 
 
-def face_dot_matrix(mesh, vectors):
-    """CSR (n_internal x nc * dim) matrix that interpolates a cell major
-    (nc, dim) field to internal faces and dots each face value with its
-    row of ``vectors`` (n_internal, dim)."""
-    W = mesh.fv.W
+def face_dot_matrix(mesh, vectors, W=None):
+    """CSR (n_rows x nc * dim) matrix that takes a cell major (nc, dim)
+    field to faces with ``W`` (n_rows x nc; default ``mesh.fv.W``, the
+    internal faces) and dots each face value with its row of ``vectors``
+    (n_rows, dim)."""
+    W = mesh.fv.W if W is None else W
     return _by_cell([(sp.diags(vectors[:, j]) @ W).T
                      for j in range(mesh.dim)]).T.tocsr()
+
+
+def flux_matrix(mesh, fixed):
+    """CSR (n_faces x nc * dim) face flux matrix of a velocity whose
+    boundary faces in the mask ``fixed`` carry values: S . (interpolated
+    u) on internal faces, S . (owner's u) on the other boundary faces, and
+    an empty row on each fixed face, whose value prescribes its flux. Its
+    internal rows are those of ``face_dot_matrix`` of the face areas."""
+    g = mesh.fv
+    free = np.flatnonzero(~np.asarray(fixed, dtype=bool))
+    # the face values: interpolated on internal faces, the owner's on
+    # free boundary faces, none on fixed ones
+    owner = sp.csr_matrix((np.ones(len(free)), (free, g.b_owner[free])),
+                          shape=(len(g.boundary), mesh.n_cells))
+    W = sp.vstack([g.W, owner], format="csr")
+    row = np.empty(mesh.n_faces, dtype=np.int64)
+    row[np.concatenate([g.internal, g.boundary])] = np.arange(mesh.n_faces)
+    return face_dot_matrix(mesh, mesh.face_area, W[row])
 
 
 def nonorth_flux_matrix(mesh, G):

@@ -13,8 +13,11 @@ matrices, when it is built:
 - the Gauss gradient face sum of the pressure (``operators.
   gradient_matrix``), acting on p stacked on the fixed boundary
   pressures;
-- the "interpolate, then dot with the face area vector" flux operator
-  (``operators.face_dot_matrix``);
+- the face flux operator over all faces (``operators.flux_matrix``):
+  S . (interpolated u) on internal faces, S . (owner's u) on the free
+  boundary faces, and empty rows on the fixed-velocity faces, so every
+  face flux of a velocity u is ``F @ u.ravel()`` plus the flux that the
+  velocity boundary values prescribe on the fixed faces;
 - on meshes with non-orthogonal faces, the pressure gradient chained into
   the non-orthogonal face flux (``operators.nonorth_flux_matrix``), and
   the whole deferred non-orthogonal momentum source mu D_int N V^-1 G_u,
@@ -23,12 +26,14 @@ matrices, when it is built:
 Each application in a step is one sparse product, and the cell gradient
 of p is formed once per corrector, for the velocity update. The momentum
 and the pressure matrix are built once per solver on the fixed pattern
-of ``linsolve.Pattern``; each step overwrites their values in place. So
-does the pressure ``BoundaryValues``, of which a step writes only the
-Windkessel rows. The solver takes one linear solver per system from
-``linsolve.system_solvers`` when it is built; a step factors each with
-its matrix and solves through ``linsolve.solve_bicgstab`` and
-``linsolve.solve_cg``, and does not know which method either uses.
+of ``linsolve.Pattern``; each step overwrites their values in place. The
+pressure ``BoundaryValues`` are built once too, and they are the one
+place that holds a Windkessel outlet's pressure: ``advance_windkessel``
+writes each outlet's rows before a step. The solver takes one linear
+solver per system from ``linsolve.system_solvers`` when it is built; a
+step factors each with its matrix and solves through
+``linsolve.solve_bicgstab`` and ``linsolve.solve_cg``, and does not know
+which method either uses.
 """
 
 from __future__ import annotations
@@ -42,11 +47,10 @@ from ..units import DYN_CM2_TO_PA, M3S_TO_CM3S
 from ..windkessel import advance_outlet
 from . import linsolve
 from .boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
-                       NoSlipBC, PressureZeroGradientBC,
-                       VelocityZeroGradientBC, WindkesselBC)
+                       NoSlipBC, WindkesselBC)
 from .operators import (CONVECTION_SCHEMES, BoundaryValues,
                         boundary_values_from_patches, convective_term,
-                        face_dot_matrix, gradient_matrix, nonorth_flux_matrix)
+                        flux_matrix, gradient_matrix, nonorth_flux_matrix)
 # perfbench/tracing.py wraps each of these under its name in this module
 # (getattr); a traced run fails if one is missing, called here or not
 from .operators import (diffusion_term, face_interpolate,  # noqa: F401
@@ -175,26 +179,24 @@ class PisoSolver:
                 shapes[name] = np.zeros(mesh.dim)
         self._bu_shape = boundary_values_from_patches(mesh, shapes)
         self._fixed_u = self._bu_shape.fixed
-        # pressure boundary values, built once: fixed values never change
-        # and each step writes the Windkessel rows from _wk_pressure
-        self._wk_pressure = {}   # patch name -> current boundary value [Pa]
-        pvals = {}
+        # pressure boundary values, built once: fixed values never change,
+        # and advance_windkessel writes the rows of each Windkessel outlet
+        pvals, self._windkessels = {}, []
         for name, (_, pbc) in bcs.conditions.items():
             if isinstance(pbc, FixedPressureBC):
                 pvals[name] = pbc.value
             elif isinstance(pbc, WindkesselBC):
-                pvals[name] = self._wk_pressure[name] = \
-                    pbc.outlet.pressure_pa(0.0)
+                pvals[name] = pbc.outlet.pressure_pa(0.0)
+                self._windkessels.append(
+                    (name, g.b_index[mesh.patches[name].face_ids], pbc.outlet))
         self._bp = boundary_values_from_patches(mesh, pvals)
         self._fixed_p = self._bp.fixed
-        self._wk_rows = {name: g.b_index[mesh.patches[name].face_ids]
-                         for name in self._wk_pressure}
         self._has_nonorth = g.non_orthogonal
         # the step's fused face operators (cell major vector layout); the
         # gradients act on a cell field stacked on its fixed boundary values
         self._vol = np.repeat(mesh.cell_volume, mesh.dim)
         self._G = gradient_matrix(mesh, self._fixed_p)
-        self._F = face_dot_matrix(mesh, mesh.face_area[g.internal])
+        self._F = flux_matrix(mesh, self._fixed_u)
         if self._has_nonorth:
             self._NG = nonorth_flux_matrix(mesh, self._G)
             self._K_u = (self.fluid.mu * g.D_int @ nonorth_flux_matrix(
@@ -222,36 +224,22 @@ class PisoSolver:
     # -- boundary value assembly ----------------------------------------
 
     def _velocity_bvals(self, t):
+        """The velocity boundary values at ``t``, and the flux that they
+        prescribe on every face: 0 off the fixed-velocity faces, so that
+        ``self._F @ u.ravel()`` plus it is the face flux of ``u``."""
+        mesh, b = self.mesh, self.mesh.fv.boundary
         values = self._bu_shape.values.copy()
         for rows, bc, influx in self._inflows:
             values[rows] *= bc.rate(t) / influx
-        return BoundaryValues(values, self._fixed_u)
-
-    def _pressure_bvals(self):
-        bp = self._bp
-        for name, rows in self._wk_rows.items():
-            bp.values[rows] = self._wk_pressure[name]
-        return bp
-
-    def _boundary_flux(self, bu):
-        """Prescribed fluxes on fixed-velocity faces (0 elsewhere)."""
-        g = self.mesh.fv
-        phi_b = np.einsum("ij,ij->i", bu.values, self.mesh.face_area[g.boundary])
-        return np.where(bu.fixed, phi_b, 0.0)
+        phi = np.zeros(mesh.n_faces)
+        phi[b] = np.where(self._fixed_u, np.einsum(
+            "ij,ij->i", values, mesh.face_area[b]), 0.0)
+        return BoundaryValues(values, self._fixed_u), phi
 
     def initialize(self, u=None, p=None, t=0.0):
         """Build a consistent initial state (fluxes from the velocity)."""
-        mesh = self.mesh
-        state = FlowState(mesh, u=u, p=p, time=t)
-        g = mesh.fv
-        state.phi[g.internal] = self._F @ state.u.ravel()
-        bu = self._velocity_bvals(t)
-        phi_b = self._boundary_flux(bu)
-        ub_free = state.u[g.b_owner]
-        free = ~self._fixed_u
-        phi_b[free] = np.einsum("ij,ij->i", ub_free[free],
-                                mesh.face_area[g.boundary][free])
-        state.phi[g.boundary] = phi_b
+        state = FlowState(self.mesh, u=u, p=p, time=t)
+        state.phi = self._F @ state.u.ravel() + self._velocity_bvals(t)[1]
         return state
 
     # -- one time step -----------------------------------------------------
@@ -265,11 +253,11 @@ class PisoSolver:
         t_new = state.time + dt
         nc = mesh.n_cells
 
-        bu = self._velocity_bvals(t_new)
-        bp = self._pressure_bvals()
-        phi_b_fixed = self._boundary_flux(bu)
+        bu, phi_fixed = self._velocity_bvals(t_new)
+        bp = self._bp
         phi = state.phi.copy()
-        phi[g.boundary[self._fixed_u]] = phi_b_fixed[self._fixed_u]
+        fixed_faces = g.boundary[self._fixed_u]
+        phi[fixed_faces] = phi_fixed[fixed_faces]
 
         # ---- momentum predictor ----
         fixed_p = self._fixed_p
@@ -293,8 +281,6 @@ class PisoSolver:
         c_b = rAU[g.b_owner] * g.b_orth_coeff
         self._pressure.factor(self._pressure_matrix(c_int, c_b))
         rhs_pb = g.D_b @ np.where(fixed_p, c_b * bp.values, 0.0)
-        free = ~self._fixed_u
-        bA = mesh.face_area[g.boundary]
 
         u, p = u_star, state.p.copy()
         for _ in range(cfg.n_piso):
@@ -302,13 +288,7 @@ class PisoSolver:
             off = A_m @ u - diag[:, None] * u
             HbyA = (rhs0 - off) / diag[:, None]
 
-            phi_star = np.empty(mesh.n_faces)
-            phi_star[g.internal] = self._F @ HbyA.ravel()
-            phi_b_star = phi_b_fixed.copy()
-            phi_b_star[free] = np.einsum(
-                "ij,ij->i", HbyA[g.b_owner[free]], bA[free])
-            phi_star[g.boundary] = phi_b_star
-
+            phi_star = self._F @ HbyA.ravel() + phi_fixed
             rhs_p0 = rhs_pb - g.D @ phi_star
 
             corr = 0.0
@@ -403,13 +383,12 @@ class PisoSolver:
     # -- time loop -----------------------------------------------------------
 
     def advance_windkessel(self, state, dt):
-        """Step the RCR outlets with the current patch fluxes and refresh
-        the boundary pressures used by the next flow step."""
-        for name in self.bcs.windkessel_patches():
-            outlet = self.bcs.pressure(name).outlet
+        """Step the RCR outlets with the current patch fluxes and write
+        their pressures into the boundary values of the next flow step."""
+        for name, rows, outlet in self._windkessels:
             Q = state.patch_flux(name)           # m^3/s, outward
-            outlet, p_next = advance_outlet(outlet, Q * M3S_TO_CM3S, dt)
-            self._wk_pressure[name] = p_next * DYN_CM2_TO_PA
+            _, p_next = advance_outlet(outlet, Q * M3S_TO_CM3S, dt)
+            self._bp.values[rows] = p_next * DYN_CM2_TO_PA
 
     def run(self, state=None, observer=None):
         """March to t_end (or steady state). Returns the final state."""
@@ -421,7 +400,7 @@ class PisoSolver:
         steps = 0
         while state.time < cfg.t_end - 1e-12 and steps < n_max:
             dt = min(cfg.dt, cfg.t_end - state.time)
-            if self._wk_pressure:
+            if self._windkessels:
                 self.advance_windkessel(state, dt)
             new = self.step(state, dt)
             cfl = new.cfl(dt)

@@ -82,7 +82,6 @@ class WindkesselOutlet:
     R_d: float
     C: float
     p_p: float = 0.0        # proximal node pressure [dyn/cm^2]
-    p_d: float = 0.0        # fixed distal pressure
 
     def __post_init__(self):
         if min(self.R_p, self.R_d, self.C) <= 0:

@@ -316,6 +316,25 @@ def test_singular_matrix_raises_solver_failure(monkeypatch):
                                 / np.linalg.norm(b))
 
 
+def test_singular_coarse_matrix_fails_the_iteration_not_the_solve(
+        monkeypatch):
+    """When the two-grid cycle cannot factor its coarse matrix (A is
+    singular), CG has failed: the solve goes on to the sparse LU fallback
+    like every Krylov solve, and when that fails too it reports
+    ||b - A x|| / r0 at the last iterate, here the start."""
+    A = neumann_laplacian()
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0                   # not in the range of A
+    x0 = np.linspace(0.0, 1.0, len(b))
+    kept = _LastIterate()
+    monkeypatch.setattr(linsolve, "spla", kept)
+    with pytest.raises(SolverFailure, match="coarse Cholesky.*LU fallback"
+                       ) as failed:
+        linsolve.solve_cg(two_grid_of(A), b, x0=x0, maxiter=50)
+    assert kept.factorizations == 1 and kept.x is None
+    assert failed.value.residual_history == [1.0]
+
+
 @pytest.mark.parametrize("system", ["momentum", "pressure"])
 def test_failed_krylov_solves_report_the_same_residual(monkeypatch,
                                                        system):

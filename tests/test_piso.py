@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hemoflow.errors import InvalidArgumentError, SolverFailure
-from hemoflow.fv import (FlowState, FluidProperties, PisoSolver,
-                         SolverConfig, diffusion_term, linsolve,
-                         poiseuille_bcs)
-from hemoflow.fv.operators import (face_dot_matrix, gradient_matrix,
-                                   nonorth_flux_matrix)
+from hemoflow.fv import (BoundaryConditionSet, FlowState, FluidProperties,
+                         InflowBC, NoSlipBC, PisoSolver,
+                         PressureZeroGradientBC, SolverConfig,
+                         VelocityZeroGradientBC, WindkesselBC,
+                         diffusion_term, linsolve, poiseuille_bcs)
+from hemoflow.fv.operators import (face_dot_matrix, face_interpolate,
+                                   gradient_matrix, nonorth_flux_matrix)
 from hemoflow.mesh import (generate_bifurcation_mesh, generate_box_mesh,
                            generate_channel_mesh, generate_pipe_mesh)
+from hemoflow.units import DYN_CM2_TO_PA, M3S_TO_CM3S
+from hemoflow.windkessel import WindkesselOutlet
 from test_linsolve import twin_face_channel
 from test_operators import sheared_pipe
 
@@ -230,7 +234,8 @@ def test_solver_builds_the_face_operators_of_its_masks(make, nonorth):
     g = mesh.fv
     G = gradient_matrix(mesh, solver._fixed_p)
     assert same(solver._G, G)
-    assert same(solver._F, face_dot_matrix(mesh, mesh.face_area[g.internal]))
+    assert same(solver._F[g.internal],
+                face_dot_matrix(mesh, mesh.face_area[g.internal]))
     ops = {k for k, v in vars(solver).items() if hasattr(v, "tocsr")}
     assert ops == ({"_G", "_F", "_NG", "_K_u"} if nonorth else {"_G", "_F"}
                    ) | {"_A_m", "_A_p"}
@@ -317,7 +322,7 @@ def test_deferred_nonorth_momentum_correction_is_the_diffusion_difference():
     assert solver._has_nonorth
     u = np.random.default_rng(5).normal(size=(mesh.n_cells, 2))
     state = solver.initialize(u=u)
-    bu = solver._velocity_bvals(state.time)
+    bu, _ = solver._velocity_bvals(state.time)
 
     def rhs(n_nonorth):
         solver.config.n_nonorth = n_nonorth
@@ -329,3 +334,83 @@ def test_deferred_nonorth_momentum_correction_is_the_diffusion_difference():
     assert np.abs(ref).max() > 1e-6 * np.abs(with_corr).max()
     assert np.allclose(with_corr - without, ref, rtol=0.0,
                        atol=1e-12 * np.abs(with_corr).max())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0,
+                                      resolution=8),
+    lambda: generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12),
+], ids=["bifurcation", "pipe"])
+def test_one_operator_gives_the_flux_on_every_face(make):
+    """``_F`` spans all faces: S . (interpolated u) on internal faces,
+    S . (owner's u) on the free boundary faces, nothing on the
+    fixed-velocity faces, whose flux their boundary values prescribe."""
+    mesh = make()
+    g = mesh.fv
+    solver = PisoSolver(mesh, poiseuille_bcs(mesh, 1e-6), FLUID)
+    u = np.random.default_rng(3).normal(size=(mesh.n_cells, mesh.dim))
+    state = solver.initialize(u=u, t=0.5)
+    bu, phi_fixed = solver._velocity_bvals(0.5)
+    S = mesh.face_area
+    fixed = solver._fixed_u
+    expected = np.empty(mesh.n_faces)
+    expected[g.internal] = np.einsum("ij,ij->i", face_interpolate(u, mesh),
+                                     S[g.internal])
+    expected[g.boundary] = np.einsum(
+        "ij,ij->i", np.where(fixed[:, None], bu.values, u[g.b_owner]),
+        S[g.boundary])
+    assert np.allclose(state.phi, expected, rtol=0.0,
+                       atol=1e-14 * np.abs(expected).max())
+    assert solver._F.shape == (mesh.n_faces, mesh.n_cells * mesh.dim)
+    assert solver._F[g.boundary[fixed]].nnz == 0
+    off = np.ones(mesh.n_faces, dtype=bool)
+    off[g.boundary[fixed]] = False
+    assert fixed.any() and not phi_fixed[off].any()
+
+
+def test_windkessel_pressure_lives_in_the_pressure_boundary_values():
+    """``advance_windkessel`` steps the outlet's stored proximal pressure
+    and writes p_p + R_p Q into the outlet's rows of the pressure boundary
+    values, and into no other row; the next step reads them from there."""
+    mesh = generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0,
+                                     resolution=8)
+    Q = 4.0 / 60000.0
+    outlet = WindkesselOutlet("outlet", R_p=4.8, R_d=43.2, C=1.2e-3,
+                              p_p=4000.0)
+    bcs = BoundaryConditionSet({
+        "inlet": (InflowBC(Q), PressureZeroGradientBC()),
+        "wall": (NoSlipBC(), PressureZeroGradientBC()),
+        "outlet": (VelocityZeroGradientBC(), WindkesselBC(outlet)),
+    })
+    solver = PisoSolver(mesh, bcs, FLUID, SolverConfig(
+        dt=0.01, n_nonorth=2, convection_scheme="upwind", cfl_max=1e9))
+    rows = mesh.fv.b_index[mesh.patches["outlet"].face_ids]
+    others = np.setdiff1d(np.arange(len(mesh.fv.boundary)), rows)
+    before = solver._bp.values.copy()
+    assert np.all(before[rows] == outlet.pressure_pa(0.0))
+    state = solver.step(solver.initialize())
+    solver.advance_windkessel(state, 0.01)
+    q = state.patch_flux("outlet") * M3S_TO_CM3S
+    assert outlet.p_p == pytest.approx((1.2e-3 / 0.01 * 4000.0 + q)
+                                       / (1.2e-3 / 0.01 + 1.0 / 43.2))
+    assert np.all(solver._bp.values[rows]
+                  == (outlet.p_p + outlet.R_p * q) * DYN_CM2_TO_PA)
+    assert np.array_equal(solver._bp.values[others], before[others])
+
+
+def test_parabolic_profile_without_a_size_centres_on_the_faces():
+    """A parabolic inlet without its size (the half width in 2D, the
+    radius in 3D) centres on its faces' mean, whatever ``center`` says,
+    and vanishes just outside its outermost face."""
+    mesh = generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12)
+    patch = mesh.patches["inlet"]
+    bc = InflowBC(1e-6, "parabolic")
+    del patch.meta["radius"]
+    patch.meta["center"] = [0.005, 0.0, 0.0]
+    u, _ = bc.shape_velocities(mesh, patch)
+    xf = mesh.face_centroid[patch.face_ids]
+    r = np.linalg.norm(xf - xf.mean(axis=0), axis=1)
+    assert np.allclose(np.linalg.norm(u, axis=1),
+                       1.0 - (r / (1.05 * r.max())) ** 2, rtol=1e-14)
+    patch.meta.clear()
+    assert np.array_equal(bc.shape_velocities(mesh, patch)[0], u)
