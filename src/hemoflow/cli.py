@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import sys
@@ -27,8 +26,7 @@ from .errors import HemoflowError, InvalidArgumentError, SchemaError
 from .fv import InflowBC, PisoSolver
 from .indicators import TimeSeries, pas_pad_pam, volume_avg_pressure, wall_shear_stress
 from .mesh import (generate_bifurcation_mesh, generate_channel_mesh,
-                   generate_pipe_mesh, mesh_quality, read_mesh, write_mesh,
-                   write_vtk)
+                   generate_pipe_mesh, mesh_quality, write_mesh, write_vtk)
 from .snapshots import SnapshotDB, SweepPlan, load_models, save_models
 
 log = logging.getLogger("hemoflow")
@@ -209,7 +207,6 @@ def cmd_rom_train(args):
         raise InvalidArgumentError("energy threshold must be in (0, 1]")
     db = SnapshotDB(args.db)
     models = {}
-    energy_rows = []
     for name in db.field_names():
         S, params = db.load_matrix(name)
         ss = podi.SnapshotSet(S, params, field_name=name,
@@ -218,16 +215,22 @@ def cmd_rom_train(args):
         k = models[name].basis.k
         log.info("field %-6s: %d/%d modes retained", name, k, params.size)
         print(f"{name}: retained {k} of {params.size} modes")
-        en = podi.cumulative_energy(models[name].basis.singular_values)
-        energy_rows += [(name, i + 1, float(e)) for i, e in enumerate(en)]
     save_models(args.out, models,
                 meta={"threshold": args.threshold, "kind": args.kind,
                       "db": os.path.abspath(args.db)})
     if args.energy_csv:
         _write_csv(args.energy_csv, ["field", "modes", "cumulative_energy"],
-                   energy_rows)
+                   _energy_rows(models))
     print(f"wrote {args.out}")
     return 0
+
+
+def _energy_rows(models):
+    """(field, modes, cumulative energy) rows of each model's spectrum, in
+    the order of ``models``."""
+    return [(name, i + 1, float(e)) for name, m in models.items()
+            for i, e in enumerate(podi.cumulative_energy(
+                m.basis.singular_values))]
 
 
 def cmd_rom_eval(args):
@@ -356,15 +359,13 @@ def cmd_report(args):
     if args.model:
         models, meta = load_models(args.model)
         lines.append(f"model {args.model}: trained with {meta}")
-        energy_rows = []
-        for name, m in sorted(models.items()):
+        models = dict(sorted(models.items()))
+        for name, m in models.items():
             lines.append(f"  {name}: k={m.basis.k}, "
                          f"energy={m.basis.energy_fraction:.6f}, "
                          f"box={m.param_box}")
-            en = podi.cumulative_energy(m.basis.singular_values)
-            energy_rows += [(name, i + 1, float(e)) for i, e in enumerate(en)]
         _write_csv(os.path.join(out, "energy.csv"),
-                   ["field", "modes", "cumulative_energy"], energy_rows)
+                   ["field", "modes", "cumulative_energy"], _energy_rows(models))
     report = "\n".join(lines) if lines else "nothing to report (give --db/--model)"
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(report + "\n")

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 
 from ..errors import InvalidArgumentError
-from ..units import lmin_to_m3s
 from ..windkessel import WindkesselOutlet
 
 

@@ -8,7 +8,7 @@ error and relative L2 field error).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,9 +1,10 @@
 """Non-intrusive reduced-order modeling by POD with interpolation.
 
 Snapshots of a field at sampled parameter values are compressed to a
-small orthonormal basis (method of snapshots), the modal coefficients are
-interpolated over the parameter, and new parameter points are evaluated
-by expanding the interpolated coefficients in the basis.
+small orthonormal basis (one thin SVD of W^(1/2) S, with W the
+quadrature weights), the modal coefficients are interpolated over the
+parameter, and new parameter points are evaluated by expanding the
+interpolated coefficients in the basis.
 
 The parameter is one scalar (the pump flow rate), so both interpolants
 are a few numpy lines over the sorted training parameters x_0 < ... <
@@ -63,23 +64,29 @@ class SnapshotSet:
             raise InvalidArgumentError("one parameter per snapshot column required")
         if self.S.size == 0:
             raise InvalidArgumentError("empty snapshot set")
+        if not np.isfinite(self.S).all():
+            raise InvalidArgumentError(
+                f"snapshot matrix of {self.field_name!r} is not finite")
         if len(np.unique(self.params)) != self.params.size:
             raise InvalidArgumentError("parameters must be pairwise distinct")
         if self.weight is not None:
             self.weight = np.asarray(self.weight, dtype=float)
             if self.weight.shape != (self.S.shape[0],):
                 raise InvalidArgumentError("one weight per degree of freedom required")
-            if np.any(self.weight <= 0):
-                raise InvalidArgumentError("weights must be positive")
+            if not (np.isfinite(self.weight).all() and (self.weight > 0).all()):
+                raise InvalidArgumentError("weights must be positive and finite")
 
 
 @dataclass
 class PodBasis:
     modes: np.ndarray            # (N, k), W-orthonormal columns
-    singular_values: np.ndarray  # full spectrum, descending
-    k: int
+    singular_values: np.ndarray  # (N_s,), descending, zero-padded
     energy_fraction: float
     weight: Optional[np.ndarray] = None
+
+    @property
+    def k(self):
+        return self.modes.shape[1]
 
     def project(self, X):
         """Modal coefficients of columns of X: U_k^T W X."""
@@ -102,96 +109,36 @@ def cumulative_energy(singular_values):
     return en / en[-1]
 
 
-def _weighted_qr(U, w):
-    """Orthonormalize columns in the (optionally weighted) inner product."""
-    if w is None:
-        Q, _ = np.linalg.qr(U)
-        return Q
-    sw = np.sqrt(w)
-    Q, _ = np.linalg.qr(sw[:, None] * U)
-    return Q / sw[:, None]
-
-
-def _wfro(A, w):
-    """(Weighted) Frobenius norm."""
-    return float(np.sqrt(((A * A) if w is None else (w[:, None] * A * A)).sum()))
-
-
-def _full_rank_refine(S, w, U, sv):
-    """Extend U with modes of the projection residual until S is spanned.
-
-    The Gram-matrix eigendecomposition resolves singular values only down
-    to about sqrt(machine eps) of the largest; repeating the decomposition
-    on the residual recovers the unresolved tail, which matters when the
-    full-rank basis must reconstruct every snapshot to round-off.
-    """
-    n_s = S.shape[1]
-    sv = sv.copy()
-    snorm = _wfro(S, w)
-    for _ in range(n_s):
-        k = U.shape[1]
-        if k >= n_s:
-            break
-        C = U.T @ S if w is None else U.T @ (w[:, None] * S)
-        R = S - U @ C
-        if _wfro(R, w) <= 1e-14 * snorm:
-            break
-        G = R.T @ R if w is None else R.T @ (w[:, None] * R)
-        lam, V = np.linalg.eigh(G)
-        lam, V = np.clip(lam[::-1], 0.0, None), V[:, ::-1]
-        svr = np.sqrt(lam)
-        kr = int(np.sum(svr > svr[0] * 1e-12)) if svr[0] > 0.0 else 0
-        kr = min(kr, n_s - k)
-        if kr == 0:
-            break
-        Ur = (R @ V[:, :kr]) / svr[:kr]
-        U = _weighted_qr(np.hstack([U, Ur]), w)
-        sv[k:k + kr] = svr[:kr]
-    return U, sv
-
-
 def pod_basis(snapshots: SnapshotSet, energy_threshold=0.999):
-    """POD basis by the method of snapshots.
+    """POD basis from one thin SVD of W^(1/2) S.
 
-    Eigendecomposition of the small Gram matrix S^T W S gives the squared
-    singular values and right-singular vectors; the modes are recovered as
-    S V / sigma. Retains the smallest k whose cumulative squared-singular-
-    value energy reaches the threshold.
+    The modes are the leading left-singular vectors scaled back by
+    W^(-1/2), so they are W-orthonormal. ``singular_values`` is padded
+    with zeros to one value per snapshot. The basis keeps the smallest k
+    whose cumulative energy reaches the threshold; at threshold 1 it keeps
+    the numerical rank (singular values above 1e-12 of the largest), and
+    never keeps a numerically null direction.
     """
     if not 0.0 < energy_threshold <= 1.0:
         raise InvalidArgumentError("energy threshold must be in (0, 1]")
     S = snapshots.S
     w = snapshots.weight
-    G = S.T @ S if w is None else S.T @ (w[:, None] * S)
-    lam, V = np.linalg.eigh(G)
-    lam, V = lam[::-1], V[:, ::-1]
-    total = lam.sum()
-    if total <= 0.0:
+    sw = 1.0 if w is None else np.sqrt(w)[:, None]
+    U, sv, _ = np.linalg.svd(sw * S, full_matrices=False)
+    if sv[0] == 0.0:
         raise DegenerateInputError("all-zero snapshot matrix")
-    lam = np.clip(lam, 0.0, None)
-    sv = np.sqrt(lam)
-
-    en = np.cumsum(lam) / total
-    k = int(np.searchsorted(en, energy_threshold - 1e-14) + 1)
-    # never retain numerically null directions
-    rank = int(np.sum(sv > sv[0] * 1e-12))
-    k = min(k, max(rank, 1))
-
-    U = (S @ V[:, :k]) / sv[:k]
-    # re-orthonormalize in the weighted inner product: the Gram-matrix
-    # route loses half the working precision on near-null directions, and
-    # a QR pass restores machine-level orthonormality without changing
-    # the spanned subspace
-    U = _weighted_qr(U, w)
-    if energy_threshold >= 1.0 and k < S.shape[1]:
-        U, sv = _full_rank_refine(S, w, U, sv)
-        k = U.shape[1]
+    sv = np.pad(sv, (0, S.shape[1] - sv.size))
+    en = cumulative_energy(sv)
+    rank = max(int(np.sum(sv > sv[0] * 1e-12)), 1)
+    k = rank if energy_threshold >= 1.0 else min(
+        int(np.searchsorted(en, energy_threshold - 1e-14) + 1), rank)
+    U = U[:, :k] / sw
     # deterministic sign: largest-magnitude entry of each mode positive
     idx = np.argmax(np.abs(U), axis=0)
     signs = np.sign(U[idx, np.arange(k)])
     signs[signs == 0] = 1.0
     U *= signs
-    return PodBasis(U, sv, k, float(min(en[k - 1], 1.0)), weight=w)
+    return PodBasis(U, sv, float(en[k - 1]), weight=w)
 
 
 @dataclass

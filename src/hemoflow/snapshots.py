@@ -33,7 +33,6 @@ class SweepPlan:
     hi: float
     count: int
     delta_p: float = 75.0          # mmHg, fixed head for speed back-calculation
-    parameter: str = "PF"
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -217,7 +216,6 @@ def load_models(path):
             modes = z[f"{name}:modes"]
             weight = z[f"{name}:weight"] if f"{name}:weight" in z else None
             basis = PodBasis(modes, z[f"{name}:singular_values"],
-                             modes.shape[1],
                              float(z[f"{name}:energy"][0]), weight=weight)
             coefficients = z[f"{name}:coefficients"]
             params, kind = z[f"{name}:params"], str(z[f"{name}:kind"])

@@ -232,6 +232,19 @@ class TestExitCodes:
                    "--out", str(tmp_path / "m.npz")])
         assert rc == 1
 
+    def test_non_finite_snapshot_is_a_runtime_error(self, tmp_path, capsys):
+        """A stored NaN passes its checksum but cannot be trained on."""
+        db = SnapshotDB(tmp_path / "db")
+        db.add_entry(3.0, {"p": np.ones(4)})
+        db.add_entry(4.0, {"p": np.array([2.0, np.nan, 2.0, 2.0])})
+        assert db.has_entry(4.0)
+        rc = main(["rom-train", str(tmp_path / "db"),
+                   "--out", str(tmp_path / "m.npz")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not finite" in err
+        assert not (tmp_path / "m.npz").exists()
+
     def test_validate_reports_deviations(self, capsys):
         assert main(["validate", "--tolerance", "2.0"]) == 0
         out = capsys.readouterr().out

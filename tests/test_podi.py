@@ -105,6 +105,35 @@ class TestPodBasis:
                       energy_threshold=1.0)
         assert np.array_equal(a.modes, b.modes)
 
+    @pytest.mark.parametrize("threshold", [0.999, 0.9999999, 1.0])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n, ns", [(60, 8), (40, 21), (5, 8)])
+    def test_graded_spectrum_matches_weighted_svd(self, n, ns, weighted,
+                                                  threshold):
+        """Singular values from 1 down to 1e-13 agree with a dense SVD of
+        W^(1/2) S to 1e-12 of the largest; with fewer rows than snapshots
+        the spectrum keeps one value per snapshot, with a zero tail."""
+        rng = np.random.default_rng(n * ns)
+        r = min(n, ns)
+        sigma = np.logspace(0.0, -13.0, r)
+        Q1 = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        Q2 = np.linalg.qr(rng.standard_normal((ns, r)))[0]
+        w = rng.uniform(0.5, 2.0, n) if weighted else None
+        S = (Q1 * sigma) @ Q2.T
+        if weighted:
+            S /= np.sqrt(w)[:, None]
+        basis = pod_basis(SnapshotSet(S, np.arange(ns), weight=w),
+                          energy_threshold=threshold)
+        ref = np.linalg.svd(S if w is None else np.sqrt(w)[:, None] * S,
+                            compute_uv=False)
+        ref = np.concatenate([ref, np.zeros(ns - r)])
+        assert basis.singular_values.shape == (ns,)
+        assert np.abs(basis.singular_values - ref).max() <= 1e-12 * ref[0]
+        assert np.allclose(basis.energy_fraction,
+                           cumulative_energy(ref)[basis.k - 1], rtol=1e-14)
+        if threshold == 1.0:
+            assert basis.k == np.sum(ref > 1e-12 * ref[0])
+
 
 class TestSnapshotSetValidation:
     def test_duplicate_parameters_are_refused(self):
@@ -119,6 +148,19 @@ class TestSnapshotSetValidation:
         with pytest.raises(InvalidArgumentError):
             SnapshotSet(np.ones((2, 2)), [0.0, 1.0],
                         weight=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snapshots_are_refused(self, bad):
+        S = np.ones((3, 2))
+        S[1, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            SnapshotSet(S, [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_are_refused(self, bad):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            SnapshotSet(np.ones((2, 2)), [0.0, 1.0],
+                        weight=np.array([1.0, bad]))
 
 
 class TestRomModel:
@@ -231,7 +273,7 @@ def model_with(params, C, kind):
     """A RomModel whose modal coefficients at ``params`` are the columns
     of C, with the identity as its basis."""
     k = C.shape[0]
-    basis = PodBasis(np.eye(k), np.ones(k), k, 1.0)
+    basis = PodBasis(np.eye(k), np.ones(k), 1.0)
     return RomModel(basis, C, np.asarray(params, dtype=float), kind)
 
 
