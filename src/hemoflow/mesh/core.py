@@ -1,6 +1,7 @@
 """Face-addressed unstructured finite-volume mesh.
 
-A mesh is a set of cells bounded by planar polygonal faces. Each face
+A mesh is a set of cells bounded by polygonal faces; a face that is not
+planar stands for the fan of triangles about its centroid. Each face
 stores its vertex loop, an owner cell and (for internal faces) a neighbor
 cell. All geometric quantities (face area vectors, centroids, cell volumes
 and centroids) are derived from the vertex coordinates, which guarantees
@@ -20,11 +21,12 @@ from ..errors import InvalidArgumentError
 
 PATCH_KINDS = ("inlet", "outlet", "wall")
 
-# Mesh generation refuses meshes beyond this face non-orthogonality.
+# Mesh generation refuses meshes that reach this face non-orthogonality.
 NON_ORTHOGONALITY_CAP_DEG = 70.0
 
-# Faces per vectorised geometry block; bounds the size of the temporaries.
-_BLOCK = 2048
+# Faces, and (cell, face) pairs, per vectorised geometry block: bounds the
+# size of the temporaries of both passes of Mesh._compute_geometry.
+_BLOCK = 4096
 
 
 @dataclass
@@ -109,90 +111,101 @@ class Mesh:
 
     # -- geometry ---------------------------------------------------------
 
-    def _loop_blocks(self, faces):
-        """Yield (positions in ``faces``, (k, nv) vertex loops) for blocks
-        of at most _BLOCK faces with equal loop length."""
-        for nv in np.unique(self._loop_len[faces]):
-            pos = np.flatnonzero(self._loop_len[faces] == nv)
-            for start in range(0, len(pos), _BLOCK):
-                sel = pos[start:start + _BLOCK]
-                yield sel, self._loop_flat[
-                    self._loop_start[faces[sel], None] + np.arange(nv)]
+    def _loop_blocks(self):
+        """Yield (face ids, (nv, k) vertex loops, one column per face) for
+        blocks of at most _BLOCK faces with equal loop length nv."""
+        for nv in np.unique(self._loop_len):
+            faces = np.flatnonzero(self._loop_len == nv)
+            for start in range(0, len(faces), _BLOCK):
+                sel = faces[start:start + _BLOCK]
+                yield sel, self._loop_flat[self._loop_start[sel]
+                                           + np.arange(nv)[:, None]]
 
     def _raw_face_geometry(self):
         """Area vector and centroid of every face from its vertex loop
-        (3D: fan triangulation about the vertex mean)."""
-        nf = self.n_faces
-        area = np.zeros((nf, self.dim))
-        centroid = np.zeros((nf, self.dim))
-        for sel, loops in self._loop_blocks(np.arange(nf)):
-            v = self.points[loops]
-            if self.dim == 2:
-                e = v[:, 1] - v[:, 0]
-                area[sel] = np.column_stack([e[:, 1], -e[:, 0]])  # unit depth
-                centroid[sel] = 0.5 * (v[:, 0] + v[:, 1])
+        (3D: fan triangulation about the vertex mean), and in 3D the warp
+        moment Q = sum_j (r_j + r_j+1) (r_j x r_j+1)^T of the loop about
+        the centroid, r = p - centroid (0 on a planar face). All three are
+        returned component-major: (dim, n_faces) and (3, 3, n_faces)."""
+        dim, nf = self.dim, self.n_faces
+        area = np.empty((dim, nf))
+        centroid = np.empty((dim, nf))
+        warp = np.empty((3, 3, nf)) if dim == 3 else None
+        pts = self.points.T
+        for sel, loops in self._loop_blocks():
+            v = pts[:, loops]  # (dim, nv, k): one (nv, k) array per axis
+            if dim == 2:
+                area[0, sel] = v[1, 1] - v[1, 0]  # unit depth
+                area[1, sel] = v[0, 0] - v[0, 1]
+                centroid[:, sel] = 0.5 * (v[:, 0] + v[:, 1])
                 continue
-            m = v.mean(axis=1)
-            a_sum = np.zeros_like(m)
-            c_sum = np.zeros_like(m)
-            w_sum = np.zeros(len(m))
-            for j in range(loops.shape[1]):
-                v1, v2 = v[:, j], v[:, (j + 1) % loops.shape[1]]
-                a_t = 0.5 * np.cross(v1 - m, v2 - m)
-                w = np.linalg.norm(a_t, axis=1)
-                a_sum += a_t
-                c_sum += w[:, None] * (m + v1 + v2) / 3.0
-                w_sum += w
-            area[sel] = a_sum
-            centroid[sel] = np.divide(c_sum, w_sum[:, None], out=m,
-                                      where=w_sum[:, None] > 0)
-        return area, centroid
+            m = v.mean(axis=1, keepdims=True)
+            d = v - m
+            d1 = np.roll(d, -1, axis=1)
+            t = _cross(d, d1)  # twice each fan triangle's area vector
+            w = np.sqrt(np.einsum("ajk,ajk->jk", t, t))
+            w_sum = w.sum(axis=0)
+            # the centroid is m + dc: the fan triangles' centroids
+            # (m + v_j + v_j+1) / 3 weighted by area, or m on a face of
+            # zero area
+            with np.errstate(invalid="ignore", divide="ignore"):
+                dc = np.einsum("jk,ajk->ak", w, d + d1) / (3.0 * w_sum)
+            dc[:, w_sum == 0] = 0.0
+            area[:, sel] = 0.5 * t.sum(axis=1)
+            centroid[:, sel] = m[:, 0] + dc
+            r = d - dc[:, None]
+            r1 = np.roll(r, -1, axis=1)
+            warp[:, :, sel] = np.einsum("ajk,bjk->abk", r + r1, _cross(r, r1))
+        return area, centroid, warp
 
     def _compute_geometry(self):
-        area, fc = self._raw_face_geometry()
+        area, fc, warp = self._raw_face_geometry()
         D = self.incidence
+        dim = self.dim
 
         # Approximate cell centers to fix face orientation (owner -> out).
-        approx = (abs(D) @ fc) / np.diff(D.indptr)[:, None]
-        far = np.where(self.neighbor[:, None] >= 0, approx[self.neighbor], fc)
-        flip = np.einsum("ij,ij->i", area, far - approx[self.owner]) < 0.0
+        approx = (abs(D) @ fc.T).T / np.diff(D.indptr)
+        far = np.where(self.neighbor >= 0, approx[:, self.neighbor], fc)
+        flip = np.einsum("ai,ai->i", area, far - approx[:, self.owner]) < 0.0
         self._flip = flip
-        area[flip] = -area[flip]
+        area[:, flip] = -area[:, flip]
+        if warp is not None:
+            warp[:, :, flip] = -warp[:, :, flip]
 
-        self.face_area = area
-        self.face_centroid = fc
-        self.face_area_mag = np.linalg.norm(area, axis=1)
+        self.face_area = np.ascontiguousarray(area.T)
+        self.face_centroid = np.ascontiguousarray(fc.T)
+        self.face_area_mag = np.linalg.norm(self.face_area, axis=1)
 
         # Exact volumes and centroids by simplex decomposition about the
-        # approximate cell center (any interior reference point works),
-        # one simplex fan per (cell, face) nonzero of D. The loops are the
-        # unflipped ones, so a flipped face counts with the opposite sign.
+        # approximate cell center x0 (any interior reference point works).
+        # Each (cell, face) nonzero of D, of sign s, adds the simplices that
+        # join x0 to the face's fan of triangles about its centroid c (in
+        # 2D, the one triangle on the edge). With e = c - x0, r = p - c and
+        # t_j = r_j x r_j+1 around the loop, their sums are per-face sums
+        # times e, since sum_j t_j = 2A:
+        #   volume  s/6 sum_j t_j.e = s/3 A.e              (2D: s/2 A.e)
+        #   moment  (x0 + 3c)/4 volume + s/24 Q e   (2D: (x0 + 2c)/3 volume)
+        # Q = sum_j (r_j + r_j+1) t_j^T is the face's warp moment. It is 0
+        # on a planar convex face, whose c is its area centroid, but not on
+        # a warped one, where dropping it moves centroids by a few percent
+        # of h. So one pass over the nonzeros, in blocks of _BLOCK, gathers
+        # A, c and Q per face and sums nothing over vertices.
         cell = np.repeat(np.arange(self.n_cells), np.diff(D.indptr))
-        face = D.indices
-        sign = D.data * np.where(flip, -1.0, 1.0)[face]
-        vol = np.zeros(len(face))
-        mom = np.zeros((len(face), self.dim))
-        pts = self.points
-        for sel, lp in self._loop_blocks(face):
-            x0 = approx[cell[sel]]
-            s = sign[sel]
-            if self.dim == 2:
-                va, vb = pts[lp[:, 0]] - x0, pts[lp[:, 1]] - x0
-                v = s * 0.5 * (va[:, 0] * vb[:, 1] - va[:, 1] * vb[:, 0])
-                vol[sel] = v
-                mom[sel] = v[:, None] * (x0 + (va + vb) / 3.0)
-                continue
-            m = fc[face[sel]]
-            for j in range(lp.shape[1]):
-                p1 = pts[lp[:, j]]
-                p2 = pts[lp[:, (j + 1) % lp.shape[1]]]
-                v = s * np.einsum("ij,ij->i", np.cross(p1 - x0, p2 - x0),
-                                  m - x0) / 6.0
-                vol[sel] += v
-                mom[sel] += v[:, None] * (0.25 * (x0 + p1 + p2 + m))
+        vol = np.empty(len(cell))
+        mom = np.empty((dim, len(cell)))
+        for at in range(0, len(cell), _BLOCK):
+            b = slice(at, at + _BLOCK)
+            f, s, x0 = D.indices[b], D.data[b], approx[:, cell[b]]
+            xf = fc[:, f]
+            e = xf - x0
+            v = s * np.einsum("ak,ak->k", area[:, f], e) / dim
+            vol[b] = v
+            mom[:, b] = v * (x0 + dim * xf) / (dim + 1)
+            if warp is not None:
+                mom[:, b] += s / 24.0 * np.einsum("abk,bk->ak", warp[:, :, f], e)
         self.cell_volume = np.bincount(cell, vol, self.n_cells)
-        cmom = np.column_stack([np.bincount(cell, mom[:, k], self.n_cells)
-                                for k in range(self.dim)])
+        cmom = np.column_stack([np.bincount(cell, mk, self.n_cells)
+                                for mk in mom])
         with np.errstate(invalid="ignore"):
             self.cell_centroid = cmom / self.cell_volume[:, None]
 
@@ -242,8 +255,8 @@ def check_faces(dim, n_points, loops, lengths, owner, neighbor):
     ``loops`` with per-face ``lengths`` are well formed: 2 vertices per
     face in 2D and at least 3 in 3D, vertex ids in [0, n_points), owners
     in [0, n_cells), and each neighbor -1 or another cell. n_cells is the
-    number of distinct cell ids, so the ids must be 0, 1, ... without a
-    gap."""
+    number of distinct cell ids (below the number of cell-face incidences),
+    so the ids must be 0, 1, ... without a gap."""
     if not (loops.ndim == lengths.ndim == owner.ndim == neighbor.ndim == 1
             and len(lengths) == len(owner) == len(neighbor)
             and len(loops) == lengths.sum()):
@@ -267,10 +280,21 @@ def check_faces(dim, n_points, loops, lengths, owner, neighbor):
         raise InvalidArgumentError(
             f"face {face}: vertex id {loops[at]} outside [0, {n_points})")
     cells = np.concatenate([owner, neighbor])
-    n_cells = len(np.unique(cells[cells >= 0]))
+    cells = cells[cells >= 0]
+    # n distinct ids without a gap are 0..n-1 < len(cells): an id at or
+    # past len(cells) is out of range whatever n is, and is not counted
+    n_cells = np.count_nonzero(np.bincount(cells[cells < len(cells)],
+                                           minlength=1))
     first((owner < 0) | (owner >= n_cells), f"owner outside [0, {n_cells})")
     first((neighbor < -1) | (neighbor >= n_cells) | (neighbor == owner),
           "neighbor is neither -1 nor another cell")
+
+
+def _cross(a, b):
+    """a x b over the leading axis of length 3, by components."""
+    return np.stack([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def _incidence(owner, neighbor, n_cells):
@@ -307,8 +331,7 @@ class _FvGeometry:
         self.d_mag = np.linalg.norm(d, axis=1)
         A = mesh.face_area[self.internal]
         AdotD = np.einsum("ij,ij->i", A, d)
-        if np.any(AdotD <= 0.0):
-            raise InvalidArgumentError("internal face with non-positive A.d")
+        _check_a_dot_d(AdotD, "internal")
         self.orth_coeff = np.einsum("ij,ij->i", A, A) / AdotD  # |A|^2/(A.d)
         # over-relaxed decomposition A = E + T with E parallel to d,
         # |E| = |A|^2/(A.d) so the orthogonal flux uses orth_coeff directly
@@ -338,8 +361,7 @@ class _FvGeometry:
         self.b_normal = nb
         self.b_delta = np.einsum("ij,ij->i", db, nb)  # wall-normal distance
         AbdotDb = np.einsum("ij,ij->i", Ab, db)
-        if np.any(AbdotDb <= 0.0):
-            raise InvalidArgumentError("boundary face with non-positive A.d")
+        _check_a_dot_d(AbdotDb, "boundary")
         AbdotAb = np.einsum("ij,ij->i", Ab, Ab)
         self.b_orth_coeff = AbdotAb / AbdotDb
         self.b_T = Ab - db / AbdotDb[:, None] * AbdotAb[:, None]
@@ -361,6 +383,35 @@ class _FvGeometry:
         self.b_index[self.boundary] = np.arange(len(self.boundary))
 
 
+def non_orthogonality(mesh: Mesh):
+    """The internal faces, their owner-to-neighbor centroid vectors d and
+    the angle (deg) between each one's area vector A and d, from
+    ``face_area`` and the centroids alone, without building ``mesh.fv``.
+    Raises InvalidArgumentError where ``mesh.fv`` would: A.d <= 0 on an
+    internal face, or on a boundary face with d from the owner centroid to
+    the face centroid."""
+    internal = np.flatnonzero(mesh.neighbor >= 0)
+    boundary = np.flatnonzero(mesh.neighbor < 0)
+    A = mesh.face_area[internal]
+    d = (mesh.cell_centroid[mesh.neighbor[internal]]
+         - mesh.cell_centroid[mesh.owner[internal]])
+    AdotD = np.einsum("ij,ij->i", A, d)
+    _check_a_dot_d(AdotD, "internal")
+    db = (mesh.face_centroid[boundary]
+          - mesh.cell_centroid[mesh.owner[boundary]])
+    _check_a_dot_d(np.einsum("ij,ij->i", mesh.face_area[boundary], db),
+                   "boundary")
+    cosang = AdotD / (np.linalg.norm(A, axis=1) * np.linalg.norm(d, axis=1))
+    return internal, d, np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+
+
+def _check_a_dot_d(a_dot_d, where):
+    """Refuse the ``where`` faces if the area vector A of one does not
+    point along its d (A.d <= 0)."""
+    if np.any(a_dot_d <= 0.0):
+        raise InvalidArgumentError(f"{where} face with non-positive A.d")
+
+
 def mesh_quality(mesh: Mesh) -> QualityReport:
     """Non-orthogonality and skewness statistics of a mesh.
 
@@ -370,23 +421,15 @@ def mesh_quality(mesh: Mesh) -> QualityReport:
     owner-neighbor line with the face plane, normalized by the
     centroid distance.
     """
-    g = mesh.fv
-    if len(g.internal) == 0:
-        angles = np.zeros(0)
-        skew = np.zeros(0)
-    else:
-        A = mesh.face_area[g.internal]
-        cosang = np.einsum("ij,ij->i", A, g.d) / (
-            np.linalg.norm(A, axis=1) * g.d_mag
-        )
-        angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        # intersection of the P-N line with the face plane
-        n = A / np.linalg.norm(A, axis=1)[:, None]
-        xp = mesh.cell_centroid[g.i_owner]
-        xf = mesh.face_centroid[g.internal]
-        t = np.einsum("ij,ij->i", xf - xp, n) / np.einsum("ij,ij->i", g.d, n)
-        xi = xp + t[:, None] * g.d
-        skew = np.linalg.norm(xf - xi, axis=1) / g.d_mag
+    internal, d, angles = non_orthogonality(mesh)
+    # intersection of the P-N line with the face plane
+    A = mesh.face_area[internal]
+    n = A / np.linalg.norm(A, axis=1)[:, None]
+    xp = mesh.cell_centroid[mesh.owner[internal]]
+    xf = mesh.face_centroid[internal]
+    t = np.einsum("ij,ij->i", xf - xp, n) / np.einsum("ij,ij->i", d, n)
+    xi = xp + t[:, None] * d
+    skew = np.linalg.norm(xf - xi, axis=1) / np.linalg.norm(d, axis=1)
 
     h = mesh.cell_volume ** (1.0 / mesh.dim)
     return QualityReport(

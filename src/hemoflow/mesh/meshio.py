@@ -15,10 +15,12 @@ Native format (version 1), whitespace separated::
 Geometry is recomputed from the points on load, so write -> read is
 lossless by construction.
 
-``write_mesh`` formats each of the POINTS and FACES sections with one
-``%`` operation over a flat array: the coordinates, and the
-``nv, loop, owner, neighbor`` numbers of every face laid end to end, with
-the loops oriented by ``Mesh.oriented_loops``. ``read_mesh`` parses each
+``write_mesh`` formats the POINTS section with one ``%`` operation over
+the coordinates, and the FACES section from the ``nv, loop, owner,
+neighbor`` numbers of every face laid end to end, with the loops oriented
+by ``Mesh.oriented_loops``: each id is formatted once into a table, the
+numbers pick their strings from it by array indexing, and one join makes
+the section (``_int_rows``). ``read_mesh`` parses each
 section in one array operation and hands ``Mesh`` the face loops as the
 flat (loops, lengths) arrays it stores; faces whose vertex, owner or
 neighbor ids are out of range are a ``SchemaError`` of the FACES section,
@@ -27,7 +29,8 @@ unknown patch kind, duplicate patch names, patches that do not partition
 the boundary, open cells).
 ``write_vtk`` takes each cell's faces from the rows of ``Mesh.incidence``
 and their loops from ``Mesh.oriented_loops``, walks the 2D cells' vertex
-loops for all cells at once, and formats each section in one ``%``
+loops for all cells at once, and formats the CELLS section with the same
+table-driven ``_int_rows`` and every other section in one ``%``
 operation.
 """
 
@@ -70,9 +73,17 @@ def write_mesh(mesh: Mesh, path):
 
 def _int_rows(numbers, width):
     """Lines of ``width[k]`` space-separated integers each, taken in turn
-    from ``numbers``, formatted in one ``%`` operation."""
-    line = {n: " ".join(["%d"] * n) + "\n" for n in np.unique(width).tolist()}
-    return "".join(map(line.__getitem__, width.tolist())) % tuple(numbers.tolist())
+    from ``numbers``. Each id in [min, max] is formatted once, as a string
+    ending in a space and one ending in a newline; the numbers select
+    theirs from that table by object-array indexing, and the selection is
+    joined once."""
+    lo = int(numbers.min())
+    ids = range(lo, int(numbers.max()) + 1)
+    table = np.array([f"{i} " for i in ids] + [f"{i}\n" for i in ids],
+                     dtype=object)
+    last = np.zeros(len(numbers), dtype=np.int64)
+    last[np.cumsum(width) - 1] = len(ids)
+    return "".join(table[numbers - lo + last].tolist())
 
 
 class _Lines:

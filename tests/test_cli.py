@@ -191,6 +191,16 @@ def test_mesh_accepts_integer_resolution(tmp_path):
 
 
 class TestExitCodes:
+    def test_mesh_beyond_the_non_orthogonality_cap_is_refused(self, tmp_path,
+                                                              capsys):
+        out = tmp_path / "steep.hfm"
+        capsys.readouterr()
+        assert main(["mesh", "bifurcation", "--branch-angle", "15",
+                     "--out", str(out), "--vtk", str(tmp_path / "steep.vtk")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-orthogonality cap" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_broken_case_is_a_usage_error(self, tmp_path):
         case = tmp_path / "case.json"
         case.write_text(json.dumps({"schema": "hemoflow-case/1",

@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hemoflow.errors import InvalidArgumentError
-from hemoflow.mesh import (Mesh, Patch, generate_bifurcation_mesh,
+from hemoflow.mesh import (Mesh, Patch, core, generate_bifurcation_mesh,
                            generate_box_mesh, generate_channel_mesh,
-                           generate_pipe_mesh, mesh_quality)
-from hemoflow.mesh.core import PATCH_KINDS
+                           generate_pipe_mesh, generators, mesh_quality)
+from hemoflow.mesh.core import (NON_ORTHOGONALITY_CAP_DEG, PATCH_KINDS,
+                                non_orthogonality)
 from hemoflow.mesh.generators import _check_quality
 
 
@@ -118,6 +119,48 @@ class TestBox:
         mesh = generate_channel_mesh(1.0, 0.2, 10, 5)
         kinds = {p.kind for p in mesh.patches.values()}
         assert kinds == {"inlet", "outlet", "wall"}
+
+
+class TestQualityGate:
+    """Generators refuse meshes whose non-orthogonality reaches the cap,
+    measured without building the FV cache."""
+
+    def test_steep_branch_is_refused(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="reaches or exceeds the non-orthogonality "
+                                 r"cap: 75\.0 deg >= 70\.0 deg"):
+            generate_bifurcation_mesh(0.024, 0.004, 0.002, 15.0, 8)
+
+    def test_steep_shear_is_refused(self):
+        # atan(3.0) = 71.6 deg
+        with pytest.raises(InvalidArgumentError, match="non-orthogonality cap"):
+            generate_box_mesh(6, 4, (1.0, 0.6), shear=3.0)
+
+    def test_cap_itself_is_refused(self, monkeypatch):
+        worst = mesh_quality(generate_box_mesh(6, 4, (1.0, 0.6), shear=0.3))
+        monkeypatch.setattr(generators, "NON_ORTHOGONALITY_CAP_DEG",
+                            worst.max_non_orthogonality)
+        with pytest.raises(InvalidArgumentError, match="reaches or exceeds"):
+            generate_box_mesh(6, 4, (1.0, 0.6), shear=0.3)
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_pipe_mesh(0.03, 0.01, 5, 3),
+        lambda: generate_channel_mesh(1.0, 0.2, 10, 5),
+        lambda: generate_box_mesh(6, 4, (1.0, 0.6), shear=0.3),
+        lambda: generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, 8),
+    ], ids=["pipe", "channel", "sheared_box", "bifurcation"])
+    def test_gate_angle_is_the_quality_report_maximum(self, make):
+        mesh = make()
+        gate = non_orthogonality(mesh)[2].max()
+        assert mesh._fv is None
+        assert gate == mesh_quality(mesh).max_non_orthogonality
+        assert mesh._fv is None
+        # the angle the FV cache's d gives
+        g = mesh.fv
+        A = mesh.face_area[g.internal]
+        cos = np.einsum("ij,ij->i", A, g.d) / (np.linalg.norm(A, axis=1) * g.d_mag)
+        assert gate == np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).max()
+        assert 0.0 <= gate < NON_ORTHOGONALITY_CAP_DEG
 
 
 class TestQualityReport:
@@ -236,11 +279,28 @@ def with_reversed_loops(mesh):
     return mesh.dim, mesh.points, loops, mesh.owner, mesh.neighbor, patches
 
 
+def warped_pipe():
+    """A small pipe whose points move by a seeded random displacement of
+    up to a tenth of the radial spacing, so that its quads are warped."""
+    pipe = generate_pipe_mesh(0.03, 0.01, 5, 3)
+    rng = np.random.default_rng(5)
+    pts = pipe.points + rng.uniform(-1.7e-4, 1.7e-4, pipe.points.shape)
+    loops, lengths = pipe.oriented_loops()
+    quads = loops[np.repeat(lengths, lengths) == 4].reshape(-1, 4)
+    p = pts[quads]
+    twist = np.einsum("ij,ij->i", np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
+                      p[:, 3] - p[:, 0])
+    assert np.abs(twist).max() > 1e-3 * (0.01 / 6) ** 3  # not planar
+    return Mesh(3, pts, loops, lengths, pipe.owner, pipe.neighbor,
+                list(pipe.patches.values()))
+
+
 @pytest.mark.parametrize("make", [
     lambda: generate_box_mesh(6, 4, (1.0, 0.6), shear=0.3),
     lambda: generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, 8),
     lambda: generate_pipe_mesh(0.03, 0.01, 5, 3),
-], ids=["sheared_box", "bifurcation", "pipe"])
+    warped_pipe,
+], ids=["sheared_box", "bifurcation", "pipe", "warped_pipe"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["as_built", "reversed"])
 def test_geometry_matches_face_by_face_reference(make, reverse):
     built = make()
@@ -256,6 +316,21 @@ def test_geometry_matches_face_by_face_reference(make, reverse):
     for name in ("face_area", "face_centroid", "cell_volume", "cell_centroid"):
         got, want = getattr(mesh, name), ref[name]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("make", [
+    warped_pipe,
+    lambda: generate_pipe_mesh(0.03, 0.01, 5, 3),
+    lambda: generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, 8),
+], ids=["warped_pipe", "pipe", "bifurcation"])
+def test_geometry_does_not_depend_on_the_block_size(make, monkeypatch):
+    whole = make()
+    assert whole.n_faces < core._BLOCK  # one block at the default size
+    monkeypatch.setattr(core, "_BLOCK", 7)
+    blocked = make()
+    for name in ("_flip", "face_area", "face_centroid", "face_area_mag",
+                 "cell_volume", "cell_centroid"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
 
 
 def loop_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,

@@ -42,6 +42,17 @@ def test_round_trip_is_lossless(tmp_path, make):
                        atol=1e-12 * mesh.face_area_mag.max())
 
 
+@pytest.mark.parametrize("make", [
+    lambda: generate_pipe_mesh(0.02, 0.01, 4, 3),
+    lambda: generate_channel_mesh(1.0, 0.2, 10, 5),
+    lambda: generate_bifurcation_mesh(0.03, 0.006, 0.003, 45.0, "coarse"),
+], ids=["pipe", "channel", "bifurcation"])
+def test_generate_and_write_build_no_fv_cache(tmp_path, make):
+    mesh = make()
+    write_mesh(mesh, tmp_path / "mesh.hfm")
+    assert mesh._fv is None
+
+
 def test_read_rejects_foreign_file(tmp_path):
     path = tmp_path / "other.txt"
     path.write_text("not a mesh\n1 2 3\n")
