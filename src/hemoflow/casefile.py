@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import InvalidArgumentError, SchemaError
@@ -135,9 +135,7 @@ def load_case(path):
                             mu=float(fl.get("mu", 0.004)))
 
     sv = raw.get("solver", {})
-    _check_keys(sv, {"dt", "t_end", "n_piso", "n_nonorth",
-                     "convection_scheme", "lin_tol", "cfl_max", "cfl_action",
-                     "steady_tol", "continuity_tol", "max_steps"}, "solver")
+    _check_keys(sv, {f.name for f in fields(SolverConfig)}, "solver")
     try:
         solver = SolverConfig(**sv)
     except InvalidArgumentError as e:

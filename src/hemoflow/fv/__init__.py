@@ -6,5 +6,5 @@ from .boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
                        poiseuille_bcs, pulsatile_waveform)
 from .operators import (boundary_values_from_patches, convective_term,
                         diffusion_term, face_interpolate, gauss_gradient,
-                        gradient_term, vector_gauss_gradient)
+                        gradient_term)
 from .piso import FlowState, FluidProperties, PisoSolver, SolverConfig

@@ -180,17 +180,9 @@ def nonorth_flux_matrix(mesh, G):
 
 def gauss_gradient(field, mesh, bvals=None):
     """Cell-centered Gauss gradient: (nc, dim) for a scalar field,
-    (nc, k, dim) for a (nc, k) field."""
+    (nc, k, dim) for a (nc, k) field, with out[c, i, j] = d f_i / d x_j."""
     grad = gradient_term(field, mesh, bvals)
     return grad / _along(mesh.cell_volume, grad)
-
-
-def vector_gauss_gradient(u, mesh, bvals=None):
-    """Per-component Gauss gradient of a vector field, shape (nc, dim, dim).
-
-    out[c, i, j] = d u_i / d x_j at cell c.
-    """
-    return gauss_gradient(u, mesh, bvals)
 
 
 def _face_values(u, phi, mesh, scheme, bvals):

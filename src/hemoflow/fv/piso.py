@@ -27,9 +27,11 @@ Each application in a step is one sparse product, and the cell gradient
 of p is formed once per corrector, for the velocity update. The momentum
 and the pressure matrix are built once per solver on the fixed pattern
 of ``linsolve.Pattern``; each step overwrites their values in place. The
-pressure ``BoundaryValues`` are built once too, and they are the one
-place that holds a Windkessel outlet's pressure: ``advance_windkessel``
-writes each outlet's rows before a step. The solver takes one linear
+pressure ``BoundaryValues`` are built once too, and a Windkessel outlet's
+rows in them are each step's scratch: the outlet's proximal pressure is
+state (``FlowState.p_p``), and a step first calls ``advance_windkessel``,
+which returns the next proximal pressures and writes the outlet's
+boundary pressure into those rows. The solver takes one linear
 solver per system from ``linsolve.system_solvers`` when it is built; a
 step factors each with its matrix and solves through
 ``linsolve.solve_bicgstab`` and ``linsolve.solve_cg``, and does not know
@@ -109,22 +111,25 @@ class SolverConfig:
 
 
 class FlowState:
-    """Velocity/pressure/face-flux fields at one time level."""
+    """Velocity/pressure/face-flux fields at one time level, and each
+    Windkessel outlet's proximal pressure (``p_p``, dyn/cm^2)."""
 
-    def __init__(self, mesh, u=None, p=None, phi=None, time=0.0):
+    def __init__(self, mesh, u=None, p=None, phi=None, time=0.0, p_p=()):
         self.mesh = mesh
         nc, nf = mesh.n_cells, mesh.n_faces
         self.u = np.zeros((nc, mesh.dim)) if u is None else np.array(u, dtype=float)
         self.p = np.zeros(nc) if p is None else np.array(p, dtype=float)
         self.phi = np.zeros(nf) if phi is None else np.array(phi, dtype=float)
         self.time = float(time)
+        self.p_p = np.array(p_p, dtype=float)
         if self.u.shape != (nc, mesh.dim) or self.p.shape != (nc,) \
-                or self.phi.shape != (nf,):
+                or self.phi.shape != (nf,) or self.p_p.ndim != 1:
             raise InvalidArgumentError("field shape does not match mesh")
         self._gross = None      # (phi it was summed from, gross flux)
 
     def copy(self):
-        return FlowState(self.mesh, self.u, self.p, self.phi, self.time)
+        return FlowState(self.mesh, self.u, self.p, self.phi, self.time,
+                         self.p_p)
 
     def patch_flux(self, name):
         """Net outward volumetric flux through a patch [m^3/s]."""
@@ -180,13 +185,13 @@ class PisoSolver:
         self._bu_shape = boundary_values_from_patches(mesh, shapes)
         self._fixed_u = self._bu_shape.fixed
         # pressure boundary values, built once: fixed values never change,
-        # and advance_windkessel writes the rows of each Windkessel outlet
+        # and each step's advance_windkessel writes the Windkessel rows
         pvals, self._windkessels = {}, []
         for name, (_, pbc) in bcs.conditions.items():
             if isinstance(pbc, FixedPressureBC):
                 pvals[name] = pbc.value
             elif isinstance(pbc, WindkesselBC):
-                pvals[name] = pbc.outlet.pressure_pa(0.0)
+                pvals[name] = 0.0
                 self._windkessels.append(
                     (name, g.b_index[mesh.patches[name].face_ids], pbc.outlet))
         self._bp = boundary_values_from_patches(mesh, pvals)
@@ -237,8 +242,10 @@ class PisoSolver:
         return BoundaryValues(values, self._fixed_u), phi
 
     def initialize(self, u=None, p=None, t=0.0):
-        """Build a consistent initial state (fluxes from the velocity)."""
-        state = FlowState(self.mesh, u=u, p=p, time=t)
+        """Build a consistent initial state (fluxes from the velocity;
+        each Windkessel outlet at its starting proximal pressure)."""
+        state = FlowState(self.mesh, u=u, p=p, time=t,
+                          p_p=[o.p_p for _, _, o in self._windkessels])
         state.phi = self._F @ state.u.ravel() + self._velocity_bvals(t)[1]
         return state
 
@@ -252,6 +259,7 @@ class PisoSolver:
         dt = cfg.dt if dt is None else dt
         t_new = state.time + dt
         nc = mesh.n_cells
+        p_p = self.advance_windkessel(state, dt)
 
         bu, phi_fixed = self._velocity_bvals(t_new)
         bp = self._bp
@@ -315,7 +323,7 @@ class PisoSolver:
             grad = (self._G @ pb) / self._vol
             u = HbyA - rAU[:, None] * grad.reshape(HbyA.shape)
 
-        new = FlowState(mesh, u=u, p=p, phi=phi, time=t_new)
+        new = FlowState(mesh, u=u, p=p, phi=phi, time=t_new, p_p=p_p)
         err = new.continuity_error()
         if not err <= cfg.continuity_tol:   # NaN fails too
             raise SolverFailure(
@@ -380,15 +388,24 @@ class PisoSolver:
                                c_b[self._fixed_p]])
         return self._pattern.fill(self._A_p, self._p_slots, vals)
 
-    # -- time loop -----------------------------------------------------------
-
     def advance_windkessel(self, state, dt):
-        """Step the RCR outlets with the current patch fluxes and write
-        their pressures into the boundary values of the next flow step."""
-        for name, rows, outlet in self._windkessels:
+        """One RCR step of each Windkessel outlet from ``state.p_p`` and
+        the state's patch flux Q: returns the next state's proximal
+        pressures, and writes p_p + R_p Q into the outlet's rows of the
+        pressure boundary values for the step that calls it."""
+        if len(state.p_p) != len(self._windkessels):
+            raise InvalidArgumentError(
+                f"state has {len(state.p_p)} Windkessel pressures, the "
+                f"solver {len(self._windkessels)} Windkessel outlets")
+        p_p = np.empty(len(self._windkessels))
+        for k, (name, rows, outlet) in enumerate(self._windkessels):
             Q = state.patch_flux(name)           # m^3/s, outward
-            _, p_next = advance_outlet(outlet, Q * M3S_TO_CM3S, dt)
-            self._bp.values[rows] = p_next * DYN_CM2_TO_PA
+            p_p[k], p_b = advance_outlet(outlet, state.p_p[k],
+                                         Q * M3S_TO_CM3S, dt)
+            self._bp.values[rows] = p_b * DYN_CM2_TO_PA
+        return p_p
+
+    # -- time loop -----------------------------------------------------------
 
     def run(self, state=None, observer=None):
         """March to t_end (or steady state). Returns the final state."""
@@ -400,8 +417,6 @@ class PisoSolver:
         steps = 0
         while state.time < cfg.t_end - 1e-12 and steps < n_max:
             dt = min(cfg.dt, cfg.t_end - state.time)
-            if self._windkessels:
-                self.advance_windkessel(state, dt)
             new = self.step(state, dt)
             cfl = new.cfl(dt)
             if cfl > cfg.cfl_max:

@@ -315,33 +315,29 @@ class _FvGeometry:
     """Precomputed per-face data for the FV operators."""
 
     def __init__(self, mesh: Mesh):
-        self.internal = np.flatnonzero(mesh.neighbor >= 0)
-        self.boundary = np.flatnonzero(mesh.neighbor < 0)
+        internal, boundary, d, db, AdotD, AbdotDb = _face_vectors(mesh)
+        self.internal, self.boundary = internal, boundary
         D = mesh.incidence
         self.D = D
         self.D_abs = abs(D)
-        self.D_int = D[:, self.internal]
-        self.D_b = D[:, self.boundary]
+        self.D_int = D[:, internal]
+        self.D_b = D[:, boundary]
 
-        o = mesh.owner[self.internal]
-        n = mesh.neighbor[self.internal]
+        o = mesh.owner[internal]
+        n = mesh.neighbor[internal]
         self.i_owner, self.i_neigh = o, n
-        d = mesh.cell_centroid[n] - mesh.cell_centroid[o]
         self.d = d
         self.d_mag = np.linalg.norm(d, axis=1)
-        A = mesh.face_area[self.internal]
-        AdotD = np.einsum("ij,ij->i", A, d)
-        _check_a_dot_d(AdotD, "internal")
+        A = mesh.face_area[internal]
         self.orth_coeff = np.einsum("ij,ij->i", A, A) / AdotD  # |A|^2/(A.d)
         # over-relaxed decomposition A = E + T with E parallel to d,
         # |E| = |A|^2/(A.d) so the orthogonal flux uses orth_coeff directly
-        self.E = d * self.orth_coeff[:, None]
-        self.T = A - self.E
+        self.T = A - d * self.orth_coeff[:, None]
 
         # linear interpolation weight of the owner value at the face
         dhat = d / self.d_mag[:, None]
         t = np.einsum(
-            "ij,ij->i", mesh.face_centroid[self.internal] - mesh.cell_centroid[o], dhat
+            "ij,ij->i", mesh.face_centroid[internal] - mesh.cell_centroid[o], dhat
         ) / self.d_mag
         self.w_owner = np.clip(1.0 - t, 0.05, 0.95)
         # the interpolation as a (n_internal x n_cells) matrix: w_owner in
@@ -353,63 +349,61 @@ class _FvGeometry:
             shape=(len(o), mesh.n_cells))
 
         # boundary faces
-        bo = mesh.owner[self.boundary]
+        bo = mesh.owner[boundary]
         self.b_owner = bo
-        db = mesh.face_centroid[self.boundary] - mesh.cell_centroid[bo]
-        Ab = mesh.face_area[self.boundary]
+        Ab = mesh.face_area[boundary]
         nb = Ab / np.linalg.norm(Ab, axis=1)[:, None]
         self.b_normal = nb
         self.b_delta = np.einsum("ij,ij->i", db, nb)  # wall-normal distance
-        AbdotDb = np.einsum("ij,ij->i", Ab, db)
-        _check_a_dot_d(AbdotDb, "boundary")
         AbdotAb = np.einsum("ij,ij->i", Ab, Ab)
         self.b_orth_coeff = AbdotAb / AbdotDb
-        self.b_T = Ab - db / AbdotDb[:, None] * AbdotAb[:, None]
+        b_T = Ab - db / AbdotDb[:, None] * AbdotAb[:, None]
         # any face whose T is more than round-off of its area vector;
         # relative per face, so it does not depend on the mesh's scale
         self.non_orthogonal = bool(
             np.any(np.linalg.norm(self.T, axis=1)
                    > 1e-9 * np.linalg.norm(A, axis=1))
-            or np.any(np.linalg.norm(self.b_T, axis=1)
+            or np.any(np.linalg.norm(b_T, axis=1)
                       > 1e-9 * np.linalg.norm(Ab, axis=1)))
         # on an orthogonal mesh T is round-off: make it exactly 0, so the
         # non-orthogonal flux operators agree with diffusion_term, which
         # skips the correction there
         if not self.non_orthogonal:
             self.T = np.zeros_like(self.T)
-            self.b_T = np.zeros_like(self.b_T)
         # position of each face inside the boundary ordering (-1: internal)
         self.b_index = np.full(mesh.n_faces, -1, dtype=np.int64)
-        self.b_index[self.boundary] = np.arange(len(self.boundary))
+        self.b_index[boundary] = np.arange(len(boundary))
+
+
+def _face_vectors(mesh: Mesh):
+    """The internal and the boundary faces, their d vectors (owner to
+    neighbor centroid on internal faces, owner centroid to face centroid
+    on boundary faces) and A.d on each set, from ``face_area`` and the
+    centroids. Raises InvalidArgumentError if A.d <= 0 on a face of
+    either set: its area vector does not point along its d."""
+    internal = np.flatnonzero(mesh.neighbor >= 0)
+    boundary = np.flatnonzero(mesh.neighbor < 0)
+    d = (mesh.cell_centroid[mesh.neighbor[internal]]
+         - mesh.cell_centroid[mesh.owner[internal]])
+    db = (mesh.face_centroid[boundary]
+          - mesh.cell_centroid[mesh.owner[boundary]])
+    a_dot_d = np.einsum("ij,ij->i", mesh.face_area[internal], d)
+    b_a_dot_d = np.einsum("ij,ij->i", mesh.face_area[boundary], db)
+    for where, dots in (("internal", a_dot_d), ("boundary", b_a_dot_d)):
+        if np.any(dots <= 0.0):
+            raise InvalidArgumentError(f"{where} face with non-positive A.d")
+    return internal, boundary, d, db, a_dot_d, b_a_dot_d
 
 
 def non_orthogonality(mesh: Mesh):
     """The internal faces, their owner-to-neighbor centroid vectors d and
     the angle (deg) between each one's area vector A and d, from
     ``face_area`` and the centroids alone, without building ``mesh.fv``.
-    Raises InvalidArgumentError where ``mesh.fv`` would: A.d <= 0 on an
-    internal face, or on a boundary face with d from the owner centroid to
-    the face centroid."""
-    internal = np.flatnonzero(mesh.neighbor >= 0)
-    boundary = np.flatnonzero(mesh.neighbor < 0)
+    Raises InvalidArgumentError where ``mesh.fv`` would (``_face_vectors``)."""
+    internal, _, d, _, a_dot_d, _ = _face_vectors(mesh)
     A = mesh.face_area[internal]
-    d = (mesh.cell_centroid[mesh.neighbor[internal]]
-         - mesh.cell_centroid[mesh.owner[internal]])
-    AdotD = np.einsum("ij,ij->i", A, d)
-    _check_a_dot_d(AdotD, "internal")
-    db = (mesh.face_centroid[boundary]
-          - mesh.cell_centroid[mesh.owner[boundary]])
-    _check_a_dot_d(np.einsum("ij,ij->i", mesh.face_area[boundary], db),
-                   "boundary")
-    cosang = AdotD / (np.linalg.norm(A, axis=1) * np.linalg.norm(d, axis=1))
+    cosang = a_dot_d / (np.linalg.norm(A, axis=1) * np.linalg.norm(d, axis=1))
     return internal, d, np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-
-
-def _check_a_dot_d(a_dot_d, where):
-    """Refuse the ``where`` faces if the area vector A of one does not
-    point along its d (A.d <= 0)."""
-    if np.any(a_dot_d <= 0.0):
-        raise InvalidArgumentError(f"{where} face with non-positive A.d")
 
 
 def mesh_quality(mesh: Mesh) -> QualityReport:

@@ -20,8 +20,9 @@ the coordinates, and the FACES section from the ``nv, loop, owner,
 neighbor`` numbers of every face laid end to end, with the loops oriented
 by ``Mesh.oriented_loops``: each id is formatted once into a table, the
 numbers pick their strings from it by array indexing, and one join makes
-the section (``_int_rows``). ``read_mesh`` parses each
-section in one array operation and hands ``Mesh`` the face loops as the
+the section (``_int_rows``). ``read_mesh`` parses each section in one
+array operation, counts the numbers on each FACES line in one scan of the
+section's bytes (``_widths``), and hands ``Mesh`` the face loops as the
 flat (loops, lengths) arrays it stores; faces whose vertex, owner or
 neighbor ids are out of range are a ``SchemaError`` of the FACES section,
 and so is every other file content that ``Patch`` or ``Mesh`` refuses (an
@@ -109,13 +110,29 @@ class _Lines:
         return int(tok[1])
 
 
-def _numbers(lines, dtype, what):
-    """Every whitespace-separated number of ``lines``, parsed in one
-    array operation."""
+def _numbers(text, dtype, what):
+    """Every whitespace-separated number of ``text``, parsed in one array
+    operation."""
     try:
-        return np.fromstring(" ".join(lines), dtype=dtype, sep=" ")
+        return np.fromstring(text, dtype=dtype, sep=" ")
     except ValueError:
         raise SchemaError(f"malformed {what} section")
+
+
+def _widths(text, n_lines):
+    """The number of tokens on each of the ``n_lines`` lines of ``text``:
+    a token starts at each byte above 32 that follows a byte of at most 32
+    (space, tab, newline, or a control byte, which ``_numbers`` refuses
+    like any other whitespace ``str.split`` knows) or starts the text."""
+    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    gap = b <= 32
+    start = np.empty(len(b), dtype=bool)
+    start[:1] = ~gap[:1]
+    np.greater(gap[:-1], gap[1:], out=start[1:])
+    tokens = np.flatnonzero(start)
+    ends = np.searchsorted(tokens, np.flatnonzero(b == 10))
+    # "" is no line as well as one empty line: n_lines tells them apart
+    return np.diff(ends, prepend=0, append=len(tokens))[:n_lines]
 
 
 def read_mesh(path) -> Mesh:
@@ -125,16 +142,16 @@ def read_mesh(path) -> Mesh:
         raise SchemaError(f"not a {_MAGIC} v{_VERSION} file: {path}")
     dim = src.section("DIM")
     npts = src.section("POINTS")
-    pts = _numbers(src.take(npts), float, "POINTS")
+    pts = _numbers("\n".join(src.take(npts)), float, "POINTS")
     if len(pts) != npts * dim:
         raise SchemaError("malformed POINTS section")
     pts = pts.reshape(npts, dim)
 
     # one face per line: nv v0 ... v(nv-1) owner neighbor
-    lines = src.take(src.section("FACES"))
-    width = np.fromiter(map(len, map(str.split, lines)), np.int64,
-                        len(lines))
-    flat = _numbers(lines, np.int64, "FACES")
+    n_faces = src.section("FACES")
+    text = "\n".join(src.take(n_faces))
+    width = _widths(text, n_faces)
+    flat = _numbers(text, np.int64, "FACES")
     start = np.cumsum(width) - width
     if np.any(width < 3) or np.any(flat[start] != width - 3):
         raise SchemaError("malformed FACES line")
@@ -153,7 +170,7 @@ def read_mesh(path) -> Mesh:
         if len(parts) < 3 or not parts[2].isdigit():
             raise SchemaError(f"malformed patch line: {head!r}")
         name, kind, cnt = parts[0], parts[1], int(parts[2])
-        ids = _numbers([ids], np.int64, f"patch {name}")
+        ids = _numbers(ids, np.int64, f"patch {name}")
         if len(ids) != cnt:
             raise SchemaError(f"patch {name}: face count mismatch")
         try:

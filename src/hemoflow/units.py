@@ -11,11 +11,6 @@ LMIN_TO_M3S = 1.6667e-5
 LMIN_TO_CM3S = LMIN_TO_M3S * 1e6
 M3S_TO_CM3S = 1.0e6
 DYN_CM2_TO_PA = 0.1
-PA_TO_DYN_CM2 = 10.0
-
-# 1 dyne.s/cm^5 = 1e5 Pa.s/m^3 ; 1 cm^5/dyne = 1e-5 m^3/Pa
-DYNSCM5_TO_PASM3 = 1.0e5
-CM5DYN_TO_M3PA = 1.0e-5
 
 
 def lmin_to_m3s(q):

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidArgumentError
-from .units import (
-    MMHG_TO_DYN_CM2,
-    LMIN_TO_CM3S,
-    DYNSCM5_TO_PASM3,
-    CM5DYN_TO_M3PA,
-    DYN_CM2_TO_PA,
-    M3S_TO_CM3S,
-    PA_TO_DYN_CM2,
-)
+from .units import LMIN_TO_CM3S, MMHG_TO_DYN_CM2
 
 PROXIMAL_FRACTION = 0.056
 
@@ -69,8 +61,10 @@ class OutletGeometry:
 
 @dataclass
 class WindkesselOutlet:
-    """RCR outlet: proximal/distal resistance, compliance, and the stored
-    proximal-node pressure state. Distal pressure is pinned to zero.
+    """RCR outlet: proximal/distal resistance, compliance, and the
+    starting value of the proximal-node pressure. Distal pressure is
+    pinned to zero. A run keeps the proximal pressure in its
+    ``FlowState.p_p``, so the outlet itself never changes.
 
     Units: resistances dyne.s/cm^5, compliance cm^5/dyne, pressures
     dyn/cm^2, flow cm^3/s.
@@ -80,27 +74,11 @@ class WindkesselOutlet:
     R_p: float
     R_d: float
     C: float
-    p_p: float = 0.0        # proximal node pressure [dyn/cm^2]
+    p_p: float = 0.0        # starting proximal pressure [dyn/cm^2]
 
     def __post_init__(self):
         if min(self.R_p, self.R_d, self.C) <= 0:
             raise InvalidArgumentError("R_p, R_d, C must be positive")
-
-    def to_si(self):
-        """(R_p, R_d, C) in Pa.s/m^3 and m^3/Pa."""
-        return (self.R_p * DYNSCM5_TO_PASM3,
-                self.R_d * DYNSCM5_TO_PASM3,
-                self.C * CM5DYN_TO_M3PA)
-
-    @classmethod
-    def from_si(cls, name, R_p_si, R_d_si, C_si, p_p_pa=0.0):
-        return cls(name, R_p_si / DYNSCM5_TO_PASM3, R_d_si / DYNSCM5_TO_PASM3,
-                   C_si / CM5DYN_TO_M3PA, p_p=p_p_pa * PA_TO_DYN_CM2)
-
-    def pressure_pa(self, Q_m3s):
-        """Downstream boundary pressure p = p_p + R_p Q, in Pa."""
-        q = Q_m3s * M3S_TO_CM3S
-        return (self.p_p + self.R_p * q) * DYN_CM2_TO_PA
 
 
 def cardiac_period(SV, CO):
@@ -164,17 +142,18 @@ def estimate_outlet_set(record: ClinicalRecord, outlets, total_C=None,
     return result
 
 
-def advance_outlet(outlet: WindkesselOutlet, Q_n, dt):
-    """One implicit first-order step of the RCR model.
+def advance_outlet(outlet: WindkesselOutlet, p_p, Q_n, dt):
+    """One implicit first-order step of the RCR model from the proximal
+    pressure ``p_p`` [dyn/cm^2], with ``Q_n`` in cm^3/s and ``dt`` in s.
 
-    ``Q_n`` in cm^3/s, ``dt`` in s. Updates the stored proximal pressure and
-    returns (outlet, p_next) with p_next = p_p^{n+1} + R_p Q_n  [dyn/cm^2].
+    Returns (p_p^{n+1}, p_b) with p_b = p_p^{n+1} + R_p Q_n, the outlet's
+    boundary pressure [dyn/cm^2]. The outlet is not changed.
     """
     if dt <= 0:
         raise InvalidArgumentError("dt must be positive")
     c_dt = outlet.C / dt
-    outlet.p_p = (c_dt * outlet.p_p + Q_n) / (c_dt + 1.0 / outlet.R_d)
-    return outlet, outlet.p_p + outlet.R_p * Q_n
+    p_next = (c_dt * p_p + Q_n) / (c_dt + 1.0 / outlet.R_d)
+    return p_next, p_next + outlet.R_p * Q_n
 
 
 # -- table I/O ----------------------------------------------------------------

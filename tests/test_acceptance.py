@@ -215,25 +215,23 @@ def test_criterion_5_lumped_outlet_coupling():
         cfg = SolverConfig(dt=dt, t_end=t_end, convection_scheme="upwind",
                            lin_tol=1e-8, continuity_tol=1e-5,
                            cfl_max=1e9, cfl_action="warn")
-        solver = PisoSolver(mesh, bcs, fluid, cfg)
-        return solver, outlet
+        return PisoSolver(mesh, bcs, fluid, cfg)
 
     # constant inflow: outlet pressure converges to (R_p + R_d) Q
-    solver, outlet = build(Q, 0.0, dt=0.01, t_end=10.0 * tau)
+    solver = build(Q, 0.0, dt=0.01, t_end=10.0 * tau)
     r = np.linalg.norm(mesh.cell_centroid[:, :2], axis=1)
     u0 = np.zeros((mesh.n_cells, 3))
     u0[:, 2] = 2.0 * (Q / (np.pi * 0.01**2 / 4.0)) * (1.0 - (r / 0.005)**2)
     state = solver.run(solver.initialize(u=u0))
     q_cgs = state.patch_flux("outlet") * 1e6
-    p_bc = outlet.p_p + R_p * q_cgs
+    p_bc = state.p_p[0] + R_p * q_cgs
     e_steady = deviation_pct(p_bc, (R_p + R_d) * Q * 1e6)
 
-    # no inflow: stored pressure decays with the relaxation time R_d C,
-    # resolved with dt = 0.0133 tau (comfortably below 0.02 tau)
+    # no inflow: the proximal pressure decays with the relaxation time
+    # R_d C, resolved with dt = 0.0133 tau (comfortably below 0.02 tau)
     p0 = R_d * Q * 1e6
-    solver, outlet = build(0.0, p0, dt=0.002, t_end=tau)
-    solver.run()
-    e_decay = deviation_pct(outlet.p_p, p0 / np.e)
+    state = build(0.0, p0, dt=0.002, t_end=tau).run()
+    e_decay = deviation_pct(state.p_p[0], p0 / np.e)
 
     ok = e_steady <= 1.0 and e_decay <= 2.0
     criterion(5, "flow solver coupled to the RCR outlet model", ok,

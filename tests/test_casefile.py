@@ -1,12 +1,14 @@
 """Case file loading: strict schema with precise error messages."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from hemoflow.casefile import load_case
 from hemoflow.errors import SchemaError
-from hemoflow.fv import (FixedPressureBC, InflowBC, NoSlipBC, WindkesselBC)
+from hemoflow.fv import (FixedPressureBC, InflowBC, NoSlipBC, SolverConfig,
+                         WindkesselBC)
 from hemoflow.mesh import generate_channel_mesh, write_mesh
 
 
@@ -90,6 +92,13 @@ def test_unknown_key_is_named_in_the_error(case_dir):
     doc["solver"]["dtt"] = 0.01
     with pytest.raises(SchemaError, match="dtt"):
         load_case(write_case(case_dir, doc))
+
+
+def test_every_solver_setting_is_a_solver_key(case_dir):
+    doc = base_case()
+    doc["solver"] = asdict(SolverConfig(dt=0.02, max_steps=7))
+    assert load_case(write_case(case_dir, doc)).solver == SolverConfig(
+        dt=0.02, max_steps=7)
 
 
 def test_unknown_boundary_key_is_named(case_dir):

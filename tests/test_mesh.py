@@ -162,6 +162,20 @@ class TestQualityGate:
         assert gate == np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).max()
         assert 0.0 <= gate < NON_ORTHOGONALITY_CAP_DEG
 
+    @pytest.mark.parametrize("refuse", [lambda mesh: mesh.fv,
+                                        non_orthogonality],
+                             ids=["fv_cache", "non_orthogonality"])
+    @pytest.mark.parametrize("cell, centroid, where", [
+        (1, (-0.5, 0.125), "internal"),   # behind its face with cell 0
+        (0, (-1.0, 0.05), "boundary"),    # outside its x = 0 face
+    ])
+    def test_a_dot_d_refusal_is_shared(self, refuse, cell, centroid, where):
+        mesh = generate_box_mesh(3, 2, (1.0, 0.5))
+        mesh.cell_centroid[cell] = centroid
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^{where} face with non-positive A.d$"):
+            refuse(mesh)
+
 
 class TestQualityReport:
     def test_single_cell_report(self):

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hemoflow.errors import SchemaError
 from hemoflow.mesh import (Mesh, generate_bifurcation_mesh, generate_box_mesh,
                            generate_channel_mesh, generate_pipe_mesh,
                            read_mesh, write_mesh, write_vtk)
+from hemoflow.mesh.meshio import _widths
 
 from test_mesh import flat_loops, loop_list
 
@@ -107,6 +110,15 @@ def test_read_matches_a_line_by_line_parse(tmp_path, make):
     assert mesh.neighbor.tolist() == neighbor
     assert {name: (p.kind, p.meta, p.face_ids.tolist())
             for name, p in mesh.patches.items()} == patches
+
+
+@given(st.lists(st.lists(st.sampled_from(["7", "-1", "245", " ", "\t"]),
+                         max_size=9).map("".join), max_size=6))
+def test_widths_count_the_tokens_of_each_line(lines):
+    """``read_mesh`` takes the FACES line widths from one byte scan; they
+    are what ``str.split`` counts, on lines of any spacing."""
+    assert (_widths("\n".join(lines), len(lines)).tolist()
+            == [len(line.split()) for line in lines])
 
 
 def write_line_by_line(mesh, path):

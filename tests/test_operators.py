@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hemoflow.errors import InvalidArgumentError
 from hemoflow.fv import (boundary_values_from_patches, convective_term,
                          diffusion_term, face_interpolate, gauss_gradient,
-                         gradient_term, vector_gauss_gradient)
+                         gradient_term)
 from hemoflow.fv.operators import (CONVECTION_SCHEMES, BoundaryValues,
                                    face_dot_matrix, gradient_matrix,
                                    nonorth_flux_matrix)
@@ -40,7 +40,7 @@ def test_vector_gradient_matches_componentwise_scalar_gradient():
     mesh = generate_box_mesh(6, 5, (1.0, 1.0), shear=0.2)
     x = mesh.cell_centroid
     u = np.column_stack([1.5 * x[:, 0] - 2.0 * x[:, 1], 0.5 * x[:, 1]])
-    grad = vector_gauss_gradient(u, mesh)
+    grad = gauss_gradient(u, mesh)
     assert np.allclose(grad[:, 0, :],
                        gauss_gradient(u[:, 0], mesh))
     assert np.allclose(grad[:, 1, :],

@@ -368,34 +368,87 @@ def test_one_operator_gives_the_flux_on_every_face(make):
     assert fixed.any() and not phi_fixed[off].any()
 
 
-def test_windkessel_pressure_lives_in_the_pressure_boundary_values():
-    """``advance_windkessel`` steps the outlet's stored proximal pressure
-    and writes p_p + R_p Q into the outlet's rows of the pressure boundary
-    values, and into no other row; the next step reads them from there."""
+def rcr_bifurcation(p0=0.0, **config):
+    """The 452-cell bifurcation with an RCR outlet starting at ``p0``
+    (dyn/cm^2), and that outlet."""
     mesh = generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0,
                                      resolution=8)
     Q = 4.0 / 60000.0
     outlet = WindkesselOutlet("outlet", R_p=4.8, R_d=43.2, C=1.2e-3,
-                              p_p=4000.0)
+                              p_p=p0)
     bcs = BoundaryConditionSet({
         "inlet": (InflowBC(Q), PressureZeroGradientBC()),
         "wall": (NoSlipBC(), PressureZeroGradientBC()),
         "outlet": (VelocityZeroGradientBC(), WindkesselBC(outlet)),
     })
-    solver = PisoSolver(mesh, bcs, FLUID, SolverConfig(
-        dt=0.01, n_nonorth=2, convection_scheme="upwind", cfl_max=1e9))
+    cfg = SolverConfig(**{"dt": 0.01, "t_end": 0.5, "n_nonorth": 2,
+                          "convection_scheme": "upwind", "cfl_max": 1e9,
+                          **config})
+    fluid = FluidProperties(rho=1060.0, mu=3e-4)
+    return PisoSolver(mesh, bcs, fluid, cfg), outlet
+
+
+def same_state(a, b):
+    return (a.time == b.time and np.array_equal(a.u, b.u)
+            and np.array_equal(a.p, b.p) and np.array_equal(a.p_p, b.p_p))
+
+
+def test_windkessel_pressure_lives_in_the_pressure_boundary_values():
+    """A step takes one RCR step from the state's proximal pressure with
+    the state's outlet flux, hands the result to the new state, and
+    writes p_p + R_p Q into the outlet's rows of the pressure boundary
+    values, and into no other row."""
+    solver, outlet = rcr_bifurcation(p0=4000.0)
+    mesh = solver.mesh
     rows = mesh.fv.b_index[mesh.patches["outlet"].face_ids]
     others = np.setdiff1d(np.arange(len(mesh.fv.boundary)), rows)
     before = solver._bp.values.copy()
-    assert np.all(before[rows] == outlet.pressure_pa(0.0))
-    state = solver.step(solver.initialize())
-    solver.advance_windkessel(state, 0.01)
+    state = solver.initialize()
+    assert state.p_p.tolist() == [4000.0]
+    new = solver.step(state)
     q = state.patch_flux("outlet") * M3S_TO_CM3S
-    assert outlet.p_p == pytest.approx((1.2e-3 / 0.01 * 4000.0 + q)
+    assert new.p_p[0] == pytest.approx((1.2e-3 / 0.01 * 4000.0 + q)
                                        / (1.2e-3 / 0.01 + 1.0 / 43.2))
     assert np.all(solver._bp.values[rows]
-                  == (outlet.p_p + outlet.R_p * q) * DYN_CM2_TO_PA)
+                  == (new.p_p[0] + outlet.R_p * q) * DYN_CM2_TO_PA)
     assert np.array_equal(solver._bp.values[others], before[others])
+    assert outlet.p_p == 4000.0
+
+
+def test_rerunning_one_solver_repeats_its_run():
+    solver, _ = rcr_bifurcation()
+    first = solver.run(solver.initialize())
+    assert first.p_p[0] > 0.0
+    assert same_state(solver.run(solver.initialize()), first)
+
+
+def test_a_copied_state_is_a_checkpoint():
+    """Two runs from copies of one mid-run state end in the same state,
+    and a direct ``step`` is the step that ``run`` takes."""
+    solver, _ = rcr_bifurcation()
+    state = solver.initialize()
+    for _ in range(10):
+        state = solver.step(state)
+    first = solver.run(state.copy())
+    assert same_state(solver.run(state.copy()), first)
+    full = solver.run(solver.initialize())
+    assert same_state(full, first)
+
+
+def test_a_run_leaves_the_outlet_unchanged():
+    solver, outlet = rcr_bifurcation(p0=1234.5)
+    state = solver.run(solver.initialize())
+    assert state.p_p[0] != 1234.5
+    assert outlet.p_p == 1234.5
+
+
+@pytest.mark.parametrize("p_p", [[], [1.0, 2.0]])
+def test_step_refuses_a_state_without_one_pressure_per_outlet(p_p):
+    solver, _ = rcr_bifurcation()
+    state = solver.initialize()
+    state.p_p = np.array(p_p)
+    with pytest.raises(InvalidArgumentError, match="Windkessel"):
+        solver.step(state)
 
 
 def test_parabolic_profile_without_a_size_centres_on_the_faces():

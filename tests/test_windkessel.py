@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hemoflow.errors import InvalidArgumentError
 from hemoflow.units import LMIN_TO_CM3S, MMHG_TO_DYN_CM2
@@ -106,20 +104,22 @@ class TestOutletStepping:
     def test_constant_flow_reaches_resistive_steady_state(self):
         out = WindkesselOutlet("o", R_p=100.0, R_d=1500.0, C=1e-3)
         Q = 80.0  # cm^3/s
-        p = 0.0
+        p_p = out.p_p
         for _ in range(40000):  # ~27 relaxation times R_d C
-            out, p = advance_outlet(out, Q, 1e-3)
+            p_p, p = advance_outlet(out, p_p, Q, 1e-3)
         assert p == pytest.approx((100.0 + 1500.0) * Q, rel=1e-9)
-        assert out.p_p == pytest.approx(1500.0 * Q, rel=1e-9)
+        assert p_p == pytest.approx(1500.0 * Q, rel=1e-9)
+        assert out.p_p == 0.0
 
     def test_zero_flow_decay_matches_backward_euler_closed_form(self):
         R_d, C, dt, p0 = 1500.0, 1e-3, 1e-3, 1e5
         out = WindkesselOutlet("o", R_p=100.0, R_d=R_d, C=C, p_p=p0)
         n = 500
+        p_p = out.p_p
         for _ in range(n):
-            out, _ = advance_outlet(out, 0.0, dt)
-        assert out.p_p == pytest.approx(p0 / (1.0 + dt / (R_d * C)) ** n,
-                                        rel=1e-12)
+            p_p, _ = advance_outlet(out, p_p, 0.0, dt)
+        assert p_p == pytest.approx(p0 / (1.0 + dt / (R_d * C)) ** n,
+                                    rel=1e-12)
 
     def test_zero_flow_decay_time_constant(self):
         """One relaxation time R_d*C leaves p0/e, matched within 2%."""
@@ -127,36 +127,15 @@ class TestOutletStepping:
         tau = R_d * C
         dt = tau / 200.0
         out = WindkesselOutlet("o", R_p=100.0, R_d=R_d, C=C, p_p=p0)
+        p_p = out.p_p
         for _ in range(200):
-            out, _ = advance_outlet(out, 0.0, dt)
-        assert out.p_p == pytest.approx(p0 / np.e, rel=0.02)
+            p_p, _ = advance_outlet(out, p_p, 0.0, dt)
+        assert p_p == pytest.approx(p0 / np.e, rel=0.02)
 
     def test_rejects_nonpositive_dt(self):
         out = WindkesselOutlet("o", R_p=1.0, R_d=1.0, C=1.0)
         with pytest.raises(InvalidArgumentError):
-            advance_outlet(out, 1.0, 0.0)
-
-
-class TestUnits:
-    def test_boundary_pressure_in_pascal(self):
-        out = WindkesselOutlet("o", R_p=50.0, R_d=1000.0, C=1e-3,
-                               p_p=1000.0)
-        Q = 2.0e-5  # m^3/s = 20 cm^3/s
-        # (p_p + R_p Q_cgs) dyn/cm^2 -> Pa
-        assert out.pressure_pa(Q) == pytest.approx(
-            (1000.0 + 50.0 * 20.0) * 0.1, rel=1e-12)
-
-    @given(R_p=st.floats(1.0, 1e4), R_d=st.floats(1.0, 1e5),
-           C=st.floats(1e-6, 1e-2), p=st.floats(0.0, 2e5))
-    @settings(max_examples=50, deadline=None)
-    def test_si_round_trip(self, R_p, R_d, C, p):
-        out = WindkesselOutlet("o", R_p=R_p, R_d=R_d, C=C, p_p=p)
-        back = WindkesselOutlet.from_si("o", *out.to_si(),
-                                        p_p_pa=out.p_p * 0.1)
-        assert back.R_p == pytest.approx(R_p, rel=1e-12)
-        assert back.R_d == pytest.approx(R_d, rel=1e-12)
-        assert back.C == pytest.approx(C, rel=1e-12)
-        assert back.p_p == pytest.approx(p, rel=1e-12, abs=1e-12)
+            advance_outlet(out, 0.0, 1.0, 0.0)
 
 
 class TestCsv:
