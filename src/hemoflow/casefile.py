@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
-from typing import Optional
 
 from .errors import InvalidArgumentError, SchemaError
 from .fv.boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
@@ -46,7 +45,6 @@ class Case:
     solver: SolverConfig
     boundary_spec: dict
     output: dict
-    path: Optional[str] = None
     initial: dict = field(default_factory=dict)
 
     def load_mesh(self):
@@ -158,4 +156,4 @@ def load_case(path):
     if not os.path.isabs(mesh_path):
         mesh_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                                  mesh_path)
-    return Case(mesh_path, fluid, solver, bnd, out, path=path, initial=init)
+    return Case(mesh_path, fluid, solver, bnd, out, initial=init)

@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 runtime/numerical failure, 2 usage or schema
 error.
 
 Environment: HEMOFLOW_OUTDIR overrides the default output directory,
-HEMOFLOW_WORKERS caps sweep concurrency, HEMOFLOW_LOG sets the log level.
+HEMOFLOW_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -71,12 +71,8 @@ def cmd_mesh(args):
 
 # -- single run -------------------------------------------------------------------
 
-def _wall_patches(mesh):
-    return [n for n, p in mesh.patches.items() if p.kind == "wall"]
-
-
-def _run_case(case, inflow_lmin=None, observer=None):
-    mesh = case.load_mesh()
+def _run_case(case, mesh, inflow_lmin=None, observer=None):
+    """Solve ``case`` on ``mesh`` from a cold start: (solver, final state)."""
     bcs = case.build_bcs(mesh, inflow_override_lmin=inflow_lmin)
     solver = PisoSolver(mesh, bcs, case.fluid, case.solver)
     u0 = None
@@ -87,30 +83,32 @@ def _run_case(case, inflow_lmin=None, observer=None):
                 uf = vbc.face_velocities(mesh, mesh.patches[name], 0.0)
                 u0 = np.tile(uf.mean(axis=0), (mesh.n_cells, 1))
     state = solver.run(solver.initialize(u=u0), observer=observer)
-    return mesh, solver, state
+    return solver, state
 
 
 def cmd_fom_run(args):
     case = load_case(args.case)
+    mesh = case.load_mesh()
     out = _outdir(args, case.output.get("dir", "."))
     times, pavg = [], []
-    probes = [tuple(p) for p in case.output.get("probes", [])]
+    probes = case.output.get("probes", [])
+    # the cell whose centroid is nearest each probe point
+    probe_cells = [int(np.argmin(np.linalg.norm(
+        mesh.cell_centroid - np.asarray(xy), axis=1))) for xy in probes]
     probe_rows = []
 
     def observer(st):
         times.append(st.time)
         pavg.append(volume_avg_pressure(st.p, st.mesh))
-        if probes:
+        if probe_cells:
             row = [st.time]
-            for xy in probes:
-                c = int(np.argmin(np.linalg.norm(
-                    st.mesh.cell_centroid - np.asarray(xy), axis=1)))
+            for c in probe_cells:
                 row.append(st.p[c])
                 row.extend(st.u[c])
             probe_rows.append(row)
 
     t0 = time.perf_counter()
-    mesh, solver, state = _run_case(case, observer=observer)
+    solver, state = _run_case(case, mesh, observer=observer)
     elapsed = time.perf_counter() - t0
 
     cell_data = {"p": state.p}
@@ -142,60 +140,53 @@ def cmd_fom_run(args):
 
 # -- sweep ------------------------------------------------------------------------
 
-def _steady_fields(mesh, solver, state):
-    """Field dict stored per snapshot: p, |WSS| on walls, velocity parts."""
-    fields = {"p": state.p}
-    wss = []
-    for name in _wall_patches(mesh):
-        wss.append(wall_shear_stress(state, mesh, solver.fluid, name).magnitude())
-    if wss:
-        fields["wss"] = np.concatenate(wss)
+def _snapshot(mesh, fluid, state):
+    """{field name: (values, quadrature weights)} stored per sweep point:
+    p, |WSS| on the wall patches and the velocity parts; p and velocity
+    are weighted by cell volume, |WSS| by wall face area."""
+    vol = mesh.cell_volume
+    snap = {"p": (state.p, vol)}
+    walls = [(n, p) for n, p in mesh.patches.items() if p.kind == "wall"]
+    if walls:
+        snap["wss"] = (
+            np.concatenate([wall_shear_stress(state, mesh, fluid, n).magnitude()
+                            for n, _ in walls]),
+            np.concatenate([mesh.face_area_mag[p.face_ids] for _, p in walls]))
     for i, ax in enumerate("xyz"[:mesh.dim]):
-        fields[f"u_{ax}"] = state.u[:, i]
-    return fields
+        snap[f"u_{ax}"] = (state.u[:, i], vol)
+    return snap
 
 
-def _sweep_one(case_path, pf, delta_p):
-    case = load_case(case_path)
+def _sweep_point(case, mesh, pf):
+    """Cold-start solve at inflow ``pf`` l/min: (snapshot, wall seconds)."""
     t0 = time.perf_counter()
-    mesh, solver, state = _run_case(case, inflow_lmin=pf)
+    solver, state = _run_case(case, mesh, inflow_lmin=pf)
     elapsed = time.perf_counter() - t0
-    omega = pump.pump_speed_for(pump.reference_model(), pf, delta_p)
-    return mesh, solver, _steady_fields(mesh, solver, state), omega, elapsed
+    return _snapshot(mesh, solver.fluid, state), elapsed
 
 
 def cmd_sweep(args):
     plan = SweepPlan(args.lo, args.hi, args.count, delta_p=args.delta_p)
     db = SnapshotDB(args.out)
-    workers = int(args.workers or os.environ.get("HEMOFLOW_WORKERS", "1"))
     params = [pf for pf in plan.params() if not db.has_entry(pf)]
     skipped = plan.count - len(params)
     if skipped:
         log.info("resuming sweep: %d entries already complete", skipped)
-
-    def run_one(pf):
-        return (pf,) + _sweep_one(args.case, pf, plan.delta_p)
-
-    def store(results):
-        """Persist each entry as soon as its point has finished."""
-        for pf, mesh, solver, fields, omega, elapsed in results:
-            db.add_entry(pf, fields, omega_rpm=omega, fom_seconds=elapsed)
-            log.info("PF=%.3f l/min  omega=%.0f rpm  %.1f s", pf, omega, elapsed)
-            if not db.manifest["weights"]:
-                db.set_weights("p", mesh.cell_volume)
-                for ax in "xyz"[:mesh.dim]:
-                    db.set_weights(f"u_{ax}", mesh.cell_volume)
-                if "wss" in fields:
-                    db.set_weights("wss", np.concatenate([
-                        mesh.face_area_mag[mesh.patches[n].face_ids]
-                        for n in _wall_patches(mesh)]))
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            store(pool.map(run_one, params))
-    else:
-        store(map(run_one, params))
+    if params:
+        case = load_case(args.case)
+        mesh = case.load_mesh()
+    for pf in params:
+        snap, elapsed = _sweep_point(case, mesh, pf)
+        omega = pump.pump_speed_for(pump.reference_model(), pf, plan.delta_p)
+        # weights first, so that a stored entry has them all even when the
+        # sweep is killed between the two
+        for name, (_, weights) in snap.items():
+            if name not in db.manifest["weights"]:
+                db.set_weights(name, weights)
+        # each entry is stored as soon as its point is solved
+        db.add_entry(pf, {n: v for n, (v, _) in snap.items()},
+                     omega_rpm=omega, fom_seconds=elapsed)
+        log.info("PF=%.3f l/min  omega=%.0f rpm  %.1f s", pf, omega, elapsed)
     print(f"snapshot database: {args.out} ({db.params().size} entries)")
     return 0
 
@@ -410,7 +401,9 @@ def build_parser():
     ps.add_argument("--hi", type=float, required=True)
     ps.add_argument("--count", type=int, required=True)
     ps.add_argument("--delta-p", type=float, default=75.0)
-    ps.add_argument("--workers", type=int)
+    # sweeps run serially; the flag stays only for callers that still pass
+    # "--workers 1" and goes with the next change to the benchmark
+    ps.add_argument("--workers", type=int, choices=[1])
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_sweep)
 

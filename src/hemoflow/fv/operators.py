@@ -186,7 +186,8 @@ def gauss_gradient(field, mesh, bvals=None):
 
 
 def _face_values(u, phi, mesh, scheme, bvals):
-    """Convected face values u_j on internal faces for a given scheme."""
+    """Convected face values u_j on internal faces for a given scheme, one
+    of ``CONVECTION_SCHEMES`` (``convective_term`` checks it)."""
     g = mesh.fv
     u = np.asarray(u, dtype=float)
     phi_i = phi[g.internal]
@@ -196,11 +197,10 @@ def _face_values(u, phi, mesh, scheme, bvals):
     uf = u[donors]
     if scheme == "upwind":
         return uf
-    if scheme == "second-order-upwind":
-        grad = gauss_gradient(u, mesh, bvals)
-        dx = mesh.face_centroid[g.internal] - mesh.cell_centroid[donors]
-        return uf + np.einsum("fij,fj->fi", grad[donors], dx)
-    raise InvalidArgumentError(f"unknown convection scheme {scheme!r}")
+    # second-order upwind
+    grad = gauss_gradient(u, mesh, bvals)
+    dx = mesh.face_centroid[g.internal] - mesh.cell_centroid[donors]
+    return uf + np.einsum("fij,fj->fi", grad[donors], dx)
 
 
 def convective_term(u, phi, mesh, scheme="second-order-upwind", bvals=None):

@@ -97,14 +97,16 @@ def generate_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
              "ymax": n_vert + ny * nx + np.arange(nx)}
 
     patch_kinds = patch_kinds or {}
-    patches = []
-    merged = {}
+    unknown = set(patch_kinds) - set(sides)
+    if unknown:
+        raise InvalidArgumentError(f"unknown box side {sorted(unknown)[0]!r}; "
+                                   f"sides are {', '.join(sides)}")
+    # one patch per kind, named after it; Patch refuses an unknown kind
+    by_kind = {}
     for side, faces in sides.items():
-        kind = patch_kinds.get(side, "wall")
-        name = kind if kind in ("inlet", "outlet") else "wall"
-        merged.setdefault((name, kind if name != "wall" else "wall"), []).append(faces)
-    for (name, kind), faces in merged.items():
-        patches.append(Patch(name, kind, np.concatenate(faces)))
+        by_kind.setdefault(patch_kinds.get(side, "wall"), []).append(faces)
+    patches = [Patch(kind, kind, np.concatenate(faces))
+               for kind, faces in by_kind.items()]
     return _check_quality(_edge_mesh(pts, blocks, patches))
 
 

@@ -1,14 +1,21 @@
 """Command-line interface: exit codes and a small end-to-end workflow."""
 
+import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import hemoflow.casefile
 import hemoflow.cli
 from hemoflow.cli import main
 from hemoflow.errors import SolverFailure
-from hemoflow.mesh import generate_bifurcation_mesh, read_mesh
+from hemoflow.mesh import generate_bifurcation_mesh, read_mesh, write_mesh
 from hemoflow.snapshots import SnapshotDB, load_models, save_models
 
 
@@ -147,37 +154,171 @@ class TestWorkflow:
         assert (out / "energy.csv").exists()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch,
-                                                 workers):
+def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):
     """A failing 2nd point ends the sweep with exit 1; the point solved
     before it stays in the database and a rerun solves only the missing
-    ones, on the serial and on the thread path."""
+    ones."""
     case = make_case(tmp_path)
     db = str(tmp_path / "db")
-    solve = hemoflow.cli._sweep_one
+    solve = hemoflow.cli._sweep_point
     solved = []
 
-    def fail_second(case_path, pf, delta_p):
+    def fail_second(case, mesh, pf):
         if pf == 4.0:
             raise SolverFailure("injected failure", [1.0])
-        return solve(case_path, pf, delta_p)
+        return solve(case, mesh, pf)
 
-    def record(case_path, pf, delta_p):
+    def record(case, mesh, pf):
         solved.append(pf)
-        return solve(case_path, pf, delta_p)
+        return solve(case, mesh, pf)
 
     argv = ["sweep", str(case), "--lo", "3", "--hi", "5", "--count", "3",
-            "--workers", workers, "--out", db]
-    monkeypatch.setattr(hemoflow.cli, "_sweep_one", fail_second)
+            "--workers", "1", "--out", db]
+    monkeypatch.setattr(hemoflow.cli, "_sweep_point", fail_second)
     assert main(argv) == 1
     assert np.allclose(SnapshotDB(db).params(), [3.0])
     assert SnapshotDB(db).weights("p") is not None
 
-    monkeypatch.setattr(hemoflow.cli, "_sweep_one", record)
+    monkeypatch.setattr(hemoflow.cli, "_sweep_point", record)
     assert main(argv) == 0
     assert np.allclose(sorted(solved), [4.0, 5.0])
     assert np.allclose(SnapshotDB(db).params(), [3.0, 4.0, 5.0])
+
+
+@pytest.mark.parametrize("workers", ["0", "2"])
+def test_sweep_runs_serially_only(tmp_path, workers):
+    case = make_case(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        main(["sweep", str(case), "--lo", "3", "--hi", "5", "--count", "3",
+              "--workers", workers, "--out", str(tmp_path / "db")])
+    assert stop.value.code == 2
+    assert not (tmp_path / "db").exists()
+
+
+def test_sweep_reads_the_case_and_the_mesh_once(tmp_path, monkeypatch):
+    """Once per command, not once per point; a rerun with every entry
+    complete reads neither."""
+    case = make_case(tmp_path)
+    calls = {"load_case": 0, "read_mesh": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(hemoflow.cli, "load_case")
+    count(hemoflow.casefile, "read_mesh")
+    argv = ["sweep", str(case), "--lo", "3", "--hi", "5", "--count", "3",
+            "--out", str(tmp_path / "db")]
+    assert main(argv) == 0
+    assert calls == {"load_case": 1, "read_mesh": 1}
+    assert main(argv) == 0
+    assert calls == {"load_case": 1, "read_mesh": 1}
+
+
+def test_sweep_stopped_while_writing_weights_completes_them(tmp_path,
+                                                            monkeypatch):
+    """A sweep stopped after the first of a field's weights is written
+    leaves no entry without weights, and a rerun writes the rest."""
+    case = make_case(tmp_path)
+    db = str(tmp_path / "db")
+    set_weights = SnapshotDB.set_weights
+
+    def stop_after_the_first(self, name, values):
+        set_weights(self, name, values)
+        raise KeyboardInterrupt
+
+    argv = ["sweep", str(case), "--lo", "3", "--hi", "5", "--count", "3",
+            "--out", db]
+    monkeypatch.setattr(SnapshotDB, "set_weights", stop_after_the_first)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert len(SnapshotDB(db).manifest["weights"]) == 1
+    assert SnapshotDB(db).params().size == 0
+
+    monkeypatch.setattr(SnapshotDB, "set_weights", set_weights)
+    assert main(argv) == 0
+    done = SnapshotDB(db)
+    assert set(done.manifest["weights"]) == set(done.field_names()) \
+        == {"p", "u_x", "u_y", "wss"}
+
+
+def test_killed_sweep_resumes(tmp_path, monkeypatch):
+    """SIGKILL a sweep process once its first entry is stored: a rerun of
+    the same command stores every point, each file passing its checksum,
+    and solves only the points the killed run had not stored."""
+    mesh = generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, resolution=8)
+    write_mesh(mesh, tmp_path / "bif.hfm")
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps({
+        "schema": "hemoflow-case/1",
+        "mesh": "bif.hfm",
+        "fluid": {"rho": 1060.0, "mu": 3e-4},
+        "boundary": {
+            "inlet": {"velocity": {"type": "inflow", "flow_lmin": 4.0},
+                      "pressure": {"type": "zero-gradient"}},
+            "wall": {"velocity": {"type": "no-slip"},
+                     "pressure": {"type": "zero-gradient"}},
+            "outlet": {"velocity": {"type": "zero-gradient"},
+                       "pressure": {"type": "windkessel", "R_p": 4.8,
+                                    "R_d": 43.2, "C": 1.2e-3,
+                                    "p0_mmhg": 2.16}},
+        },
+        "solver": {"dt": 0.05, "t_end": 20.0, "steady_tol": 5e-5,
+                   "n_nonorth": 2, "convection_scheme": "upwind",
+                   "lin_tol": 1e-7, "continuity_tol": 1e-6, "cfl_max": 1e9,
+                   "cfl_action": "warn"},
+        "initial": {"from_inflow": True},
+    }))
+    db = tmp_path / "db"
+    argv = ["sweep", str(case), "--lo", "3", "--hi", "5", "--count", "4",
+            "--out", str(db)]
+    plan = np.linspace(3.0, 5.0, 4)
+
+    src = os.path.dirname(os.path.dirname(hemoflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen([sys.executable, "-m", "hemoflow.cli", *argv],
+                            env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120.0
+        while proc.poll() is None and time.monotonic() < deadline:
+            manifest = db / "manifest.json"
+            if manifest.exists() and json.loads(manifest.read_text())["entries"]:
+                break
+            time.sleep(0.005)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    assert proc.returncode == -signal.SIGKILL
+
+    kept = SnapshotDB(db)
+    stored = [pf for pf in plan if kept.has_entry(pf)]
+    kept_meta = {pf: kept.entry_meta(pf) for pf in stored}
+    assert 1 <= len(stored) < plan.size
+
+    solved = []
+    add_entry = SnapshotDB.add_entry
+
+    def record(self, param, fields, **meta):
+        solved.append(param)
+        return add_entry(self, param, fields, **meta)
+
+    monkeypatch.setattr(SnapshotDB, "add_entry", record)
+    assert main(argv) == 0
+    assert sorted(solved) == [pf for pf in plan if pf not in stored]
+    done = SnapshotDB(db)
+    assert np.allclose(done.params(), plan)
+    assert all(done.has_entry(pf) for pf in plan)
+    assert {pf: done.entry_meta(pf) for pf in stored} == kept_meta
+    assert set(done.manifest["weights"]) == set(done.field_names())
+    for rec in done.manifest["weights"].values():
+        data = (db / rec["file"]).read_bytes()
+        assert rec["checksum"] == "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def test_mesh_accepts_integer_resolution(tmp_path):

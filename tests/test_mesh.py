@@ -625,6 +625,16 @@ def test_box_generator_matches_the_loop_reference(nx, ny, shear, origin,
                      loop_box_mesh(*args, **kwargs))
 
 
+@pytest.mark.parametrize("patch_kinds, message", [
+    ({"xmin": "inflow", "xmax": "outlet"}, "unknown patch kind 'inflow'"),
+    ({"left": "inlet", "xmax": "outlet"}, "unknown box side 'left'"),
+])
+def test_box_generator_refuses_an_unknown_kind_or_side(patch_kinds, message):
+    """Neither a misspelt kind nor a misspelt side turns into a wall."""
+    with pytest.raises(InvalidArgumentError, match=message):
+        generate_box_mesh(3, 2, (1.0, 1.0), patch_kinds=patch_kinds)
+
+
 
 @given(resolution=st.integers(3, 12), branch_angle=st.floats(30.0, 150.0),
        junction_at=st.floats(0.2, 0.7),
