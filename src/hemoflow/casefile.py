@@ -18,7 +18,7 @@ from .fv.boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
                           pulsatile_waveform)
 from .fv.piso import FluidProperties, SolverConfig
 from .mesh import read_mesh
-from .units import MMHG_TO_DYN_CM2, MMHG_TO_PA, lmin_to_m3s
+from .units import MMHG_TO_DYN_CM2, lmin_to_m3s
 from .windkessel import WindkesselOutlet
 
 SCHEMA = "hemoflow-case/1"
@@ -64,9 +64,8 @@ class Case:
 
 
 def _build_velocity(spec, patch, override_lmin):
-    _check_keys(spec, {"type", "flow_lmin", "flow_m3s", "profile",
-                       "pulsatile", "period_s"},
-                f"boundary.{patch}.velocity")
+    _check_keys(spec, {"type", "flow_lmin", "profile", "pulsatile",
+                       "period_s"}, f"boundary.{patch}.velocity")
     kind = spec.get("type")
     if kind == "no-slip":
         return NoSlipBC()
@@ -77,11 +76,9 @@ def _build_velocity(spec, patch, override_lmin):
             q = lmin_to_m3s(override_lmin)
         elif "flow_lmin" in spec:
             q = lmin_to_m3s(float(spec["flow_lmin"]))
-        elif "flow_m3s" in spec:
-            q = float(spec["flow_m3s"])
         else:
             raise SchemaError(f"boundary.{patch}.velocity: inflow needs "
-                              "flow_lmin or flow_m3s")
+                              "flow_lmin")
         if spec.get("pulsatile"):
             _require("period_s" in spec,
                      f"boundary.{patch}.velocity: pulsatile needs period_s")
@@ -91,17 +88,15 @@ def _build_velocity(spec, patch, override_lmin):
 
 
 def _build_pressure(spec, patch):
-    _check_keys(spec, {"type", "value_pa", "value_mmhg", "R_p", "R_d", "C",
-                       "p0_mmhg"}, f"boundary.{patch}.pressure")
+    _check_keys(spec, {"type", "value_pa", "R_p", "R_d", "C", "p0_mmhg"},
+                f"boundary.{patch}.pressure")
     kind = spec.get("type")
     if kind == "zero-gradient":
         return PressureZeroGradientBC()
     if kind == "fixed":
-        if "value_pa" in spec:
-            return FixedPressureBC(float(spec["value_pa"]))
-        if "value_mmhg" in spec:
-            return FixedPressureBC(float(spec["value_mmhg"]) * MMHG_TO_PA)
-        raise SchemaError(f"boundary.{patch}.pressure: fixed needs a value")
+        _require("value_pa" in spec,
+                 f"boundary.{patch}.pressure: fixed needs value_pa")
+        return FixedPressureBC(float(spec["value_pa"]))
     if kind == "windkessel":
         for key in ("R_p", "R_d", "C"):
             _require(key in spec,

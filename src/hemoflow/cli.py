@@ -5,8 +5,7 @@ training and evaluation, clinical-table validation, and report emission.
 Exit codes: 0 success, 1 runtime/numerical failure, 2 usage or schema
 error.
 
-Environment: HEMOFLOW_OUTDIR overrides the default output directory,
-HEMOFLOW_LOG sets the log level.
+Environment: HEMOFLOW_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ import numpy as np
 
 from . import indicators, podi, pump, refdata, units, windkessel
 from .casefile import load_case
-from .errors import HemoflowError, InvalidArgumentError, SchemaError
+from .errors import (HemoflowError, InvalidArgumentError, SchemaError,
+                     SolverFailure)
 from .fv import InflowBC, PisoSolver
 from .indicators import TimeSeries, pas_pad_pam, volume_avg_pressure, wall_shear_stress
 from .mesh import (generate_bifurcation_mesh, generate_channel_mesh,
@@ -33,7 +33,7 @@ log = logging.getLogger("hemoflow")
 
 
 def _outdir(args, default="."):
-    d = getattr(args, "out_dir", None) or os.environ.get("HEMOFLOW_OUTDIR", default)
+    d = getattr(args, "out_dir", None) or default
     os.makedirs(d, exist_ok=True)
     return d
 
@@ -125,7 +125,11 @@ def cmd_fom_run(args):
 
     series = TimeSeries(np.asarray(times), np.asarray(pavg))
     pas, pad, pam = pas_pad_pam(series)
+    tol = case.solver.steady_tol
     lines = [f"time integrated: {state.time:.6g} s  (wall {elapsed:.1f} s)",
+             "steady_tol: none set" if tol is None else
+             f"steady_tol {tol:g} {'met' if state.converged else 'NOT met'} "
+             f"after {len(times)} steps",
              f"PAS = {pas/units.MMHG_TO_PA:.2f} mmHg",
              f"PAD = {pad/units.MMHG_TO_PA:.2f} mmHg",
              f"PAM = {pam/units.MMHG_TO_PA:.2f} mmHg"]
@@ -158,10 +162,19 @@ def _snapshot(mesh, fluid, state):
 
 
 def _sweep_point(case, mesh, pf):
-    """Cold-start solve at inflow ``pf`` l/min: (snapshot, wall seconds)."""
+    """Cold-start solve at inflow ``pf`` l/min: (snapshot, wall seconds).
+    SolverFailure when the run stops without meeting ``steady_tol``."""
+    steps = [0]
+
+    def count(_):
+        steps[0] += 1
     t0 = time.perf_counter()
-    solver, state = _run_case(case, mesh, inflow_lmin=pf)
+    solver, state = _run_case(case, mesh, inflow_lmin=pf, observer=count)
     elapsed = time.perf_counter() - t0
+    if state.converged is False:
+        raise SolverFailure(
+            f"PF={pf:g} l/min: steady_tol {case.solver.steady_tol:g} not met "
+            f"at t={state.time:.6g} s after {steps[0]} steps")
     return _snapshot(mesh, solver.fluid, state), elapsed
 
 
@@ -209,9 +222,6 @@ def cmd_rom_train(args):
     save_models(args.out, models,
                 meta={"threshold": args.threshold, "kind": args.kind,
                       "db": os.path.abspath(args.db)})
-    if args.energy_csv:
-        _write_csv(args.energy_csv, ["field", "modes", "cumulative_energy"],
-                   _energy_rows(models))
     print(f"wrote {args.out}")
     return 0
 
@@ -412,7 +422,6 @@ def build_parser():
     pt.add_argument("--threshold", type=float, default=0.999)
     pt.add_argument("--kind", choices=list(podi.INTERPOLATION_KINDS),
                     default="linear")
-    pt.add_argument("--energy-csv")
     pt.add_argument("--out", required=True)
     pt.set_defaults(func=cmd_rom_train)
 

@@ -295,7 +295,7 @@ class JacobiBiCGStab(Krylov):
     def factor(self, A):
         super().factor(A)
         d = A.diagonal()
-        self._M = spla.LinearOperator(A.shape, lambda v: v / d)
+        self._M = spla.LinearOperator(A.shape, lambda v: v / d, dtype=float)
 
     def _iterate(self, b, x0, atol, maxiter):
         return spla.bicgstab(self.A, b, x0=x0, rtol=0.0, atol=atol,
@@ -421,7 +421,8 @@ class TwoGrid(Krylov):
             z += e[to_band]
             z += s * (r - A @ z)
             return z
-        return spla.LinearOperator(A.shape, cycle)
+        # with a dtype given, scipy does not probe the cycle to infer one
+        return spla.LinearOperator(A.shape, cycle, dtype=float)
 
     def _iterate(self, b, x0, atol, maxiter):
         """The coarse factor is rebuilt when a solve takes more than

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from ..errors import InvalidArgumentError
 
-CONVECTION_SCHEMES = ("upwind", "second-order-upwind", "central")
+CONVECTION_SCHEMES = ("upwind", "second-order-upwind")
 
 
 @dataclass
@@ -190,10 +190,7 @@ def _face_values(u, phi, mesh, scheme, bvals):
     of ``CONVECTION_SCHEMES`` (``convective_term`` checks it)."""
     g = mesh.fv
     u = np.asarray(u, dtype=float)
-    phi_i = phi[g.internal]
-    if scheme == "central":
-        return face_interpolate(u, mesh)
-    donors = np.where(phi_i >= 0.0, g.i_owner, g.i_neigh)
+    donors = np.where(phi[g.internal] >= 0.0, g.i_owner, g.i_neigh)
     uf = u[donors]
     if scheme == "upwind":
         return uf

@@ -79,13 +79,14 @@ class FluidProperties:
 class SolverConfig:
     dt: float = 1e-3
     t_end: float = 1.0
-    n_piso: int = 2
-    n_nonorth: int = 1
-    convection_scheme: str = "second-order-upwind"
+    n_piso: int = 2                   # pressure correctors per step
+    n_nonorth: int = 2                # pressure solves per corrector on
+                                      # non-orthogonal meshes (else one)
+    convection_scheme: str = "second-order-upwind"   # or "upwind"
     lin_tol: float = 1e-6             # Krylov solves: 3D, wide-2D momentum
     cfl_max: float = 5.0
     cfl_action: str = "warn"          # "warn" | "error"
-    steady_tol: float = None          # stop early when |du|/dt stalls
+    steady_tol: float = None          # stop when du/(dt u_ref) falls below
     continuity_tol: float = 1e-6      # relative cell imbalance after step
     max_steps: int = None
 
@@ -99,8 +100,8 @@ class SolverConfig:
             raise InvalidArgumentError("cfl_action must be 'warn' or 'error'")
         if self.n_piso < 1:
             raise InvalidArgumentError("need at least one pressure corrector")
-        if self.n_nonorth < 0:
-            raise InvalidArgumentError("n_nonorth must be >= 0")
+        if self.n_nonorth < 1:
+            raise InvalidArgumentError("n_nonorth must be >= 1")
         for name in ("lin_tol", "cfl_max", "continuity_tol"):
             if not getattr(self, name) > 0:
                 raise InvalidArgumentError(f"{name} must be positive")
@@ -112,7 +113,10 @@ class SolverConfig:
 
 class FlowState:
     """Velocity/pressure/face-flux fields at one time level, and each
-    Windkessel outlet's proximal pressure (``p_p``, dyn/cm^2)."""
+    Windkessel outlet's proximal pressure (``p_p``, dyn/cm^2).
+
+    ``converged`` is set on the state that ``PisoSolver.run`` returns:
+    whether the run met ``steady_tol``, None when it has none."""
 
     def __init__(self, mesh, u=None, p=None, phi=None, time=0.0, p_p=()):
         self.mesh = mesh
@@ -125,6 +129,7 @@ class FlowState:
         if self.u.shape != (nc, mesh.dim) or self.p.shape != (nc,) \
                 or self.phi.shape != (nf,) or self.p_p.ndim != 1:
             raise InvalidArgumentError("field shape does not match mesh")
+        self.converged = None
         self._gross = None      # (phi it was summed from, gross flux)
 
     def copy(self):
@@ -300,7 +305,7 @@ class PisoSolver:
             rhs_p0 = rhs_pb - g.D @ phi_star
 
             corr = 0.0
-            for _ in range(max(cfg.n_nonorth, 1)):
+            for _ in range(cfg.n_nonorth if self._has_nonorth else 1):
                 rhs_p = rhs_p0
                 if self._has_nonorth:
                     corr = rAU_f * (self._NG @ pb)
@@ -308,8 +313,6 @@ class PisoSolver:
                 p = linsolve.solve_cg(self._pressure, rhs_p, x0=p,
                                       tol=cfg.lin_tol)
                 pb[:nc] = p
-                if not self._has_nonorth:
-                    break
 
             # flux and velocity correction (non-orth part kept in the flux
             # so the cell balances close to the linear-solver tolerance)
@@ -370,7 +373,7 @@ class PisoSolver:
             rhs -= rho * (convective_term(state.u, phi, mesh,
                                           cfg.convection_scheme, bu)
                           - convective_term(state.u, phi, mesh, "upwind", bu))
-        if cfg.n_nonorth >= 1 and self._has_nonorth:
+        if self._has_nonorth:
             # non-orthogonal part of the diffusive face flux; its
             # orthogonal and boundary parts are implicit in A
             rhs += self._K_u @ np.concatenate(
@@ -408,13 +411,14 @@ class PisoSolver:
     # -- time loop -----------------------------------------------------------
 
     def run(self, state=None, observer=None):
-        """March to t_end (or steady state). Returns the final state."""
+        """March to t_end, max_steps or steady state. Returns the final
+        state (a new one, even after no step), its ``converged`` set."""
         cfg = self.config
-        if state is None:
-            state = self.initialize()
+        state = self.initialize() if state is None else state.copy()
         n_max = cfg.max_steps or int(round((cfg.t_end - state.time) / cfg.dt)) + 1
         uref = 0.0
         steps = 0
+        steady = False
         while state.time < cfg.t_end - 1e-12 and steps < n_max:
             dt = min(cfg.dt, cfg.t_end - state.time)
             new = self.step(state, dt)
@@ -432,5 +436,7 @@ class PisoSolver:
             if observer is not None:
                 observer(state)
             if cfg.steady_tol is not None and du / (dt * uref) < cfg.steady_tol:
+                steady = True
                 break
+        state.converged = steady if cfg.steady_tol is not None else None
         return state

@@ -113,14 +113,13 @@ def total_compliance(PAS, PAD, SV):
     return SV / ((PAS - PAD) * MMHG_TO_DYN_CM2)
 
 
-def estimate_outlet_set(record: ClinicalRecord, outlets, total_C=None,
-                        initial_pressure_from_record=True):
+def estimate_outlet_set(record: ClinicalRecord, outlets, total_C=None):
     """Estimate one RCR triple per outlet from a clinical record.
 
     R_k = RVS * (sum A)/A_k, split R_p/R = 0.056; C_k = C * A_k/(sum A).
     ``total_C`` defaults to the compliance computed from the record's
     PAS/PAD/SV (pre-surgery); post-surgery records reuse a supplied
-    pre-surgery value.
+    pre-surgery value. Each proximal pressure starts at the record's PAM.
     """
     if not outlets:
         raise InvalidArgumentError("need at least one outlet")
@@ -131,7 +130,7 @@ def estimate_outlet_set(record: ClinicalRecord, outlets, total_C=None,
                 "total_C not given and record lacks PAS/PAD/SV to estimate it")
         total_C = total_compliance(record.PAS, record.PAD, record.SV)
     sum_a = sum(o.area for o in outlets)
-    p0 = record.PAM * MMHG_TO_DYN_CM2 if initial_pressure_from_record else 0.0
+    p0 = record.PAM * MMHG_TO_DYN_CM2
     result = []
     for o in outlets:
         r_k = rvs * sum_a / o.area

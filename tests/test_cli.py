@@ -63,8 +63,9 @@ def workflow(tmp_path_factory):
 
     model = str(root / "model.npz")
     assert main(["rom-train", db, "--threshold", "0.9999999",
-                 "--out", model,
-                 "--energy-csv", str(root / "energy.csv")]) == 0
+                 "--out", model]) == 0
+    assert main(["report", "--model", model,
+                 "--out-dir", str(root / "spectrum")]) == 0
     return {"root": root, "case": case, "db": db, "model": model}
 
 
@@ -76,6 +77,8 @@ class TestWorkflow:
         assert (run / "probes.csv").exists()
         report = (run / "report.txt").read_text()
         assert "PAM" in report
+        steps = len((run / "p_avg.csv").read_text().splitlines()) - 1
+        assert f"steady_tol 1e-05 met after {steps} steps" in report
 
     def test_sweep_database_contents(self, workflow):
         db = SnapshotDB(workflow["db"])
@@ -100,7 +103,8 @@ class TestWorkflow:
         models, meta = load_models(workflow["model"])
         assert meta["threshold"] == 0.9999999
         assert {"p", "u_x", "u_y", "wss"} <= set(models)
-        energy = (workflow["root"] / "energy.csv").read_text().splitlines()
+        energy = (workflow["root"] / "spectrum"
+                  / "energy.csv").read_text().splitlines()
         assert energy[0] == "field,modes,cumulative_energy"
         last = float(energy[-1].split(",")[-1])
         assert last == pytest.approx(1.0, abs=1e-12)
@@ -122,6 +126,24 @@ class TestWorkflow:
                      "--out-dir", str(out)]) == 0
         assert (out / "rom_p_4.2.csv").exists()
         assert "per parameter point" in (out / "timing.txt").read_text()
+
+    def test_rom_eval_ignores_hemoflow_outdir(self, workflow, tmp_path,
+                                              monkeypatch):
+        """Without --out-dir the output goes to the working directory."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HEMOFLOW_OUTDIR", str(tmp_path / "elsewhere"))
+        assert main(["rom-eval", workflow["model"], "--params", "4.2"]) == 0
+        assert (tmp_path / "timing.txt").exists()
+        assert not (tmp_path / "elsewhere").exists()
+
+    def test_rom_train_has_no_energy_csv(self, workflow, tmp_path):
+        """The spectrum is written by ``report --model`` only."""
+        with pytest.raises(SystemExit) as stop:
+            main(["rom-train", workflow["db"], "--out",
+                  str(tmp_path / "m.npz"), "--energy-csv",
+                  str(tmp_path / "energy.csv")])
+        assert stop.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_rom_eval_refuses_extrapolation(self, workflow):
         out = workflow["root"] / "eval_bad"
@@ -183,6 +205,43 @@ def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert np.allclose(sorted(solved), [4.0, 5.0])
     assert np.allclose(SnapshotDB(db).params(), [3.0, 4.0, 5.0])
+
+
+def test_sweep_refuses_a_point_short_of_steady_tol(tmp_path, capsys):
+    """A point that stops at max_steps before meeting steady_tol fails
+    the sweep (exit 1) and stores no entry; fom-run reports it."""
+    case = make_case(tmp_path)
+    doc = json.loads(case.read_text())
+    doc["solver"]["max_steps"] = 2
+    case.write_text(json.dumps(doc))
+    db = tmp_path / "db"
+    capsys.readouterr()
+    assert main(["sweep", str(case), "--lo", "3", "--hi", "5", "--count",
+                 "3", "--out", str(db)]) == 1
+    err = capsys.readouterr().err
+    assert "PF=3 l/min" in err and "steady_tol" in err and "2 steps" in err
+    assert json.loads((db / "manifest.json").read_text())["entries"] == []
+    assert main(["fom-run", str(case), "--out-dir", str(tmp_path / "run")]) == 0
+    report = (tmp_path / "run" / "report.txt").read_text()
+    assert "steady_tol 1e-05 NOT met after 2 steps" in report
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["solver"].update(n_nonorth=0),
+    lambda doc: doc["solver"].update(convection_scheme="central"),
+    lambda doc: doc["boundary"]["inlet"].update(
+        velocity={"type": "inflow", "flow_m3s": 6.7e-5}),
+    lambda doc: doc["boundary"]["outlet"].update(
+        pressure={"type": "fixed", "value_mmhg": 0.0}),
+], ids=["n_nonorth=0", "central", "flow_m3s", "value_mmhg"])
+def test_removed_case_settings_are_usage_errors(tmp_path, capsys, edit):
+    case = make_case(tmp_path)
+    doc = json.loads(case.read_text())
+    edit(doc)
+    case.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["fom-run", str(case), "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("workers", ["0", "2"])

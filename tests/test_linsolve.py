@@ -649,6 +649,28 @@ def test_coarse_factor_is_lagged_until_the_iterations_double(monkeypatch):
     assert len(factors) == 2
 
 
+def test_each_cg_iteration_makes_one_coarse_solve(monkeypatch):
+    """A LinearOperator built without a dtype is probed once by scipy to
+    infer one, which cost one two-grid cycle (a coarse ``dpbtrs``) per
+    pressure solve."""
+    solver = pipe_solver()
+    state = solver.step(solver.initialize())
+    coarse_solves = []
+    dpbtrs = linsolve.dpbtrs
+
+    def counted(*args, **kwargs):
+        coarse_solves.append(1)
+        return dpbtrs(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "dpbtrs", counted)
+    counter = _CountingCG()
+    monkeypatch.setattr(linsolve, "spla", counter)
+    solver.step(state)
+    assert len(counter.iterations) == solver.config.n_piso
+    assert min(counter.iterations) > 0
+    assert len(coarse_solves) == sum(counter.iterations)
+
+
 def test_stale_coarse_factor_is_rebuilt_before_the_lu_fallback(monkeypatch):
     solver = pipe_solver()
     state = solver.step(solver.initialize())

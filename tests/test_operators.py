@@ -116,7 +116,7 @@ def test_convection_of_constant_field_is_divergence_free():
     u = np.tile([2.0, -1.0], (mesh.n_cells, 1))
     bvals = boundary_values_from_patches(
         mesh, {name: np.array([2.0, -1.0]) for name in mesh.patches})
-    for scheme in ("upwind", "second-order-upwind", "central"):
+    for scheme in ("upwind", "second-order-upwind"):
         div = convective_term(u, phi, mesh, scheme=scheme, bvals=bvals)
         assert np.abs(div).max() < 1e-12
 
@@ -126,6 +126,8 @@ def test_convection_rejects_unknown_scheme():
     u = np.zeros((mesh.n_cells, 2))
     with pytest.raises(InvalidArgumentError):
         convective_term(u, np.zeros(mesh.n_faces), mesh, scheme="quick")
+    with pytest.raises(InvalidArgumentError):
+        convective_term(u, np.zeros(mesh.n_faces), mesh, scheme="central")
 
 
 def test_operators_work_on_3d_meshes():

@@ -89,6 +89,27 @@ def test_converges_from_perturbed_initial_state(channel):
     assert np.abs(state2.u - state.u).max() < 1e-3 * np.abs(state.u).max()
 
 
+def test_run_records_whether_steady_tol_was_met(channel):
+    """``converged`` is None without a ``steady_tol``, False when the run
+    stops at ``max_steps`` first; the state given to ``run`` is left as
+    it was."""
+    _, state = channel
+    assert state.converged is True
+    mesh = generate_channel_mesh(1.0, H, 24, 10)
+    bcs = poiseuille_bcs(mesh, U_MEAN * H, profile="parabolic")
+    for steady_tol, expected in ((None, None), (1e-7, False)):
+        solver = PisoSolver(mesh, bcs, FLUID, SolverConfig(
+            dt=0.005, max_steps=2, steady_tol=steady_tol))
+        start = solver.initialize()
+        assert solver.run(start).converged is expected
+        assert start.converged is None and start.time == 0.0
+    solver = PisoSolver(mesh, bcs, FLUID, SolverConfig(
+        dt=0.005, t_end=0.01, steady_tol=1e-7))
+    late = solver.initialize(t=0.01)
+    assert solver.run(late).converged is False
+    assert late.converged is None
+
+
 def test_cfl_breach_raises_when_configured():
     mesh = generate_channel_mesh(1.0, H, 24, 10)
     bcs = poiseuille_bcs(mesh, U_MEAN * H, profile="parabolic")
@@ -250,7 +271,7 @@ def test_solver_builds_the_face_operators_of_its_masks(make, nonorth):
 
 @given(nx=st.integers(2, 7), ny=st.integers(2, 7),
        length=st.floats(1e-4, 1.0), aspect=st.floats(0.2, 5.0),
-       shear=st.floats(0.0, 0.5), n_nonorth=st.integers(0, 2),
+       shear=st.floats(0.0, 0.5), n_nonorth=st.integers(1, 2),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_banded_step_balances_every_cell_on_sheared_boxes(
@@ -290,6 +311,8 @@ def test_config_validation():
         SolverConfig(dt=-1.0)
     with pytest.raises(InvalidArgumentError):
         SolverConfig(convection_scheme="quick")
+    with pytest.raises(InvalidArgumentError, match="central"):
+        SolverConfig(convection_scheme="central")
     with pytest.raises(InvalidArgumentError):
         SolverConfig(cfl_action="ignore")
     with pytest.raises(InvalidArgumentError):
@@ -300,13 +323,16 @@ def test_config_validation():
 
 @pytest.mark.parametrize("key, value", [
     ("max_steps", 0), ("max_steps", -3), ("lin_tol", -1.0), ("lin_tol", 0.0),
-    ("continuity_tol", 0.0), ("n_nonorth", -1), ("steady_tol", -1.0),
+    ("continuity_tol", 0.0), ("n_nonorth", -1), ("n_nonorth", 0),
+    ("steady_tol", -1.0),
     ("steady_tol", 0.0), ("cfl_max", 0.0), ("cfl_max", float("nan")),
 ])
 def test_config_rejects_values_it_would_ignore_or_misuse(key, value):
     """``max_steps=0`` used to be ignored (the run went on to t_end),
-    ``max_steps=-3`` returned the initial state after no step, and the
-    tolerances and limits were taken as given."""
+    ``max_steps=-3`` returned the initial state after no step, the
+    tolerances and limits were taken as given, and ``n_nonorth=0`` ran
+    the pressure loop of 1 but dropped the deferred non-orthogonal
+    momentum diffusion."""
     with pytest.raises(InvalidArgumentError, match=key):
         SolverConfig(**{key: value})
 
@@ -324,16 +350,29 @@ def test_deferred_nonorth_momentum_correction_is_the_diffusion_difference():
     state = solver.initialize(u=u)
     bu, _ = solver._velocity_bvals(state.time)
 
-    def rhs(n_nonorth):
-        solver.config.n_nonorth = n_nonorth
-        return solver._momentum_system(state, state.phi, bu, 1e-3)[2]
-
-    with_corr, without = rhs(1), rhs(0)
+    with_corr = solver._momentum_system(state, state.phi, bu, 1e-3)[2]
+    source = solver._K_u @ np.concatenate([u, bu.values[solver._fixed_u]])
     ref = FLUID.mu * (diffusion_term(u, mesh, n_corr=1, bvals=bu)
                       - diffusion_term(u, mesh, n_corr=0, bvals=bu))
     assert np.abs(ref).max() > 1e-6 * np.abs(with_corr).max()
-    assert np.allclose(with_corr - without, ref, rtol=0.0,
+    assert np.allclose(source.reshape(ref.shape), ref, rtol=0.0,
                        atol=1e-12 * np.abs(with_corr).max())
+
+
+def test_default_config_stays_bounded_on_the_bifurcation():
+    """The benchmark's bifurcation on the default scheme and correctors:
+    with one pressure solve per corrector, max |p| reached ~1e126 Pa by
+    step 60 and the NaN failure came only at step 132; with two it stays
+    at a few Pa."""
+    mesh = generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, resolution=8)
+    bcs = poiseuille_bcs(mesh, 4.0 / 60000.0, profile="plug")
+    solver = PisoSolver(mesh, bcs, FluidProperties(1060.0, 3e-4),
+                        SolverConfig(dt=0.01))
+    state = solver.initialize()
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            state = solver.step(state)
+    assert np.abs(state.p).max() < 100.0
 
 
 @pytest.mark.parametrize("make", [

@@ -91,6 +91,11 @@ class TestOutletEstimation:
         for o in outs:
             assert o.p_p == pytest.approx(93.0 * MMHG_TO_DYN_CM2, rel=1e-12)
 
+    def test_initial_pressure_is_always_the_record_pam(self):
+        with pytest.raises(TypeError):
+            estimate_outlet_set(self.REC, self.GEO,
+                                initial_pressure_from_record=False)
+
     def test_supplied_total_compliance_is_used(self):
         outs = estimate_outlet_set(self.REC, self.GEO, total_C=4e-4)
         assert sum(o.C for o in outs) == pytest.approx(4e-4, rel=1e-12)
