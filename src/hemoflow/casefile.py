@@ -53,6 +53,9 @@ class Case:
     def build_bcs(self, mesh, inflow_override_lmin=None):
         """Instantiate the BC set; an inflow override (l/min) replaces the
         flow rate of every inflow patch (used by parameter sweeps)."""
+        for name in mesh.patches:
+            _require(name in self.boundary_spec,
+                     f"boundary: mesh patch {name!r} has no entry")
         conds = {}
         for name, spec in self.boundary_spec.items():
             _require(name in mesh.patches,
@@ -72,16 +75,18 @@ def _build_velocity(spec, patch, override_lmin):
     if kind == "zero-gradient":
         return VelocityZeroGradientBC()
     if kind == "inflow":
+        where = f"boundary.{patch}.velocity"
+        for key in ("flow_lmin", "period_s"):
+            _require(key not in spec or float(spec[key]) > 0,
+                     f"{where}: {key} must be positive")
         if override_lmin is not None:
             q = lmin_to_m3s(override_lmin)
         elif "flow_lmin" in spec:
             q = lmin_to_m3s(float(spec["flow_lmin"]))
         else:
-            raise SchemaError(f"boundary.{patch}.velocity: inflow needs "
-                              "flow_lmin")
+            raise SchemaError(f"{where}: inflow needs flow_lmin")
         if spec.get("pulsatile"):
-            _require("period_s" in spec,
-                     f"boundary.{patch}.velocity: pulsatile needs period_s")
+            _require("period_s" in spec, f"{where}: pulsatile needs period_s")
             q = pulsatile_waveform(q, float(spec["period_s"]))
         return InflowBC(q, spec.get("profile", "plug"))
     raise SchemaError(f"boundary.{patch}.velocity: unknown type {kind!r}")

@@ -123,8 +123,12 @@ def cmd_fom_run(args):
             hdr += [f"p{i}_pa"] + [f"u{i}_{ax}" for ax in "xyz"[:mesh.dim]]
         _write_csv(os.path.join(out, "probes.csv"), hdr, probe_rows)
 
+    # a pulsatile inflow's report covers the last (longest) cardiac period
+    periods = [float(s["velocity"]["period_s"])
+               for s in case.boundary_spec.values()
+               if s["velocity"].get("pulsatile")]
     series = TimeSeries(np.asarray(times), np.asarray(pavg))
-    pas, pad, pam = pas_pad_pam(series)
+    pas, pad, pam = pas_pad_pam(series, max(periods, default=None))
     tol = case.solver.steady_tol
     lines = [f"time integrated: {state.time:.6g} s  (wall {elapsed:.1f} s)",
              "steady_tol: none set" if tol is None else
@@ -181,16 +185,19 @@ def _sweep_point(case, mesh, pf):
 def cmd_sweep(args):
     plan = SweepPlan(args.lo, args.hi, args.count, delta_p=args.delta_p)
     db = SnapshotDB(args.out)
-    params = [pf for pf in plan.params() if not db.has_entry(pf)]
-    skipped = plan.count - len(params)
+    # every point's pump speed comes before the first solve, so that a head
+    # the pump cannot give at some point fails the sweep before any solve
+    model = pump.reference_model()
+    omegas = {pf: pump.pump_speed_for(model, pf, plan.delta_p)
+              for pf in plan.params() if not db.has_entry(pf)}
+    skipped = plan.count - len(omegas)
     if skipped:
         log.info("resuming sweep: %d entries already complete", skipped)
-    if params:
+    if omegas:
         case = load_case(args.case)
         mesh = case.load_mesh()
-    for pf in params:
+    for pf, omega in omegas.items():
         snap, elapsed = _sweep_point(case, mesh, pf)
-        omega = pump.pump_speed_for(pump.reference_model(), pf, plan.delta_p)
         # weights first, so that a stored entry has them all even when the
         # sweep is killed between the two
         for name, (_, weights) in snap.items():

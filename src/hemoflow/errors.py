@@ -25,10 +25,6 @@ class NoSolutionError(HemoflowError, ValueError):
     """An algebraic inversion has no admissible root."""
 
 
-class FitFailure(HemoflowError, ValueError):
-    """A least-squares fit is rank deficient or otherwise degenerate."""
-
-
 class UndefinedMetricError(HemoflowError, ZeroDivisionError):
     """A relative metric was requested against a zero reference."""
 

@@ -1,9 +1,9 @@
 """Hemodynamic indicators and error metrics.
 
-Wall shear stress and its time average, inlet Reynolds numbers, volume
-averaged pressure with systolic/diastolic/mean extraction, and the two
-comparison metrics used for validation (weighted absolute percentage
-error and relative L2 field error).
+Wall shear stress, inlet Reynolds numbers, volume averaged pressure
+with systolic/diastolic/mean extraction, and the two comparison metrics
+used for validation (weighted absolute percentage error and relative L2
+field error).
 """
 
 from __future__ import annotations
@@ -82,23 +82,6 @@ def wall_shear_stress(state, mesh, props, wall_patch):
                          mesh.face_area_mag[patch.face_ids])
 
 
-def tawss(wss_series, times, T):
-    """Trapezoidal time average of |WSS| over one period of length T."""
-    if len(wss_series) < 2:
-        raise InvalidArgumentError("need at least two WSS samples")
-    times = np.asarray(times, dtype=float)
-    if len(times) != len(wss_series):
-        raise InvalidArgumentError("one time per WSS sample required")
-    span = times[-1] - times[0]
-    if not np.isclose(span, T, rtol=1e-6):
-        raise InvalidArgumentError(
-            f"samples span {span:.6g} s, expected one period T = {T:.6g} s")
-    mags = np.stack([f.magnitude() for f in wss_series])
-    avg = np.trapezoid(mags, times, axis=0) / T
-    first = wss_series[0]
-    return BoundaryField(first.patch, avg, first.face_areas)
-
-
 # -- scalar indicators ---------------------------------------------------------
 
 def reynolds_inlet(Q, A, props):
@@ -120,18 +103,19 @@ def volume_avg_pressure(p, mesh):
 def pas_pad_pam(series: TimeSeries, T=None):
     """(systolic, diastolic, mean) of a pressure trace.
 
-    With T given, the last full period of the series is used; otherwise
-    the whole series. The mean is the trapezoidal time average, clamped
-    into [diastolic, systolic]: rounding can put the quadrature of a
-    constant trace one ulp outside its own range.
+    With T given, the last full period of the series is used, and a
+    series shorter than T is refused; otherwise the whole series. The
+    mean is the trapezoidal time average, clamped into [diastolic,
+    systolic]: rounding can put the quadrature of a constant trace one
+    ulp outside its own range.
     """
     if series.times.size == 0:
         raise InvalidArgumentError("empty series")
     s = series
     if T is not None:
-        t1 = s.times[-1]
-        s = s.window(t1 - T, t1)
-        if s.times.size < 2:
+        t0 = s.times[-1] - T
+        s = s.window(t0, s.times[-1])
+        if s.times.size < 2 or series.times[0] > t0 + 1e-12:
             raise InvalidArgumentError("series does not span one period")
     pas = float(s.values.max())
     pad = float(s.values.min())

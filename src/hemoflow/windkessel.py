@@ -10,7 +10,6 @@ same areas.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,23 +152,3 @@ def advance_outlet(outlet: WindkesselOutlet, p_p, Q_n, dt):
     c_dt = outlet.C / dt
     p_next = (c_dt * p_p + Q_n) / (c_dt + 1.0 / outlet.R_d)
     return p_next, p_next + outlet.R_p * Q_n
-
-
-# -- table I/O ----------------------------------------------------------------
-
-def read_outlet_areas(path):
-    """CSV with header ``name, area_cm2`` -> list of OutletGeometry."""
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(OutletGeometry(row["name"].strip(), float(row["area_cm2"])))
-    return out
-
-
-def write_coefficients_csv(outlets, path):
-    """Emit the estimated coefficients in a diffable table layout."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "Rp_dyn_s_cm5", "Rd_dyn_s_cm5", "C_cm5_dyn"])
-        for o in outlets:
-            w.writerow([o.name, f"{o.R_p:.6g}", f"{o.R_d:.6g}", f"{o.C:.6g}"])

@@ -1,27 +1,24 @@
 """Shared fixtures for the regression and acceptance suites.
 
 The two session-scoped fixtures run transient finite-volume solves that
-take minutes in total, so they are computed once and reused by every
-test that needs a converged flow field.
+take most of the suite's time, so they are computed once and reused by
+every test that needs a converged flow field.
 """
 
 from __future__ import annotations
 
+import json
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from hemoflow.fv import (BoundaryConditionSet, FluidProperties, InflowBC,
-                         NoSlipBC, PisoSolver, PressureZeroGradientBC,
-                         SolverConfig, VelocityZeroGradientBC, WindkesselBC,
-                         poiseuille_bcs)
+from hemoflow.cli import main
+from hemoflow.fv import FluidProperties, PisoSolver, SolverConfig, poiseuille_bcs
 from hemoflow.indicators import wall_shear_stress
-from hemoflow.mesh import generate_bifurcation_mesh, generate_pipe_mesh
-from hemoflow.windkessel import WindkesselOutlet
-
-LMIN = 1.0 / 60000.0  # l/min -> m^3/s
+from hemoflow.mesh import generate_pipe_mesh
+from hemoflow.snapshots import SnapshotDB
 
 
 def solve_pipe(diameter, flow_rate, axial, radial, n_theta, fluid):
@@ -66,61 +63,62 @@ def pipe_runs():
             "seconds": time.perf_counter() - t0}
 
 
-def solve_bifurcation(mesh, fluid, pf_lmin, warm=None):
-    """Steady planar bifurcation flow with an RCR afterload at the outlet.
-
-    The proximal pressure starts at its exact steady value R_d*Q so the
-    Windkessel state needs no long capacitive transient.
-    """
-    Q = pf_lmin * LMIN
-    outlet = WindkesselOutlet("outlet", R_p=4.8, R_d=43.2, C=1.2e-3,
-                              p_p=43.2 * Q * 1e6)
-    bcs = BoundaryConditionSet({
-        "inlet": (InflowBC(Q, profile="plug"), PressureZeroGradientBC()),
-        "wall": (NoSlipBC(), PressureZeroGradientBC()),
-        "outlet": (VelocityZeroGradientBC(), WindkesselBC(outlet)),
-    })
-    cfg = SolverConfig(dt=0.01, t_end=20.0, steady_tol=5e-5, n_nonorth=2,
-                       convection_scheme="upwind", lin_tol=1e-7,
-                       continuity_tol=1e-6, cfl_max=1e9, cfl_action="warn")
-    solver = PisoSolver(mesh, bcs, fluid, cfg)
-    u0 = None if warm is None else warm.u.copy()
-    p0 = None if warm is None else warm.p.copy()
-    t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        state = solver.run(solver.initialize(u=u0, p=p0))
-    return state, time.perf_counter() - t0
+#: ``hemoflow mesh`` arguments and case file of the benchmark's bifurcation
+#: (``perfbench/workloads.bif_setup``): 452 cells, one RCR outlet whose
+#: proximal pressure starts at the steady R_d*Q of 4 l/min
+BIF_MESH = ["mesh", "bifurcation", "--length", "0.024", "--diameter", "0.004",
+            "--branch-diameter", "0.002", "--branch-angle", "45",
+            "--resolution", "8"]
+RCR = {"R_p": 4.8, "R_d": 43.2, "C": 1.2e-3}
+BIF_CASE = {
+    "schema": "hemoflow-case/1",
+    "mesh": "bif.hfm",
+    "fluid": {"rho": 1060.0, "mu": 3e-4},
+    "boundary": {
+        "inlet": {"velocity": {"type": "inflow", "flow_lmin": 4.0,
+                               "profile": "plug"},
+                  "pressure": {"type": "zero-gradient"}},
+        "wall": {"velocity": {"type": "no-slip"},
+                 "pressure": {"type": "zero-gradient"}},
+        "outlet": {"velocity": {"type": "zero-gradient"},
+                   "pressure": {"type": "windkessel", **RCR,
+                                "p0_mmhg": RCR["R_d"] * (4.0 / 60.0 * 1e3)
+                                / 1333.22}},
+    },
+    "solver": {"dt": 0.01, "t_end": 20.0, "steady_tol": 5e-5, "n_nonorth": 2,
+               "convection_scheme": "upwind", "lin_tol": 1e-7,
+               "continuity_tol": 1e-6, "cfl_max": 1e9, "cfl_action": "warn"},
+    "initial": {"from_inflow": True},
+}
 
 
 @pytest.fixture(scope="session")
-def bif_sweep():
-    """Parameter sweep of the bifurcation case over PF in [3, 5] l/min.
+def bif_sweep(tmp_path_factory):
+    """The bifurcation case swept over PF through ``hemoflow mesh`` and
+    ``hemoflow sweep``, read back from the snapshot databases.
 
-    Returns 21 equispaced training solutions (warm-started along the
-    sweep), two cold-started held-out references with their solve times,
-    and the quadrature weights for each field.
+    Returns 21 equispaced training snapshots over PF in [3, 5] l/min, two
+    held-out references at 3.45 and 4.35 l/min with their solve times
+    (each entry's ``fom_seconds``), and the quadrature weights for each
+    field. Every point starts cold, as every sweep point does.
     """
-    mesh = generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, resolution=8)
-    fluid = FluidProperties(rho=1060.0, mu=3e-4)
+    work = tmp_path_factory.mktemp("bif_sweep")
+    assert main(BIF_MESH + ["--out", str(work / "bif.hfm")]) == 0
+    case = work / "case.json"
+    case.write_text(json.dumps(BIF_CASE))
 
-    def fields(state):
-        wss = wall_shear_stress(state, mesh, fluid, "wall").magnitude()
-        return {"p": state.p.copy(), "u_x": state.u[:, 0].copy(),
-                "u_y": state.u[:, 1].copy(), "wss": wss}
+    def sweep(name, lo, hi, count):
+        db = str(work / name)
+        assert main(["sweep", str(case), "--lo", lo, "--hi", hi,
+                     "--count", count, "--out", db]) == 0
+        db = SnapshotDB(db)
+        return db, {float(pf): {n: db.load_field(pf, n)
+                                for n in db.field_names()}
+                    for pf in db.params()}
 
-    params = np.round(np.linspace(3.0, 5.0, 21), 10)
-    snaps, prev = {}, None
-    for pf in params:
-        prev, _ = solve_bifurcation(mesh, fluid, pf, warm=prev)
-        snaps[pf] = fields(prev)
-    refs, cold_seconds = {}, {}
-    for pf in (3.45, 4.35):
-        state, sec = solve_bifurcation(mesh, fluid, pf)
-        refs[pf] = fields(state)
-        cold_seconds[pf] = sec
-    volumes = mesh.cell_volume
-    weights = {"p": volumes, "u_x": volumes, "u_y": volumes,
-               "wss": mesh.face_area_mag[mesh.patches["wall"].face_ids]}
-    return {"mesh": mesh, "fluid": fluid, "params": params, "snaps": snaps,
-            "refs": refs, "cold_seconds": cold_seconds, "weights": weights}
+    train, snaps = sweep("train_db", "3", "5", "21")
+    held, refs = sweep("held_db", "3.45", "4.35", "2")
+    return {"params": train.params(), "snaps": snaps, "refs": refs,
+            "cold_seconds": {pf: held.entry_meta(pf)["fom_seconds"]
+                             for pf in refs},
+            "weights": {n: train.weights(n) for n in train.field_names()}}

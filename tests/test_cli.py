@@ -17,6 +17,7 @@ from hemoflow.cli import main
 from hemoflow.errors import SolverFailure
 from hemoflow.mesh import generate_bifurcation_mesh, read_mesh, write_mesh
 from hemoflow.snapshots import SnapshotDB, load_models, save_models
+from hemoflow.units import MMHG_TO_PA
 
 
 def make_case(tmp_path):
@@ -242,6 +243,85 @@ def test_removed_case_settings_are_usage_errors(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["fom-run", str(case), "--out-dir", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["boundary"].pop("wall"),
+    lambda doc: doc["boundary"]["inlet"]["velocity"].update(
+        pulsatile=True, period_s=0.0),
+    lambda doc: doc["boundary"]["inlet"]["velocity"].update(
+        pulsatile=True, period_s=-0.5),
+    lambda doc: doc["boundary"]["inlet"]["velocity"].update(flow_lmin=-1.0),
+], ids=["patch-without-entry", "period_s=0", "period_s<0", "flow_lmin<0"])
+def test_case_file_mistakes_are_usage_errors(tmp_path, capsys, edit):
+    case = make_case(tmp_path)
+    doc = json.loads(case.read_text())
+    edit(doc)
+    case.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["fom-run", str(case), "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: boundary")
+
+
+def pulsatile_case(tmp_path, t_end):
+    """The CLI channel with a pulsatile inflow (period 0.5 s) into an RCR
+    outlet that starts at 0 mmHg."""
+    case = make_case(tmp_path)
+    doc = json.loads(case.read_text())
+    doc["boundary"]["inlet"]["velocity"] = {
+        "type": "inflow", "flow_lmin": 0.05, "profile": "parabolic",
+        "pulsatile": True, "period_s": 0.5}
+    doc["boundary"]["outlet"]["pressure"] = {
+        "type": "windkessel", "R_p": 100.0, "R_d": 1000.0, "C": 1e-4,
+        "p0_mmhg": 0.0}
+    doc["solver"] = {"dt": 0.005, "t_end": t_end,
+                     "convection_scheme": "upwind", "lin_tol": 1e-8,
+                     "continuity_tol": 1e-5}
+    case.write_text(json.dumps(doc))
+    return case
+
+
+def test_pulsatile_report_covers_the_last_period(tmp_path):
+    """PAS/PAD/PAM of a pulsatile run come from its last period, not from
+    the start-up transient."""
+    case = pulsatile_case(tmp_path, t_end=1.5)
+    assert main(["fom-run", str(case), "--out-dir", str(tmp_path / "run")]) == 0
+    rows = np.loadtxt(tmp_path / "run" / "p_avg.csv", delimiter=",",
+                      skiprows=1)
+    last = rows[rows[:, 0] >= rows[-1, 0] - 0.5 - 1e-9, 1] / MMHG_TO_PA
+    assert last.min() > 0.1 > rows[:, 1].min() / MMHG_TO_PA
+    report = (tmp_path / "run" / "report.txt").read_text()
+    for name, value in (("PAS", last.max()), ("PAD", last.min())):
+        shown = float(report.split(f"{name} = ")[1].split()[0])
+        assert shown == pytest.approx(value, abs=0.005)
+
+
+def test_pulsatile_run_shorter_than_a_period_fails(tmp_path, capsys):
+    case = pulsatile_case(tmp_path, t_end=0.3)
+    capsys.readouterr()
+    assert main(["fom-run", str(case), "--out-dir", str(tmp_path / "run")]) == 1
+    assert "does not span one period" in capsys.readouterr().err
+
+
+def test_sweep_finds_every_pump_speed_before_solving(tmp_path, monkeypatch,
+                                                     capsys):
+    """A head the pump cannot give at some point fails the sweep before
+    its first solve (exit 1, nothing stored)."""
+    case = make_case(tmp_path)
+    runs = []
+    run = hemoflow.cli.PisoSolver.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return run(self, *args, **kwargs)
+    monkeypatch.setattr(hemoflow.cli.PisoSolver, "run", counted)
+    db = tmp_path / "db"
+    capsys.readouterr()
+    assert main(["sweep", str(case), "--lo", "0.5", "--hi", "1", "--count",
+                 "2", "--delta-p", "-5", "--out", str(db)]) == 1
+    assert "no real pump speed" in capsys.readouterr().err
+    assert runs == []
+    assert json.loads((db / "manifest.json").read_text())["entries"] == []
 
 
 @pytest.mark.parametrize("workers", ["0", "2"])

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from hemoflow.errors import InvalidArgumentError, UndefinedMetricError
 from hemoflow.fv import FlowState, FluidProperties
-from hemoflow.indicators import (BoundaryField, TimeSeries, l2_rel_error,
-                                 pas_pad_pam, reynolds_inlet, tawss,
-                                 volume_avg_pressure, wall_shear_stress,
-                                 wape)
+from hemoflow.indicators import (TimeSeries, l2_rel_error, pas_pad_pam,
+                                 reynolds_inlet, volume_avg_pressure,
+                                 wall_shear_stress, wape)
 from hemoflow.mesh import generate_pipe_mesh
 
 
@@ -41,38 +40,6 @@ class TestWallShearStress:
         n = g.b_normal[rows]
         normal_part = np.einsum("ij,ij->i", wss.values, n)
         assert np.abs(normal_part).max() < 1e-12 * wss.magnitude().max()
-
-
-class TestTawss:
-    @staticmethod
-    def field(values):
-        values = np.atleast_1d(values)
-        return BoundaryField("wall", values, np.ones_like(values))
-
-    def test_constant_field_is_its_own_average(self):
-        T = 0.8
-        times = np.linspace(0.0, T, 5)
-        series = [self.field([3.0, 4.0]) for _ in times]
-        avg = tawss(series, times, T)
-        assert np.allclose(avg.values, [3.0, 4.0])
-
-    def test_squared_sinusoid_averages_to_half_amplitude(self):
-        W, T = 2.5, 0.8
-        times = np.linspace(0.0, T, 100)
-        series = [self.field(W * np.sin(2.0 * np.pi * t / T) ** 2)
-                  for t in times]
-        avg = tawss(series, times, T)
-        assert avg.values[0] == pytest.approx(W / 2.0, rel=0.005)
-
-    def test_single_sample_is_refused(self):
-        with pytest.raises(InvalidArgumentError):
-            tawss([self.field(1.0)], [0.0], 0.8)
-
-    def test_wrong_span_is_refused(self):
-        times = np.linspace(0.0, 0.4, 10)
-        series = [self.field(1.0) for _ in times]
-        with pytest.raises(InvalidArgumentError):
-            tawss(series, times, 0.8)
 
 
 class TestReynolds:
@@ -127,6 +94,11 @@ class TestPressureEnvelope:
         values = np.where(t < 1.0, 200.0, 50.0 + 10.0 * np.sin(2 * np.pi * t))
         pas, pad, pam = pas_pad_pam(TimeSeries(t, values), T=1.0)
         assert pas <= 60.0 and pad >= 40.0
+
+    def test_series_shorter_than_a_period_is_refused(self):
+        t = np.linspace(0.1, 0.8, 50)
+        with pytest.raises(InvalidArgumentError, match="one period"):
+            pas_pad_pam(TimeSeries(t, np.sin(t)), T=0.8)
 
     def test_empty_series_is_refused(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,15 +1,13 @@
-"""Quadratic pump head curve: evaluation, inversion, and fitting."""
+"""Quadratic pump head curve: evaluation and inversion."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemoflow.errors import (FitFailure, InvalidArgumentError,
-                             NoSolutionError)
-from hemoflow.pump import (PumpCurvePoint, PumpModel, fit_pump_coefficients,
-                           pump_delta_p, pump_speed_for, reference_model,
-                           sample_curve_points)
+from hemoflow.errors import InvalidArgumentError, NoSolutionError
+from hemoflow.pump import (PumpModel, pump_delta_p, pump_speed_for,
+                           reference_model)
 
 
 class TestEvaluation:
@@ -49,42 +47,6 @@ class TestInversion:
     def test_negative_flow_is_refused(self):
         with pytest.raises(InvalidArgumentError):
             pump_speed_for(reference_model(), -1.0, 75.0)
-
-
-class TestFitting:
-    def test_fit_recovers_exact_coefficients(self):
-        pts = sample_curve_points()
-        fit = fit_pump_coefficients(pts)
-        ref = reference_model()
-        assert fit.K_A == pytest.approx(ref.K_A, rel=1e-9)
-        assert fit.K_B == pytest.approx(ref.K_B, rel=1e-6)
-        assert fit.K_C == pytest.approx(ref.K_C, rel=1e-9)
-        assert fit.rms_residual < 1e-9
-
-    def test_fit_tolerates_seeded_noise(self):
-        rng = np.random.default_rng(42)
-        ref = reference_model()
-        pts = [PumpCurvePoint(p.omega, p.PF,
-                              max(p.delta_p * (1.0 + 0.01 * rng.standard_normal()),
-                                  0.0))
-               for p in sample_curve_points()]
-        fit = fit_pump_coefficients(pts)
-        assert fit.K_A == pytest.approx(ref.K_A, rel=0.05)
-        assert fit.K_C == pytest.approx(ref.K_C, rel=0.05)
-
-    def test_too_few_points_is_a_fit_failure(self):
-        pts = sample_curve_points()[:2]
-        with pytest.raises(FitFailure):
-            fit_pump_coefficients(pts)
-
-    def test_single_speed_is_rank_deficient(self):
-        pts = [p for p in sample_curve_points() if p.omega == 5000.0]
-        with pytest.raises(FitFailure):
-            fit_pump_coefficients(pts)
-
-    def test_points_must_be_physical(self):
-        with pytest.raises(InvalidArgumentError):
-            PumpCurvePoint(5000.0, 4.0, -10.0)
 
 
 def test_head_decreases_with_flow_over_operating_envelope():

@@ -8,9 +8,8 @@ from hemoflow.units import LMIN_TO_CM3S, MMHG_TO_DYN_CM2
 from hemoflow.windkessel import (ClinicalRecord, OutletGeometry,
                                  PROXIMAL_FRACTION, WindkesselOutlet,
                                  advance_outlet, cardiac_period,
-                                 estimate_outlet_set, read_outlet_areas,
-                                 systemic_resistance, total_compliance,
-                                 write_coefficients_csv)
+                                 estimate_outlet_set, systemic_resistance,
+                                 total_compliance)
 
 
 class TestScalarEstimators:
@@ -141,24 +140,3 @@ class TestOutletStepping:
         out = WindkesselOutlet("o", R_p=1.0, R_d=1.0, C=1.0)
         with pytest.raises(InvalidArgumentError):
             advance_outlet(out, 0.0, 1.0, 0.0)
-
-
-class TestCsv:
-    def test_area_and_coefficient_round_trip(self, tmp_path):
-        areas = tmp_path / "areas.csv"
-        areas.write_text("name,area_cm2\nleft,0.25\nright,1.75\n")
-        geo = read_outlet_areas(areas)
-        assert [g.name for g in geo] == ["left", "right"]
-        assert [g.area for g in geo] == [0.25, 1.75]
-        rec = ClinicalRecord(configuration="pre", PAS=120.0, PAD=80.0,
-                             PAM=93.0, CO=6.0, SV=60.0)
-        outs = estimate_outlet_set(rec, geo)
-        path = tmp_path / "coeffs.csv"
-        write_coefficients_csv(outs, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "name,Rp_dyn_s_cm5,Rd_dyn_s_cm5,C_cm5_dyn"
-        got = {r.split(",")[0]: [float(v) for v in r.split(",")[1:]]
-               for r in rows[1:]}
-        for o in outs:
-            assert got[o.name] == pytest.approx([o.R_p, o.R_d, o.C],
-                                                rel=1e-5)
