@@ -20,9 +20,9 @@ import time
 import numpy as np
 
 from . import indicators, podi, pump, refdata, units, windkessel
-from .casefile import load_case
-from .errors import (HemoflowError, InvalidArgumentError, SchemaError,
-                     SolverFailure)
+from .casefile import load_case, with_inflow
+from .errors import (DegenerateInputError, HemoflowError,
+                     InvalidArgumentError, SchemaError, SolverFailure)
 from .fv import InflowBC, PisoSolver
 from .indicators import TimeSeries, pas_pad_pam, volume_avg_pressure, wall_shear_stress
 from .mesh import (generate_bifurcation_mesh, generate_channel_mesh,
@@ -71,16 +71,17 @@ def cmd_mesh(args):
 
 # -- single run -------------------------------------------------------------------
 
-def _run_case(case, mesh, inflow_lmin=None, observer=None):
-    """Solve ``case`` on ``mesh`` from a cold start: (solver, final state)."""
-    bcs = case.build_bcs(mesh, inflow_override_lmin=inflow_lmin)
+def _run_case(case, mesh, bcs, observer=None):
+    """Solve ``case`` on ``mesh`` with ``bcs`` from a cold start: (solver,
+    final state)."""
     solver = PisoSolver(mesh, bcs, case.fluid, case.solver)
     u0 = None
-    if case.initial.get("from_inflow"):
+    if case.from_inflow:
         # start from a uniform velocity matched to the inflow direction
         for name, (vbc, _) in bcs.conditions.items():
             if isinstance(vbc, InflowBC):
-                uf = vbc.face_velocities(mesh, mesh.patches[name], 0.0)
+                u, influx = vbc.shape_velocities(mesh, mesh.patches[name])
+                uf = u * (vbc.rate(0.0) / influx)
                 u0 = np.tile(uf.mean(axis=0), (mesh.n_cells, 1))
     state = solver.run(solver.initialize(u=u0), observer=observer)
     return solver, state
@@ -89,12 +90,11 @@ def _run_case(case, mesh, inflow_lmin=None, observer=None):
 def cmd_fom_run(args):
     case = load_case(args.case)
     mesh = case.load_mesh()
-    out = _outdir(args, case.output.get("dir", "."))
+    out = _outdir(args, case.out_dir or ".")
     times, pavg = [], []
-    probes = case.output.get("probes", [])
     # the cell whose centroid is nearest each probe point
     probe_cells = [int(np.argmin(np.linalg.norm(
-        mesh.cell_centroid - np.asarray(xy), axis=1))) for xy in probes]
+        mesh.cell_centroid - np.asarray(xy), axis=1))) for xy in case.probes]
     probe_rows = []
 
     def observer(st):
@@ -108,7 +108,7 @@ def cmd_fom_run(args):
             probe_rows.append(row)
 
     t0 = time.perf_counter()
-    solver, state = _run_case(case, mesh, observer=observer)
+    solver, state = _run_case(case, mesh, case.bcs, observer=observer)
     elapsed = time.perf_counter() - t0
 
     cell_data = {"p": state.p}
@@ -119,14 +119,13 @@ def cmd_fom_run(args):
                list(zip(times, pavg)))
     if probe_rows:
         hdr = ["t_s"]
-        for i in range(len(probes)):
+        for i in range(len(case.probes)):
             hdr += [f"p{i}_pa"] + [f"u{i}_{ax}" for ax in "xyz"[:mesh.dim]]
         _write_csv(os.path.join(out, "probes.csv"), hdr, probe_rows)
 
     # a pulsatile inflow's report covers the last (longest) cardiac period
-    periods = [float(s["velocity"]["period_s"])
-               for s in case.boundary_spec.values()
-               if s["velocity"].get("pulsatile")]
+    periods = [v.period_s for v, _ in case.bcs.conditions.values()
+               if isinstance(v, InflowBC) and v.period_s is not None]
     series = TimeSeries(np.asarray(times), np.asarray(pavg))
     pas, pad, pam = pas_pad_pam(series, max(periods, default=None))
     tol = case.solver.steady_tol
@@ -173,7 +172,8 @@ def _sweep_point(case, mesh, pf):
     def count(_):
         steps[0] += 1
     t0 = time.perf_counter()
-    solver, state = _run_case(case, mesh, inflow_lmin=pf, observer=count)
+    solver, state = _run_case(case, mesh, with_inflow(case.bcs, pf),
+                              observer=count)
     elapsed = time.perf_counter() - t0
     if state.converged is False:
         raise SolverFailure(
@@ -217,6 +217,8 @@ def cmd_rom_train(args):
     if not 0.0 < args.threshold <= 1.0:
         raise InvalidArgumentError("energy threshold must be in (0, 1]")
     db = SnapshotDB(args.db)
+    if not db.params().size:
+        raise DegenerateInputError(f"{args.db}: empty snapshot database")
     models = {}
     for name in db.field_names():
         S, params = db.load_matrix(name)
@@ -466,6 +468,9 @@ def main(argv=None):
         return args.func(args)
     except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as e:
+        print(f"error: {e.filename}: no such file", file=sys.stderr)
         return 2
     except HemoflowError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -36,24 +35,31 @@ def pulsatile_waveform(CO_m3s, T, systole_fraction=0.35, plateau_ratio=0.05):
 
 # -- velocity conditions -----------------------------------------------------
 
+INFLOW_PROFILES = ("plug", "parabolic")
+
+
 @dataclass
 class InflowBC:
     """Fixed-profile inflow through a patch.
 
-    ``flow_rate`` is a volumetric rate [m^3/s], constant or callable of
-    time. ``profile`` is "plug" or "parabolic"; the profile is rescaled so
-    the discrete influx matches the requested rate exactly.
+    ``flow_rate`` is the mean volumetric rate [m^3/s]: constant without a
+    ``period_s``, else the mean of ``pulsatile_waveform`` over each period
+    of ``period_s`` [s]. ``profile`` is "plug" or "parabolic"; the profile
+    is rescaled so the discrete influx matches the rate exactly.
     """
 
-    flow_rate: Union[float, Callable[[float], float]]
+    flow_rate: float
     profile: str = "plug"
+    period_s: float = None
+
+    def __post_init__(self):
+        if self.profile not in INFLOW_PROFILES:
+            raise InvalidArgumentError(f"unknown inflow profile {self.profile!r}")
 
     def rate(self, t):
-        return self.flow_rate(t) if callable(self.flow_rate) else float(self.flow_rate)
-
-    def face_velocities(self, mesh, patch, t):
-        u, influx = self.shape_velocities(mesh, patch)
-        return u * (self.rate(t) / influx)
+        if self.period_s is None:
+            return float(self.flow_rate)
+        return pulsatile_waveform(self.flow_rate, self.period_s)(t)
 
     def shape_velocities(self, mesh, patch):
         """Unscaled inward face velocities and the influx they carry [m^3/s];
@@ -64,7 +70,7 @@ class InflowBC:
         n = A / np.linalg.norm(A, axis=1)[:, None]
         if self.profile == "plug":
             shape = np.ones(len(fids))
-        elif self.profile == "parabolic":
+        else:   # parabolic
             # the patch's half width (2D) or radius (3D) and centre; without
             # a size, centred on the faces' mean and just wider than them
             meta = patch.meta
@@ -76,8 +82,6 @@ class InflowBC:
             if size is None:
                 size = r.max() * 1.05
             shape = np.clip(1.0 - (r / size) ** 2, 0.0, None)
-        else:
-            raise InvalidArgumentError(f"unknown inflow profile {self.profile!r}")
         u = -n * shape[:, None]
         influx = -np.einsum("ij,ij->", u, A)
         if influx <= 0:
@@ -141,12 +145,6 @@ class BoundaryConditionSet:
             raise InvalidArgumentError(
                 f"boundary conditions {sorted(self.conditions)} do not match "
                 f"mesh patches {sorted(mesh.patches)}")
-
-    def velocity(self, name):
-        return self.conditions[name][0]
-
-    def pressure(self, name):
-        return self.conditions[name][1]
 
 
 def poiseuille_bcs(mesh, flow_rate, outlet_pressure=0.0, profile="parabolic"):

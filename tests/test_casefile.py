@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from hemoflow.casefile import load_case
+from hemoflow.casefile import load_case, with_inflow
 from hemoflow.errors import SchemaError
 from hemoflow.fv import (FixedPressureBC, InflowBC, NoSlipBC, SolverConfig,
                          WindkesselBC)
@@ -50,20 +50,36 @@ def test_valid_case_builds_solver_inputs(case_dir):
     case = load_case(write_case(case_dir, base_case()))
     assert case.solver.dt == 0.01
     assert case.fluid.mu == 0.01
-    mesh = case.load_mesh()  # relative path resolved against the case file
-    bcs = case.build_bcs(mesh)
-    assert isinstance(bcs.velocity("inlet"), InflowBC)
-    assert isinstance(bcs.velocity("wall"), NoSlipBC)
-    assert isinstance(bcs.pressure("outlet"), FixedPressureBC)
-    assert bcs.velocity("inlet").rate(0.0) == pytest.approx(4.0 / 60000.0,
-                                                            rel=1e-4)
+    case.load_mesh()  # relative path resolved against the case file
+    bcs = case.bcs.conditions
+    assert isinstance(bcs["inlet"][0], InflowBC)
+    assert isinstance(bcs["wall"][0], NoSlipBC)
+    assert isinstance(bcs["outlet"][1], FixedPressureBC)
+    assert bcs["inlet"][0].rate(0.0) == pytest.approx(4.0 / 60000.0,
+                                                      rel=1e-4)
 
 
 def test_inflow_override_replaces_flow_rate(case_dir):
     case = load_case(write_case(case_dir, base_case()))
-    bcs = case.build_bcs(case.load_mesh(), inflow_override_lmin=7.5)
-    assert bcs.velocity("inlet").rate(0.0) == pytest.approx(7.5 / 60000.0,
-                                                            rel=1e-4)
+    bcs = with_inflow(case.bcs, 7.5).conditions
+    assert bcs["inlet"][0].rate(0.0) == pytest.approx(7.5 / 60000.0,
+                                                      rel=1e-4)
+    assert case.bcs.conditions["inlet"][0].rate(0.0) == pytest.approx(
+        4.0 / 60000.0, rel=1e-4)
+
+
+def test_inflow_override_keeps_the_pulsatile_period(case_dir):
+    doc = base_case()
+    doc["boundary"]["inlet"]["velocity"].update(pulsatile=True, period_s=0.8)
+    bcs = load_case(write_case(case_dir, doc)).bcs
+    inflow = bcs.conditions["inlet"][0]
+    swept = with_inflow(bcs, 7.5).conditions["inlet"][0]
+    assert (swept.flow_rate, swept.period_s) == (7.5 * 1.6667e-5, 0.8)
+    assert swept.profile == inflow.profile == "parabolic"
+    # the same waveform, scaled to the new mean
+    for t in (0.0, 0.1, 0.5, 1.3):
+        assert swept.rate(t) == pytest.approx(inflow.rate(t) * 7.5 / 4.0,
+                                              rel=1e-12)
 
 
 def test_windkessel_pressure_spec(case_dir):
@@ -72,7 +88,7 @@ def test_windkessel_pressure_spec(case_dir):
         "type": "windkessel", "R_p": 100.0, "R_d": 1500.0, "C": 1e-4,
         "p0_mmhg": 80.0}
     case = load_case(write_case(case_dir, doc))
-    bc = case.build_bcs(case.load_mesh()).pressure("outlet")
+    bc = case.bcs.conditions["outlet"][1]
     assert isinstance(bc, WindkesselBC)
     assert bc.outlet.R_d == 1500.0
     assert bc.outlet.p_p == pytest.approx(80.0 * 1333.22, rel=1e-9)
@@ -101,12 +117,31 @@ def test_every_solver_setting_is_a_solver_key(case_dir):
         dt=0.02, max_steps=7)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dt", "0.01"), ("dt", True), ("dt", float("inf")), ("dt", 10**400),
+    ("t_end", None), ("steady_tol", float("nan")), ("n_piso", 2.0),
+    ("n_piso", True), ("max_steps", "3"), ("convection_scheme", 1)])
+def test_solver_values_must_match_their_field_types(case_dir, key, value):
+    doc = base_case()
+    doc["solver"][key] = value
+    with pytest.raises(SchemaError, match=f"solver.{key}"):
+        load_case(write_case(case_dir, doc))
+
+
+def test_solver_fields_without_a_default_take_null(case_dir):
+    doc = base_case()
+    doc["solver"].update(dt=1, steady_tol=None, max_steps=None)
+    solver = load_case(write_case(case_dir, doc)).solver
+    assert (solver.dt, solver.steady_tol, solver.max_steps) == (1.0, None,
+                                                               None)
+    assert isinstance(solver.dt, float)
+
+
 def test_unknown_boundary_key_is_named(case_dir):
     doc = base_case()
     doc["boundary"]["inlet"]["velocity"]["speed"] = 1.0
-    case = load_case(write_case(case_dir, doc))
     with pytest.raises(SchemaError, match="speed"):
-        case.build_bcs(case.load_mesh())
+        load_case(write_case(case_dir, doc))
 
 
 def test_schema_tag_is_mandatory(case_dir):
@@ -140,9 +175,8 @@ def test_invalid_solver_value_is_a_schema_error(case_dir):
 def test_inflow_needs_a_flow_rate(case_dir):
     doc = base_case()
     doc["boundary"]["inlet"]["velocity"] = {"type": "inflow"}
-    case = load_case(write_case(case_dir, doc))
     with pytest.raises(SchemaError, match="flow"):
-        case.build_bcs(case.load_mesh())
+        load_case(write_case(case_dir, doc))
 
 
 def test_invalid_json_is_a_schema_error(case_dir):

@@ -263,6 +263,85 @@ def test_case_file_mistakes_are_usage_errors(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("error: boundary")
 
 
+def edited_run(edit):
+    """The argv of ``fom-run`` on the CLI channel case after ``edit(doc)``."""
+    def argv(tmp_path):
+        case = make_case(tmp_path)
+        doc = json.loads(case.read_text())
+        edit(doc)
+        case.write_text(json.dumps(doc))
+        return ["fom-run", str(case), "--out-dir", str(tmp_path / "run")]
+    return argv
+
+
+def inlet(**keys):
+    return edited_run(lambda doc: doc["boundary"]["inlet"]["velocity"]
+                      .update(keys))
+
+
+def outlet(**keys):
+    return edited_run(lambda doc: doc["boundary"]["outlet"]["pressure"]
+                      .update(keys))
+
+
+def section(name, **keys):
+    return edited_run(lambda doc: doc[name].update(keys))
+
+
+WINDKESSEL = {"type": "windkessel", "R_d": 1000.0, "C": 1e-4}
+MALFORMED = {
+    "flow_lmin-string": inlet(flow_lmin="abc"),
+    "value_pa-string": outlet(value_pa="abc"),
+    "rho-string": section("fluid", rho="abc"),
+    "dt-string": section("solver", dt="abc"),
+    "n_piso-1.5": section("solver", n_piso=1.5),
+    "max_steps-string": section("solver", max_steps="3"),
+    "mesh-5": edited_run(lambda doc: doc.update(mesh=5)),
+    "probe-4-coordinates": section("output", probes=[[0.05, 0.01, 0.0, 0.0]]),
+    "missing-case": lambda tmp_path: ["fom-run", str(tmp_path / "none.json")],
+    "missing-mesh": edited_run(lambda doc: doc.update(mesh="none.hfm")),
+    "missing-model": lambda tmp_path: ["rom-eval", str(tmp_path / "none.npz"),
+                                       "--params", "4"],
+    "wall-inflow-keys": edited_run(
+        lambda doc: doc["boundary"]["wall"]["velocity"].update(
+            flow_lmin=4.0, profile="bogus")),
+    "value_pa-on-zero-gradient": edited_run(
+        lambda doc: doc["boundary"]["wall"]["pressure"].update(value_pa=0.0)),
+    "R_p-on-fixed": outlet(R_p=100.0),
+    "flow_lmin-true": inlet(flow_lmin=True),
+    "from_inflow-no": section("initial", from_inflow="no"),
+    "unknown-profile": inlet(profile="bogus"),
+    "value_pa-nan": outlet(value_pa=float("nan")),
+    "R_p-nan": edited_run(lambda doc: doc["boundary"]["outlet"].update(
+        pressure=dict(WINDKESSEL, R_p=float("nan")))),
+    "rho-nan": section("fluid", rho=float("nan")),
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_one_usage_error_line(tmp_path, capsys, argv):
+    """Every malformed case value, key or missing input file exits 2 with
+    one ``error:`` line, before anything runs."""
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("db", ["missing", "empty"])
+def test_rom_train_needs_entries(tmp_path, capsys, db):
+    if db == "empty":
+        SnapshotDB(tmp_path / db)
+    capsys.readouterr()
+    assert main(["rom-train", str(tmp_path / db),
+                 "--out", str(tmp_path / "m.npz")]) == 1
+    assert "empty snapshot database" in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
+
+
 def pulsatile_case(tmp_path, t_end):
     """The CLI channel with a pulsatile inflow (period 0.5 s) into an RCR
     outlet that starts at 0 mmHg."""
