@@ -5,7 +5,11 @@ training and evaluation, clinical-table validation, and report emission.
 Exit codes: 0 success, 1 runtime/numerical failure, 2 usage or schema
 error.
 
-Environment: HEMOFLOW_LOG sets the log level.
+Environment: HEMOFLOW_LOG sets the log level. OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS default to 1: threaded OpenBLAS
+makes the banded Cholesky factor of a 2D pressure matrix of bandwidth
+above 16 several times slower on a 2-core host, and threads gained
+nothing measured elsewhere. A value set in the environment wins.
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ import logging
 import os
 import sys
 import time
+
+# before numpy loads BLAS, which reads these once
+for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_key, "1")
 
 import numpy as np
 
@@ -216,7 +224,7 @@ def cmd_sweep(args):
 def cmd_rom_train(args):
     if not 0.0 < args.threshold <= 1.0:
         raise InvalidArgumentError("energy threshold must be in (0, 1]")
-    db = SnapshotDB(args.db)
+    db = SnapshotDB.open(args.db)
     if not db.params().size:
         raise DegenerateInputError(f"{args.db}: empty snapshot database")
     models = {}
@@ -244,6 +252,7 @@ def _energy_rows(models):
 
 
 def cmd_rom_eval(args):
+    db = SnapshotDB.open(args.db) if args.db else None
     models, meta = load_models(args.model)
     params = [float(s) for s in args.params.split(",") if s]
     if not params:
@@ -262,8 +271,7 @@ def cmd_rom_eval(args):
                        [name], [(float(v),) for v in values])
 
     lines = [f"ROM evaluation: {rom_seconds:.4g} s per parameter point"]
-    if args.db:
-        db = SnapshotDB(args.db)
+    if db is not None:
         fom = {}
         for pi in params:
             for name in models:
@@ -354,10 +362,10 @@ def cmd_validate(args):
 # -- report -----------------------------------------------------------------------
 
 def cmd_report(args):
+    db = SnapshotDB.open(args.db) if args.db else None
     out = _outdir(args)
     lines = []
-    if args.db:
-        db = SnapshotDB(args.db)
+    if db is not None:
         params = db.params()
         lines.append(f"snapshot database {args.db}: {params.size} entries, "
                      f"fields {db.field_names()}")

@@ -5,10 +5,12 @@ convection and orthogonal diffusion in the matrix, higher-order convection
 and non-orthogonal diffusion as deferred corrections) followed by a fixed
 number of pressure correctors.
 
-``PisoSolver.step`` does only the work that changes from step to step.
-The step's linear face operators depend only on the mesh, the fluid and
-the solver's fixed boundary masks, so the solver fuses them once, as CSR
-matrices, when it is built:
+``PisoSolver`` does each piece of a step's work as seldom as its inputs
+change: per solver, per inflow state, per step or per corrector.
+
+Per solver, when it is built: the step's linear face operators depend
+only on the mesh, the fluid and the solver's fixed boundary masks, so the
+solver fuses them once, as CSR matrices:
 
 - the Gauss gradient face sum of the pressure (``operators.
   gradient_matrix``), acting on p stacked on the fixed boundary
@@ -23,19 +25,29 @@ matrices, when it is built:
   the whole deferred non-orthogonal momentum source mu D_int N V^-1 G_u,
   acting on u stacked on the fixed boundary velocities.
 
-Each application in a step is one sparse product, and the cell gradient
-of p is formed once per corrector, for the velocity update. The momentum
-and the pressure matrix are built once per solver on the fixed pattern
-of ``linsolve.Pattern``; each step overwrites their values in place. The
-pressure ``BoundaryValues`` are built once too, and a Windkessel outlet's
-rows in them are each step's scratch: the outlet's proximal pressure is
-state (``FlowState.p_p``), and a step first calls ``advance_windkessel``,
+It also builds the diffusion coefficients mu * orth_coeff and
+mu * b_orth_coeff, the fixed-face index arrays, the momentum and the
+pressure matrix on the fixed pattern of ``linsolve.Pattern`` (each step
+overwrites their values in place), and one linear solver per system from
+``linsolve.system_solvers``; a step factors each with its matrix and
+solves through ``linsolve.solve_bicgstab`` and ``linsolve.solve_cg``,
+and does not know which method either uses. The pressure
+``BoundaryValues`` are built once too, and a Windkessel outlet's rows in
+them are each step's scratch: the outlet's proximal pressure is state
+(``FlowState.p_p``), and a step first calls ``advance_windkessel``,
 which returns the next proximal pressures and writes the outlet's
-boundary pressure into those rows. The solver takes one linear
-solver per system from ``linsolve.system_solvers`` when it is built; a
-step factors each with its matrix and solves through
-``linsolve.solve_bicgstab`` and ``linsolve.solve_cg``, and does not know
-which method either uses.
+boundary pressure into those rows.
+
+Per inflow state: what follows from the inflow rates alone is an
+``_InflowState``, rebuilt when some inflow's rate differs from the one
+it was built for (so once per solver for steady inflows, every step for
+a pulsatile one). The time term rho V / dt is kept per dt alike, for
+``run``'s shortened last step.
+
+Per step: the momentum system, its factor and solve, and the pressure
+matrix and its factor. Per corrector: the pressure solves and the
+velocity update; the face flux is corrected after the last corrector
+only, as the step keeps no other.
 """
 
 from __future__ import annotations
@@ -161,6 +173,17 @@ class FlowState:
                       / self.mesh.cell_volume).max())
 
 
+@dataclass(frozen=True)
+class _InflowState:
+    """The step inputs that follow from the inflow rates alone. A solver
+    shares them between steps, so nothing writes to them."""
+
+    bu: BoundaryValues      # the velocity boundary values
+    phi: np.ndarray         # their flux on every face, 0 off the fixed ones
+    rhs_b: np.ndarray       # their term in the momentum right-hand side
+    u_fixed: np.ndarray     # bu.values on the fixed faces
+
+
 class PisoSolver:
     """Transient incompressible solver on a fixed mesh and BC set.
 
@@ -230,21 +253,51 @@ class PisoSolver:
         self._A_p = self._pattern.matrix()
         self._momentum, self._pressure = linsolve.system_solvers(
             self._pattern, mesh.dim, o, n, g.orth_coeff)
+        # what no step changes, and the last step's inflow state and time
+        # term, each with the inflow rates or dt that it was built for
+        self._mu_orth = self.fluid.mu * g.orth_coeff
+        self._mu_b_orth = self.fluid.mu * g.b_orth_coeff
+        self._fixed_u_faces = g.boundary[self._fixed_u]
+        self._fixed_p_faces = g.boundary[self._fixed_p]
+        self._fixed_p_owner = g.b_owner[self._fixed_p]
+        self._inflow = None     # (rates, _InflowState)
+        self._time_term = None  # (dt, rho V / dt)
 
     # -- boundary value assembly ----------------------------------------
+
+    def _inflow_state(self, t):
+        """The ``_InflowState`` at ``t``: the last one while every
+        inflow's rate equals the one it was built for."""
+        rates = tuple(bc.rate(t) for _, bc, _ in self._inflows)
+        if self._inflow is None or self._inflow[0] != rates:
+            self._inflow = (rates, self._new_inflow_state(rates))
+        return self._inflow[1]
+
+    def _new_inflow_state(self, rates):
+        """The ``_InflowState`` at one rate per inflow, in the order of
+        ``self._inflows``."""
+        mesh, g = self.mesh, self.mesh.fv
+        b = g.boundary
+        values = self._bu_shape.values.copy()
+        for rate, (rows, _, influx) in zip(rates, self._inflows):
+            values[rows] *= rate / influx
+        phi = np.zeros(mesh.n_faces)
+        phi[b] = np.where(self._fixed_u, np.einsum(
+            "ij,ij->i", values, mesh.face_area[b]), 0.0)
+        # the fixed-velocity faces' term in the momentum right-hand side:
+        # diffusion to their values, and the inflow of their flux
+        coeff = np.where(self._fixed_u,
+                         self._mu_b_orth - self.fluid.rho * phi[b], 0.0)
+        return _InflowState(BoundaryValues(values, self._fixed_u), phi,
+                            g.D_b @ (coeff[:, None] * values),
+                            values[self._fixed_u])
 
     def _velocity_bvals(self, t):
         """The velocity boundary values at ``t``, and the flux that they
         prescribe on every face: 0 off the fixed-velocity faces, so that
         ``self._F @ u.ravel()`` plus it is the face flux of ``u``."""
-        mesh, b = self.mesh, self.mesh.fv.boundary
-        values = self._bu_shape.values.copy()
-        for rows, bc, influx in self._inflows:
-            values[rows] *= bc.rate(t) / influx
-        phi = np.zeros(mesh.n_faces)
-        phi[b] = np.where(self._fixed_u, np.einsum(
-            "ij,ij->i", values, mesh.face_area[b]), 0.0)
-        return BoundaryValues(values, self._fixed_u), phi
+        inflow = self._inflow_state(t)
+        return inflow.bu, inflow.phi
 
     def initialize(self, u=None, p=None, t=0.0):
         """Build a consistent initial state (fluxes from the velocity;
@@ -266,11 +319,10 @@ class PisoSolver:
         nc = mesh.n_cells
         p_p = self.advance_windkessel(state, dt)
 
-        bu, phi_fixed = self._velocity_bvals(t_new)
+        inflow = self._inflow_state(t_new)
         bp = self._bp
         phi = state.phi.copy()
-        fixed_faces = g.boundary[self._fixed_u]
-        phi[fixed_faces] = phi_fixed[fixed_faces]
+        phi[self._fixed_u_faces] = inflow.phi[self._fixed_u_faces]
 
         # ---- momentum predictor ----
         fixed_p = self._fixed_p
@@ -278,7 +330,7 @@ class PisoSolver:
         # pressure gradient operators; its head follows every solve
         pb = np.concatenate([state.p, bp.values[fixed_p]])
         bp_fixed = pb[nc:]
-        diag, A_m, rhs0 = self._momentum_system(state, phi, bu, dt)
+        diag, A_m, rhs0 = self._momentum_system(state, phi, inflow, dt)
         grad_p = self._G @ pb
         self._momentum.factor(A_m)
         u_star = linsolve.solve_bicgstab(
@@ -301,7 +353,7 @@ class PisoSolver:
             off = A_m @ u - diag[:, None] * u
             HbyA = (rhs0 - off) / diag[:, None]
 
-            phi_star = self._F @ HbyA.ravel() + phi_fixed
+            phi_star = self._F @ HbyA.ravel() + inflow.phi
             rhs_p0 = rhs_pb - g.D @ phi_star
 
             corr = 0.0
@@ -314,17 +366,17 @@ class PisoSolver:
                                       tol=cfg.lin_tol)
                 pb[:nc] = p
 
-            # flux and velocity correction (non-orth part kept in the flux
-            # so the cell balances close to the linear-solver tolerance)
-            dp = p[g.i_neigh] - p[g.i_owner]
-            phi_new = phi_star.copy()
-            phi_new[g.internal] -= c_int * dp + corr
-            phi_new[g.boundary[fixed_p]] = (
-                phi_star[g.boundary[fixed_p]]
-                - c_b[fixed_p] * (bp_fixed - p[g.b_owner[fixed_p]]))
-            phi = phi_new
             grad = (self._G @ pb) / self._vol
             u = HbyA - rAU[:, None] * grad.reshape(HbyA.shape)
+
+        # the last corrector's flux correction, the only flux kept (its
+        # non-orth part too, so the cell balances close to the
+        # linear-solver tolerance)
+        dp = p[g.i_neigh] - p[g.i_owner]
+        phi = phi_star
+        phi[g.internal] -= c_int * dp + corr
+        phi[self._fixed_p_faces] -= c_b[fixed_p] * (
+            bp_fixed - p[self._fixed_p_owner])
 
         new = FlowState(mesh, u=u, p=p, phi=phi, time=t_new, p_p=p_p)
         err = new.continuity_error()
@@ -334,36 +386,38 @@ class PisoSolver:
                 f"at t={t_new:.6g}", [err])
         return new
 
-    def _momentum_system(self, state, phi, bu, dt):
+    def _momentum_system(self, state, phi, inflow, dt):
         """Implicit matrix (shared by all components), its diagonal, and
-        the pressure-free right-hand side.
+        the pressure-free right-hand side, with the velocity boundary
+        values of the ``_InflowState`` ``inflow``.
 
         The matrix is the solver's own: the next step overwrites it.
         """
         mesh = self.mesh
         g = mesh.fv
         cfg = self.config
-        rho, mu = self.fluid.rho, self.fluid.mu
+        rho = self.fluid.rho
+        bu = inflow.bu
 
         # matrix values in the COO order of self._m_slots: the four
-        # entries of each internal face, the time term, boundary faces
+        # entries of each internal face, the time term, boundary faces;
+        # the neighbour row's pair is the owner row's negated (exactly)
         phi_i = phi[g.internal]
         conv_p = rho * np.maximum(phi_i, 0.0)   # owner-donor part
         conv_m = rho * np.minimum(phi_i, 0.0)   # neighbor-donor part
-        dcoef = mu * g.orth_coeff
+        owner = conv_p + self._mu_orth
+        neigh = conv_m - self._mu_orth
 
-        diag_t = rho * mesh.cell_volume / dt
+        if self._time_term is None or self._time_term[0] != dt:
+            self._time_term = (dt, rho * mesh.cell_volume / dt)
+        diag_t = self._time_term[1]
         rhs = diag_t[:, None] * state.u
-        phi_b = phi[g.boundary]
         # fixed-velocity faces couple diffusively; zero-gradient (outflow)
         # faces contribute implicit donor convection only
-        bval = np.where(self._fixed_u, mu * g.b_orth_coeff,
-                        rho * np.maximum(phi_b, 0.0))
-        coeff = np.where(self._fixed_u, mu * g.b_orth_coeff - rho * phi_b, 0.0)
-        rhs += g.D_b @ (coeff[:, None] * bu.values)
-        vals = np.concatenate([conv_p + dcoef, conv_m - dcoef,
-                               -conv_m + dcoef, -conv_p - dcoef,
-                               diag_t, bval])
+        bval = np.where(self._fixed_u, self._mu_b_orth,
+                        rho * np.maximum(phi[g.boundary], 0.0))
+        rhs += inflow.rhs_b
+        vals = np.concatenate([owner, neigh, -neigh, -owner, diag_t, bval])
 
         A = self._pattern.fill(self._A_m, self._m_slots, vals)
         diag = A.data[self._diag_slots]
@@ -376,8 +430,7 @@ class PisoSolver:
         if self._has_nonorth:
             # non-orthogonal part of the diffusive face flux; its
             # orthogonal and boundary parts are implicit in A
-            rhs += self._K_u @ np.concatenate(
-                [state.u, bu.values[self._fixed_u]])
+            rhs += self._K_u @ np.concatenate([state.u, inflow.u_fixed])
         return diag, A, rhs
 
     def _pressure_matrix(self, c_int, c_b):

@@ -76,7 +76,19 @@ def _sha256(path):
 
 
 class SnapshotDB:
-    """One directory per sweep; manifest-tracked field files."""
+    """One directory per sweep; manifest-tracked field files.
+
+    ``SnapshotDB(root)`` opens the database at ``root`` and creates it if
+    it does not exist; ``SnapshotDB.open(root)`` only opens one."""
+
+    @classmethod
+    def open(cls, root):
+        """The database at ``root``; a SchemaError, and nothing created,
+        when ``root`` holds none."""
+        if not os.path.isfile(os.path.join(root, "manifest.json")):
+            raise SchemaError(f"{root}: no snapshot database "
+                              "(no manifest.json)")
+        return cls(root)
 
     def __init__(self, root):
         self.root = root

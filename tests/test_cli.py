@@ -168,6 +168,26 @@ class TestWorkflow:
                    "--allow-extrapolation", "--out-dir", str(out)])
         assert rc == 0
 
+    @pytest.mark.parametrize("command", ["rom-train", "rom-eval", "report"])
+    def test_reading_a_missing_database_creates_nothing(self, workflow,
+                                                        tmp_path, capsys,
+                                                        command):
+        """Commands that only read a snapshot database refuse a path that
+        holds none with one usage error line, and create nothing: they
+        used to leave an empty database there."""
+        db = str(tmp_path / "nodb")
+        argv = {"rom-train": ["rom-train", db, "--out",
+                              str(tmp_path / "m.npz")],
+                "rom-eval": ["rom-eval", workflow["model"], "--params", "4",
+                             "--db", db, "--out-dir", str(tmp_path / "eval")],
+                "report": ["report", "--db", db,
+                           "--out-dir", str(tmp_path / "report")]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {db}: no snapshot database (no manifest.json)\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_summaries(self, workflow):
         out = workflow["root"] / "report"
         assert main(["report", "--db", workflow["db"],
@@ -333,13 +353,51 @@ def test_malformed_input_is_one_usage_error_line(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("db", ["missing", "empty"])
 def test_rom_train_needs_entries(tmp_path, capsys, db):
+    """A missing database is a usage error (exit 2), an empty one a
+    runtime error (exit 1); neither writes a model."""
+    code, message = {"missing": (2, "no snapshot database"),
+                     "empty": (1, "empty snapshot database")}[db]
     if db == "empty":
         SnapshotDB(tmp_path / db)
     capsys.readouterr()
     assert main(["rom-train", str(tmp_path / db),
-                 "--out", str(tmp_path / "m.npz")]) == 1
-    assert "empty snapshot database" in capsys.readouterr().err
+                 "--out", str(tmp_path / "m.npz")]) == code
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "m.npz").exists()
+
+
+# what each BLAS thread variable holds when numpy is first imported
+BLAS_SPY = """
+import os, sys
+KEYS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(k) for k in KEYS])
+sys.meta_path.insert(0, Spy())
+import hemoflow.cli
+print(*seen[0])
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [
+    (None, "1 1 1"), ("2", "2 1 1")], ids=["unset", "preset"])
+def test_cli_runs_blas_on_one_thread_by_default(preset, expected):
+    """Importing the CLI sets each BLAS thread count to 1 before numpy
+    loads BLAS, unless the environment already sets it: threaded OpenBLAS
+    makes wide banded Cholesky factors several times slower."""
+    src = os.path.dirname(os.path.dirname(hemoflow.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", BLAS_SPY], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == expected.split()
 
 
 def pulsatile_case(tmp_path, t_end):

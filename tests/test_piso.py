@@ -350,7 +350,8 @@ def test_deferred_nonorth_momentum_correction_is_the_diffusion_difference():
     state = solver.initialize(u=u)
     bu, _ = solver._velocity_bvals(state.time)
 
-    with_corr = solver._momentum_system(state, state.phi, bu, 1e-3)[2]
+    with_corr = solver._momentum_system(
+        state, state.phi, solver._inflow_state(state.time), 1e-3)[2]
     source = solver._K_u @ np.concatenate([u, bu.values[solver._fixed_u]])
     ref = FLUID.mu * (diffusion_term(u, mesh, n_corr=1, bvals=bu)
                       - diffusion_term(u, mesh, n_corr=0, bvals=bu))
@@ -407,16 +408,17 @@ def test_one_operator_gives_the_flux_on_every_face(make):
     assert fixed.any() and not phi_fixed[off].any()
 
 
-def rcr_bifurcation(p0=0.0, **config):
+def rcr_bifurcation(p0=0.0, period_s=None, **config):
     """The 452-cell bifurcation with an RCR outlet starting at ``p0``
-    (dyn/cm^2), and that outlet."""
+    (dyn/cm^2), and that outlet; the inflow is pulsatile with a
+    ``period_s``."""
     mesh = generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0,
                                      resolution=8)
     Q = 4.0 / 60000.0
     outlet = WindkesselOutlet("outlet", R_p=4.8, R_d=43.2, C=1.2e-3,
                               p_p=p0)
     bcs = BoundaryConditionSet({
-        "inlet": (InflowBC(Q), PressureZeroGradientBC()),
+        "inlet": (InflowBC(Q, period_s=period_s), PressureZeroGradientBC()),
         "wall": (NoSlipBC(), PressureZeroGradientBC()),
         "outlet": (VelocityZeroGradientBC(), WindkesselBC(outlet)),
     })
@@ -429,7 +431,8 @@ def rcr_bifurcation(p0=0.0, **config):
 
 def same_state(a, b):
     return (a.time == b.time and np.array_equal(a.u, b.u)
-            and np.array_equal(a.p, b.p) and np.array_equal(a.p_p, b.p_p))
+            and np.array_equal(a.p, b.p) and np.array_equal(a.phi, b.phi)
+            and np.array_equal(a.p_p, b.p_p))
 
 
 def test_windkessel_pressure_lives_in_the_pressure_boundary_values():
@@ -488,6 +491,52 @@ def test_step_refuses_a_state_without_one_pressure_per_outlet(p_p):
     state.p_p = np.array(p_p)
     with pytest.raises(InvalidArgumentError, match="Windkessel"):
         solver.step(state)
+
+
+def fresh_step(solver, state, dt=None):
+    """The step from ``state`` of a new solver with ``solver``'s mesh,
+    conditions, fluid and settings."""
+    return PisoSolver(solver.mesh, solver.bcs, solver.fluid,
+                      solver.config).step(state, dt)
+
+
+def test_a_pulsatile_step_sees_the_rates_of_its_own_time():
+    """A solver stepping through changing inflow rates steps bit for bit
+    as a new solver does from the same state: it builds a new inflow
+    state whenever a rate differs from the one its last was built for."""
+    solver, _ = rcr_bifurcation(period_s=0.8)
+    inflow = solver.bcs.conditions["inlet"][0]
+    state = solver.initialize()
+    for _ in range(5):
+        new = solver.step(state)
+        assert inflow.rate(new.time) != inflow.rate(state.time)
+        assert same_state(new, fresh_step(solver, state))
+        state = new
+
+
+def test_a_shortened_last_step_uses_its_own_dt():
+    """``run``'s last step, shortened to end at t_end, is the step of a
+    new solver with that dt: the time term follows dt."""
+    solver, _ = rcr_bifurcation(t_end=0.055)
+    states = []
+    final = solver.run(solver.initialize(), observer=states.append)
+    cfg = solver.config
+    dt = min(cfg.dt, cfg.t_end - states[-2].time)
+    assert len(states) == 6 and dt < 0.6 * cfg.dt
+    assert same_state(final, fresh_step(solver, states[-2], dt))
+
+
+def test_a_steady_inflow_builds_its_inflow_state_once(monkeypatch):
+    """Steady inflow rates never change, so one solver builds their
+    inflow state once, however many steps and runs it makes."""
+    solver, _ = rcr_bifurcation(max_steps=10)
+    builds = []
+    build = solver._new_inflow_state
+    monkeypatch.setattr(solver, "_new_inflow_state",
+                        lambda rates: builds.append(rates) or build(rates))
+    solver.run(solver.initialize())
+    solver.run(solver.initialize())
+    assert builds == [(4.0 / 60000.0,)]
 
 
 def test_parabolic_profile_without_a_size_centres_on_the_faces():
