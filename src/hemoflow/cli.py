@@ -5,6 +5,11 @@ training and evaluation, clinical-table validation, and report emission.
 Exit codes: 0 success, 1 runtime/numerical failure, 2 usage or schema
 error.
 
+The mesh, case-file and solver modules, and with them scipy, are
+imported inside the commands that solve or mesh (``mesh``, ``fom-run``,
+``sweep``, ``validate``): ``rom-train``, ``rom-eval`` and ``report`` run
+on numpy alone.
+
 Environment: HEMOFLOW_LOG sets the log level. OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1: threaded OpenBLAS
 makes the banded Cholesky factor of a 2D pressure matrix of bandwidth
@@ -28,13 +33,9 @@ for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import indicators, podi, pump, refdata, units, windkessel
-from .casefile import load_case, with_inflow
 from .errors import (DegenerateInputError, HemoflowError,
                      InvalidArgumentError, SchemaError, SolverFailure)
-from .fv import InflowBC, PisoSolver
 from .indicators import TimeSeries, pas_pad_pam, volume_avg_pressure, wall_shear_stress
-from .mesh import (generate_bifurcation_mesh, generate_channel_mesh,
-                   generate_pipe_mesh, mesh_quality, write_mesh, write_vtk)
 from .snapshots import SnapshotDB, SweepPlan, load_models, save_models
 
 log = logging.getLogger("hemoflow")
@@ -57,6 +58,9 @@ def _write_csv(path, header, rows):
 # -- mesh -----------------------------------------------------------------------
 
 def cmd_mesh(args):
+    from .mesh import (generate_bifurcation_mesh, generate_channel_mesh,
+                       generate_pipe_mesh, mesh_quality, write_mesh,
+                       write_vtk)
     if args.shape == "pipe":
         mesh = generate_pipe_mesh(args.length, args.diameter,
                                   axial_cells=args.axial,
@@ -82,6 +86,7 @@ def cmd_mesh(args):
 def _run_case(case, mesh, bcs, observer=None):
     """Solve ``case`` on ``mesh`` with ``bcs`` from a cold start: (solver,
     final state)."""
+    from .fv import InflowBC, PisoSolver
     solver = PisoSolver(mesh, bcs, case.fluid, case.solver)
     u0 = None
     if case.from_inflow:
@@ -96,6 +101,9 @@ def _run_case(case, mesh, bcs, observer=None):
 
 
 def cmd_fom_run(args):
+    from .casefile import load_case
+    from .fv import InflowBC
+    from .mesh import write_vtk
     case = load_case(args.case)
     mesh = case.load_mesh()
     out = _outdir(args, case.out_dir or ".")
@@ -175,6 +183,7 @@ def _snapshot(mesh, fluid, state):
 def _sweep_point(case, mesh, pf):
     """Cold-start solve at inflow ``pf`` l/min: (snapshot, wall seconds).
     SolverFailure when the run stops without meeting ``steady_tol``."""
+    from .casefile import with_inflow
     steps = [0]
 
     def count(_):
@@ -191,6 +200,7 @@ def _sweep_point(case, mesh, pf):
 
 
 def cmd_sweep(args):
+    from .casefile import load_case
     plan = SweepPlan(args.lo, args.hi, args.count, delta_p=args.delta_p)
     db = SnapshotDB(args.out)
     # every point's pump speed comes before the first solve, so that a head
@@ -254,9 +264,7 @@ def _energy_rows(models):
 def cmd_rom_eval(args):
     db = SnapshotDB.open(args.db) if args.db else None
     models, meta = load_models(args.model)
-    params = [float(s) for s in args.params.split(",") if s]
-    if not params:
-        raise InvalidArgumentError("no evaluation parameters given")
+    params = args.params
     out = _outdir(args)
 
     t0 = time.perf_counter()
@@ -397,6 +405,18 @@ def _resolution(text):
     return int(text) if text.isdigit() else text
 
 
+def _params(text):
+    """The numbers of a comma-separated list, at least one."""
+    try:
+        params = [float(s) for s in text.split(",") if s]
+    except ValueError:
+        params = []
+    if not params:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of numbers")
+    return params
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="hemoflow",
                                 description=__doc__.splitlines()[0])
@@ -444,7 +464,7 @@ def build_parser():
 
     pe = sub.add_parser("rom-eval", help="evaluate a trained model")
     pe.add_argument("model")
-    pe.add_argument("--params", required=True,
+    pe.add_argument("--params", required=True, type=_params,
                     help="comma-separated parameter values")
     pe.add_argument("--db", help="snapshot db with reference solutions")
     pe.add_argument("--allow-extrapolation", action="store_true")

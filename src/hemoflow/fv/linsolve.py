@@ -25,7 +25,10 @@ momentum matrix, whose components share one solve, and a banded Cholesky
 factor (``dpbtrf``) of the symmetric positive definite pressure matrix,
 which every pressure corrector of the step reuses. On wider 2D bands the
 pressure factor is a sparse LU, again shared by the correctors: per step
-it beat the two-grid CG below on bifurcations of 11000-28000 cells.
+it beat the two-grid CG below on bifurcations of 11000-28000 cells. The
+ordering, ``rcm_order``, is scipy.sparse.csgraph's
+``reverse_cuthill_mckee`` rewritten in Python step for step: it gives the
+same permutation without importing scipy.sparse.csgraph.
 
 On 3D meshes the pressure is solved by conjugate gradients preconditioned
 with ``TwoGrid``, a symmetric aggregation two-grid cycle (Notay, ETNA 37,
@@ -36,15 +39,22 @@ so the solver builds them once. Momentum (mildly non-symmetric, diagonal
 rho V / dt > 0) uses Jacobi-preconditioned BiCGStab. Both Krylov solvers
 share one guard (``Krylov.solve``) and fall back to a sparse LU when they
 do not converge.
+
+Only the Krylov and sparse-LU solvers (3D, wide 2D, the LU fallback) call
+scipy.sparse.linalg, so it is imported on first use, as this module's
+``spla`` (a PEP 562 module ``__getattr__``): a narrow-band 2D run never
+loads it. Every call looks ``spla`` up on the module (``_spla``), so a
+stand-in set there, such as perfbench/tracing.py's counting proxy, is the
+one called.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..errors import SolverFailure
 
@@ -82,6 +92,20 @@ SMOOTH_OMEGA = 2.0 / 3.0
 REFACTOR_GROWTH = 2
 
 
+def __getattr__(name):
+    """``spla`` is scipy.sparse.linalg, imported on first use (PEP 562)."""
+    if name != "spla":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.sparse.linalg as spla
+    globals()["spla"] = spla
+    return spla
+
+
+def _spla():
+    """This module's ``spla``, looked up anew on every call."""
+    return sys.modules[__name__].spla
+
+
 class Pattern:
     """Fixed CSR structure of an n x n matrix.
 
@@ -116,6 +140,43 @@ class Pattern:
         return A
 
 
+def rcm_order(indptr, indices):
+    """Reverse Cuthill-McKee ordering of a structurally symmetric CSR
+    pattern: the permutation that
+    ``scipy.sparse.csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)``
+    returns, by the same algorithm. A row's degree is its number of
+    entries, its diagonal counted twice. Seeds are taken in
+    ``np.argsort(degree)`` order (on int32, as scipy's, for the same
+    order of ties), each starting a breadth-first search that appends the
+    unvisited neighbours of every node, stably sorted by degree; the
+    order is reversed at the end."""
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    degree = (np.diff(indptr) + (np.bincount(rows[indices == rows],
+                                             minlength=n) > 0)
+              ).astype(np.int32)
+    deg, ptr, nbrs = degree.tolist(), indptr.tolist(), indices.tolist()
+    seen = [False] * n
+    order = []
+    for seed in np.argsort(degree).tolist():
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        order.append(seed)
+        head = len(order) - 1
+        while head < len(order):
+            i = order[head]
+            head += 1
+            new = []
+            for j in nbrs[ptr[i]:ptr[i + 1]]:
+                if not seen[j]:
+                    seen[j] = True
+                    new.append(j)
+            new.sort(key=deg.__getitem__)
+            order.extend(new)
+    return np.array(order[::-1], dtype=np.int64)
+
+
 class BandOrder:
     """Reverse Cuthill-McKee ordering of a structurally symmetric CSR
     pattern, its bandwidth ``k``, the position of every CSR slot in LAPACK
@@ -125,10 +186,7 @@ class BandOrder:
 
     def __init__(self, indptr, indices):
         n = len(indptr) - 1
-        ones = np.ones(len(indices))
-        self.perm = reverse_cuthill_mckee(
-            sp.csr_matrix((ones, indices, indptr), shape=(n, n)),
-            symmetric_mode=True).astype(np.int64)
+        self.perm = rcm_order(indptr, indices)
         pos = np.empty(n, dtype=np.int64)
         pos[self.perm] = np.arange(n)
         i = pos[np.repeat(np.arange(n), np.diff(indptr))]
@@ -227,7 +285,7 @@ class SparseLU:
     def factor(self, A):
         self.A = A
         try:
-            self.lu = spla.splu(A.tocsc())
+            self.lu = _spla().splu(A.tocsc())
         except RuntimeError as exc:
             raise SolverFailure(f"LU factorization failed: {exc}")
         return self
@@ -277,7 +335,7 @@ class Krylov:
                 continue
             if lu is None:
                 try:
-                    lu = spla.splu(A.tocsc())
+                    lu = _spla().splu(A.tocsc())
                 except RuntimeError:
                     r = b if x is None else b - A @ x
                     raise SolverFailure(
@@ -295,11 +353,12 @@ class JacobiBiCGStab(Krylov):
     def factor(self, A):
         super().factor(A)
         d = A.diagonal()
-        self._M = spla.LinearOperator(A.shape, lambda v: v / d, dtype=float)
+        self._M = _spla().LinearOperator(A.shape, lambda v: v / d,
+                                         dtype=float)
 
     def _iterate(self, b, x0, atol, maxiter):
-        return spla.bicgstab(self.A, b, x0=x0, rtol=0.0, atol=atol,
-                             M=self._M, maxiter=maxiter)
+        return _spla().bicgstab(self.A, b, x0=x0, rtol=0.0, atol=atol,
+                                M=self._M, maxiter=maxiter)
 
 
 def aggregates(W):
@@ -422,7 +481,7 @@ class TwoGrid(Krylov):
             z += s * (r - A @ z)
             return z
         # with a dtype given, scipy does not probe the cycle to infer one
-        return spla.LinearOperator(A.shape, cycle, dtype=float)
+        return _spla().LinearOperator(A.shape, cycle, dtype=float)
 
     def _iterate(self, b, x0, atol, maxiter):
         """The coarse factor is rebuilt when a solve takes more than
@@ -452,9 +511,9 @@ class TwoGrid(Krylov):
         def count(_):
             nonlocal iters
             iters += 1
-        x, info = spla.cg(self.A, b, x0=x0, rtol=0.0, atol=atol,
-                          M=self.operator(self.A), maxiter=maxiter,
-                          callback=count)
+        x, info = _spla().cg(self.A, b, x0=x0, rtol=0.0, atol=atol,
+                             M=self.operator(self.A), maxiter=maxiter,
+                             callback=count)
         return x, info, iters
 
 

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +96,17 @@ class SnapshotDB:
         self.manifest_path = os.path.join(root, "manifest.json")
         os.makedirs(root, exist_ok=True)
         if os.path.exists(self.manifest_path):
-            with open(self.manifest_path) as fh:
-                self.manifest = json.load(fh)
-            if self.manifest.get("schema") != MANIFEST_SCHEMA:
+            try:
+                with open(self.manifest_path) as fh:
+                    self.manifest = json.load(fh)
+            except ValueError as exc:       # not JSON, or not UTF-8 text
+                raise SchemaError(f"{self.manifest_path}: not a JSON "
+                                  f"manifest ({exc})") from None
+            schema = (self.manifest.get("schema")
+                      if isinstance(self.manifest, dict) else None)
+            if schema != MANIFEST_SCHEMA:
                 raise SchemaError(f"{self.manifest_path}: unsupported schema "
-                                  f"{self.manifest.get('schema')!r}")
+                                  f"{schema!r}")
         else:
             self.manifest = {"schema": MANIFEST_SCHEMA, "parameter": "PF",
                              "entries": [], "weights": {}, "meta": {}}
@@ -219,24 +226,40 @@ def save_models(path, models, meta=None):
 
 
 def load_models(path):
-    """Read a model file back into {field name -> RomModel} plus meta."""
-    with np.load(path, allow_pickle=False) as z:
-        if str(z["schema"]) != MODEL_SCHEMA:
-            raise SchemaError(f"{path}: unsupported model schema {z['schema']!r}")
-        models = {}
-        for name in [str(f) for f in z["fields"]]:
-            modes = z[f"{name}:modes"]
-            weight = z[f"{name}:weight"] if f"{name}:weight" in z else None
-            basis = PodBasis(modes, z[f"{name}:singular_values"],
-                             float(z[f"{name}:energy"][0]), weight=weight)
-            coefficients = z[f"{name}:coefficients"]
-            params, kind = z[f"{name}:params"], str(z[f"{name}:kind"])
-            fault = _model_fault(modes, coefficients, params, kind)
-            if fault:
-                raise SchemaError(f"{path}: field {name!r}: {fault}")
-            models[name] = RomModel(basis, coefficients, params, kind,
-                                    field_name=name)
-        meta = json.loads(str(z["meta"])) if "meta" in z else {}
+    """Read a model file back into {field name -> RomModel} plus meta; a
+    SchemaError that names ``path`` when it is not a model file."""
+    try:
+        z = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        z = None        # not numpy data, or a truncated archive
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise SchemaError(f"{path}: not a model file "
+                          "(not an .npz archive)")
+    with z:
+        try:
+            if str(z["schema"]) != MODEL_SCHEMA:
+                raise SchemaError(
+                    f"{path}: unsupported model schema {z['schema']!r}")
+            models = {}
+            for name in [str(f) for f in z["fields"]]:
+                modes = z[f"{name}:modes"]
+                weight = (z[f"{name}:weight"] if f"{name}:weight" in z
+                          else None)
+                basis = PodBasis(modes, z[f"{name}:singular_values"],
+                                 float(z[f"{name}:energy"][0]),
+                                 weight=weight)
+                coefficients = z[f"{name}:coefficients"]
+                params, kind = z[f"{name}:params"], str(z[f"{name}:kind"])
+                fault = _model_fault(modes, coefficients, params, kind)
+                if fault:
+                    raise SchemaError(f"{path}: field {name!r}: {fault}")
+                models[name] = RomModel(basis, coefficients, params, kind,
+                                        field_name=name)
+            meta = json.loads(str(z["meta"])) if "meta" in z else {}
+        except (KeyError, json.JSONDecodeError) as exc:
+            # an array the file should hold, or meta that is not JSON
+            raise SchemaError(f"{path}: not a model file "
+                              f"({exc.args[0]})") from None
     return models, meta
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import hemoflow.casefile
 import hemoflow.cli
+import hemoflow.fv
 from hemoflow.cli import main
 from hemoflow.errors import SolverFailure
 from hemoflow.mesh import generate_bifurcation_mesh, read_mesh, write_mesh
@@ -68,6 +69,29 @@ def workflow(tmp_path_factory):
     assert main(["report", "--model", model,
                  "--out-dir", str(root / "spectrum")]) == 0
     return {"root": root, "case": case, "db": db, "model": model}
+
+
+# imports hemoflow.cli, runs its main on the arguments given, if any, and
+# prints the exit code and every scipy module then loaded
+SCIPY_SPY = """
+import sys
+import hemoflow.cli
+rc = hemoflow.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(rc, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def scipy_loaded(*argv):
+    """(exit code, scipy modules loaded) of ``hemoflow argv`` in a fresh
+    process; with no arguments, of ``import hemoflow.cli``."""
+    src = os.path.dirname(os.path.dirname(hemoflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SCIPY_SPY, *map(str, argv)],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout
+    rc, *modules = out.splitlines()[-1].split()
+    return int(rc), modules
 
 
 class TestWorkflow:
@@ -151,6 +175,99 @@ class TestWorkflow:
         rc = main(["rom-eval", workflow["model"], "--params", "10.0",
                    "--out-dir", str(out)])
         assert rc == 1
+
+    @pytest.mark.parametrize("params", ["abc", "4,x"])
+    def test_rom_eval_params_must_be_numbers(self, workflow, tmp_path,
+                                             capsys, params):
+        """A --params that is not a list of numbers is a usage error
+        (exit 2) from the parser: usage, one error line, no traceback."""
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as stop:
+            main(["rom-eval", workflow["model"], "--params", params,
+                  "--out-dir", str(out)])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert sum(line.startswith("usage:") for line in err.splitlines()) == 1
+        assert err.splitlines()[-1].endswith(
+            f"argument --params: {params!r} is not a comma-separated list "
+            "of numbers")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["text", "truncated", "no-schema",
+                                       "meta-not-json", "manifest-not-json"])
+    def test_files_hemoflow_did_not_write_are_usage_errors(
+            self, workflow, tmp_path, capsys, fault):
+        """A model or manifest file that hemoflow did not write exits 2
+        with one error line that names it; each used to end in a
+        traceback (ValueError, BadZipFile, KeyError, JSONDecodeError)."""
+        model = tmp_path / "model.npz"
+        argv = ["rom-eval", str(model), "--params", "4",
+                "--out-dir", str(tmp_path / "eval")]
+        named = model
+        if fault == "text":
+            model.write_text("p,u_x\n1.0,2.0\n")
+        elif fault == "truncated":
+            whole = open(workflow["model"], "rb").read()
+            model.write_bytes(whole[:len(whole) // 2])
+        elif fault == "no-schema":
+            np.savez(model, fields=np.array(["p"]))
+        elif fault == "meta-not-json":
+            with np.load(workflow["model"]) as z:
+                arrays = dict(z)
+            np.savez(model, **dict(arrays, meta=np.array("{threshold: 1}")))
+        else:
+            named = tmp_path / "db" / "manifest.json"
+            named.parent.mkdir()
+            named.write_text("{'schema': 'hemoflow-snapshots/1'}")
+            argv = ["report", "--db", str(named.parent),
+                    "--out-dir", str(tmp_path / "report")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["import", "rom-train", "rom-eval",
+                                         "report"])
+    def test_rom_commands_load_no_scipy(self, workflow, tmp_path, command):
+        """``import hemoflow.cli`` and the commands that only read and
+        write snapshots and models run on numpy alone."""
+        argv = {"import": [],
+                "rom-train": ["rom-train", workflow["db"],
+                              "--out", tmp_path / "m.npz"],
+                "rom-eval": ["rom-eval", workflow["model"], "--params",
+                             "3,4", "--db", workflow["db"],
+                             "--out-dir", tmp_path / "eval"],
+                "report": ["report", "--db", workflow["db"], "--model",
+                           workflow["model"],
+                           "--out-dir", tmp_path / "report"]}[command]
+        assert scipy_loaded(*argv) == (0, [])
+
+    def test_fom_run_loads_only_the_scipy_it_calls(self, workflow,
+                                                   tmp_path):
+        """A narrow-band 2D run factors both systems banded, so it loads
+        neither scipy.sparse.linalg nor scipy.sparse.csgraph; a 3D run's
+        Krylov solvers load scipy.sparse.linalg."""
+        rc, loaded = scipy_loaded("fom-run", workflow["case"],
+                                  "--out-dir", tmp_path / "run2d")
+        assert rc == 0 and "scipy.sparse" in loaded
+        assert [m for m in loaded
+                if m.startswith(("scipy.sparse.linalg",
+                                 "scipy.sparse.csgraph"))] == []
+        assert main(["mesh", "pipe", "--length", "0.02", "--diameter",
+                     "0.01", "--axial", "3", "--radial", "2",
+                     "--out", str(tmp_path / "pipe.hfm")]) == 0
+        doc = json.loads(workflow["case"].read_text())
+        doc.update(mesh=str(tmp_path / "pipe.hfm"), output={},
+                   solver={"dt": 0.01, "t_end": 0.02, "lin_tol": 1e-8,
+                           "convection_scheme": "upwind"})
+        case = tmp_path / "pipe.json"
+        case.write_text(json.dumps(doc))
+        rc, loaded = scipy_loaded("fom-run", case,
+                                  "--out-dir", tmp_path / "run3d")
+        assert rc == 0 and "scipy.sparse.linalg" in loaded
 
     def test_rom_eval_of_an_unusable_model_is_a_usage_error(self, workflow,
                                                             tmp_path):
@@ -446,12 +563,12 @@ def test_sweep_finds_every_pump_speed_before_solving(tmp_path, monkeypatch,
     its first solve (exit 1, nothing stored)."""
     case = make_case(tmp_path)
     runs = []
-    run = hemoflow.cli.PisoSolver.run
+    run = hemoflow.fv.PisoSolver.run
 
     def counted(self, *args, **kwargs):
         runs.append(1)
         return run(self, *args, **kwargs)
-    monkeypatch.setattr(hemoflow.cli.PisoSolver, "run", counted)
+    monkeypatch.setattr(hemoflow.fv.PisoSolver, "run", counted)
     db = tmp_path / "db"
     capsys.readouterr()
     assert main(["sweep", str(case), "--lo", "0.5", "--hi", "1", "--count",
@@ -485,7 +602,7 @@ def test_sweep_reads_the_case_and_the_mesh_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    count(hemoflow.cli, "load_case")
+    count(hemoflow.casefile, "load_case")
     count(hemoflow.casefile, "read_mesh")
     argv = ["sweep", str(case), "--lo", "3", "--hi", "5", "--count", "3",
             "--out", str(tmp_path / "db")]

@@ -440,6 +440,65 @@ def test_band_storage_holds_the_permuted_matrix(bif_step):
         assert np.array_equal(unpacked, np.triu(P))
 
 
+def cell_pattern(mesh):
+    """The step systems' pattern of ``mesh``: the diagonal and both
+    entries of every internal face."""
+    g, cells = mesh.fv, np.arange(mesh.n_cells)
+    return linsolve.Pattern(mesh.n_cells,
+                            np.concatenate([cells, g.i_owner, g.i_neigh]),
+                            np.concatenate([cells, g.i_neigh, g.i_owner]))
+
+
+def coarse_pattern(mesh):
+    """The pattern of the two-grid coarse matrix on ``mesh``'s
+    aggregates."""
+    g = mesh.fv
+    return linsolve.TwoGrid(cell_pattern(mesh), g.i_owner, g.i_neigh,
+                            g.orth_coeff).coarse
+
+
+def scattered_graph():
+    """Several components, and rows without a diagonal entry."""
+    rng = np.random.default_rng(3)
+    A = sp.random(60, 60, density=0.03, random_state=rng, format="coo")
+    i = np.concatenate([A.row, A.col, np.arange(60)])
+    j = np.concatenate([A.col, A.row, np.arange(60)])
+    # nothing between rows 0-19 and the rest; no diagonal in rows 7 and 31
+    keep = ((i < 20) == (j < 20)) & ~((i == j) & np.isin(i, [7, 31]))
+    return sp.csr_matrix((np.ones(keep.sum()), (i[keep], j[keep])),
+                         shape=(60, 60))
+
+
+RCM_GRAPHS = {
+    "bifurcation-452": lambda: cell_pattern(generate_bifurcation_mesh(
+        0.024, 0.004, 0.002, 45.0, resolution=8)),
+    "bifurcation-11000": lambda: cell_pattern(generate_bifurcation_mesh(
+        0.024, 0.004, 0.002, 45.0, resolution=40)),
+    "channel": lambda: cell_pattern(generate_channel_mesh(
+        0.1, 0.02, nx=12, ny=5)),
+    "pipe-8000": lambda: cell_pattern(generate_pipe_mesh(
+        0.02, 0.02, 20, 10, n_theta=40)),
+    "pipe-8000-coarse": lambda: coarse_pattern(generate_pipe_mesh(
+        0.02, 0.02, 20, 10, n_theta=40)),
+    "bifurcation-11000-coarse": lambda: coarse_pattern(
+        generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, resolution=40)),
+    "scattered": scattered_graph,
+}
+
+
+@pytest.mark.parametrize("graph", RCM_GRAPHS.values(), ids=RCM_GRAPHS.keys())
+def test_rcm_order_is_scipys(graph):
+    """``rcm_order`` gives the permutation of scipy's reverse Cuthill-McKee
+    (its reference here), so the band orders and answers do not move."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    G = graph()
+    n = len(G.indptr) - 1
+    A = sp.csr_matrix((np.ones(len(G.indices)), G.indices, G.indptr),
+                      shape=(n, n))
+    expected = reverse_cuthill_mckee(A, symmetric_mode=True)
+    assert np.array_equal(linsolve.rcm_order(G.indptr, G.indices), expected)
+
+
 def coo_assembly(solver):
     """The (rows, cols) order in which ``_momentum_system`` and
     ``_pressure_matrix`` emit their values."""

@@ -1,15 +1,10 @@
 """POD basis extraction and coefficient interpolation."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hemoflow
 from hemoflow.errors import (DegenerateInputError, ExtrapolationError,
                              InvalidArgumentError)
 from hemoflow.podi import (PodBasis, RomModel, SnapshotSet, cumulative_energy,
@@ -355,14 +350,3 @@ class TestParameterChecks:
                 model.coeffs_at(pi)
         assert np.array_equal(model.coeffs_at(5.0), self.C[:, 2])
 
-
-def test_cli_import_loads_no_scipy_interpolate():
-    code = ("import sys, hemoflow.cli; print(' '.join(m for m in "
-            "('scipy.interpolate', 'scipy.optimize', 'scipy.spatial') "
-            "if m in sys.modules))")
-    src = os.path.dirname(os.path.dirname(hemoflow.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.split() == []
