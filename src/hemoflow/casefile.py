@@ -5,8 +5,9 @@ solver settings and what to write out. ``load_case`` checks the whole
 file and builds its solver inputs once. A ``SchemaError`` names each
 unknown key (each condition type takes only its own keys), each number
 that is not a finite JSON number, each ``solver`` value of the wrong
-type for its ``SolverConfig`` field and each value that a constructor
-refuses. ``Case.load_mesh`` checks what needs the mesh.
+type for its ``SolverConfig`` field, each value that a constructor
+refuses, and ``initial.from_inflow`` unless exactly one patch has an
+inflow. ``Case.load_mesh`` checks what needs the mesh.
 """
 
 from __future__ import annotations
@@ -223,9 +224,13 @@ def load_case(path):
 
     init = raw.get("initial", {})
     _check_keys(init, {"from_inflow"}, "initial")
+    from_inflow = _flag(init, "from_inflow", "initial")
+    n_inflows = sum(isinstance(v, InflowBC) for v, _ in conds.values())
+    _require(not from_inflow or n_inflows == 1,
+             f"initial.from_inflow: needs exactly one inflow patch, the "
+             f"boundary has {n_inflows}")
 
     if not os.path.isabs(mesh_path):
         mesh_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                                  mesh_path)
-    return Case(mesh_path, fluid, solver, bcs, out_dir, probes,
-                _flag(init, "from_inflow", "initial"))
+    return Case(mesh_path, fluid, solver, bcs, out_dir, probes, from_inflow)

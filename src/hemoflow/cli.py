@@ -7,7 +7,7 @@ error.
 
 The mesh, case-file and solver modules, and with them scipy, are
 imported inside the commands that solve or mesh (``mesh``, ``fom-run``,
-``sweep``, ``validate``): ``rom-train``, ``rom-eval`` and ``report`` run
+``sweep``): ``rom-train``, ``rom-eval``, ``report`` and ``validate`` run
 on numpy alone.
 
 Environment: HEMOFLOW_LOG sets the log level. OPENBLAS_NUM_THREADS,
@@ -90,12 +90,13 @@ def _run_case(case, mesh, bcs, observer=None):
     solver = PisoSolver(mesh, bcs, case.fluid, case.solver)
     u0 = None
     if case.from_inflow:
-        # start from a uniform velocity matched to the inflow direction
-        for name, (vbc, _) in bcs.conditions.items():
-            if isinstance(vbc, InflowBC):
-                u, influx = vbc.shape_velocities(mesh, mesh.patches[name])
-                uf = u * (vbc.rate(0.0) / influx)
-                u0 = np.tile(uf.mean(axis=0), (mesh.n_cells, 1))
+        # start from a uniform velocity matched to the direction of the
+        # case's one inflow
+        name, vbc = next((n, v) for n, (v, _) in bcs.conditions.items()
+                         if isinstance(v, InflowBC))
+        u, influx = vbc.shape_velocities(mesh, mesh.patches[name])
+        uf = u * (vbc.rate(0.0) / influx)
+        u0 = np.tile(uf.mean(axis=0), (mesh.n_cells, 1))
     state = solver.run(solver.initialize(u=u0), observer=observer)
     return solver, state
 
@@ -148,7 +149,7 @@ def cmd_fom_run(args):
     lines = [f"time integrated: {state.time:.6g} s  (wall {elapsed:.1f} s)",
              "steady_tol: none set" if tol is None else
              f"steady_tol {tol:g} {'met' if state.converged else 'NOT met'} "
-             f"after {len(times)} steps",
+             f"after {state.steps} steps",
              f"PAS = {pas/units.MMHG_TO_PA:.2f} mmHg",
              f"PAD = {pad/units.MMHG_TO_PA:.2f} mmHg",
              f"PAM = {pam/units.MMHG_TO_PA:.2f} mmHg"]
@@ -184,18 +185,13 @@ def _sweep_point(case, mesh, pf):
     """Cold-start solve at inflow ``pf`` l/min: (snapshot, wall seconds).
     SolverFailure when the run stops without meeting ``steady_tol``."""
     from .casefile import with_inflow
-    steps = [0]
-
-    def count(_):
-        steps[0] += 1
     t0 = time.perf_counter()
-    solver, state = _run_case(case, mesh, with_inflow(case.bcs, pf),
-                              observer=count)
+    solver, state = _run_case(case, mesh, with_inflow(case.bcs, pf))
     elapsed = time.perf_counter() - t0
     if state.converged is False:
         raise SolverFailure(
             f"PF={pf:g} l/min: steady_tol {case.solver.steady_tol:g} not met "
-            f"at t={state.time:.6g} s after {steps[0]} steps")
+            f"at t={state.time:.6g} s after {state.steps} steps")
     return _snapshot(mesh, solver.fluid, state), elapsed
 
 
@@ -334,8 +330,7 @@ def cmd_validate(args):
                      refdata.PUBLISHED_PUMP_HEADS[key],
                      pump.pump_delta_p(model, rec.omega, rec.PF)))
 
-    from .fv.piso import FluidProperties
-    props = FluidProperties()
+    props = indicators.FluidProperties()
     A_oc = refdata.INLET_AREAS["outflow_cannula"] * 1e-4
     for key, rec in refdata.POST_RECORDS.items():
         rows.append((f"inlet Re {key}", refdata.PUBLISHED_REYNOLDS[key],

@@ -31,20 +31,19 @@ pressure matrix on the fixed pattern of ``linsolve.Pattern`` (each step
 overwrites their values in place), and one linear solver per system from
 ``linsolve.system_solvers``; a step factors each with its matrix and
 solves through ``linsolve.solve_bicgstab`` and ``linsolve.solve_cg``,
-and does not know which method either uses. The pressure
-``BoundaryValues`` are built once too, and a Windkessel outlet's rows in
-them are each step's scratch: the outlet's proximal pressure is state
-(``FlowState.p_p``), and a step first calls ``advance_windkessel``,
-which returns the next proximal pressures and writes the outlet's
-boundary pressure into those rows.
+and does not know which method either uses. From one pass over the
+boundary conditions it keeps the fixed-face pressures as one vector, a
+Windkessel outlet's rows at 0, and each outlet's rows in it.
 
 Per inflow state: what follows from the inflow rates alone is an
 ``_InflowState``, rebuilt when some inflow's rate differs from the one
 it was built for (so once per solver for steady inflows, every step for
-a pulsatile one). The time term rho V / dt is kept per dt alike, for
-``run``'s shortened last step.
+a pulsatile one).
 
-Per step: the momentum system, its factor and solve, and the pressure
+Per step: ``advance_windkessel`` steps each outlet's RCR model from
+``FlowState.p_p`` and returns the next p_p with a copy of that vector,
+the outlet rows set; nothing is written back. Then the time term
+rho V / dt, the momentum system, its factor and solve, and the pressure
 matrix and its factor. Per corrector: the pressure solves and the
 velocity update; the face flux is corrected after the last corrector
 only, as the step keeps no other.
@@ -57,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidArgumentError, SolverFailure
+from ..indicators import FluidProperties
 from ..units import DYN_CM2_TO_PA, M3S_TO_CM3S
 from ..windkessel import advance_outlet
 from . import linsolve
@@ -69,22 +69,6 @@ from .operators import (CONVECTION_SCHEMES, BoundaryValues,
 # (getattr); a traced run fails if one is missing, called here or not
 from .operators import (diffusion_term, face_interpolate,  # noqa: F401
                         gauss_gradient, gradient_term)
-
-
-@dataclass
-class FluidProperties:
-    """Constant-property incompressible fluid (defaults: blood)."""
-
-    rho: float = 1060.0   # kg/m^3
-    mu: float = 0.004     # Pa s
-
-    @property
-    def nu(self):
-        return self.mu / self.rho
-
-    def __post_init__(self):
-        if self.rho <= 0 or self.mu <= 0:
-            raise InvalidArgumentError("rho and mu must be positive")
 
 
 @dataclass
@@ -127,8 +111,9 @@ class FlowState:
     """Velocity/pressure/face-flux fields at one time level, and each
     Windkessel outlet's proximal pressure (``p_p``, dyn/cm^2).
 
-    ``converged`` is set on the state that ``PisoSolver.run`` returns:
-    whether the run met ``steady_tol``, None when it has none."""
+    ``converged`` and ``steps`` are set on the state that
+    ``PisoSolver.run`` returns: whether the run met ``steady_tol`` (None
+    when it has none), and the number of steps that the run took."""
 
     def __init__(self, mesh, u=None, p=None, phi=None, time=0.0, p_p=()):
         self.mesh = mesh
@@ -142,6 +127,7 @@ class FlowState:
                 or self.phi.shape != (nf,) or self.p_p.ndim != 1:
             raise InvalidArgumentError("field shape does not match mesh")
         self.converged = None
+        self.steps = None
         self._gross = None      # (phi it was summed from, gross flux)
 
     def copy(self):
@@ -187,9 +173,10 @@ class _InflowState:
 class PisoSolver:
     """Transient incompressible solver on a fixed mesh and BC set.
 
-    The solver owns its step matrices and pressure boundary values and
-    overwrites them every step, so one solver steps in one thread at a
-    time (a sweep builds one solver per point).
+    Between steps the solver keeps its step matrices and their factors,
+    which every step overwrites, the last inflow state, and what its
+    constructor built. So one solver steps in one thread at a time (a
+    sweep builds one solver per point).
     """
 
     def __init__(self, mesh, bcs: BoundaryConditionSet, fluid=None,
@@ -200,30 +187,32 @@ class PisoSolver:
         self.fluid = fluid or FluidProperties()
         self.config = config or SolverConfig()
         g = mesh.fv
-        # velocity boundary values: no-slip faces stay at rest, inflow
-        # faces hold their profile, scaled to the inflow rate every step
-        shapes, self._inflows = {}, []
-        for name, (vbc, _) in bcs.conditions.items():
+        # one pass over the conditions: velocity shapes (no-slip faces stay
+        # at rest, inflow faces hold their profile, scaled to the inflow
+        # rate), inflows, fixed pressures and Windkessel outlets (0 here)
+        shapes, pvals, self._inflows, windkessels = {}, {}, [], []
+        for name, (vbc, pbc) in bcs.conditions.items():
             patch = mesh.patches[name]
             if isinstance(vbc, InflowBC):
                 shapes[name], influx = vbc.shape_velocities(mesh, patch)
                 self._inflows.append((g.b_index[patch.face_ids], vbc, influx))
             elif isinstance(vbc, NoSlipBC):
                 shapes[name] = np.zeros(mesh.dim)
-        self._bu_shape = boundary_values_from_patches(mesh, shapes)
-        self._fixed_u = self._bu_shape.fixed
-        # pressure boundary values, built once: fixed values never change,
-        # and each step's advance_windkessel writes the Windkessel rows
-        pvals, self._windkessels = {}, []
-        for name, (_, pbc) in bcs.conditions.items():
             if isinstance(pbc, FixedPressureBC):
                 pvals[name] = pbc.value
             elif isinstance(pbc, WindkesselBC):
                 pvals[name] = 0.0
-                self._windkessels.append(
-                    (name, g.b_index[mesh.patches[name].face_ids], pbc.outlet))
-        self._bp = boundary_values_from_patches(mesh, pvals)
-        self._fixed_p = self._bp.fixed
+                windkessels.append((name, patch.face_ids, pbc.outlet))
+        self._bu_shape = boundary_values_from_patches(mesh, shapes)
+        self._fixed_u = self._bu_shape.fixed
+        bp = boundary_values_from_patches(mesh, pvals)
+        self._fixed_p = bp.fixed
+        # the pressures on the fixed-pressure faces, in boundary order, and
+        # each Windkessel outlet's rows in them
+        self._fixed_p_values = bp.values[bp.fixed]
+        rank = np.cumsum(bp.fixed) - 1
+        self._windkessels = [(name, rank[g.b_index[fids]], outlet)
+                             for name, fids, outlet in windkessels]
         self._has_nonorth = g.non_orthogonal
         # the step's fused face operators (cell major vector layout); the
         # gradients act on a cell field stacked on its fixed boundary values
@@ -253,15 +242,14 @@ class PisoSolver:
         self._A_p = self._pattern.matrix()
         self._momentum, self._pressure = linsolve.system_solvers(
             self._pattern, mesh.dim, o, n, g.orth_coeff)
-        # what no step changes, and the last step's inflow state and time
-        # term, each with the inflow rates or dt that it was built for
+        # what no step changes, and the last step's inflow state, with the
+        # inflow rates that it was built for
         self._mu_orth = self.fluid.mu * g.orth_coeff
         self._mu_b_orth = self.fluid.mu * g.b_orth_coeff
         self._fixed_u_faces = g.boundary[self._fixed_u]
         self._fixed_p_faces = g.boundary[self._fixed_p]
         self._fixed_p_owner = g.b_owner[self._fixed_p]
         self._inflow = None     # (rates, _InflowState)
-        self._time_term = None  # (dt, rho V / dt)
 
     # -- boundary value assembly ----------------------------------------
 
@@ -292,19 +280,12 @@ class PisoSolver:
                             g.D_b @ (coeff[:, None] * values),
                             values[self._fixed_u])
 
-    def _velocity_bvals(self, t):
-        """The velocity boundary values at ``t``, and the flux that they
-        prescribe on every face: 0 off the fixed-velocity faces, so that
-        ``self._F @ u.ravel()`` plus it is the face flux of ``u``."""
-        inflow = self._inflow_state(t)
-        return inflow.bu, inflow.phi
-
     def initialize(self, u=None, p=None, t=0.0):
         """Build a consistent initial state (fluxes from the velocity;
         each Windkessel outlet at its starting proximal pressure)."""
         state = FlowState(self.mesh, u=u, p=p, time=t,
                           p_p=[o.p_p for _, _, o in self._windkessels])
-        state.phi = self._F @ state.u.ravel() + self._velocity_bvals(t)[1]
+        state.phi = self._F @ state.u.ravel() + self._inflow_state(t).phi
         return state
 
     # -- one time step -----------------------------------------------------
@@ -317,10 +298,9 @@ class PisoSolver:
         dt = cfg.dt if dt is None else dt
         t_new = state.time + dt
         nc = mesh.n_cells
-        p_p = self.advance_windkessel(state, dt)
+        p_p, p_fixed = self.advance_windkessel(state, dt)
 
         inflow = self._inflow_state(t_new)
-        bp = self._bp
         phi = state.phi.copy()
         phi[self._fixed_u_faces] = inflow.phi[self._fixed_u_faces]
 
@@ -328,8 +308,7 @@ class PisoSolver:
         fixed_p = self._fixed_p
         # p stacked on the fixed boundary pressures, the input of the
         # pressure gradient operators; its head follows every solve
-        pb = np.concatenate([state.p, bp.values[fixed_p]])
-        bp_fixed = pb[nc:]
+        pb = np.concatenate([state.p, p_fixed])
         diag, A_m, rhs0 = self._momentum_system(state, phi, inflow, dt)
         grad_p = self._G @ pb
         self._momentum.factor(A_m)
@@ -345,7 +324,9 @@ class PisoSolver:
         c_int = rAU_f * g.orth_coeff
         c_b = rAU[g.b_owner] * g.b_orth_coeff
         self._pressure.factor(self._pressure_matrix(c_int, c_b))
-        rhs_pb = g.D_b @ np.where(fixed_p, c_b * bp.values, 0.0)
+        c_bp = np.zeros_like(c_b)
+        c_bp[fixed_p] = c_b[fixed_p] * p_fixed
+        rhs_pb = g.D_b @ c_bp
 
         u, p = u_star, state.p.copy()
         for _ in range(cfg.n_piso):
@@ -376,7 +357,7 @@ class PisoSolver:
         phi = phi_star
         phi[g.internal] -= c_int * dp + corr
         phi[self._fixed_p_faces] -= c_b[fixed_p] * (
-            bp_fixed - p[self._fixed_p_owner])
+            p_fixed - p[self._fixed_p_owner])
 
         new = FlowState(mesh, u=u, p=p, phi=phi, time=t_new, p_p=p_p)
         err = new.continuity_error()
@@ -408,9 +389,7 @@ class PisoSolver:
         owner = conv_p + self._mu_orth
         neigh = conv_m - self._mu_orth
 
-        if self._time_term is None or self._time_term[0] != dt:
-            self._time_term = (dt, rho * mesh.cell_volume / dt)
-        diag_t = self._time_term[1]
+        diag_t = rho * mesh.cell_volume / dt
         rhs = diag_t[:, None] * state.u
         # fixed-velocity faces couple diffusively; zero-gradient (outflow)
         # faces contribute implicit donor convection only
@@ -446,26 +425,28 @@ class PisoSolver:
 
     def advance_windkessel(self, state, dt):
         """One RCR step of each Windkessel outlet from ``state.p_p`` and
-        the state's patch flux Q: returns the next state's proximal
-        pressures, and writes p_p + R_p Q into the outlet's rows of the
-        pressure boundary values for the step that calls it."""
+        the state's patch flux Q: the next state's proximal pressures p_p,
+        and the step's pressures on the fixed-pressure faces [Pa], each
+        outlet's rows at p_p + R_p Q. Writes nothing into the solver."""
         if len(state.p_p) != len(self._windkessels):
             raise InvalidArgumentError(
                 f"state has {len(state.p_p)} Windkessel pressures, the "
                 f"solver {len(self._windkessels)} Windkessel outlets")
         p_p = np.empty(len(self._windkessels))
+        p_fixed = self._fixed_p_values.copy()
         for k, (name, rows, outlet) in enumerate(self._windkessels):
             Q = state.patch_flux(name)           # m^3/s, outward
-            p_p[k], p_b = advance_outlet(outlet, state.p_p[k],
-                                         Q * M3S_TO_CM3S, dt)
-            self._bp.values[rows] = p_b * DYN_CM2_TO_PA
-        return p_p
+            p_p[k], p_out = advance_outlet(outlet, state.p_p[k],
+                                           Q * M3S_TO_CM3S, dt)
+            p_fixed[rows] = p_out * DYN_CM2_TO_PA
+        return p_p, p_fixed
 
     # -- time loop -----------------------------------------------------------
 
     def run(self, state=None, observer=None):
         """March to t_end, max_steps or steady state. Returns the final
-        state (a new one, even after no step), its ``converged`` set."""
+        state (a new one, even after no step), its ``converged`` and
+        ``steps`` set."""
         cfg = self.config
         state = self.initialize() if state is None else state.copy()
         n_max = cfg.max_steps or int(round((cfg.t_end - state.time) / cfg.dt)) + 1
@@ -492,4 +473,5 @@ class PisoSolver:
                 steady = True
                 break
         state.converged = steady if cfg.steady_tol is not None else None
+        state.steps = steps
         return state

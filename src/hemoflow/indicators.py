@@ -1,9 +1,10 @@
 """Hemodynamic indicators and error metrics.
 
-Wall shear stress, inlet Reynolds numbers, volume averaged pressure
-with systolic/diastolic/mean extraction, and the two comparison metrics
-used for validation (weighted absolute percentage error and relative L2
-field error).
+The fluid's constant properties (``FluidProperties``, which the solver
+takes too), wall shear stress, inlet Reynolds numbers, volume averaged
+pressure with systolic/diastolic/mean extraction, and the two comparison
+metrics used for validation (weighted absolute percentage error and
+relative L2 field error).
 """
 
 from __future__ import annotations
@@ -13,6 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedMetricError
+
+
+@dataclass
+class FluidProperties:
+    """Constant-property incompressible fluid (defaults: blood)."""
+
+    rho: float = 1060.0   # kg/m^3
+    mu: float = 0.004     # Pa s
+
+    @property
+    def nu(self):
+        return self.mu / self.rho
+
+    def __post_init__(self):
+        if self.rho <= 0 or self.mu <= 0:
+            raise InvalidArgumentError("rho and mu must be positive")
 
 
 @dataclass

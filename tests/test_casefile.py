@@ -184,3 +184,22 @@ def test_invalid_json_is_a_schema_error(case_dir):
     path.write_text("{ not json")
     with pytest.raises(SchemaError, match="JSON"):
         load_case(path)
+
+
+@pytest.mark.parametrize("inflows", [0, 2])
+def test_from_inflow_needs_exactly_one_inflow(case_dir, inflows):
+    """``from_inflow`` starts from the velocity of the one inflow. With
+    none a run used to start from rest, and with two from the last one's
+    velocity, each without a word."""
+    doc = base_case()
+    bnd = doc["boundary"]
+    if inflows == 0:
+        bnd["inlet"] = {"velocity": {"type": "zero-gradient"},
+                        "pressure": {"type": "fixed", "value_pa": 1.0}}
+    else:
+        bnd["outlet"]["velocity"] = bnd["inlet"]["velocity"]
+    with pytest.raises(SchemaError,
+                       match=rf"initial\.from_inflow: .* has {inflows}$"):
+        load_case(write_case(case_dir, doc))
+    doc["initial"]["from_inflow"] = False
+    assert load_case(write_case(case_dir, doc)).from_inflow is False

@@ -230,10 +230,10 @@ class TestWorkflow:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["import", "rom-train", "rom-eval",
-                                         "report"])
+                                         "report", "validate"])
     def test_rom_commands_load_no_scipy(self, workflow, tmp_path, command):
-        """``import hemoflow.cli`` and the commands that only read and
-        write snapshots and models run on numpy alone."""
+        """``import hemoflow.cli``, the commands that only read and write
+        snapshots and models, and ``validate`` run on numpy alone."""
         argv = {"import": [],
                 "rom-train": ["rom-train", workflow["db"],
                               "--out", tmp_path / "m.npz"],
@@ -242,7 +242,8 @@ class TestWorkflow:
                              "--out-dir", tmp_path / "eval"],
                 "report": ["report", "--db", workflow["db"], "--model",
                            workflow["model"],
-                           "--out-dir", tmp_path / "report"]}[command]
+                           "--out-dir", tmp_path / "report"],
+                "validate": ["validate"]}[command]
         assert scipy_loaded(*argv) == (0, [])
 
     def test_fom_run_loads_only_the_scipy_it_calls(self, workflow,
@@ -447,6 +448,13 @@ MALFORMED = {
     "R_p-on-fixed": outlet(R_p=100.0),
     "flow_lmin-true": inlet(flow_lmin=True),
     "from_inflow-no": section("initial", from_inflow="no"),
+    "from_inflow-no-inflow": edited_run(
+        lambda doc: doc["boundary"]["inlet"].update(
+            velocity={"type": "zero-gradient"},
+            pressure={"type": "fixed", "value_pa": 1.0})),
+    "from_inflow-two-inflows": edited_run(
+        lambda doc: doc["boundary"]["outlet"].update(
+            velocity=doc["boundary"]["inlet"]["velocity"])),
     "unknown-profile": inlet(profile="bogus"),
     "value_pa-nan": outlet(value_pa=float("nan")),
     "R_p-nan": edited_run(lambda doc: doc["boundary"]["outlet"].update(

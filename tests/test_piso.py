@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hemoflow.errors import InvalidArgumentError, SolverFailure
-from hemoflow.fv import (BoundaryConditionSet, FlowState, FluidProperties,
-                         InflowBC, NoSlipBC, PisoSolver,
+from hemoflow.fv import (BoundaryConditionSet, FixedPressureBC, FlowState,
+                         FluidProperties, InflowBC, NoSlipBC, PisoSolver,
                          PressureZeroGradientBC, SolverConfig,
                          VelocityZeroGradientBC, WindkesselBC,
                          diffusion_term, linsolve, poiseuille_bcs)
@@ -348,7 +348,7 @@ def test_deferred_nonorth_momentum_correction_is_the_diffusion_difference():
     assert solver._has_nonorth
     u = np.random.default_rng(5).normal(size=(mesh.n_cells, 2))
     state = solver.initialize(u=u)
-    bu, _ = solver._velocity_bvals(state.time)
+    bu = solver._inflow_state(state.time).bu
 
     with_corr = solver._momentum_system(
         state, state.phi, solver._inflow_state(state.time), 1e-3)[2]
@@ -390,7 +390,8 @@ def test_one_operator_gives_the_flux_on_every_face(make):
     solver = PisoSolver(mesh, poiseuille_bcs(mesh, 1e-6), FLUID)
     u = np.random.default_rng(3).normal(size=(mesh.n_cells, mesh.dim))
     state = solver.initialize(u=u, t=0.5)
-    bu, phi_fixed = solver._velocity_bvals(0.5)
+    inflow = solver._inflow_state(0.5)
+    bu, phi_fixed = inflow.bu, inflow.phi
     S = mesh.face_area
     fixed = solver._fixed_u
     expected = np.empty(mesh.n_faces)
@@ -436,24 +437,44 @@ def same_state(a, b):
 
 
 def test_windkessel_pressure_lives_in_the_pressure_boundary_values():
-    """A step takes one RCR step from the state's proximal pressure with
-    the state's outlet flux, hands the result to the new state, and
-    writes p_p + R_p Q into the outlet's rows of the pressure boundary
-    values, and into no other row."""
-    solver, outlet = rcr_bifurcation(p0=4000.0)
-    mesh = solver.mesh
-    rows = mesh.fv.b_index[mesh.patches["outlet"].face_ids]
-    others = np.setdiff1d(np.arange(len(mesh.fv.boundary)), rows)
-    before = solver._bp.values.copy()
-    state = solver.initialize()
+    """``advance_windkessel`` takes one RCR step from the state's proximal
+    pressure with the state's outlet flux Q, and returns the next p_p with
+    the step's pressures on the fixed-pressure faces: p_p + R_p Q on the
+    outlet's, the fixed value on the others. A step hands that p_p to the
+    new state and leaves the solver's stored pressures as they were."""
+    mesh = generate_channel_mesh(0.1, 0.02, 12, 5)
+    outlet = WindkesselOutlet("outlet", R_p=4.8, R_d=43.2, C=1.2e-3,
+                              p_p=4000.0)
+    bcs = BoundaryConditionSet({
+        "inlet": (VelocityZeroGradientBC(), FixedPressureBC(500.0)),
+        "wall": (NoSlipBC(), PressureZeroGradientBC()),
+        "outlet": (VelocityZeroGradientBC(), WindkesselBC(outlet)),
+    })
+    solver = PisoSolver(mesh, bcs, FluidProperties(rho=1060.0, mu=3e-4),
+                        SolverConfig(dt=0.01, convection_scheme="upwind"))
+    g = mesh.fv
+    on_outlet = np.isin(np.flatnonzero(solver._fixed_p),
+                        g.b_index[mesh.patches["outlet"].face_ids])
+    assert on_outlet.any() and not on_outlet.all()
+    stored = solver._fixed_p_values.copy()
+    assert np.array_equal(stored, np.where(on_outlet, 0.0, 500.0))
+    u = np.zeros((mesh.n_cells, 2))
+    u[:, 0] = 0.05
+    state = solver.initialize(u=u)
     assert state.p_p.tolist() == [4000.0]
-    new = solver.step(state)
+
+    p_p, p_fixed = solver.advance_windkessel(state, 0.01)
     q = state.patch_flux("outlet") * M3S_TO_CM3S
-    assert new.p_p[0] == pytest.approx((1.2e-3 / 0.01 * 4000.0 + q)
-                                       / (1.2e-3 / 0.01 + 1.0 / 43.2))
-    assert np.all(solver._bp.values[rows]
-                  == (new.p_p[0] + outlet.R_p * q) * DYN_CM2_TO_PA)
-    assert np.array_equal(solver._bp.values[others], before[others])
+    assert q > 0.0
+    assert p_p[0] == pytest.approx((1.2e-3 / 0.01 * 4000.0 + q)
+                                   / (1.2e-3 / 0.01 + 1.0 / 43.2))
+    assert np.all(p_fixed[on_outlet]
+                  == (p_p[0] + outlet.R_p * q) * DYN_CM2_TO_PA)
+    assert np.all(p_fixed[~on_outlet] == 500.0)
+
+    new = solver.step(state)
+    assert np.array_equal(new.p_p, p_p)
+    assert np.array_equal(solver._fixed_p_values, stored)
     assert outlet.p_p == 4000.0
 
 
@@ -524,6 +545,26 @@ def test_a_shortened_last_step_uses_its_own_dt():
     dt = min(cfg.dt, cfg.t_end - states[-2].time)
     assert len(states) == 6 and dt < 0.6 * cfg.dt
     assert same_state(final, fresh_step(solver, states[-2], dt))
+
+
+@pytest.mark.parametrize("stop, config, converged", [
+    ("steady_tol", {"steady_tol": 1e-2, "t_end": 1e3}, True),
+    ("max_steps", {"steady_tol": 1e-12, "max_steps": 3, "t_end": 1e3},
+     False),
+    ("t_end", {"t_end": 0.055}, None),
+])
+def test_a_run_reports_its_own_step_count(stop, config, converged):
+    """The state that ``run`` returns carries the number of steps that
+    the run took, however it stopped: one per observer call."""
+    solver, _ = rcr_bifurcation(**config)
+    states = []
+    final = solver.run(solver.initialize(), observer=states.append)
+    assert final.steps == len(states) > 1
+    assert final.converged is converged
+    if stop == "max_steps":
+        assert final.steps == 3
+    if stop == "t_end":
+        assert final.time == pytest.approx(0.055)
 
 
 def test_a_steady_inflow_builds_its_inflow_state_once(monkeypatch):
