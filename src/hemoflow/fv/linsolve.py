@@ -12,10 +12,9 @@ per mesh. It returns one solver object per system; a step calls
 ``solve_bicgstab`` (momentum) or ``solve_cg`` (pressure), one call per
 solve whatever the method:
 
-    mesh                    momentum          pressure
-    2D, narrow RCM band     BandLU            BandCholesky
-    2D, wide RCM band       JacobiBiCGStab    SparseLU
-    3D                      JacobiBiCGStab    TwoGrid (CG)
+    mesh                          momentum          pressure
+    2D, narrow RCM band           BandLU            BandCholesky
+    3D, and 2D with a wide band   JacobiBiCGStab    TwoGrid (CG)
 
 On 2D meshes ``band_order`` computes a reverse Cuthill-McKee ordering of
 the pattern (Cuthill & McKee, 1969), in which the matrix is banded with a
@@ -23,29 +22,27 @@ narrow bandwidth k. While the banded LU work n k^2 stays within
 ``BAND_MAX_WORK``, each step makes a LAPACK banded LU (``dgbtrf``) of the
 momentum matrix, whose components share one solve, and a banded Cholesky
 factor (``dpbtrf``) of the symmetric positive definite pressure matrix,
-which every pressure corrector of the step reuses. On wider 2D bands the
-pressure factor is a sparse LU, again shared by the correctors: per step
-it beat the two-grid CG below on bifurcations of 11000-28000 cells. The
-ordering, ``rcm_order``, is scipy.sparse.csgraph's
-``reverse_cuthill_mckee`` rewritten in Python step for step: it gives the
-same permutation without importing scipy.sparse.csgraph.
+which every pressure corrector of the step reuses. Wider 2D bands take
+the Krylov pair of 3D meshes. The ordering, ``rcm_order``, is
+scipy.sparse.csgraph's ``reverse_cuthill_mckee`` rewritten in Python
+step for step: it gives the same permutation without importing
+scipy.sparse.csgraph.
 
-On 3D meshes the pressure is solved by conjugate gradients preconditioned
-with ``TwoGrid``, a symmetric aggregation two-grid cycle (Notay, ETNA 37,
-2010): Jacobi smoothing on the fine grid and an exact solve on aggregates
-of cells, whose small banded Cholesky factor is lagged across steps
-(Knoll & Keyes, JCP 193, 2004). The aggregates depend only on the mesh,
-so the solver builds them once. Momentum (mildly non-symmetric, diagonal
-rho V / dt > 0) uses Jacobi-preconditioned BiCGStab. Both Krylov solvers
-share one guard (``Krylov.solve``) and fall back to a sparse LU when they
-do not converge.
+Outside the narrow band the pressure is solved by conjugate gradients
+preconditioned with ``TwoGrid``, a symmetric aggregation two-grid cycle
+(Notay, ETNA 37, 2010): Jacobi smoothing on the fine grid and an exact
+solve on aggregates of cells, whose small banded Cholesky factor is
+lagged across steps (Knoll & Keyes, JCP 193, 2004). The aggregates
+depend only on the mesh, so the solver builds them once. Momentum
+(mildly non-symmetric, diagonal rho V / dt > 0) uses Jacobi-preconditioned
+BiCGStab. Both Krylov solvers share one guard (``Krylov.solve``) and fall
+back to a sparse LU when they do not converge.
 
-Only the Krylov and sparse-LU solvers (3D, wide 2D, the LU fallback) call
-scipy.sparse.linalg, so it is imported on first use, as this module's
-``spla`` (a PEP 562 module ``__getattr__``): a narrow-band 2D run never
-loads it. Every call looks ``spla`` up on the module (``_spla``), so a
-stand-in set there, such as perfbench/tracing.py's counting proxy, is the
-one called.
+Only the Krylov solvers (3D, wide 2D) call scipy.sparse.linalg, so it is
+imported on first use, as this module's ``spla`` (a PEP 562 module
+``__getattr__``): a narrow-band 2D run never loads it. Every call looks
+``spla`` up on the module (``_spla``), so a stand-in set there, such as
+perfbench/tracing.py's counting proxy, is the one called.
 """
 
 from __future__ import annotations
@@ -59,15 +56,15 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from ..errors import SolverFailure
 
 # Largest n k^2 (cells times squared RCM bandwidth) that ``band_order``
-# accepts. Timed on bifurcation meshes of resolution 8-64, one host: the
-# banded pressure factor plus four solves beat ``SparseLU`` up to
-# n k^2 = 3.4e7 (16 against 24 ms per step there), tied at 5.2e7 and lost
-# from 7.7e7 on (54 against 45 ms). Below the bound the banded momentum
-# solve ran from 5x faster to 1.5x slower than Jacobi-BiCGStab, and both
-# systems together were faster banded at every size tried.
+# accepts; wider 2D meshes take the Krylov pair. Median steps on
+# bifurcation meshes (upwind, dt 0.002, 30 steps from rest, one BLAS
+# thread, 2-core host), banded against the Krylov pair: 5.5 against 12
+# ms at n k^2 = 1.4e6, 33 against 43 ms at 2.2e7, 53 against 49 ms at
+# 3.4e7 and 72 against 61 ms at 5.2e7, so the bound sits at the
+# crossover. The banded factors took about twice the memory.
 BAND_MAX_WORK = 4e7
 
-# The 3D pressure two-grid cycle. Face ij is a strong connection when its
+# The pressure two-grid cycle. Face ij is a strong connection when its
 # geometric weight w_ij >= AGG_THETA sqrt(d_i d_j), d the row sums of the
 # weights. Over the 30 steps of the 8000-cell pipe (Re 500), theta 0.02,
 # 0.05, 0.08, 0.10 and 0.15 gave 1137, 1320, 1474, 1535 and 2029
@@ -276,22 +273,6 @@ class BandCholesky(BandFactor):
 
     def _solve(self, b):
         return dpbtrs(self.c, b, overwrite_b=1)
-
-
-class SparseLU:
-    """Sparse LU of each step's matrix; SolverFailure if it is
-    singular."""
-
-    def factor(self, A):
-        self.A = A
-        try:
-            self.lu = _spla().splu(A.tocsc())
-        except RuntimeError as exc:
-            raise SolverFailure(f"LU factorization failed: {exc}")
-        return self
-
-    def solve(self, B, x0=None, tol=None, maxiter=None):
-        return self.lu.solve(B)
 
 
 class Krylov:
@@ -521,12 +502,10 @@ def system_solvers(pattern, dim, owner, neigh, weights):
     """The (momentum, pressure) solvers of the two step systems on
     ``pattern``, by the table above; ``TwoGrid`` aggregates the cells by
     the ``weights`` of the faces between ``owner`` and ``neigh``."""
-    if dim == 3:
-        return JacobiBiCGStab(), TwoGrid(pattern, owner, neigh, weights)
-    order = band_order(pattern.indptr, pattern.indices)
-    if order is None:
-        return JacobiBiCGStab(), SparseLU()
-    return BandLU(order), BandCholesky(order)
+    order = band_order(pattern.indptr, pattern.indices) if dim == 2 else None
+    if order is not None:
+        return BandLU(order), BandCholesky(order)
+    return JacobiBiCGStab(), TwoGrid(pattern, owner, neigh, weights)
 
 
 def solve_cg(system, b, x0=None, tol=1e-6, maxiter=5000):

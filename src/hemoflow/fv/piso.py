@@ -79,7 +79,7 @@ class SolverConfig:
     n_nonorth: int = 2                # pressure solves per corrector on
                                       # non-orthogonal meshes (else one)
     convection_scheme: str = "second-order-upwind"   # or "upwind"
-    lin_tol: float = 1e-6             # Krylov solves: 3D, wide-2D momentum
+    lin_tol: float = 1e-6             # Krylov solves: 3D and wide 2D
     cfl_max: float = 5.0
     cfl_action: str = "warn"          # "warn" | "error"
     steady_tol: float = None          # stop when du/(dt u_ref) falls below

@@ -61,10 +61,12 @@ def read_field(path):
         magic = fh.read(len(_FIELD_MAGIC))
         if magic != _FIELD_MAGIC:
             raise SchemaError(f"{path}: not a field file")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if data.size != n:
+        head = fh.read(8)
+        n = struct.unpack("<Q", head)[0] if len(head) == 8 else None
+        # refused before reading: a corrupt length may exceed any buffer
+        if n is None or 8 * n > os.fstat(fh.fileno()).st_size - fh.tell():
             raise SchemaError(f"{path}: truncated field file")
+        data = np.frombuffer(fh.read(8 * n), dtype="<f8")
     return np.array(data)
 
 
@@ -107,6 +109,11 @@ class SnapshotDB:
             if schema != MANIFEST_SCHEMA:
                 raise SchemaError(f"{self.manifest_path}: unsupported schema "
                                   f"{schema!r}")
+            for key, kind, what in (("entries", list, "a list"),
+                                    ("weights", dict, "an object")):
+                if not isinstance(self.manifest.get(key), kind):
+                    raise SchemaError(f"{self.manifest_path}: {key!r} is "
+                                      f"not {what}")
         else:
             self.manifest = {"schema": MANIFEST_SCHEMA, "parameter": "PF",
                              "entries": [], "weights": {}, "meta": {}}
@@ -166,9 +173,7 @@ class SnapshotDB:
 
     def weights(self, name):
         rec = self.manifest["weights"].get(name)
-        if rec is None:
-            return None
-        return read_field(os.path.join(self.root, rec["file"]))
+        return None if rec is None else self._read_checked(rec)
 
     def params(self):
         return np.array([e["param"] for e in self.manifest["entries"]])
@@ -184,7 +189,11 @@ class SnapshotDB:
         if e is None or name not in e["fields"]:
             raise InvalidArgumentError(
                 f"no snapshot of {name!r} at parameter {param}")
-        rec = e["fields"][name]
+        return self._read_checked(e["fields"][name])
+
+    def _read_checked(self, rec):
+        """The field file of manifest record ``rec``; SchemaError when it
+        does not match its checksum."""
         path = os.path.join(self.root, rec["file"])
         if _sha256(path) != rec["checksum"]:
             raise SchemaError(f"{path}: checksum mismatch")

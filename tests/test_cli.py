@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -196,12 +197,14 @@ class TestWorkflow:
         assert not out.exists()
 
     @pytest.mark.parametrize("fault", ["text", "truncated", "no-schema",
-                                       "meta-not-json", "manifest-not-json"])
+                                       "meta-not-json", "manifest-not-json",
+                                       "manifest-no-entries"])
     def test_files_hemoflow_did_not_write_are_usage_errors(
             self, workflow, tmp_path, capsys, fault):
         """A model or manifest file that hemoflow did not write exits 2
         with one error line that names it; each used to end in a
-        traceback (ValueError, BadZipFile, KeyError, JSONDecodeError)."""
+        traceback (ValueError, BadZipFile, KeyError, JSONDecodeError; a
+        manifest of the right schema without entries, KeyError)."""
         model = tmp_path / "model.npz"
         argv = ["rom-eval", str(model), "--params", "4",
                 "--out-dir", str(tmp_path / "eval")]
@@ -220,7 +223,9 @@ class TestWorkflow:
         else:
             named = tmp_path / "db" / "manifest.json"
             named.parent.mkdir()
-            named.write_text("{'schema': 'hemoflow-snapshots/1'}")
+            named.write_text("{'schema': 'hemoflow-snapshots/1'}"
+                             if fault == "manifest-not-json"
+                             else '{"schema": "hemoflow-snapshots/1"}')
             argv = ["report", "--db", str(named.parent),
                     "--out-dir", str(tmp_path / "report")]
         capsys.readouterr()
@@ -228,6 +233,37 @@ class TestWorkflow:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fault", ["corrupt-weights",
+                                       "oversized-length"])
+    def test_damaged_field_files_are_usage_errors(self, workflow, tmp_path,
+                                                  capsys, fault):
+        """rom-train of a database with a damaged file exits 2 with one
+        error line that names the file and writes no model: corrupted
+        weights used to be trained on, and a field file whose length
+        header claims 2**61 values (checksum updated) ended in an
+        OverflowError traceback."""
+        db = tmp_path / "db"
+        shutil.copytree(workflow["db"], db)
+        manifest = json.loads((db / "manifest.json").read_text())
+        rec = (manifest["weights"]["p"] if fault == "corrupt-weights"
+               else manifest["entries"][0]["fields"]["p"])
+        named = db / rec["file"]
+        data = bytearray(named.read_bytes())
+        if fault == "corrupt-weights":
+            data[-1] ^= 0xFF
+        else:
+            data[7:15] = (2 ** 61).to_bytes(8, "little")
+            rec["checksum"] = "sha256:" + hashlib.sha256(data).hexdigest()
+            (db / "manifest.json").write_text(json.dumps(manifest))
+        named.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["rom-train", str(db), "--out",
+                     str(tmp_path / "m.npz")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "m.npz").exists()
 
     @pytest.mark.parametrize("command", ["import", "rom-train", "rom-eval",
                                          "report", "validate"])

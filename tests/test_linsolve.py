@@ -1,9 +1,8 @@
 """Linear-solver layer: fixed-pattern assembly in place, and the solver
 objects that ``linsolve.system_solvers`` picks per mesh class: banded LU
 (momentum) and banded Cholesky (pressure) on narrow-band 2D meshes,
-Jacobi-BiCGStab and a sparse LU on wide-band 2D meshes, Jacobi-BiCGStab
-and two-grid CG on 3D meshes; the guard and LU fallback that both Krylov
-solvers share."""
+Jacobi-BiCGStab and two-grid CG on 3D and wide-band 2D meshes; the guard
+and LU fallback that both Krylov solvers share."""
 
 import numpy as np
 import pytest
@@ -163,7 +162,7 @@ def test_band_order_is_refused_above_the_work_bound(monkeypatch, bif_step):
 
 @pytest.mark.parametrize("make, wide, momentum, pressure", [
     (bifurcation_solver, False, linsolve.BandLU, linsolve.BandCholesky),
-    (bifurcation_solver, True, linsolve.JacobiBiCGStab, linsolve.SparseLU),
+    (bifurcation_solver, True, linsolve.JacobiBiCGStab, linsolve.TwoGrid),
     (pipe_solver, False, linsolve.JacobiBiCGStab, linsolve.TwoGrid),
 ], ids=["narrow-2d", "wide-2d", "3d"])
 def test_each_mesh_class_gets_one_solver_per_system(monkeypatch, make, wide,
@@ -183,10 +182,10 @@ def test_each_mesh_class_gets_one_solver_per_system(monkeypatch, make, wide,
     assert solver._pressure.A is solver._A_p
 
 
-def test_wide_band_2d_step_uses_sparse_lu_and_bicgstab(monkeypatch):
-    """Above the bound a 2D step makes one sparse LU of the pressure
-    matrix, shared by its four solves, and solves momentum by
-    Jacobi-BiCGStab; the step agrees with the banded one."""
+def test_wide_band_2d_step_uses_two_grid_cg_and_bicgstab(monkeypatch):
+    """Above the bound a 2D step solves its four pressure systems by
+    two-grid CG and momentum by Jacobi-BiCGStab, as a 3D step does, with
+    no sparse LU; the step agrees with the banded one."""
     banded = bifurcation_solver()
     monkeypatch.setattr(linsolve, "BAND_MAX_WORK", 0)
     wide = bifurcation_solver()
@@ -194,9 +193,9 @@ def test_wide_band_2d_step_uses_sparse_lu_and_bicgstab(monkeypatch):
     ref = banded.step(banded.step(banded.initialize()))
     new, pressure, momentum, factors, splu_calls = recorded_step(
         monkeypatch, wide, wide.step(wide.initialize()))
-    assert factors == [] and splu_calls == 1
+    assert factors == [] and splu_calls == 0
     assert len(pressure) == 4 and len(momentum) == 1
-    assert isinstance(wide._pressure, linsolve.SparseLU)
+    assert isinstance(wide._pressure, linsolve.TwoGrid)
     assert all(system is wide._pressure for _, _, system in pressure)
     assert isinstance(momentum[0][2], linsolve.JacobiBiCGStab)
     for a, b in ((new.p, ref.p), (new.u, ref.u)):
@@ -300,8 +299,6 @@ def test_singular_matrix_raises_solver_failure(monkeypatch):
     b = np.zeros(n)
     b[0] = 1.0                   # not in the range of A
     x0 = np.linspace(0.0, 1.0, n)
-    with pytest.raises(SolverFailure, match="LU factorization"):
-        linsolve.SparseLU().factor(A)
     # the coarse matrix of the two-grid cycle is singular too
     with pytest.raises(SolverFailure):
         linsolve.solve_cg(two_grid_of(A), b, x0=x0, maxiter=50)

@@ -1,5 +1,7 @@
 """Snapshot database persistence, resumability, and model files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,20 @@ class TestFieldFiles:
         write_field(path, np.arange(100.0))
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(SchemaError):
+            read_field(path)
+
+    def test_length_beyond_the_file_is_rejected(self, tmp_path):
+        """A corrupt length header is refused before it is read: 2**61
+        used to raise OverflowError."""
+        path = tmp_path / "f.bin"
+        write_field(path, np.arange(4.0))
+        data = bytearray(path.read_bytes())
+        data[7:15] = (2 ** 61).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match="truncated field file"):
+            read_field(path)
+        path.write_bytes(bytes(data[:10]))     # a header cut short
+        with pytest.raises(SchemaError, match="truncated field file"):
             read_field(path)
 
     def test_only_flat_arrays(self, tmp_path):
@@ -92,6 +108,18 @@ class TestSnapshotDB:
         with pytest.raises(SchemaError):
             db.load_field(3.5, "p")
 
+    def test_weights_verify_their_checksum(self, tmp_path):
+        """A weights file with its last byte flipped used to be read back
+        with no error."""
+        root = tmp_path / "db"
+        db = self.populate(root)
+        victim = root / db.manifest["weights"]["p"]["file"]
+        data = bytearray(victim.read_bytes())
+        data[-1] ^= 0xFF
+        victim.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match="checksum mismatch"):
+            db.weights("p")
+
     def test_close_parameters_keep_separate_files(self, tmp_path):
         db = SnapshotDB(tmp_path / "db")
         db.add_entry(3.0, {"p": np.full(4, 1.0)})
@@ -118,6 +146,22 @@ class TestSnapshotDB:
         root.mkdir()
         (root / "manifest.json").write_text('{"schema": "something-else/9"}')
         with pytest.raises(SchemaError):
+            SnapshotDB(root)
+
+    @pytest.mark.parametrize("body, match", [
+        ({}, "'entries' is not a list"),
+        ({"entries": {}, "weights": {}}, "'entries' is not a list"),
+        ({"entries": [], "weights": []}, "'weights' is not an object"),
+    ], ids=["bare", "entries-object", "weights-list"])
+    def test_manifest_without_entries_and_weights_is_rejected(
+            self, tmp_path, body, match):
+        """The right schema with no list of entries or no weights object
+        used to fail later, with a KeyError or TypeError."""
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / "manifest.json").write_text(
+            json.dumps({"schema": "hemoflow-snapshots/1", **body}))
+        with pytest.raises(SchemaError, match=match):
             SnapshotDB(root)
 
 
