@@ -10,11 +10,8 @@ imported inside the commands that solve or mesh (``mesh``, ``fom-run``,
 ``sweep``): ``rom-train``, ``rom-eval``, ``report`` and ``validate`` run
 on numpy alone.
 
-Environment: HEMOFLOW_LOG sets the log level. OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS default to 1: threaded OpenBLAS
-makes the banded Cholesky factor of a 2D pressure matrix of bandwidth
-above 16 several times slower on a 2-core host, and threads gained
-nothing measured elsewhere. A value set in the environment wins.
+Environment: HEMOFLOW_LOG sets the log level. BLAS runs on one thread
+unless the environment says otherwise (``hemoflow/__init__.py``).
 """
 
 from __future__ import annotations
@@ -25,10 +22,6 @@ import logging
 import os
 import sys
 import time
-
-# before numpy loads BLAS, which reads these once
-for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_key, "1")
 
 import numpy as np
 

@@ -38,15 +38,24 @@ depend only on the mesh, so the solver builds them once. Momentum
 BiCGStab. Both Krylov solvers share one guard (``Krylov.solve``) and fall
 back to a sparse LU when they do not converge.
 
-Only the Krylov solvers (3D, wide 2D) call scipy.sparse.linalg, so it is
-imported on first use, as this module's ``spla`` (a PEP 562 module
-``__getattr__``): a narrow-band 2D run never loads it. Every call looks
-``spla`` up on the module (``_spla``), so a stand-in set there, such as
-perfbench/tracing.py's counting proxy, is the one called.
+The Krylov methods are two short numpy loops, ``pcg`` and ``pbicgstab``,
+with the recurrences, stop tests and breakdown tests of scipy 1.17's
+``scipy.sparse.linalg.cg`` and ``bicgstab``, and the same iteration
+counts, without their per-solve set-up and per-iteration operator
+wrappers, which made the median step of the 8000-cell pipe about 10%
+longer. Each Krylov solver records the iterations of its solves
+since its last ``factor`` in ``iterations``.
+
+Only the sparse LU fallback calls scipy.sparse.linalg, so it is imported
+on first use, as this module's ``spla`` (a PEP 562 module
+``__getattr__``): a run whose Krylov solves all converge never loads it.
+Every call looks ``spla`` up on the module (``_spla``), so a stand-in set
+there is the one called.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -277,13 +286,20 @@ class BandCholesky(BandFactor):
 
 class Krylov:
     """A system solved by a preconditioned Krylov method. Subclasses give
-    ``name`` and ``_iterate(b, x0, atol, maxiter)``, which returns (x,
-    info) as ``scipy.sparse.linalg.cg``."""
+    ``name`` and ``_iterate(b, x, r, atol, maxiter)``, which runs ``pcg``
+    or ``pbicgstab`` from the iterate ``x`` and its residual ``r`` (both
+    its own, updated in place) and returns (x, info) as they do.
+
+    ``iterations`` holds the iterations of every run of the loop since
+    the last ``factor``, in order: one per column solved, and one more
+    when ``TwoGrid`` retries with a fresh coarse factor.
+    """
 
     name = ""
 
     def factor(self, A):
         self.A = A
+        self.iterations = []
 
     def solve(self, B, x0=None, tol=1e-6, maxiter=5000):
         """Solve A x = b for ``B``, one vector or columns, from ``x0``
@@ -303,14 +319,18 @@ class Krylov:
             b = cols[:, j]
             if not b.any():
                 continue
-            x = None if starts is None else starts[:, j]
-            r0 = np.linalg.norm(b if x is None else b - A @ x)
+            if starts is None:
+                x, r = np.zeros(len(b)), b.copy()
+            else:
+                x = starts[:, j].copy()
+                r = b - A @ x
+            r0 = math.sqrt(r @ r)
             if r0 == 0.0:
-                X[:, j] = 0.0 if x is None else x
+                X[:, j] = x
                 continue
             info = "non-finite initial residual"
             if np.isfinite(r0):
-                x, info = self._iterate(b, x, tol * r0, maxiter)
+                x, info = self._iterate(b, x, r, tol * r0, maxiter)
             if info == 0:
                 X[:, j] = x
                 continue
@@ -318,12 +338,86 @@ class Krylov:
                 try:
                     lu = _spla().splu(A.tocsc())
                 except RuntimeError:
-                    r = b if x is None else b - A @ x
                     raise SolverFailure(
                         f"{self.name} failed (info={info}) and LU "
-                        f"fallback failed", [float(np.linalg.norm(r) / r0)])
+                        f"fallback failed",
+                        [float(np.linalg.norm(b - A @ x) / r0)])
             X[:, j] = lu.solve(b)
         return X.reshape(B.shape)
+
+
+# rho and omega breakdown bound of scipy.sparse.linalg.bicgstab
+BREAKDOWN = np.finfo(float).eps ** 2
+
+
+def pcg(A, psolve, x, r, atol, maxiter):
+    """Preconditioned conjugate gradients (Saad, Iterative Methods for
+    Sparse Linear Systems, 2003, alg. 9.1) for A x = b, from ``x`` and its
+    residual ``r`` = b - A x, both updated in place; ``psolve`` applies
+    M^-1. Stops when ||r|| < ``atol`` before an iteration. Returns (x,
+    info, iterations): info 0 when converged, else ``maxiter``. The
+    recurrence, the stop test and the count are those of
+    ``scipy.sparse.linalg.cg`` (as its ``callback`` counts).
+    """
+    for it in range(maxiter):
+        if math.sqrt(r @ r) < atol:
+            return x, 0, it
+        z = psolve(r)
+        rho = r @ z
+        if it > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, maxiter
+
+
+def pbicgstab(A, psolve, x, r, atol, maxiter):
+    """Right-preconditioned BiCGStab (van der Vorst, SIAM J. Sci. Stat.
+    Comput. 13, 1992) for A x = b, as ``pcg``, with the stop and
+    breakdown tests of ``scipy.sparse.linalg.bicgstab``: ||r|| < ``atol``
+    before an iteration and after its first half step, info -10 when
+    |rho| < eps^2 and -11 when |omega| < eps^2 or (r~, v) = 0.
+    ``iterations`` counts whole iterations, as scipy's ``callback``.
+    """
+    rt = r.copy()
+    for it in range(maxiter):
+        if math.sqrt(r @ r) < atol:
+            return x, 0, it
+        rho = rt @ r
+        if abs(rho) < BREAKDOWN:
+            return x, -10, it
+        if it > 0:
+            if abs(omega) < BREAKDOWN:
+                return x, -11, it
+            p -= omega * v
+            p *= (rho / rho_prev) * (alpha / omega)
+            p += r
+        else:
+            p = r.copy()
+        phat = psolve(p)
+        v = A @ phat
+        rv = rt @ v
+        if rv == 0:
+            return x, -11, it
+        alpha = rho / rv
+        r -= alpha * v
+        if math.sqrt(r @ r) < atol:
+            x += alpha * phat
+            return x, 0, it
+        shat = psolve(r)
+        t = A @ shat
+        omega = (t @ r) / (t @ t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter, maxiter
 
 
 class JacobiBiCGStab(Krylov):
@@ -333,13 +427,14 @@ class JacobiBiCGStab(Krylov):
 
     def factor(self, A):
         super().factor(A)
-        d = A.diagonal()
-        self._M = _spla().LinearOperator(A.shape, lambda v: v / d,
-                                         dtype=float)
+        self._d_inv = 1.0 / A.diagonal()
 
-    def _iterate(self, b, x0, atol, maxiter):
-        return _spla().bicgstab(self.A, b, x0=x0, rtol=0.0, atol=atol,
-                                M=self._M, maxiter=maxiter)
+    def _iterate(self, b, x, r, atol, maxiter):
+        d_inv = self._d_inv
+        x, info, iters = pbicgstab(self.A, lambda v: v * d_inv, x, r, atol,
+                                   maxiter)
+        self.iterations.append(iters)
+        return x, info
 
 
 def aggregates(W):
@@ -442,7 +537,7 @@ class TwoGrid(Krylov):
         self._base_iters = None
 
     def operator(self, A):
-        """M^-1 for ``A`` as a LinearOperator: the smoother uses the
+        """M^-1 for ``A``, a function of one vector: the smoother uses the
         diagonal of ``A``, the coarse solve the current factor."""
         if self._factor is None:
             self.refactor(A)
@@ -461,41 +556,35 @@ class TwoGrid(Krylov):
             z += e[to_band]
             z += s * (r - A @ z)
             return z
-        # with a dtype given, scipy does not probe the cycle to infer one
-        return _spla().LinearOperator(A.shape, cycle, dtype=float)
+        return cycle
 
-    def _iterate(self, b, x0, atol, maxiter):
+    def _iterate(self, b, x, r, atol, maxiter):
         """The coarse factor is rebuilt when a solve takes more than
         REFACTOR_GROWTH times the iterations of the first solve after the
         last rebuild, and before one retry, from the last iterate, when a
         solve with a factor of an older matrix does not converge. A coarse
         matrix that cannot be factored (A singular) fails the iteration,
         at the last iterate, so the solve falls back to a sparse LU."""
-        x, fresh = x0, self._factor is None
+        fresh = self._factor is None
         try:
-            x, info, iters = self._cg(b, x, atol, maxiter)
+            x, info = self._cg(x, r, atol, maxiter)
             if info != 0 and not fresh:
                 self.refactor(self.A)
-                x, info, iters = self._cg(b, x, atol, maxiter)
+                x, info = self._cg(x, b - self.A @ x, atol, maxiter)
         except SolverFailure as failure:
             return x, f"coarse {failure}"
         if info == 0:
             if self._base_iters is None:
-                self._base_iters = iters
-            elif iters > REFACTOR_GROWTH * self._base_iters:
+                self._base_iters = self.iterations[-1]
+            elif self.iterations[-1] > REFACTOR_GROWTH * self._base_iters:
                 self.refactor(self.A)
         return x, info
 
-    def _cg(self, b, x0, atol, maxiter):
-        iters = 0
-
-        def count(_):
-            nonlocal iters
-            iters += 1
-        x, info = _spla().cg(self.A, b, x0=x0, rtol=0.0, atol=atol,
-                             M=self.operator(self.A), maxiter=maxiter,
-                             callback=count)
-        return x, info, iters
+    def _cg(self, x, r, atol, maxiter):
+        x, info, iters = pcg(self.A, self.operator(self.A), x, r, atol,
+                             maxiter)
+        self.iterations.append(iters)
+        return x, info
 
 
 def system_solvers(pattern, dim, owner, neigh, weights):

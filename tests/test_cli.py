@@ -286,7 +286,8 @@ class TestWorkflow:
                                                    tmp_path):
         """A narrow-band 2D run factors both systems banded, so it loads
         neither scipy.sparse.linalg nor scipy.sparse.csgraph; a 3D run's
-        Krylov solvers load scipy.sparse.linalg."""
+        Krylov solvers are numpy loops, and only their LU fallback, which
+        a converging run never calls, would load scipy.sparse.linalg."""
         rc, loaded = scipy_loaded("fom-run", workflow["case"],
                                   "--out-dir", tmp_path / "run2d")
         assert rc == 0 and "scipy.sparse" in loaded
@@ -304,7 +305,10 @@ class TestWorkflow:
         case.write_text(json.dumps(doc))
         rc, loaded = scipy_loaded("fom-run", case,
                                   "--out-dir", tmp_path / "run3d")
-        assert rc == 0 and "scipy.sparse.linalg" in loaded
+        assert rc == 0 and "scipy.sparse" in loaded
+        assert [m for m in loaded
+                if m.startswith(("scipy.sparse.linalg",
+                                 "scipy.sparse.csgraph"))] == []
 
     def test_rom_eval_of_an_unusable_model_is_a_usage_error(self, workflow,
                                                             tmp_path):
@@ -527,9 +531,10 @@ def test_rom_train_needs_entries(tmp_path, capsys, db):
     assert not (tmp_path / "m.npz").exists()
 
 
-# what each BLAS thread variable holds when numpy is first imported
+# what each BLAS thread variable holds when numpy is first imported, in a
+# process that imports the module named by its argument
 BLAS_SPY = """
-import os, sys
+import importlib, os, sys
 KEYS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 seen = []
 class Spy:
@@ -537,17 +542,15 @@ class Spy:
         if name == "numpy" and not seen:
             seen.append([os.environ.get(k) for k in KEYS])
 sys.meta_path.insert(0, Spy())
-import hemoflow.cli
+importlib.import_module(sys.argv[1])
 print(*seen[0])
 """
 
 
-@pytest.mark.parametrize("preset, expected", [
-    (None, "1 1 1"), ("2", "2 1 1")], ids=["unset", "preset"])
-def test_cli_runs_blas_on_one_thread_by_default(preset, expected):
-    """Importing the CLI sets each BLAS thread count to 1 before numpy
-    loads BLAS, unless the environment already sets it: threaded OpenBLAS
-    makes wide banded Cholesky factors several times slower."""
+def blas_threads_at_numpy_import(module, preset):
+    """BLAS_SPY's output for ``import module`` in a fresh process, with
+    OPENBLAS_NUM_THREADS set to ``preset`` (unset if None) and the other
+    two unset."""
     src = os.path.dirname(os.path.dirname(hemoflow.__file__))
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -556,9 +559,29 @@ def test_cli_runs_blas_on_one_thread_by_default(preset, expected):
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    out = subprocess.run([sys.executable, "-c", BLAS_SPY], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == expected.split()
+    return subprocess.run([sys.executable, "-c", BLAS_SPY, module], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.split()
+
+
+@pytest.mark.parametrize("preset, expected", [
+    (None, "1 1 1"), ("2", "2 1 1")], ids=["unset", "preset"])
+def test_cli_runs_blas_on_one_thread_by_default(preset, expected):
+    """Importing the CLI sets each BLAS thread count to 1 before numpy
+    loads BLAS, unless the environment already sets it: threaded OpenBLAS
+    makes wide banded Cholesky factors several times slower."""
+    assert blas_threads_at_numpy_import("hemoflow.cli",
+                                        preset) == expected.split()
+
+
+@pytest.mark.parametrize("preset, expected", [
+    (None, "1 1 1"), ("2", "2 1 1")], ids=["unset", "preset"])
+def test_library_import_runs_blas_on_one_thread_by_default(preset,
+                                                           expected):
+    """A script that imports the solver, not the CLI, gets the same
+    default: the package sets it, before its first numpy import."""
+    assert blas_threads_at_numpy_import("hemoflow.fv",
+                                        preset) == expected.split()
 
 
 def pulsatile_case(tmp_path, t_end):

@@ -239,6 +239,54 @@ def test_bicgstab_falls_back_to_lu(monkeypatch, pipe_step):
     assert np.allclose(X, X_lu, rtol=0.0, atol=1e-12 * np.abs(X_lu).max())
 
 
+def test_krylov_loops_match_scipy(pipe_step):
+    """On the pipe's step matrices, from the step's own starts, ``pcg``
+    and ``pbicgstab`` take as many iterations as scipy's ``cg`` and
+    ``bicgstab`` with the same preconditioner, to the same iterates: the
+    arithmetic is the same, so they agree bit for bit."""
+    solver, state, (_, pressure, momentum, _, _) = pipe_step
+    (A_m, B, _), = momentum
+    runs = [(linsolve.pcg, spla.cg, A, b, solver._pressure.operator(A),
+             state.p) for A, b, _ in pressure]
+    d_inv = jacobi_bicgstab(A_m)._d_inv
+    runs += [(linsolve.pbicgstab, spla.bicgstab, A_m, b,
+              lambda v: v * d_inv, x0) for b, x0 in zip(B.T, state.u.T)]
+    for loop, scipy_solve, A, b, psolve, x0 in runs:
+        b = np.ascontiguousarray(b)
+        atol = LIN_TOL * np.linalg.norm(b - A @ x0)
+        x_ref, info_ref, iters_ref = counted_scipy_solve(
+            scipy_solve, A, b, x0=x0, rtol=0.0, atol=atol, maxiter=500,
+            M=spla.LinearOperator(A.shape, psolve, dtype=float))
+        x, info, iters = loop(A, psolve, x0.copy(), b - A @ x0, atol, 500)
+        assert info == info_ref == 0
+        assert iters == iters_ref > 0
+        assert np.array_equal(x, x_ref)
+
+
+def test_bicgstab_breakdown_falls_back_to_lu(monkeypatch):
+    """With b = (1, 1) and the Jacobi preconditioner the identity,
+    (r~, A r) = 0 on the first iteration: BiCGStab breaks down (info -11)
+    and the column is solved by the LU fallback."""
+    A = sp.csr_matrix(np.array([[1.0, -2.0], [0.0, 1.0]]))
+    b = np.ones(2)
+    infos = []
+    loop = linsolve.pbicgstab
+
+    def kept_info(*args):
+        x, info, iters = loop(*args)
+        infos.append(info)
+        return x, info, iters
+
+    monkeypatch.setattr(linsolve, "pbicgstab", kept_info)
+    counter = _CountingLinalg()
+    monkeypatch.setattr(linsolve, "spla", counter)
+    system = jacobi_bicgstab(A)
+    X = linsolve.solve_bicgstab(system, b[:, None])
+    assert infos == [-11] and system.iterations == [0]
+    assert counter.factorizations == 1
+    assert np.allclose(X[:, 0], [3.0, 1.0], rtol=0.0, atol=1e-15)
+
+
 def neumann_laplacian(n=10):
     """Exactly singular: every row sums to zero."""
     main = np.full(n, 2.0)
@@ -260,29 +308,26 @@ def two_grid_of(A):
     return system
 
 
-class _LastIterate(_CountingLinalg):
-    """Keeps the iterate that each Krylov solve returns; with ``lu_fails``
-    every sparse LU fails as on a singular matrix."""
-
-    def __init__(self, lu_fails=False):
-        super().__init__()
-        self.lu_fails = lu_fails
-        self.x = None
-
-    def _keep(self, solve, *args, **kwargs):
-        self.x, info = solve(*args, **kwargs)
-        return self.x, info
-
-    def cg(self, *args, **kwargs):
-        return self._keep(spla.cg, *args, **kwargs)
-
-    def bicgstab(self, *args, **kwargs):
-        return self._keep(spla.bicgstab, *args, **kwargs)
+class _FailingLU(_CountingLinalg):
+    """Every sparse LU fails as on a singular matrix."""
 
     def splu(self, *args, **kwargs):
-        if self.lu_fails:
-            raise RuntimeError("Factor is exactly singular")
-        return super().splu(*args, **kwargs)
+        raise RuntimeError("Factor is exactly singular")
+
+
+def kept_iterates(monkeypatch, system):
+    """The iterate that each ``_iterate`` of ``system``'s class returns,
+    copied, in order."""
+    kept = []
+    iterate = type(system)._iterate
+
+    def keep(self, *args):
+        x, info = iterate(self, *args)
+        kept.append(x.copy())
+        return x, info
+
+    monkeypatch.setattr(type(system), "_iterate", keep)
+    return kept
 
 
 def relative_residual(A, b, x, x0):
@@ -302,14 +347,15 @@ def test_singular_matrix_raises_solver_failure(monkeypatch):
     # the coarse matrix of the two-grid cycle is singular too
     with pytest.raises(SolverFailure):
         linsolve.solve_cg(two_grid_of(A), b, x0=x0, maxiter=50)
-    kept = _LastIterate()
-    monkeypatch.setattr(linsolve, "spla", kept)
+    system = jacobi_bicgstab(A)
+    kept = kept_iterates(monkeypatch, system)
     with pytest.raises(SolverFailure, match="LU fallback") as failed:
-        linsolve.solve_bicgstab(jacobi_bicgstab(A), b[:, None],
-                                x0=x0[:, None], maxiter=50)
-    res = relative_residual(A, b, kept.x, x0)
+        linsolve.solve_bicgstab(system, b[:, None], x0=x0[:, None],
+                                maxiter=50)
+    x, = kept
+    res = relative_residual(A, b, x, x0)
     assert failed.value.residual_history == [pytest.approx(res, rel=1e-12)]
-    assert res != pytest.approx(np.linalg.norm(b - A @ kept.x)
+    assert res != pytest.approx(np.linalg.norm(b - A @ x)
                                 / np.linalg.norm(b))
 
 
@@ -323,12 +369,16 @@ def test_singular_coarse_matrix_fails_the_iteration_not_the_solve(
     b = np.zeros(A.shape[0])
     b[0] = 1.0                   # not in the range of A
     x0 = np.linspace(0.0, 1.0, len(b))
-    kept = _LastIterate()
-    monkeypatch.setattr(linsolve, "spla", kept)
+    counter = _CountingLinalg()
+    monkeypatch.setattr(linsolve, "spla", counter)
+    system = two_grid_of(A)
+    kept = kept_iterates(monkeypatch, system)
     with pytest.raises(SolverFailure, match="coarse Cholesky.*LU fallback"
                        ) as failed:
-        linsolve.solve_cg(two_grid_of(A), b, x0=x0, maxiter=50)
-    assert kept.factorizations == 1 and kept.x is None
+        linsolve.solve_cg(system, b, x0=x0, maxiter=50)
+    assert counter.factorizations == 1 and system.iterations == []
+    x, = kept
+    assert np.array_equal(x, x0)
     assert failed.value.residual_history == [1.0]
 
 
@@ -346,13 +396,14 @@ def test_failed_krylov_solves_report_the_same_residual(monkeypatch,
     A = krylov.A
     x0 = state.p if system == "pressure" else state.u[:, 0]
     b = A @ np.ones(A.shape[0])
-    kept = _LastIterate(lu_fails=True)
-    monkeypatch.setattr(linsolve, "spla", kept)
+    monkeypatch.setattr(linsolve, "spla", _FailingLU())
+    kept = kept_iterates(monkeypatch, krylov)
     shape = (-1,) if system == "pressure" else (-1, 1)
     with pytest.raises(SolverFailure, match="LU fallback") as failed:
         solve(krylov, b.reshape(shape), x0=x0.reshape(shape), tol=1e-14,
               maxiter=1)
-    res = relative_residual(A, b, kept.x, x0)
+    x, = kept
+    res = relative_residual(A, b, x, x0)
     assert 0.0 < res < 1.0
     assert failed.value.residual_history == [pytest.approx(res, rel=1e-12)]
 
@@ -593,21 +644,12 @@ def prolongation(two_grid):
     return sp.csr_matrix((np.ones(len(agg)), (np.arange(len(agg)), agg)))
 
 
-class _CountingCG(_CountingLinalg):
-    """Also counts the iterations of every CG solve."""
-
-    def __init__(self):
-        super().__init__()
-        self.iterations = []
-
-    def cg(self, A, b, callback=None, **kwargs):
-        self.iterations.append(0)
-
-        def count(xk):
-            self.iterations[-1] += 1
-            if callback is not None:
-                callback(xk)
-        return spla.cg(A, b, callback=count, **kwargs)
+def counted_scipy_solve(solve, A, b, **kwargs):
+    """``scipy.sparse.linalg`` ``cg`` or ``bicgstab``: (x, info, number of
+    ``callback`` calls)."""
+    calls = []
+    x, info = solve(A, b, callback=calls.append, **kwargs)
+    return x, info, len(calls)
 
 
 def test_coarse_matrix_is_the_galerkin_product(pipe_step):
@@ -628,7 +670,7 @@ def test_two_grid_cycle_is_symmetric_positive_definite(pipe_step):
     A = pressure[0][0]
     n = A.shape[0]
     M = solver._pressure.operator(A)
-    dense = np.column_stack([M.matvec(e) for e in np.eye(n)])
+    dense = np.column_stack([M(e) for e in np.eye(n)])
     assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
     assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
 
@@ -643,15 +685,13 @@ def test_two_grid_cg_takes_a_quarter_of_the_jacobi_iterations(monkeypatch):
     _, pressure, _, _, _ = recorded_step(monkeypatch, solver,
                                          solver.initialize())
     A, b, system = pressure[-1]
-    counter = _CountingCG()
-    monkeypatch.setattr(linsolve, "spla", counter)
     d = A.diagonal()
-    x_jacobi, info = counter.cg(
-        A, b, rtol=0.0, atol=LIN_TOL * np.linalg.norm(b), maxiter=5000,
-        M=spla.LinearOperator(A.shape, lambda v: v / d))
+    x_jacobi, info, jacobi = counted_scipy_solve(
+        spla.cg, A, b, rtol=0.0, atol=LIN_TOL * np.linalg.norm(b),
+        maxiter=5000, M=spla.LinearOperator(A.shape, lambda v: v / d))
     assert info == 0
     x = linsolve.solve_cg(system, b, tol=LIN_TOL)
-    jacobi, two_grid = counter.iterations
+    two_grid = system.iterations[-1]
     assert two_grid <= jacobi / 4
     assert np.linalg.norm(b - A @ x) <= LIN_TOL * np.linalg.norm(b)
     assert np.linalg.norm(x - x_jacobi) <= 10 * LIN_TOL * np.linalg.norm(x)
@@ -681,34 +721,35 @@ def test_coarse_factor_is_lagged_until_the_iterations_double(monkeypatch):
         return factor(self, A)
 
     monkeypatch.setattr(linsolve.BandCholesky, "factor", counted)
-    counter = _CountingCG()
-    monkeypatch.setattr(linsolve, "spla", counter)
+    two_grid = solver._pressure
+    iterations = []
     state = solver.initialize()
     for _ in range(5):
         state = solver.step(state)
+        iterations += two_grid.iterations
     assert len(factors) == 1
-    assert max(counter.iterations) <= 2 * counter.iterations[0]
+    assert len(iterations) == 5 * solver.config.n_piso
+    assert max(iterations) <= 2 * iterations[0]
     # a pressure matrix 30x larger leaves the coarse factor 30x too small
-    two_grid = solver._pressure
     A = 30.0 * solver._A_p
     b = A @ np.ones(A.shape[0])
     two_grid.factor(A)
     x = linsolve.solve_cg(two_grid, b, tol=LIN_TOL)
-    assert counter.iterations[-1] > 2 * counter.iterations[0]
+    assert two_grid.iterations[-1] > 2 * iterations[0]
     assert len(factors) == 2
     ref = 30.0 * two_grid.coarse_matrix(solver._A_p).data
     assert np.abs(factors[-1] - ref).max() <= 1e-14 * np.abs(ref).max()
     assert np.linalg.norm(b - A @ x) <= LIN_TOL * np.linalg.norm(b)
     # the fresh factor brings the iterations back
     linsolve.solve_cg(two_grid, b, tol=LIN_TOL)
-    assert counter.iterations[-1] <= 2 * counter.iterations[0]
+    assert two_grid.iterations[-1] <= 2 * iterations[0]
     assert len(factors) == 2
 
 
 def test_each_cg_iteration_makes_one_coarse_solve(monkeypatch):
-    """A LinearOperator built without a dtype is probed once by scipy to
-    infer one, which cost one two-grid cycle (a coarse ``dpbtrs``) per
-    pressure solve."""
+    """One two-grid cycle (a coarse ``dpbtrs``) per iteration and none
+    more: no probe of the cycle, which a scipy LinearOperator built
+    without a dtype made once per solve."""
     solver = pipe_solver()
     state = solver.step(solver.initialize())
     coarse_solves = []
@@ -719,12 +760,11 @@ def test_each_cg_iteration_makes_one_coarse_solve(monkeypatch):
         return dpbtrs(*args, **kwargs)
 
     monkeypatch.setattr(linsolve, "dpbtrs", counted)
-    counter = _CountingCG()
-    monkeypatch.setattr(linsolve, "spla", counter)
     solver.step(state)
-    assert len(counter.iterations) == solver.config.n_piso
-    assert min(counter.iterations) > 0
-    assert len(coarse_solves) == sum(counter.iterations)
+    iterations = solver._pressure.iterations
+    assert len(iterations) == solver.config.n_piso
+    assert min(iterations) > 0
+    assert len(coarse_solves) == sum(iterations)
 
 
 def test_stale_coarse_factor_is_rebuilt_before_the_lu_fallback(monkeypatch):
@@ -733,25 +773,13 @@ def test_stale_coarse_factor_is_rebuilt_before_the_lu_fallback(monkeypatch):
     two_grid = solver._pressure
     A = 1e4 * solver._A_p
     b = A @ np.ones(A.shape[0])
-    counter = _CountingCG()
+    counter = _CountingLinalg()
     monkeypatch.setattr(linsolve, "spla", counter)
     two_grid.factor(A)
     x = linsolve.solve_cg(two_grid, b, tol=LIN_TOL, maxiter=30)
-    assert counter.iterations[0] == 30 and len(counter.iterations) == 2
+    assert two_grid.iterations[0] == 30 and len(two_grid.iterations) == 2
     assert counter.factorizations == 0
     assert np.linalg.norm(b - A @ x) <= LIN_TOL * np.linalg.norm(b)
-
-
-class _CountingKrylov(_CountingCG):
-    """Also counts BiCGStab solves."""
-
-    def __init__(self):
-        super().__init__()
-        self.bicgstab_calls = 0
-
-    def bicgstab(self, *args, **kwargs):
-        self.bicgstab_calls += 1
-        return spla.bicgstab(*args, **kwargs)
 
 
 def test_non_finite_residual_skips_the_krylov_solves(monkeypatch):
@@ -761,10 +789,12 @@ def test_non_finite_residual_skips_the_krylov_solves(monkeypatch):
     solver = pipe_solver()
     state = solver.initialize()
     state.p[5] = np.nan
-    counter = _CountingKrylov()
+    counter = _CountingLinalg()
     monkeypatch.setattr(linsolve, "spla", counter)
+    momentum = kept_iterates(monkeypatch, solver._momentum)
+    pressure = kept_iterates(monkeypatch, solver._pressure)
     with np.errstate(invalid="ignore"), \
             pytest.raises(SolverFailure, match="continuity"):
         solver.step(state)
-    assert counter.iterations == [] and counter.bicgstab_calls == 0
+    assert momentum == pressure == []
     assert counter.factorizations >= 1
