@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 import time
@@ -26,8 +27,8 @@ import time
 import numpy as np
 
 from . import indicators, podi, pump, refdata, units, windkessel
-from .errors import (DegenerateInputError, HemoflowError,
-                     InvalidArgumentError, SchemaError, SolverFailure)
+from .errors import (DegenerateInputError, HemoflowError, SchemaError,
+                     SolverFailure)
 from .indicators import TimeSeries, pas_pad_pam, volume_avg_pressure, wall_shear_stress
 from .snapshots import SnapshotDB, SweepPlan, load_models, save_models
 
@@ -221,8 +222,6 @@ def cmd_sweep(args):
 # -- ROM --------------------------------------------------------------------------
 
 def cmd_rom_train(args):
-    if not 0.0 < args.threshold <= 1.0:
-        raise InvalidArgumentError("energy threshold must be in (0, 1]")
     db = SnapshotDB.open(args.db)
     if not db.params().size:
         raise DegenerateInputError(f"{args.db}: empty snapshot database")
@@ -405,6 +404,18 @@ def _params(text):
     return params
 
 
+def _ranged(kind, ok, what):
+    """An argparse type: ``kind`` of the text, a usage error unless ``ok``
+    accepts it."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    parse.__name__ = kind.__name__   # argparse names it in "invalid ..."
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="hemoflow",
                                 description=__doc__.splitlines()[0])
@@ -432,10 +443,12 @@ def build_parser():
 
     ps = sub.add_parser("sweep", help="run a parameter sweep into a snapshot db")
     ps.add_argument("case")
-    ps.add_argument("--lo", type=float, required=True)
-    ps.add_argument("--hi", type=float, required=True)
-    ps.add_argument("--count", type=int, required=True)
-    ps.add_argument("--delta-p", type=float, default=75.0)
+    finite = _ranged(float, math.isfinite, "a finite number")
+    ps.add_argument("--lo", type=finite, required=True)
+    ps.add_argument("--hi", type=finite, required=True)
+    ps.add_argument("--count", required=True,
+                    type=_ranged(int, lambda n: n >= 2, "at least 2"))
+    ps.add_argument("--delta-p", type=finite, default=75.0)
     # sweeps run serially; the flag stays only for callers that still pass
     # "--workers 1" and goes with the next change to the benchmark
     ps.add_argument("--workers", type=int, choices=[1])
@@ -444,7 +457,8 @@ def build_parser():
 
     pt = sub.add_parser("rom-train", help="train reduced models from a sweep")
     pt.add_argument("db")
-    pt.add_argument("--threshold", type=float, default=0.999)
+    pt.add_argument("--threshold", default=0.999, type=_ranged(
+        float, lambda x: 0.0 < x <= 1.0, "in (0, 1]"))
     pt.add_argument("--kind", choices=list(podi.INTERPOLATION_KINDS),
                     default="linear")
     pt.add_argument("--out", required=True)
@@ -461,7 +475,8 @@ def build_parser():
 
     pv = sub.add_parser("validate",
                         help="reproduce the published clinical tables")
-    pv.add_argument("--tolerance", type=float, default=2.0)
+    pv.add_argument("--tolerance", default=2.0, type=_ranged(
+        float, lambda x: x >= 0.0, "at least 0"))
     pv.add_argument("--strict", action="store_true",
                     help="exit 1 when any check exceeds the tolerance")
     pv.set_defaults(func=cmd_validate)
@@ -480,6 +495,8 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and not args.lo < args.hi:
+        parser.error(f"sweep: --lo {args.lo:g} is not below --hi {args.hi:g}")
     try:
         return args.func(args)
     except SchemaError as e:

@@ -12,7 +12,11 @@ from ..windkessel import WindkesselOutlet
 
 # -- inflow waveform ---------------------------------------------------------
 
-def pulsatile_waveform(CO_m3s, T, systole_fraction=0.35, plateau_ratio=0.05):
+SYSTOLE_FRACTION = 0.35     # of the period
+PLATEAU_RATIO = 0.05        # diastolic plateau over the systolic peak
+
+
+def pulsatile_waveform(CO_m3s, T):
     """Synthetic cardiac inflow: a half-sine systolic pulse plus a low
     diastolic plateau, scaled so the period average equals ``CO_m3s``.
 
@@ -21,10 +25,10 @@ def pulsatile_waveform(CO_m3s, T, systole_fraction=0.35, plateau_ratio=0.05):
     """
     if CO_m3s <= 0 or T <= 0:
         raise InvalidArgumentError("CO and T must be positive")
-    ts = systole_fraction * T
+    ts = SYSTOLE_FRACTION * T
     # mean = Qs*(2/pi)*sf + Qs*plateau*(1-sf)
-    qs = CO_m3s / (2.0 / np.pi * systole_fraction + plateau_ratio * (1.0 - systole_fraction))
-    qd = plateau_ratio * qs
+    qs = CO_m3s / (2.0 / np.pi * SYSTOLE_FRACTION + PLATEAU_RATIO * (1.0 - SYSTOLE_FRACTION))
+    qd = PLATEAU_RATIO * qs
 
     def q(t):
         tau = np.mod(t, T)
@@ -147,14 +151,14 @@ class BoundaryConditionSet:
                 f"mesh patches {sorted(mesh.patches)}")
 
 
-def poiseuille_bcs(mesh, flow_rate, outlet_pressure=0.0, profile="parabolic"):
-    """Convenience BC set for the pipe/channel test geometries."""
+def poiseuille_bcs(mesh, flow_rate, profile="parabolic"):
+    """Convenience BC set for the pipe/channel test geometries (0 Pa outlet)."""
     conds = {}
     for name, patch in mesh.patches.items():
         if patch.kind == "inlet":
             conds[name] = (InflowBC(flow_rate, profile), PressureZeroGradientBC())
         elif patch.kind == "outlet":
-            conds[name] = (VelocityZeroGradientBC(), FixedPressureBC(outlet_pressure))
+            conds[name] = (VelocityZeroGradientBC(), FixedPressureBC(0.0))
         else:
             conds[name] = (NoSlipBC(), PressureZeroGradientBC())
     return BoundaryConditionSet(conds)

@@ -4,11 +4,13 @@ Every face-to-cell sum is a product with the signed cell-face incidence
 matrix of the mesh (``mesh.fv.D`` and its internal/boundary column blocks
 ``D_int``/``D_b``): +1 at the owner, -1 at the neighbor.
 
-Boundary face values enter through ``BoundaryValues``: a value array in
-the global boundary-face ordering (mesh.fv.boundary) plus a mask of the
-faces that carry a value. A face without a value is zero-gradient: it
-takes its owner cell's value, so the diffusion operator sees zero flux
-through it. ``bvals=None`` makes every boundary face zero-gradient.
+The function forms, the tests' reference operators (no product code
+calls them), take boundary face values through ``BoundaryValues``: a
+value array in the global boundary-face ordering (mesh.fv.boundary) plus
+a mask of the faces that carry a value. A face without a value is
+zero-gradient: it takes its owner cell's value, so the diffusion
+operator sees zero flux through it. ``bvals=None`` makes every boundary
+face zero-gradient.
 
 Linear interpolation to internal faces is one product with the CSR
 matrix ``mesh.fv.W``, built with the mesh's face data. The solver's

@@ -23,7 +23,9 @@ solver fuses them once, as CSR matrices:
 - on meshes with non-orthogonal faces, the pressure gradient chained into
   the non-orthogonal face flux (``operators.nonorth_flux_matrix``), and
   the whole deferred non-orthogonal momentum source mu D_int N V^-1 G_u,
-  acting on u stacked on the fixed boundary velocities.
+  acting on u stacked on the fixed boundary velocities;
+- for second-order upwind, grad(u) = V^-1 G_u, for the deferred correction
+  rho D_int (phi_f (x_f - x_D) . grad(u)_D) from each face's donor D.
 
 It also builds the diffusion coefficients mu * orth_coeff and
 mu * b_orth_coeff, the fixed-face index arrays, the momentum and the
@@ -31,9 +33,9 @@ pressure matrix on the fixed pattern of ``linsolve.Pattern`` (each step
 overwrites their values in place), and one linear solver per system from
 ``linsolve.system_solvers``; a step factors each with its matrix and
 solves through ``linsolve.solve_bicgstab`` and ``linsolve.solve_cg``,
-and does not know which method either uses. From one pass over the
-boundary conditions it keeps the fixed-face pressures as one vector, a
-Windkessel outlet's rows at 0, and each outlet's rows in it.
+and does not know which method either uses. One pass over the boundary
+conditions writes the velocity shapes, the fixed pressures (a Windkessel
+outlet's at 0) and their masks as boundary-ordered arrays.
 
 Per inflow state: what follows from the inflow rates alone is an
 ``_InflowState``, rebuilt when some inflow's rate differs from the one
@@ -61,13 +63,13 @@ from ..units import DYN_CM2_TO_PA, M3S_TO_CM3S
 from ..windkessel import advance_outlet
 from . import linsolve
 from .boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
-                       NoSlipBC, WindkesselBC)
-from .operators import (CONVECTION_SCHEMES, BoundaryValues,
-                        boundary_values_from_patches, convective_term,
-                        flux_matrix, gradient_matrix, nonorth_flux_matrix)
-# perfbench/tracing.py wraps each of these under its name in this module
-# (getattr); a traced run fails if one is missing, called here or not
-from .operators import (diffusion_term, face_interpolate,  # noqa: F401
+                       NoSlipBC, PressureZeroGradientBC, WindkesselBC)
+from .operators import (CONVECTION_SCHEMES, flux_matrix, gradient_matrix,
+                        nonorth_flux_matrix)
+# perfbench/tracing.py wraps these six by name in this module (getattr);
+# no step calls them, but a traced run fails if one is missing
+from .operators import (boundary_values_from_patches,  # noqa: F401
+                        convective_term, diffusion_term, face_interpolate,
                         gauss_gradient, gradient_term)
 
 
@@ -164,10 +166,9 @@ class _InflowState:
     """The step inputs that follow from the inflow rates alone. A solver
     shares them between steps, so nothing writes to them."""
 
-    bu: BoundaryValues      # the velocity boundary values
-    phi: np.ndarray         # their flux on every face, 0 off the fixed ones
+    phi: np.ndarray         # the boundary velocities' flux, 0 off fixed faces
     rhs_b: np.ndarray       # their term in the momentum right-hand side
-    u_fixed: np.ndarray     # bu.values on the fixed faces
+    u_fixed: np.ndarray     # their values on the fixed faces
 
 
 class PisoSolver:
@@ -187,42 +188,46 @@ class PisoSolver:
         self.fluid = fluid or FluidProperties()
         self.config = config or SolverConfig()
         g = mesh.fv
-        # one pass over the conditions: velocity shapes (no-slip faces stay
-        # at rest, inflow faces hold their profile, scaled to the inflow
-        # rate), inflows, fixed pressures and Windkessel outlets (0 here)
-        shapes, pvals, self._inflows, windkessels = {}, {}, [], []
+        n_b = len(g.boundary)
+        # one pass over the conditions, into boundary-ordered arrays and masks:
+        # velocity shapes (0 on no-slip faces) and pressures (0 on Windkessels)
+        self._u_shape, p_values = np.zeros((n_b, mesh.dim)), np.zeros(n_b)
+        self._fixed_u, self._fixed_p = np.zeros((2, n_b), dtype=bool)
+        self._inflows, windkessels = [], []
         for name, (vbc, pbc) in bcs.conditions.items():
             patch = mesh.patches[name]
+            rows = g.b_index[patch.face_ids]
             if isinstance(vbc, InflowBC):
-                shapes[name], influx = vbc.shape_velocities(mesh, patch)
-                self._inflows.append((g.b_index[patch.face_ids], vbc, influx))
-            elif isinstance(vbc, NoSlipBC):
-                shapes[name] = np.zeros(mesh.dim)
+                self._u_shape[rows], influx = vbc.shape_velocities(mesh, patch)
+                self._inflows.append((rows, vbc, influx))
+            self._fixed_u[rows] = isinstance(vbc, (InflowBC, NoSlipBC))
             if isinstance(pbc, FixedPressureBC):
-                pvals[name] = pbc.value
+                p_values[rows] = pbc.value
             elif isinstance(pbc, WindkesselBC):
-                pvals[name] = 0.0
-                windkessels.append((name, patch.face_ids, pbc.outlet))
-        self._bu_shape = boundary_values_from_patches(mesh, shapes)
-        self._fixed_u = self._bu_shape.fixed
-        bp = boundary_values_from_patches(mesh, pvals)
-        self._fixed_p = bp.fixed
+                windkessels.append((name, rows, pbc.outlet))
+            self._fixed_p[rows] = not isinstance(pbc, PressureZeroGradientBC)
         # the pressures on the fixed-pressure faces, in boundary order, and
         # each Windkessel outlet's rows in them
-        self._fixed_p_values = bp.values[bp.fixed]
-        rank = np.cumsum(bp.fixed) - 1
-        self._windkessels = [(name, rank[g.b_index[fids]], outlet)
-                             for name, fids, outlet in windkessels]
+        self._fixed_p_values = p_values[self._fixed_p]
+        rank = np.cumsum(self._fixed_p) - 1
+        self._windkessels = [(name, rank[rows], outlet)
+                             for name, rows, outlet in windkessels]
         self._has_nonorth = g.non_orthogonal
+        self._second_order = self.config.convection_scheme != "upwind"
         # the step's fused face operators (cell major vector layout); the
         # gradients act on a cell field stacked on its fixed boundary values
         self._vol = np.repeat(mesh.cell_volume, mesh.dim)
         self._G = gradient_matrix(mesh, self._fixed_p)
         self._F = flux_matrix(mesh, self._fixed_u)
+        if self._has_nonorth or self._second_order:
+            G_u = gradient_matrix(mesh, self._fixed_u)
         if self._has_nonorth:
             self._NG = nonorth_flux_matrix(mesh, self._G)
-            self._K_u = (self.fluid.mu * g.D_int @ nonorth_flux_matrix(
-                mesh, gradient_matrix(mesh, self._fixed_u))).tocsr()
+            self._K_u = (self.fluid.mu * g.D_int
+                         @ nonorth_flux_matrix(mesh, G_u)).tocsr()
+        if self._second_order:
+            # the velocity gradient: row c * dim + j holds d u / d x_j in c
+            self._grad_u = G_u.multiply(1.0 / self._vol[:, None]).tocsr()
         # both step matrices live on one pattern: the diagonal and both
         # off-diagonal entries of every internal face; the slots map the
         # COO values of _momentum_system and _pressure_matrix into it
@@ -266,7 +271,7 @@ class PisoSolver:
         ``self._inflows``."""
         mesh, g = self.mesh, self.mesh.fv
         b = g.boundary
-        values = self._bu_shape.values.copy()
+        values = self._u_shape.copy()
         for rate, (rows, _, influx) in zip(rates, self._inflows):
             values[rows] *= rate / influx
         phi = np.zeros(mesh.n_faces)
@@ -276,8 +281,7 @@ class PisoSolver:
         # diffusion to their values, and the inflow of their flux
         coeff = np.where(self._fixed_u,
                          self._mu_b_orth - self.fluid.rho * phi[b], 0.0)
-        return _InflowState(BoundaryValues(values, self._fixed_u), phi,
-                            g.D_b @ (coeff[:, None] * values),
+        return _InflowState(phi, g.D_b @ (coeff[:, None] * values),
                             values[self._fixed_u])
 
     def initialize(self, u=None, p=None, t=0.0):
@@ -376,9 +380,7 @@ class PisoSolver:
         """
         mesh = self.mesh
         g = mesh.fv
-        cfg = self.config
         rho = self.fluid.rho
-        bu = inflow.bu
 
         # matrix values in the COO order of self._m_slots: the four
         # entries of each internal face, the time term, boundary faces;
@@ -402,14 +404,19 @@ class PisoSolver:
         diag = A.data[self._diag_slots]
 
         # deferred corrections from the previous time level
-        if cfg.convection_scheme != "upwind":
-            rhs -= rho * (convective_term(state.u, phi, mesh,
-                                          cfg.convection_scheme, bu)
-                          - convective_term(state.u, phi, mesh, "upwind", bu))
+        if self._second_order or self._has_nonorth:
+            ub = np.concatenate([state.u, inflow.u_fixed])
+        if self._second_order:
+            # each face adds (x_f - x_D) . grad(u)_D to its donor D's value
+            donors = np.where(phi_i >= 0.0, g.i_owner, g.i_neigh)
+            grad = (self._grad_u @ ub).reshape(-1, mesh.dim, mesh.dim)
+            dx = mesh.face_centroid[g.internal] - mesh.cell_centroid[donors]
+            rhs -= rho * (g.D_int @ (phi_i[:, None] * np.einsum(
+                "fji,fj->fi", grad[donors], dx)))
         if self._has_nonorth:
             # non-orthogonal part of the diffusive face flux; its
             # orthogonal and boundary parts are implicit in A
-            rhs += self._K_u @ np.concatenate([state.u, inflow.u_fixed])
+            rhs += self._K_u @ ub
         return diag, A, rhs
 
     def _pressure_matrix(self, c_int, c_b):

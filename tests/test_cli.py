@@ -655,6 +655,59 @@ def test_sweep_runs_serially_only(tmp_path, workers):
     assert not (tmp_path / "db").exists()
 
 
+RANGE_ERRORS = {
+    "sweep-lo-above-hi": (["sweep", "CASE", "--lo", "5", "--hi", "3",
+                           "--count", "3", "--out", "DB"],
+                          "sweep: --lo 5 is not below --hi 3"),
+    "sweep-lo-equals-hi": (["sweep", "CASE", "--lo", "4", "--hi", "4",
+                            "--count", "3", "--out", "DB"],
+                           "sweep: --lo 4 is not below --hi 4"),
+    "sweep-hi-inf": (["sweep", "CASE", "--lo", "3", "--hi", "inf",
+                      "--count", "3", "--out", "DB"],
+                     "argument --hi: inf is not a finite number"),
+    "sweep-delta-p-nan": (["sweep", "CASE", "--lo", "3", "--hi", "5",
+                           "--count", "3", "--delta-p", "nan", "--out", "DB"],
+                          "argument --delta-p: nan is not a finite number"),
+    "sweep-count-1": (["sweep", "CASE", "--lo", "3", "--hi", "5",
+                       "--count", "1", "--out", "DB"],
+                      "argument --count: 1 is not at least 2"),
+    "rom-train-threshold-1.5": (["rom-train", "DB", "--threshold", "1.5",
+                                 "--out", "OUT"],
+                                "argument --threshold: 1.5 is not in (0, 1]"),
+    "rom-train-threshold-0": (["rom-train", "DB", "--threshold", "0",
+                               "--out", "OUT"],
+                              "argument --threshold: 0 is not in (0, 1]"),
+    "validate-tolerance-negative": (["validate", "--tolerance", "-1"],
+                                    "argument --tolerance: -1 is not at "
+                                    "least 0"),
+}
+
+
+@pytest.mark.parametrize("argv, message", RANGE_ERRORS.values(),
+                         ids=RANGE_ERRORS.keys())
+def test_argument_range_errors_are_usage_errors(tmp_path, capsys, argv,
+                                                message):
+    """An option value out of its range exits 2 from the parser, as
+    README's exit-code table says: usage, one error line, no traceback,
+    and no database or model written. A sweep's range used to exit 1
+    (an infinite --hi after creating the database), a threshold too;
+    a NaN pump head stored NaN pump speeds, and a negative tolerance ran,
+    both with exit 0."""
+    paths = {"CASE": str(make_case(tmp_path)), "DB": str(tmp_path / "db"),
+             "OUT": str(tmp_path / "m.npz")}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        main([paths.get(a, a) for a in argv])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum(line.startswith("usage:") for line in err.splitlines()) == 1
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert err.splitlines()[-1].endswith(message)
+    assert not (tmp_path / "db").exists()
+    assert not (tmp_path / "m.npz").exists()
+
+
 def test_sweep_reads_the_case_and_the_mesh_once(tmp_path, monkeypatch):
     """Once per command, not once per point; a rerun with every entry
     complete reads neither."""
@@ -834,14 +887,6 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["fom-run", str(case)]) == 2
         assert "unknown patch kind 'vein'" in capsys.readouterr().err
-
-    def test_bad_threshold_is_a_runtime_error(self, tmp_path):
-        db = SnapshotDB(tmp_path / "db")
-        db.add_entry(3.0, {"p": np.ones(4)})
-        db.add_entry(4.0, {"p": np.full(4, 2.0)})
-        rc = main(["rom-train", str(tmp_path / "db"), "--threshold", "1.5",
-                   "--out", str(tmp_path / "m.npz")])
-        assert rc == 1
 
     def test_non_finite_snapshot_is_a_runtime_error(self, tmp_path, capsys):
         """A stored NaN passes its checksum but cannot be trained on."""

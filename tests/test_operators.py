@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hemoflow.errors import InvalidArgumentError
-from hemoflow.fv import (boundary_values_from_patches, convective_term,
-                         diffusion_term, face_interpolate, gauss_gradient,
-                         gradient_term)
 from hemoflow.fv.operators import (CONVECTION_SCHEMES, BoundaryValues,
-                                   face_dot_matrix, gradient_matrix,
-                                   nonorth_flux_matrix)
+                                   boundary_values_from_patches,
+                                   convective_term, diffusion_term,
+                                   face_dot_matrix, face_interpolate,
+                                   gauss_gradient, gradient_matrix,
+                                   gradient_term, nonorth_flux_matrix)
 from hemoflow.mesh import (Mesh, Patch, generate_bifurcation_mesh,
                            generate_box_mesh, generate_pipe_mesh)
 from test_linsolve import twin_face_channel

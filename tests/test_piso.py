@@ -9,10 +9,12 @@ from hemoflow.errors import InvalidArgumentError, SolverFailure
 from hemoflow.fv import (BoundaryConditionSet, FixedPressureBC, FlowState,
                          FluidProperties, InflowBC, NoSlipBC, PisoSolver,
                          PressureZeroGradientBC, SolverConfig,
-                         VelocityZeroGradientBC, WindkesselBC,
-                         diffusion_term, linsolve, poiseuille_bcs)
-from hemoflow.fv.operators import (face_dot_matrix, face_interpolate,
-                                   gradient_matrix, nonorth_flux_matrix)
+                         VelocityZeroGradientBC, WindkesselBC, linsolve,
+                         poiseuille_bcs)
+from hemoflow.fv.operators import (BoundaryValues, convective_term,
+                                   diffusion_term, face_dot_matrix,
+                                   face_interpolate, gradient_matrix,
+                                   nonorth_flux_matrix)
 from hemoflow.mesh import (generate_bifurcation_mesh, generate_box_mesh,
                            generate_channel_mesh, generate_pipe_mesh)
 from hemoflow.units import DYN_CM2_TO_PA, M3S_TO_CM3S
@@ -23,6 +25,14 @@ from test_operators import sheared_pipe
 H = 0.2      # channel height [m]
 U_MEAN = 1.0  # bulk velocity [m/s]
 FLUID = FluidProperties(rho=1.0, mu=0.01)  # Re = U h / nu = 20
+
+
+def velocity_bvals(solver, t):
+    """The solver's velocity boundary values at ``t`` for the reference
+    operators: its fixed-face values in boundary order, 0 elsewhere."""
+    values = np.zeros((len(solver._fixed_u), solver.mesh.dim))
+    values[solver._fixed_u] = solver._inflow_state(t).u_fixed
+    return BoundaryValues(values, solver._fixed_u)
 
 
 def channel_solution(dt=0.005, ny=10, perturb=0.0):
@@ -243,11 +253,15 @@ def test_nan_pressure_raises_on_the_3d_krylov_path():
 def test_solver_builds_the_face_operators_of_its_masks(make, nonorth):
     """The stacked pressure gradient and the flux operator always; the
     fused non-orthogonal operators of the pressure and the momentum only
-    on non-orthogonal meshes, and no operator twice."""
+    on non-orthogonal meshes; the velocity gradient only for second-order
+    upwind convection (the default); and no operator twice."""
     mesh = make()
-    solver = PisoSolver(mesh, poiseuille_bcs(mesh, 1e-6, profile="plug"),
-                        FLUID)
+    bcs = poiseuille_bcs(mesh, 1e-6, profile="plug")
+    solver = PisoSolver(mesh, bcs, FLUID)
     assert solver._has_nonorth == nonorth
+    upwind = PisoSolver(mesh, bcs, FLUID,
+                        SolverConfig(convection_scheme="upwind"))
+    assert not hasattr(upwind, "_grad_u")
 
     def same(A, B):
         return A.shape == B.shape and (A != B).nnz == 0
@@ -259,7 +273,10 @@ def test_solver_builds_the_face_operators_of_its_masks(make, nonorth):
                 face_dot_matrix(mesh, mesh.face_area[g.internal]))
     ops = {k for k, v in vars(solver).items() if hasattr(v, "tocsr")}
     assert ops == ({"_G", "_F", "_NG", "_K_u"} if nonorth else {"_G", "_F"}
-                   ) | {"_A_m", "_A_p"}
+                   ) | {"_A_m", "_A_p", "_grad_u"}
+    grad_u = gradient_matrix(mesh, solver._fixed_u).multiply(
+        1.0 / np.repeat(mesh.cell_volume, mesh.dim)[:, None]).tocsr()
+    assert same(solver._grad_u, grad_u)
     if nonorth:
         assert same(solver._NG, nonorth_flux_matrix(mesh, G))
         K_u = FLUID.mu * g.D_int @ nonorth_flux_matrix(
@@ -348,7 +365,7 @@ def test_deferred_nonorth_momentum_correction_is_the_diffusion_difference():
     assert solver._has_nonorth
     u = np.random.default_rng(5).normal(size=(mesh.n_cells, 2))
     state = solver.initialize(u=u)
-    bu = solver._inflow_state(state.time).bu
+    bu = velocity_bvals(solver, state.time)
 
     with_corr = solver._momentum_system(
         state, state.phi, solver._inflow_state(state.time), 1e-3)[2]
@@ -358,6 +375,66 @@ def test_deferred_nonorth_momentum_correction_is_the_diffusion_difference():
     assert np.abs(ref).max() > 1e-6 * np.abs(with_corr).max()
     assert np.allclose(source.reshape(ref.shape), ref, rtol=0.0,
                        atol=1e-12 * np.abs(with_corr).max())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_box_mesh(6, 4, (0.03, 0.01), shear=0.4,
+                              patch_kinds={"xmin": "inlet", "xmax": "outlet"}),
+    lambda: generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0,
+                                      resolution=8),
+    lambda: generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12),
+], ids=["sheared-box", "bifurcation", "pipe"])
+def test_second_order_momentum_correction_is_the_convection_difference(make):
+    """The second-order upwind deferred correction, from the solver's own
+    velocity gradient at each face's donor, equals the reference
+    convection of that scheme minus upwind's (their donor values and
+    boundary fluxes cancel), with fluxes of both signs."""
+    mesh = make()
+    fluid = FluidProperties(rho=1060.0, mu=3.5e-3)
+    bcs = poiseuille_bcs(mesh, 1e-6, profile="plug")
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(mesh.n_cells, mesh.dim))
+    phi = rng.normal(size=mesh.n_faces) * np.abs(mesh.face_area).max()
+    assert (phi < 0).any() and (phi > 0).any()
+    rhs = {}
+    for scheme in ("upwind", "second-order-upwind"):
+        solver = PisoSolver(mesh, bcs, fluid,
+                            SolverConfig(convection_scheme=scheme))
+        state = solver.initialize(u=u)
+        rhs[scheme] = solver._momentum_system(
+            state, phi, solver._inflow_state(0.0), 1e-3)[2]
+    bu = velocity_bvals(solver, 0.0)
+    ref = -fluid.rho * (
+        convective_term(u, phi, mesh, "second-order-upwind", bu)
+        - convective_term(u, phi, mesh, "upwind", bu))
+    assert np.abs(ref).max() > 0.1 * np.abs(rhs["upwind"]).max()
+    assert np.abs(rhs["second-order-upwind"] - rhs["upwind"] - ref).max() \
+        <= 1e-12 * np.abs(ref).max()
+
+
+def test_a_second_order_step_calls_no_function_form_operator(monkeypatch):
+    """Every operator of a second-order step is one of the solver's fused
+    ones: with the function forms (the tests' reference operators) and
+    the per-patch boundary assembly made to raise, a second-order solver
+    on the bifurcation still builds and steps."""
+    import hemoflow.fv.operators as operators
+    import hemoflow.fv.piso as piso
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a function-form operator was called")
+
+    for module in (operators, piso):
+        for name in ("boundary_values_from_patches", "convective_term",
+                     "diffusion_term", "face_interpolate", "gauss_gradient",
+                     "gradient_term"):
+            monkeypatch.setattr(module, name, refuse)
+    mesh = generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, resolution=8)
+    solver = PisoSolver(mesh, poiseuille_bcs(mesh, 4.0 / 60000.0,
+                                             profile="plug"),
+                        FluidProperties(1060.0, 3e-4), SolverConfig(dt=0.01))
+    assert solver.config.convection_scheme == "second-order-upwind"
+    state = solver.step(solver.step(solver.initialize()))
+    assert np.isfinite(state.u).all() and np.abs(state.u).max() > 0
 
 
 def test_default_config_stays_bounded_on_the_bifurcation():
@@ -391,7 +468,7 @@ def test_one_operator_gives_the_flux_on_every_face(make):
     u = np.random.default_rng(3).normal(size=(mesh.n_cells, mesh.dim))
     state = solver.initialize(u=u, t=0.5)
     inflow = solver._inflow_state(0.5)
-    bu, phi_fixed = inflow.bu, inflow.phi
+    bu, phi_fixed = velocity_bvals(solver, 0.5), inflow.phi
     S = mesh.face_area
     fixed = solver._fixed_u
     expected = np.empty(mesh.n_faces)
