@@ -53,6 +53,7 @@ only, as the step keeps no other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,9 @@ class SolverConfig:
     max_steps: int = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise InvalidArgumentError("dt and t_end must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.dt, self.t_end)):
+            raise InvalidArgumentError(
+                "dt and t_end must be positive and finite")
         if self.convection_scheme not in CONVECTION_SCHEMES:
             raise InvalidArgumentError(
                 f"unknown convection scheme {self.convection_scheme!r}")
@@ -100,11 +102,13 @@ class SolverConfig:
             raise InvalidArgumentError("need at least one pressure corrector")
         if self.n_nonorth < 1:
             raise InvalidArgumentError("n_nonorth must be >= 1")
-        for name in ("lin_tol", "cfl_max", "continuity_tol"):
-            if not getattr(self, name) > 0:
-                raise InvalidArgumentError(f"{name} must be positive")
-        if self.steady_tol is not None and not self.steady_tol > 0:
-            raise InvalidArgumentError("steady_tol must be positive")
+        for name in ("lin_tol", "cfl_max", "continuity_tol", "steady_tol"):
+            v = getattr(self, name)
+            if v is None and name == "steady_tol":
+                continue
+            if not (math.isfinite(v) and v > 0):
+                raise InvalidArgumentError(
+                    f"{name} must be positive and finite")
         if self.max_steps is not None and self.max_steps < 1:
             raise InvalidArgumentError("max_steps must be >= 1")
 

@@ -9,6 +9,7 @@ relative L2 field error).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ class FluidProperties:
         return self.mu / self.rho
 
     def __post_init__(self):
-        if self.rho <= 0 or self.mu <= 0:
-            raise InvalidArgumentError("rho and mu must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.rho, self.mu)):
+            raise InvalidArgumentError(
+                "rho and mu must be positive and finite")
 
 
 @dataclass

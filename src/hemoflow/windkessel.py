@@ -10,6 +10,7 @@ same areas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +38,9 @@ class ClinicalRecord:
             raise InvalidArgumentError("configuration must be 'pre' or 'post'")
         for name in ("PAM", "PAS", "PAD", "CO", "SV", "PF", "omega"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise InvalidArgumentError(f"{name} must be positive")
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise InvalidArgumentError(
+                    f"{name} must be positive and finite")
         if self.PAS is not None and self.PAD is not None:
             if not (self.PAD <= self.PAM <= self.PAS):
                 raise InvalidArgumentError("expected PAD <= PAM <= PAS")
@@ -54,8 +56,9 @@ class OutletGeometry:
     area: float  # cm^2
 
     def __post_init__(self):
-        if self.area <= 0:
-            raise InvalidArgumentError("outlet area must be positive")
+        if not (math.isfinite(self.area) and self.area > 0):
+            raise InvalidArgumentError(
+                "outlet area must be positive and finite")
 
 
 @dataclass
@@ -76,8 +79,12 @@ class WindkesselOutlet:
     p_p: float = 0.0        # starting proximal pressure [dyn/cm^2]
 
     def __post_init__(self):
-        if min(self.R_p, self.R_d, self.C) <= 0:
-            raise InvalidArgumentError("R_p, R_d, C must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.R_p, self.R_d, self.C)):
+            raise InvalidArgumentError(
+                "R_p, R_d, C must be positive and finite")
+        if not math.isfinite(self.p_p):
+            raise InvalidArgumentError("p_p must be finite")
 
 
 def cardiac_period(SV, CO):
@@ -147,8 +154,8 @@ def advance_outlet(outlet: WindkesselOutlet, p_p, Q_n, dt):
     Returns (p_p^{n+1}, p_b) with p_b = p_p^{n+1} + R_p Q_n, the outlet's
     boundary pressure [dyn/cm^2]. The outlet is not changed.
     """
-    if dt <= 0:
-        raise InvalidArgumentError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidArgumentError("dt must be positive and finite")
     c_dt = outlet.C / dt
     p_next = (c_dt * p_p + Q_n) / (c_dt + 1.0 / outlet.R_d)
     return p_next, p_next + outlet.R_p * Q_n

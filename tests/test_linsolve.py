@@ -242,24 +242,68 @@ def test_bicgstab_falls_back_to_lu(monkeypatch, pipe_step):
 def test_krylov_loops_match_scipy(pipe_step):
     """On the pipe's step matrices, from the step's own starts, ``pcg``
     and ``pbicgstab`` take as many iterations as scipy's ``cg`` and
-    ``bicgstab`` with the same preconditioner, to the same iterates: the
-    arithmetic is the same, so they agree bit for bit."""
+    ``bicgstab`` with the same preconditioner, on both pressure solves
+    and every momentum column. The recurrences are the same, but the
+    loops update by BLAS ``daxpy``, whose fused multiply-adds round
+    differently from numpy's, so the iterates agree to 1e-12 relative,
+    not bit for bit."""
     solver, state, (_, pressure, momentum, _, _) = pipe_step
     (A_m, B, _), = momentum
     runs = [(linsolve.pcg, spla.cg, A, b, solver._pressure.operator(A),
-             state.p) for A, b, _ in pressure]
+             solver._pressure.operator(A), state.p) for A, b, _ in pressure]
     d_inv = jacobi_bicgstab(A_m)._d_inv
     runs += [(linsolve.pbicgstab, spla.bicgstab, A_m, b,
-              lambda v: v * d_inv, x0) for b, x0 in zip(B.T, state.u.T)]
-    for loop, scipy_solve, A, b, psolve, x0 in runs:
+              lambda v: v * d_inv, d_inv, x0)
+             for b, x0 in zip(B.T, state.u.T)]
+    assert len(runs) == 2 + 3
+    for loop, scipy_solve, A, b, psolve, precond, x0 in runs:
         b = np.ascontiguousarray(b)
         atol = LIN_TOL * np.linalg.norm(b - A @ x0)
         x_ref, info_ref, iters_ref = counted_scipy_solve(
             scipy_solve, A, b, x0=x0, rtol=0.0, atol=atol, maxiter=500,
             M=spla.LinearOperator(A.shape, psolve, dtype=float))
-        x, info, iters = loop(A, psolve, x0.copy(), b - A @ x0, atol, 500)
+        x, info, iters = loop(A, precond, x0.copy(), b - A @ x0, atol, 500)
         assert info == info_ref == 0
         assert iters == iters_ref > 0
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def every_other(v):
+    """``v``'s values in a strided view: every other entry of a vector
+    twice as long."""
+    out = np.zeros(2 * len(v))[::2]
+    out[:] = v
+    assert not out.flags.contiguous
+    return out
+
+
+def test_strided_inputs_solve_as_contiguous_ones(pipe_step):
+    """BLAS ``daxpy`` on a strided array updates and returns a copy, which
+    the loops keep: a Fortran-ordered ``B`` and ``x0``, a strided pressure
+    ``b``, and strided iterates and residuals given to the loops
+    themselves, give exactly the answers of their contiguous copies."""
+    solver, state, (_, pressure, momentum, _, _) = pipe_step
+    (A_m, B, _), = momentum
+    system = jacobi_bicgstab(A_m)
+    X = linsolve.solve_bicgstab(system, np.asfortranarray(B),
+                                x0=np.asfortranarray(state.u))
+    assert np.array_equal(X, linsolve.solve_bicgstab(
+        system, np.ascontiguousarray(B), x0=np.ascontiguousarray(state.u)))
+    A_p, b, _ = pressure[0]
+    cg = solver._pressure
+    cg.factor(A_p)
+    assert np.array_equal(linsolve.solve_cg(cg, every_other(b)),
+                          linsolve.solve_cg(cg, b.copy()))
+    runs = [(linsolve.pcg, A_p, cg.operator(A_p), b, state.p),
+            (linsolve.pbicgstab, A_m, system._d_inv, B[:, 0], state.u[:, 0])]
+    for loop, A, precond, b, x0 in runs:
+        r0 = b - A @ x0
+        atol = LIN_TOL * np.linalg.norm(r0)
+        x, info, iters = loop(A, precond, every_other(x0), every_other(r0),
+                              atol, 500)
+        x_ref, info_ref, iters_ref = loop(A, precond, x0.copy(), r0.copy(),
+                                          atol, 500)
+        assert info == info_ref == 0 and iters == iters_ref > 0
         assert np.array_equal(x, x_ref)
 
 

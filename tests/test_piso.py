@@ -18,7 +18,8 @@ from hemoflow.fv.operators import (BoundaryValues, convective_term,
 from hemoflow.mesh import (generate_bifurcation_mesh, generate_box_mesh,
                            generate_channel_mesh, generate_pipe_mesh)
 from hemoflow.units import DYN_CM2_TO_PA, M3S_TO_CM3S
-from hemoflow.windkessel import WindkesselOutlet
+from hemoflow.windkessel import (ClinicalRecord, OutletGeometry,
+                                 WindkesselOutlet, advance_outlet)
 from test_linsolve import twin_face_channel
 from test_operators import sheared_pipe
 
@@ -352,6 +353,39 @@ def test_config_rejects_values_it_would_ignore_or_misuse(key, value):
     momentum diffusion."""
     with pytest.raises(InvalidArgumentError, match=key):
         SolverConfig(**{key: value})
+
+
+NAN, INF = float("nan"), float("inf")
+OUTLET = dict(name="out", R_p=1.0, R_d=9.0, C=1e-3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SolverConfig(dt=NAN),
+    lambda: SolverConfig(dt=INF),
+    lambda: SolverConfig(t_end=INF),
+    lambda: SolverConfig(lin_tol=INF),
+    lambda: SolverConfig(continuity_tol=INF),
+    lambda: SolverConfig(steady_tol=INF),
+    lambda: FluidProperties(rho=NAN),
+    lambda: FluidProperties(mu=INF),
+    lambda: WindkesselOutlet(**{**OUTLET, "R_p": NAN}),
+    lambda: WindkesselOutlet(**{**OUTLET, "C": INF}),
+    lambda: WindkesselOutlet(**OUTLET, p_p=NAN),
+    lambda: OutletGeometry("out", NAN),
+    lambda: ClinicalRecord("post", PAM=NAN, PF=5.0),
+    lambda: ClinicalRecord("post", PAM=80.0, PF=INF),
+    lambda: advance_outlet(WindkesselOutlet(**OUTLET), 0.0, 1.0, NAN),
+], ids=["dt-nan", "dt-inf", "t_end-inf", "lin_tol-inf", "continuity_tol-inf",
+        "steady_tol-inf", "rho-nan", "mu-inf", "R_p-nan", "C-inf", "p_p-nan",
+        "area-nan", "PAM-nan", "PF-inf", "advance-dt-nan"])
+def test_value_objects_refuse_non_finite_numbers(make):
+    """A NaN or infinite number is refused where it is given. It used to
+    fail later or not at all: ``dt=nan`` as a ValueError and
+    ``t_end=inf`` as an OverflowError in ``run``, ``dt=inf`` as one step
+    of dt = t_end, ``rho=nan`` as a NaN continuity error, and the
+    Windkessel values were taken as given."""
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        make()
 
 
 def test_deferred_nonorth_momentum_correction_is_the_diffusion_difference():
