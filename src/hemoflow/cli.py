@@ -30,7 +30,7 @@ from . import indicators, podi, pump, refdata, units, windkessel
 from .errors import (DegenerateInputError, HemoflowError, SchemaError,
                      SolverFailure)
 from .indicators import TimeSeries, pas_pad_pam, volume_avg_pressure, wall_shear_stress
-from .snapshots import SnapshotDB, SweepPlan, load_models, save_models
+from .snapshots import SnapshotDB, load_models, save_models
 
 log = logging.getLogger("hemoflow")
 
@@ -191,14 +191,14 @@ def _sweep_point(case, mesh, pf):
 
 def cmd_sweep(args):
     from .casefile import load_case
-    plan = SweepPlan(args.lo, args.hi, args.count, delta_p=args.delta_p)
     db = SnapshotDB(args.out)
     # every point's pump speed comes before the first solve, so that a head
     # the pump cannot give at some point fails the sweep before any solve
     model = pump.reference_model()
-    omegas = {pf: pump.pump_speed_for(model, pf, plan.delta_p)
-              for pf in plan.params() if not db.has_entry(pf)}
-    skipped = plan.count - len(omegas)
+    omegas = {pf: pump.pump_speed_for(model, pf, args.delta_p)
+              for pf in np.linspace(args.lo, args.hi, args.count)
+              if not db.has_entry(pf)}
+    skipped = args.count - len(omegas)
     if skipped:
         log.info("resuming sweep: %d entries already complete", skipped)
     if omegas:
@@ -421,13 +421,15 @@ def build_parser():
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
+    finite = _ranged(float, math.isfinite, "a finite number")
+
     pm = sub.add_parser("mesh", help="generate a test geometry mesh")
     pm.add_argument("shape", choices=["pipe", "channel", "bifurcation"])
-    pm.add_argument("--length", type=float, default=0.1)
-    pm.add_argument("--diameter", type=float, default=0.02)
-    pm.add_argument("--height", type=float, default=0.01)
-    pm.add_argument("--branch-diameter", type=float, default=0.012)
-    pm.add_argument("--branch-angle", type=float, default=60.0)
+    pm.add_argument("--length", type=finite, default=0.1)
+    pm.add_argument("--diameter", type=finite, default=0.02)
+    pm.add_argument("--height", type=finite, default=0.01)
+    pm.add_argument("--branch-diameter", type=finite, default=0.012)
+    pm.add_argument("--branch-angle", type=finite, default=60.0)
     pm.add_argument("--resolution", type=_resolution, default="medium",
                     help="cells across the trunk, or coarse/medium/fine")
     pm.add_argument("--axial", type=int, default=30)
@@ -443,7 +445,6 @@ def build_parser():
 
     ps = sub.add_parser("sweep", help="run a parameter sweep into a snapshot db")
     ps.add_argument("case")
-    finite = _ranged(float, math.isfinite, "a finite number")
     ps.add_argument("--lo", type=finite, required=True)
     ps.add_argument("--hi", type=finite, required=True)
     ps.add_argument("--count", required=True,

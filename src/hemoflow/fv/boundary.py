@@ -78,8 +78,7 @@ class InflowBC:
             # the patch's half width (2D) or radius (3D) and centre; without
             # a size, centred on the faces' mean and just wider than them
             meta = patch.meta
-            size = meta.get("half_width" if meta.get("kind2d")
-                            or mesh.dim == 2 else "radius")
+            size = meta.get("half_width" if mesh.dim == 2 else "radius")
             c = xf.mean(axis=0) if size is None else np.asarray(
                 meta.get("center", xf.mean(axis=0)))
             r = np.linalg.norm(xf - c, axis=1)

@@ -164,18 +164,18 @@ def wape(X: TimeSeries, X_ref: TimeSeries):
                  / abs(ref_mean))
 
 
-def l2_rel_error(X_fom, X_rom, mesh=None, weights=None):
-    """100 * ||X_fom - X_rom||_L2 / ||X_fom||_L2, volume-weighted.
+def l2_rel_error(X_fom, X_rom, weights=None):
+    """100 * ||X_fom - X_rom||_L2 / ||X_fom||_L2.
 
-    ``weights`` overrides the cell volumes (e.g. face areas for boundary
-    fields); with neither given the plain vector 2-norm is used.
+    ``weights`` are the quadrature weights (cell volumes, or face areas for
+    boundary fields); without them the plain vector 2-norm is used.
     """
     a = np.asarray(X_fom, dtype=float)
     b = np.asarray(X_rom, dtype=float)
     if a.shape != b.shape:
         raise InvalidArgumentError("fields have different shapes")
     if weights is None:
-        weights = np.ones(a.shape[0]) if mesh is None else mesh.cell_volume
+        weights = np.ones(a.shape[0])
     w = np.asarray(weights, dtype=float)
     sq = (a - b) ** 2
     ref = a ** 2

@@ -76,9 +76,10 @@ class Mesh:
     owner, neighbor : per-face cell ids; neighbor == -1 on boundary faces
     patches : list of Patch covering every boundary face exactly once
 
-    The loops may run either way round; ``oriented_loops()`` gives them,
-    in the same (loops, lengths) form, ordered out of the owner. Every
-    generator and ``read_mesh`` pass their loops in this form.
+    The loops may run either way round. The mesh stores them once, in the
+    same (loops, lengths) form, each ordered out of its owner, and
+    ``oriented_loops()`` returns them. Every generator and ``read_mesh``
+    pass their loops in this form. Every point must be finite.
     ``incidence`` is the signed cell-face incidence matrix D (+1 at the
     owner, -1 at the neighbor): every face-to-cell sum is a product with it.
     """
@@ -90,7 +91,12 @@ class Mesh:
         self.points = np.asarray(points, dtype=float)
         if self.points.shape[1] != dim:
             raise InvalidArgumentError("points shape does not match dim")
-        # the vertex loops as given (before orientation)
+        finite = np.isfinite(self.points).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise InvalidArgumentError(f"point {bad} is not finite: "
+                                       f"{self.points[bad].tolist()}")
+        # the vertex loops as given; _compute_geometry orients them
         self._loop_flat = np.array(loops, dtype=np.int64)
         self._loop_len = np.array(lengths, dtype=np.int64)
         self._loop_start = np.cumsum(self._loop_len) - self._loop_len
@@ -167,10 +173,17 @@ class Mesh:
         approx = (abs(D) @ fc.T).T / np.diff(D.indptr)
         far = np.where(self.neighbor >= 0, approx[:, self.neighbor], fc)
         flip = np.einsum("ai,ai->i", area, far - approx[:, self.owner]) < 0.0
-        self._flip = flip
         area[:, flip] = -area[:, flip]
         if warp is not None:
             warp[:, :, flip] = -warp[:, :, flip]
+        if flip.any():
+            # store the loops oriented: a flipped loop stored at positions
+            # a..b is read from a + b - p
+            face = np.repeat(np.arange(self.n_faces), self._loop_len)
+            at = np.arange(len(self._loop_flat))
+            ends = 2 * self._loop_start + self._loop_len - 1
+            self._loop_flat = self._loop_flat[
+                np.where(flip[face], ends[face] - at, at)]
 
         self.face_area = np.ascontiguousarray(area.T)
         self.face_centroid = np.ascontiguousarray(fc.T)
@@ -210,19 +223,22 @@ class Mesh:
             self.cell_centroid = cmom / self.cell_volume[:, None]
 
     def _validate(self):
-        if np.any(self.cell_volume <= 0.0):
-            bad = int(np.argmin(self.cell_volume))
+        # each test passes only where it holds, so NaN and inf fail it
+        ok = np.isfinite(self.cell_volume) & (self.cell_volume > 0.0)
+        if not ok.all():
+            bad = int(np.argmin(ok))
             raise InvalidArgumentError(
-                f"non-positive cell volume at cell {bad}: {self.cell_volume[bad]:.3e}"
-            )
+                f"cell {bad} has a volume that is not positive and finite: "
+                f"{self.cell_volume[bad]:.3e}")
         # Gauss closure, relative to cell surface area
         closure = self.incidence @ self.face_area
         surf = abs(self.incidence) @ self.face_area_mag
         rel = np.linalg.norm(closure, axis=1) / surf
-        if np.max(rel) > 1e-12:
+        ok = rel <= 1e-12
+        if not ok.all():
+            bad = int(np.argmin(ok))
             raise InvalidArgumentError(
-                f"cell {int(np.argmax(rel))} violates Gauss closure ({np.max(rel):.2e})"
-            )
+                f"cell {bad} violates Gauss closure ({rel[bad]:.2e})")
         # Patch partition
         boundary = np.flatnonzero(self.neighbor < 0)
         claimed = np.concatenate([p.face_ids for p in self.patches.values()]) \
@@ -234,13 +250,9 @@ class Mesh:
 
     def oriented_loops(self):
         """The vertex loops of all faces, each ordered so that its area
-        vector points out of the owner, as (concatenated loops, lengths)."""
-        face = np.repeat(np.arange(self.n_faces), self._loop_len)
-        at = np.arange(len(self._loop_flat))
-        # a flipped loop stored at positions a..b is read from a + b - p
-        ends = 2 * self._loop_start + self._loop_len - 1
-        at = np.where(self._flip[face], ends[face] - at, at)
-        return self._loop_flat[at], self._loop_len
+        vector points out of the owner, as (concatenated loops, lengths):
+        the arrays the mesh stores."""
+        return self._loop_flat, self._loop_len
 
     @property
     def fv(self):

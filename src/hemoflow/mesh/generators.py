@@ -25,6 +25,9 @@ from .core import Mesh, Patch, non_orthogonality, NON_ORTHOGONALITY_CAP_DEG
 
 RESOLUTION_NAMES = {"coarse": 6, "medium": 10, "fine": 16}
 
+# the bifurcation's junction centre, as a fraction of the trunk length
+JUNCTION_AT = 0.45
+
 
 def _check_quality(mesh):
     """``mesh``, unless a face's non-orthogonality reaches the cap."""
@@ -70,9 +73,8 @@ def _edge_mesh(pts, blocks, patches):
                 neighbor, patches)
 
 
-def generate_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
-                      patch_kinds=None):
-    """Structured 2D quad mesh.
+def generate_box_mesh(nx, ny, lengths, shear=0.0, patch_kinds=None):
+    """Structured 2D quad mesh with its lower-left corner at the origin.
 
     ``shear`` tilts vertical grid lines by shear*length_y in x to produce a
     controlled non-orthogonal mesh for discretization tests. ``patch_kinds``
@@ -84,11 +86,10 @@ def generate_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
     lx, ly = lengths
     if lx <= 0 or ly <= 0:
         raise InvalidArgumentError("lengths must be positive")
-    x0, y0 = origin
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
-    pts = np.column_stack([((x0 + xs)[None, :] + shear * ys[:, None]).ravel(),
-                           np.repeat(y0 + ys, nx + 1)])
+    pts = np.column_stack([(xs[None, :] + shear * ys[:, None]).ravel(),
+                           np.repeat(ys, nx + 1)])
     blocks = _block_faces(_grid(ny + 1, nx + 1), _grid(ny, nx))
     n_vert = ny * (nx + 1)
     sides = {"xmin": np.arange(ny) * (nx + 1),
@@ -119,7 +120,7 @@ def generate_channel_mesh(length, height, nx, ny):
         patch_kinds={"xmin": "inlet", "xmax": "outlet"},
     )
     mesh.patches["inlet"].meta.update(
-        center=[0.0, height / 2.0], half_width=height / 2.0, kind2d=True)
+        center=[0.0, height / 2.0], half_width=height / 2.0)
     return mesh
 
 
@@ -190,7 +191,7 @@ def generate_pipe_mesh(length, diameter, axial_cells, radial_cells,
 
     patches = [
         Patch("inlet", "inlet", inlet,
-              meta={"center": [0.0, 0.0, 0.0], "radius": R, "axis": [0.0, 0.0, 1.0]}),
+              meta={"center": [0.0, 0.0, 0.0], "radius": R}),
         Patch("outlet", "outlet", outlet,
               meta={"center": [0.0, 0.0, length], "radius": R}),
         Patch("wall", "wall", wall),
@@ -200,14 +201,14 @@ def generate_pipe_mesh(length, diameter, axial_cells, radial_cells,
 
 
 def generate_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
-                              branch_angle, resolution="medium",
-                              branch_length=None, junction_at=0.45):
+                              branch_angle, resolution="medium"):
     """2D trunk with an oblique inflow branch (T-bifurcation).
 
     The branch carries the inlet; the proximal trunk end is a wall (closed
-    valve analog) and the distal trunk end is the outlet. ``resolution`` is
-    the number of cells across the trunk diameter, or one of
-    coarse/medium/fine.
+    valve analog) and the distal trunk end is the outlet. The branch is
+    2.5 branch diameters long and meets the trunk at ``JUNCTION_AT`` of
+    its length. ``resolution`` is the number of cells across the trunk
+    diameter, or one of coarse/medium/fine.
     """
     if isinstance(resolution, str):
         try:
@@ -228,9 +229,8 @@ def generate_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
     th = np.radians(branch_angle)
     h = W / ny
     span = wb / np.sin(th)  # junction footprint along the trunk wall
-    if branch_length is None:
-        branch_length = 2.5 * wb
-    x_j0 = junction_at * trunk_length - span / 2.0
+    branch_length = 2.5 * wb
+    x_j0 = JUNCTION_AT * trunk_length - span / 2.0
     x_j1 = x_j0 + span
     # oblique branches lean over the trunk; the footprint plus lean must fit
     lean = branch_length * abs(np.cos(th))
@@ -282,7 +282,7 @@ def generate_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
     boundary = np.flatnonzero(np.concatenate([b[2] for b in blocks]) < 0)
     patches = [
         Patch("inlet", "inlet", inlet,
-              meta={"axis": [-bdir[0], -bdir[1]], "half_width": wb / 2.0, "kind2d": True}),
+              meta={"half_width": wb / 2.0}),
         Patch("outlet", "outlet", outlet),
         Patch("wall", "wall", np.setdiff1d(boundary, np.concatenate([inlet, outlet]))),
     ]

@@ -17,17 +17,17 @@ lossless by construction.
 
 ``write_mesh`` formats the POINTS section with one ``%`` operation over
 the coordinates, and the FACES section from the ``nv, loop, owner,
-neighbor`` numbers of every face laid end to end, with the loops oriented
-by ``Mesh.oriented_loops``: each id is formatted once into a table, the
-numbers pick their strings from it by array indexing, and one join makes
-the section (``_int_rows``). ``read_mesh`` parses each section in one
+neighbor`` numbers of every face laid end to end, with the oriented
+loops that the mesh stores (``Mesh.oriented_loops``): each id is
+formatted once into a table, the numbers pick their strings from it by
+array indexing, and one join makes the section (``_int_rows``). ``read_mesh`` parses each section in one
 array operation, counts the numbers on each FACES line in one scan of the
 section's bytes (``_widths``), and hands ``Mesh`` the face loops as the
 flat (loops, lengths) arrays it stores; faces whose vertex, owner or
 neighbor ids are out of range are a ``SchemaError`` of the FACES section,
 and so is every other file content that ``Patch`` or ``Mesh`` refuses (an
 unknown patch kind, duplicate patch names, patches that do not partition
-the boundary, open cells).
+the boundary, open cells, points that are not finite).
 ``write_vtk`` takes each cell's faces from the rows of ``Mesh.incidence``
 and their loops from ``Mesh.oriented_loops``, walks the 2D cells' vertex
 loops for all cells at once, and formats the CELLS section with the same

@@ -14,7 +14,6 @@ import json
 import os
 import struct
 import zipfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +23,6 @@ from .podi import INTERPOLATION_KINDS, PodBasis, RomModel
 MANIFEST_SCHEMA = "hemoflow-snapshots/1"
 MODEL_SCHEMA = "hemoflow-rom/1"
 _FIELD_MAGIC = b"HFFLD1\n"
-
-
-@dataclass
-class SweepPlan:
-    """Equispaced 1-D sweep of the pump flow rate."""
-
-    lo: float
-    hi: float
-    count: int
-    delta_p: float = 75.0          # mmHg, fixed head for speed back-calculation
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise InvalidArgumentError("sweep needs lo < hi")
-        if self.count < 2:
-            raise InvalidArgumentError("sweep needs at least 2 points")
-
-    def params(self):
-        return np.linspace(self.lo, self.hi, self.count)
 
 
 def write_field(path, values):
@@ -146,7 +126,18 @@ class SnapshotDB:
         """Store field arrays for one parameter point (overwrites).
 
         The directory is named by the exact repr of the parameter, so
-        distinct parameters never share files."""
+        distinct parameters never share files. A field whose length
+        differs from the one the other entries record for it is a
+        SchemaError, and nothing is written."""
+        held = {name: rec["n"] for e in self.manifest["entries"]
+                if abs(e["param"] - param) >= 1e-12
+                for name, rec in e["fields"].items()}
+        for name, values in fields.items():
+            n = np.asarray(values).size
+            if held.get(name, n) != n:
+                raise SchemaError(f"field {name!r} at parameter {param:g} has "
+                                  f"{n} values; the database holds "
+                                  f"{held[name]}")
         sub = f"point_{float(param)!r}"
         os.makedirs(os.path.join(self.root, sub), exist_ok=True)
         recs = {}
@@ -205,6 +196,11 @@ class SnapshotDB:
         if params.size == 0:
             raise InvalidArgumentError("empty snapshot database")
         cols = [self.load_field(p, name) for p in params]
+        for p, col in zip(params, cols):
+            if col.size != cols[0].size:
+                raise SchemaError(
+                    f"field {name!r} has {cols[0].size} values at parameter "
+                    f"{params[0]:g} but {col.size} at {p:g}")
         return np.column_stack(cols), params
 
     def entry_meta(self, param):

@@ -16,9 +16,10 @@ import hemoflow.casefile
 import hemoflow.cli
 import hemoflow.fv
 from hemoflow.cli import main
-from hemoflow.errors import SolverFailure
+from hemoflow.errors import SchemaError, SolverFailure
 from hemoflow.mesh import generate_bifurcation_mesh, read_mesh, write_mesh
-from hemoflow.snapshots import SnapshotDB, load_models, save_models
+from hemoflow.snapshots import (SnapshotDB, load_models, save_models,
+                                write_field)
 from hemoflow.units import MMHG_TO_PA
 
 
@@ -680,6 +681,21 @@ RANGE_ERRORS = {
     "validate-tolerance-negative": (["validate", "--tolerance", "-1"],
                                     "argument --tolerance: -1 is not at "
                                     "least 0"),
+    "mesh-length-nan": (["mesh", "pipe", "--length", "nan", "--out", "DB"],
+                        "argument --length: nan is not a finite number"),
+    "mesh-diameter-inf": (["mesh", "pipe", "--diameter", "inf",
+                           "--out", "DB"],
+                          "argument --diameter: inf is not a finite number"),
+    "mesh-height-nan": (["mesh", "channel", "--height", "nan", "--out", "DB"],
+                        "argument --height: nan is not a finite number"),
+    "mesh-branch-diameter-inf": (["mesh", "bifurcation", "--branch-diameter",
+                                  "inf", "--out", "DB"],
+                                 "argument --branch-diameter: inf is not a "
+                                 "finite number"),
+    "mesh-branch-angle-nan": (["mesh", "bifurcation", "--branch-angle", "nan",
+                               "--out", "DB"],
+                              "argument --branch-angle: nan is not a finite "
+                              "number"),
 }
 
 
@@ -692,7 +708,7 @@ def test_argument_range_errors_are_usage_errors(tmp_path, capsys, argv,
     and no database or model written. A sweep's range used to exit 1
     (an infinite --hi after creating the database), a threshold too;
     a NaN pump head stored NaN pump speeds, and a negative tolerance ran,
-    both with exit 0."""
+    both with exit 0, as did a NaN mesh length, which wrote NaN points."""
     paths = {"CASE": str(make_case(tmp_path)), "DB": str(tmp_path / "db"),
              "OUT": str(tmp_path / "m.npz")}
     capsys.readouterr()
@@ -899,6 +915,35 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not finite" in err
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_fields_of_different_lengths_are_a_usage_error(self, tmp_path,
+                                                           capsys):
+        """Two sweeps of cases on different meshes into one database: the
+        second mesh's entry is refused, and a database that already holds
+        both lengths fails rom-train with one error line, not a
+        traceback."""
+        root = tmp_path / "db"
+        db = SnapshotDB(root)
+        db.add_entry(3.0, {"p": np.ones(8)})
+        manifest = (root / "manifest.json").read_text()
+        with pytest.raises(SchemaError, match="field 'p' at parameter 4 has "
+                           "9 values; the database holds 8"):
+            db.add_entry(4.0, {"p": np.ones(9)})
+        assert (root / "manifest.json").read_text() == manifest
+        assert sorted(os.listdir(root)) == ["manifest.json", "point_3.0"]
+        # the database as an unchecked add_entry left it
+        db.add_entry(4.0, {"p": np.ones(8)})
+        rec = db.manifest["entries"][1]["fields"]["p"]
+        write_field(root / rec["file"], np.ones(9))
+        rec.update(n=9, checksum="sha256:" + hashlib.sha256(
+            (root / rec["file"]).read_bytes()).hexdigest())
+        (root / "manifest.json").write_text(json.dumps(db.manifest))
+        capsys.readouterr()
+        assert main(["rom-train", str(root),
+                     "--out", str(tmp_path / "m.npz")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: field 'p' has 8 values at parameter 3 but 9 at 4"]
         assert not (tmp_path / "m.npz").exists()
 
     def test_validate_reports_deviations(self, capsys):

@@ -342,17 +342,17 @@ def test_geometry_does_not_depend_on_the_block_size(make, monkeypatch):
     assert whole.n_faces < core._BLOCK  # one block at the default size
     monkeypatch.setattr(core, "_BLOCK", 7)
     blocked = make()
-    for name in ("_flip", "face_area", "face_centroid", "face_area_mag",
+    for got, want in zip(blocked.oriented_loops(), whole.oriented_loops()):
+        assert np.array_equal(got, want)
+    for name in ("face_area", "face_centroid", "face_area_mag",
                  "cell_volume", "cell_centroid"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
 
 
-def loop_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
-                  patch_kinds=None):
+def loop_box_mesh(nx, ny, lengths, shear=0.0, patch_kinds=None):
     """``generate_box_mesh`` built one point and one face at a time: the
     reference for the array-built generator."""
     lx, ly = lengths
-    x0, y0 = origin
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
 
@@ -362,7 +362,7 @@ def loop_box_mesh(nx, ny, lengths, origin=(0.0, 0.0), shear=0.0,
     pts = np.empty(((nx + 1) * (ny + 1), 2))
     for j in range(ny + 1):
         for i in range(nx + 1):
-            pts[pid(i, j)] = (x0 + xs[i] + shear * ys[j], y0 + ys[j])
+            pts[pid(i, j)] = (xs[i] + shear * ys[j], ys[j])
 
     def cid(i, j):
         return j * nx + i
@@ -467,7 +467,7 @@ def loop_pipe_mesh(length, diameter, axial_cells, radial_cells, n_theta=None):
 
     patches = [
         Patch("inlet", "inlet", np.array(inlet),
-              meta={"center": [0.0, 0.0, 0.0], "radius": R, "axis": [0.0, 0.0, 1.0]}),
+              meta={"center": [0.0, 0.0, 0.0], "radius": R}),
         Patch("outlet", "outlet", np.array(outlet),
               meta={"center": [0.0, 0.0, length], "radius": R}),
         Patch("wall", "wall", np.array(wall)),
@@ -477,8 +477,7 @@ def loop_pipe_mesh(length, diameter, axial_cells, radial_cells, n_theta=None):
 
 
 def loop_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
-                          branch_angle, resolution, branch_length=None,
-                          junction_at=0.45):
+                          branch_angle, resolution):
     """``generate_bifurcation_mesh`` built one point and one face at a
     time: the reference for the array-built generator. It takes an integer
     resolution and checks no arguments."""
@@ -487,9 +486,8 @@ def loop_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
     th = np.radians(branch_angle)
     h = W / ny
     span = wb / np.sin(th)
-    if branch_length is None:
-        branch_length = 2.5 * wb
-    x_j0 = junction_at * trunk_length - span / 2.0
+    branch_length = 2.5 * wb
+    x_j0 = 0.45 * trunk_length - span / 2.0
     x_j1 = x_j0 + span
     nj = max(3, int(round(span / h)))
     n_left = max(2, int(round(x_j0 / h)))
@@ -580,7 +578,7 @@ def loop_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
 
     patches = [
         Patch("inlet", "inlet", np.array(inlet),
-              meta={"axis": [-bdir[0], -bdir[1]], "half_width": wb / 2.0, "kind2d": True}),
+              meta={"half_width": wb / 2.0}),
         Patch("outlet", "outlet", np.array(outlet)),
         Patch("wall", "wall", np.array(wall)),
     ]
@@ -588,11 +586,11 @@ def loop_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
 
 
 def assert_same_mesh(got, want):
-    """Identical points, loops as given, owners, neighbours and patches:
+    """Identical points, oriented loops, owners, neighbours and patches:
     the same mesh, face for face, not just an equivalent one."""
     assert np.array_equal(got.points, want.points)
-    assert np.array_equal(got._loop_flat, want._loop_flat)
-    assert np.array_equal(got._loop_len, want._loop_len)
+    for a, b in zip(got.oriented_loops(), want.oriented_loops()):
+        assert np.array_equal(a, b)
     assert np.array_equal(got.owner, want.owner)
     assert np.array_equal(got.neighbor, want.neighbor)
     assert list(got.patches) == list(want.patches)
@@ -613,14 +611,12 @@ def test_pipe_generator_matches_the_loop_reference(nz, nr, n_theta):
 
 @given(nx=st.integers(1, 7), ny=st.integers(1, 7),
        shear=st.floats(0.0, 0.5),
-       origin=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
        patch_kinds=st.dictionaries(st.sampled_from(["xmin", "xmax", "ymin", "ymax"]),
                                    st.sampled_from(PATCH_KINDS)))
 @settings(max_examples=60, deadline=None)
-def test_box_generator_matches_the_loop_reference(nx, ny, shear, origin,
-                                                  patch_kinds):
+def test_box_generator_matches_the_loop_reference(nx, ny, shear, patch_kinds):
     args = (nx, ny, (1.0, 0.4))
-    kwargs = dict(origin=origin, shear=shear, patch_kinds=patch_kinds)
+    kwargs = dict(shear=shear, patch_kinds=patch_kinds)
     assert_same_mesh(generate_box_mesh(*args, **kwargs),
                      loop_box_mesh(*args, **kwargs))
 
@@ -637,15 +633,14 @@ def test_box_generator_refuses_an_unknown_kind_or_side(patch_kinds, message):
 
 
 @given(resolution=st.integers(3, 12), branch_angle=st.floats(30.0, 150.0),
-       junction_at=st.floats(0.2, 0.7),
-       branch_length=st.none() | st.floats(0.002, 0.03))
+       trunk_length=st.floats(0.03, 0.1),
+       branch_diameter=st.floats(0.002, 0.01))
 @settings(max_examples=60, deadline=None)
 def test_bifurcation_generator_matches_the_loop_reference(
-        resolution, branch_angle, junction_at, branch_length):
-    args = (0.06, 0.01, 0.006, branch_angle, resolution)
-    kwargs = dict(branch_length=branch_length, junction_at=junction_at)
+        resolution, branch_angle, trunk_length, branch_diameter):
+    args = (trunk_length, 0.01, branch_diameter, branch_angle, resolution)
     try:
-        got = generate_bifurcation_mesh(*args, **kwargs)
+        got = generate_bifurcation_mesh(*args)
     except InvalidArgumentError:
         assume(False)
-    assert_same_mesh(got, loop_bifurcation_mesh(*args, **kwargs))
+    assert_same_mesh(got, loop_bifurcation_mesh(*args))

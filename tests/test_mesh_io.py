@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hemoflow.errors import SchemaError
+from hemoflow.errors import InvalidArgumentError, SchemaError
+from hemoflow.fv.boundary import INFLOW_PROFILES, InflowBC
 from hemoflow.mesh import (Mesh, generate_bifurcation_mesh, generate_box_mesh,
                            generate_channel_mesh, generate_pipe_mesh,
                            read_mesh, write_mesh, write_vtk)
@@ -149,7 +150,7 @@ def with_reversed_loops(make):
                  for i, f in enumerate(loop_list(*mesh.oriented_loops()))]
         mesh = Mesh(mesh.dim, mesh.points, *flat_loops(loops), mesh.owner,
                     mesh.neighbor, list(mesh.patches.values()))
-        assert mesh._flip.any()
+        assert loop_list(*mesh.oriented_loops()) != loops
         return mesh
     return made
 
@@ -178,12 +179,88 @@ def test_write_matches_a_line_by_line_write(tmp_path, make):
     write_line_by_line(mesh, tmp_path / "reference.hfm")
     written = (tmp_path / "mesh.hfm").read_bytes()
     assert written == (tmp_path / "reference.hfm").read_bytes()
-    # the loops are written oriented, and write -> read -> write
-    # reproduces the bytes
+    # the loops are written oriented, read back as written, and
+    # write -> read -> write reproduces the bytes
     back = read_mesh(tmp_path / "mesh.hfm")
-    assert not back._flip.any()
+    assert (loop_list(*back.oriented_loops())
+            == line_by_line(tmp_path / "mesh.hfm")[2])
     write_mesh(back, tmp_path / "again.hfm")
     assert (tmp_path / "again.hfm").read_bytes() == written
+
+
+@pytest.mark.parametrize("make", [pipe, bifurcation],
+                         ids=["pipe", "bifurcation"])
+def test_reversed_loops_are_stored_oriented(make):
+    """A mesh built from loops that run either way round stores, and
+    returns, the same oriented loops as one built from oriented loops."""
+    want = make()
+    got = with_reversed_loops(make)()
+    for a, b in zip(got.oriented_loops(), want.oriented_loops()):
+        assert np.array_equal(a, b)
+
+
+BIFURCATION_AXIS = [-np.cos(np.radians(45.0)), -np.sin(np.radians(45.0))]
+
+
+@pytest.mark.parametrize("make, old_meta", [
+    (lambda: generate_channel_mesh(0.1, 0.01, 12, 5),
+     lambda meta: {**meta, "kind2d": True}),
+    (bifurcation, lambda meta: {"axis": BIFURCATION_AXIS, **meta,
+                                "kind2d": True}),
+    (pipe, lambda meta: {**meta, "axis": [0.0, 0.0, 1.0]}),
+], ids=["channel", "bifurcation", "pipe"])
+def test_files_with_the_removed_inlet_keys_give_the_same_inflow(
+        tmp_path, make, old_meta):
+    """Mesh files whose inlet meta still holds the unread ``axis`` and
+    ``kind2d`` keys, as earlier versions wrote them, load and give the
+    inflow of the mesh as generated, bit for bit. In 3D, where geometry
+    from a loop read the other way round moves by round-off, the
+    reference is the file as written without the keys."""
+    mesh = make()
+    path = tmp_path / "mesh.hfm"
+    write_mesh(mesh, path)
+    if mesh.dim == 3:
+        mesh = read_mesh(path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("inlet "))
+    *head, meta = lines[at].split(None, 3)
+    lines[at] = " ".join([*head, json.dumps(old_meta(json.loads(meta)))])
+    path.write_text("\n".join(lines) + "\n")
+    back = read_mesh(path)
+    assert back.patches["inlet"].meta == old_meta(mesh.patches["inlet"].meta)
+    for profile in INFLOW_PROFILES:
+        bc = InflowBC(1e-6, profile)
+        u, influx = bc.shape_velocities(back, back.patches["inlet"])
+        u0, influx0 = bc.shape_velocities(mesh, mesh.patches["inlet"])
+        assert np.array_equal(u, u0) and influx == influx0, profile
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: generate_box_mesh(2, 2, (np.inf, 1.0)), "point 0 is not finite"),
+    (lambda: generate_box_mesh(2, 2, (1.0, 1.0), shear=np.nan),
+     "point 0 is not finite"),
+    (lambda: generate_pipe_mesh(np.nan, 0.02, 2, 2), "point 0 is not finite"),
+    (lambda: generate_box_mesh(2, 2, (1e300, 1e300)),
+     "cell 0 has a volume that is not positive and finite: inf"),
+], ids=["box-length-inf", "box-shear-nan", "pipe-length-nan",
+        "overflowing-volume"])
+def test_non_finite_geometry_is_refused(make, match):
+    """A mesh has finite points and positive, finite cell volumes; NaN
+    fails every comparison, so each check passes only where it holds."""
+    with pytest.raises(InvalidArgumentError, match=match):
+        make()
+
+
+def test_read_refuses_a_non_finite_point(tmp_path):
+    """``Mesh`` refuses the point, and ``read_mesh`` reports it as a
+    SchemaError of the file."""
+    path = tmp_path / "mesh.hfm"
+    write_mesh(generate_box_mesh(2, 2, (1.0, 1.0)), path)
+    lines = path.read_text().splitlines()
+    lines[section_line(lines, "POINTS") + 5] = "nan 0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match="point 4 is not finite"):
+        read_mesh(path)
 
 
 def section_line(lines, name):

@@ -7,20 +7,8 @@ import pytest
 
 from hemoflow.errors import InvalidArgumentError, SchemaError
 from hemoflow.podi import SnapshotSet, train
-from hemoflow.snapshots import (SnapshotDB, SweepPlan, load_models,
-                                read_field, save_models, write_field)
-
-
-class TestSweepPlan:
-    def test_equispaced_points(self):
-        plan = SweepPlan(3.0, 5.0, 11)
-        assert np.allclose(plan.params(), np.arange(3.0, 5.01, 0.2))
-
-    def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            SweepPlan(5.0, 3.0, 11)
-        with pytest.raises(InvalidArgumentError):
-            SweepPlan(3.0, 5.0, 1)
+from hemoflow.snapshots import (SnapshotDB, load_models, read_field,
+                                save_models, write_field)
 
 
 class TestFieldFiles:
