@@ -21,7 +21,7 @@ from typing import get_type_hints
 from .errors import InvalidArgumentError, SchemaError
 from .fv.boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
                           NoSlipBC, PressureZeroGradientBC,
-                          VelocityZeroGradientBC, WindkesselBC)
+                          VelocityZeroGradientBC)
 from .fv.piso import FluidProperties, SolverConfig
 from .mesh import read_mesh
 from .units import MMHG_TO_DYN_CM2, lmin_to_m3s
@@ -129,8 +129,7 @@ def _pressure(spec, patch, where):
         return FixedPressureBC(_number(spec, "value_pa", where))
     R_p, R_d, C = (_number(spec, key, where) for key in ("R_p", "R_d", "C"))
     p0 = _number(spec, "p0_mmhg", where, default=0.0) * MMHG_TO_DYN_CM2
-    return WindkesselBC(_build(where, WindkesselOutlet, patch, R_p, R_d, C,
-                               p_p=p0))
+    return _build(where, WindkesselOutlet, patch, R_p, R_d, C, p_p=p0)
 
 
 @dataclass
@@ -149,12 +148,7 @@ class Case:
         """Read the mesh. Its patches must be the boundary's, and each
         probe must have one coordinate per mesh dimension."""
         mesh = read_mesh(self.mesh_path)
-        for name in mesh.patches:
-            _require(name in self.bcs.conditions,
-                     f"boundary: mesh patch {name!r} has no entry")
-        for name in self.bcs.conditions:
-            _require(name in mesh.patches,
-                     f"boundary: patch {name!r} not present in mesh")
+        _build("boundary", self.bcs.validate_against, mesh)
         for i, xy in enumerate(self.probes):
             _require(len(xy) == mesh.dim, f"output.probes[{i}]: expected "
                      f"{mesh.dim} coordinates, got {len(xy)}")

@@ -389,7 +389,11 @@ def cmd_report(args):
 # -- parser -----------------------------------------------------------------------
 
 def _resolution(text):
-    return int(text) if text.isdigit() else text
+    """``--resolution``: cells across the trunk, at least 3, or a name,
+    which the generator looks up."""
+    if not text.lstrip("-").isdigit():
+        return text
+    return _ranged(int, lambda n: n >= 3, "at least 3")(text)
 
 
 def _params(text):
@@ -422,18 +426,21 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     finite = _ranged(float, math.isfinite, "a finite number")
+    size = _ranged(finite, lambda x: x > 0, "positive")
+    cells = _ranged(int, lambda n: n >= 1, "at least 1")
 
     pm = sub.add_parser("mesh", help="generate a test geometry mesh")
     pm.add_argument("shape", choices=["pipe", "channel", "bifurcation"])
-    pm.add_argument("--length", type=finite, default=0.1)
-    pm.add_argument("--diameter", type=finite, default=0.02)
-    pm.add_argument("--height", type=finite, default=0.01)
-    pm.add_argument("--branch-diameter", type=finite, default=0.012)
-    pm.add_argument("--branch-angle", type=finite, default=60.0)
+    pm.add_argument("--length", type=size, default=0.1)
+    pm.add_argument("--diameter", type=size, default=0.02)
+    pm.add_argument("--height", type=size, default=0.01)
+    pm.add_argument("--branch-diameter", type=size, default=0.012)
+    pm.add_argument("--branch-angle", default=60.0, type=_ranged(
+        finite, lambda x: 0.0 < x < 180.0, "in (0, 180)"))
     pm.add_argument("--resolution", type=_resolution, default="medium",
                     help="cells across the trunk, or coarse/medium/fine")
-    pm.add_argument("--axial", type=int, default=30)
-    pm.add_argument("--radial", type=int, default=10)
+    pm.add_argument("--axial", type=cells, default=30)
+    pm.add_argument("--radial", type=cells, default=10)
     pm.add_argument("--out", required=True)
     pm.add_argument("--vtk")
     pm.set_defaults(func=cmd_mesh)
@@ -498,6 +505,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "sweep" and not args.lo < args.hi:
         parser.error(f"sweep: --lo {args.lo:g} is not below --hi {args.hi:g}")
+    if args.command == "mesh" and args.shape == "pipe":
+        for name in ("axial", "radial"):
+            if getattr(args, name) < 2:
+                parser.error(f"mesh pipe: --{name} {getattr(args, name)} "
+                             "is not at least 2")
     try:
         return args.func(args)
     except SchemaError as e:

@@ -2,6 +2,6 @@
 
 from .boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
                        NoSlipBC, PressureZeroGradientBC,
-                       VelocityZeroGradientBC, WindkesselBC,
-                       poiseuille_bcs, pulsatile_waveform)
+                       VelocityZeroGradientBC, poiseuille_bcs,
+                       pulsatile_waveform)
 from .piso import FlowState, FluidProperties, PisoSolver, SolverConfig

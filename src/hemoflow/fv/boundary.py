@@ -114,15 +114,9 @@ class FixedPressureBC:
     value: float  # Pa
 
 
-@dataclass
-class WindkesselBC:
-    """Couples a patch to a three-element RCR outlet model."""
-
-    outlet: WindkesselOutlet
-
-
 VELOCITY_BCS = (InflowBC, NoSlipBC, VelocityZeroGradientBC)
-PRESSURE_BCS = (PressureZeroGradientBC, FixedPressureBC, WindkesselBC)
+# a WindkesselOutlet couples its patch to a three-element RCR model
+PRESSURE_BCS = (PressureZeroGradientBC, FixedPressureBC, WindkesselOutlet)
 
 
 class BoundaryConditionSet:
@@ -137,17 +131,20 @@ class BoundaryConditionSet:
                 raise InvalidArgumentError(f"patch {name}: bad velocity condition")
             if not isinstance(p, PRESSURE_BCS):
                 raise InvalidArgumentError(f"patch {name}: bad pressure condition")
-            if isinstance(p, (FixedPressureBC, WindkesselBC)):
+            if isinstance(p, (FixedPressureBC, WindkesselOutlet)):
                 has_ref = True
         if not has_ref:
             raise InvalidArgumentError(
                 "no pressure reference: need a fixed-value or Windkessel outlet")
 
     def validate_against(self, mesh):
-        if set(self.conditions) != set(mesh.patches):
-            raise InvalidArgumentError(
-                f"boundary conditions {sorted(self.conditions)} do not match "
-                f"mesh patches {sorted(mesh.patches)}")
+        """InvalidArgumentError naming each patch that only one side has."""
+        faults = [f"mesh patch {name!r} has no entry" for name in
+                  sorted(set(mesh.patches) - set(self.conditions))]
+        faults += [f"patch {name!r} not present in mesh" for name in
+                   sorted(set(self.conditions) - set(mesh.patches))]
+        if faults:
+            raise InvalidArgumentError("; ".join(faults))
 
 
 def poiseuille_bcs(mesh, flow_rate, profile="parabolic"):

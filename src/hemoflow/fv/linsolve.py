@@ -247,7 +247,6 @@ class BandFactor:
     def factor(self, A):
         """Factor ``A`` (CSR, the order's pattern); SolverFailure if it is
         singular or, for the Cholesky factor, not positive definite."""
-        self.A = A
         info = self._factor(A)
         if info != 0:
             raise SolverFailure(

@@ -61,10 +61,10 @@ import numpy as np
 from ..errors import InvalidArgumentError, SolverFailure
 from ..indicators import FluidProperties
 from ..units import DYN_CM2_TO_PA, M3S_TO_CM3S
-from ..windkessel import advance_outlet
+from ..windkessel import WindkesselOutlet, advance_outlet
 from . import linsolve
 from .boundary import (BoundaryConditionSet, FixedPressureBC, InflowBC,
-                       NoSlipBC, PressureZeroGradientBC, WindkesselBC)
+                       NoSlipBC, PressureZeroGradientBC)
 from .operators import (CONVECTION_SCHEMES, flux_matrix, gradient_matrix,
                         nonorth_flux_matrix)
 # perfbench/tracing.py wraps these six by name in this module (getattr);
@@ -72,6 +72,11 @@ from .operators import (CONVECTION_SCHEMES, flux_matrix, gradient_matrix,
 from .operators import (boundary_values_from_patches,  # noqa: F401
                         convective_term, diffusion_term, face_interpolate,
                         gauss_gradient, gradient_term)
+
+# ``run`` counts a span (t_end - time) / dt within this relative distance
+# of an integer n as n whole steps: decimal times are inexact in binary
+# and a clock is summed (92.9 s at dt 0.1 is 929 steps, not 929 + 1e-11)
+END_ROUNDOFF = 1e-9
 
 
 @dataclass
@@ -207,8 +212,8 @@ class PisoSolver:
             self._fixed_u[rows] = isinstance(vbc, (InflowBC, NoSlipBC))
             if isinstance(pbc, FixedPressureBC):
                 p_values[rows] = pbc.value
-            elif isinstance(pbc, WindkesselBC):
-                windkessels.append((name, rows, pbc.outlet))
+            elif isinstance(pbc, WindkesselOutlet):
+                windkessels.append((name, rows, pbc))
             self._fixed_p[rows] = not isinstance(pbc, PressureZeroGradientBC)
         # the pressures on the fixed-pressure faces, in boundary order, and
         # each Windkessel outlet's rows in them
@@ -455,17 +460,22 @@ class PisoSolver:
     # -- time loop -----------------------------------------------------------
 
     def run(self, state=None, observer=None):
-        """March to t_end, max_steps or steady state. Returns the final
-        state (a new one, even after no step), its ``converged`` and
-        ``steps`` set."""
+        """March whole steps of dt to t_end, then one step of any remainder
+        past ``END_ROUNDOFF``; stop early at max_steps or steady state.
+        Returns the final state (a new one, even after no step), its
+        ``converged`` and ``steps`` set."""
         cfg = self.config
         state = self.initialize() if state is None else state.copy()
-        n_max = cfg.max_steps or int(round((cfg.t_end - state.time) / cfg.dt)) + 1
+        r = max((cfg.t_end - state.time) / cfg.dt, 0.0)
+        whole = n = round(r)
+        if abs(r - whole) > END_ROUNDOFF * max(r, 1.0):
+            whole = math.floor(r)
+            n = whole + 1
         uref = 0.0
         steps = 0
         steady = False
-        while state.time < cfg.t_end - 1e-12 and steps < n_max:
-            dt = min(cfg.dt, cfg.t_end - state.time)
+        for steps in range(1, min(n, cfg.max_steps or n) + 1):
+            dt = cfg.dt if steps <= whole else cfg.t_end - state.time
             new = self.step(state, dt)
             cfl = new.cfl(dt)
             if cfl > cfg.cfl_max:
@@ -477,7 +487,6 @@ class PisoSolver:
             du = np.abs(new.u - state.u).max()
             uref = max(uref, np.abs(new.u).max(), 1e-300)
             state = new
-            steps += 1
             if observer is not None:
                 observer(state)
             if cfg.steady_tol is not None and du / (dt * uref) < cfg.steady_tol:

@@ -338,8 +338,6 @@ class _FvGeometry:
         o = mesh.owner[internal]
         n = mesh.neighbor[internal]
         self.i_owner, self.i_neigh = o, n
-        self.d = d
-        self.d_mag = np.linalg.norm(d, axis=1)
         A = mesh.face_area[internal]
         self.orth_coeff = np.einsum("ij,ij->i", A, A) / AdotD  # |A|^2/(A.d)
         # over-relaxed decomposition A = E + T with E parallel to d,
@@ -347,15 +345,16 @@ class _FvGeometry:
         self.T = A - d * self.orth_coeff[:, None]
 
         # linear interpolation weight of the owner value at the face
-        dhat = d / self.d_mag[:, None]
+        d_mag = np.linalg.norm(d, axis=1)
+        dhat = d / d_mag[:, None]
         t = np.einsum(
             "ij,ij->i", mesh.face_centroid[internal] - mesh.cell_centroid[o], dhat
-        ) / self.d_mag
-        self.w_owner = np.clip(1.0 - t, 0.05, 0.95)
-        # the interpolation as a (n_internal x n_cells) matrix: w_owner in
-        # the owner column, 1 - w_owner in the neighbor column
+        ) / d_mag
+        w_owner = np.clip(1.0 - t, 0.05, 0.95)
+        # the interpolation (n_internal x n_cells), its weights' only store:
+        # w_owner in the owner column, 1 - w_owner in the neighbor column
         self.W = sp.csr_matrix(
-            (np.column_stack([self.w_owner, 1.0 - self.w_owner]).ravel(),
+            (np.column_stack([w_owner, 1.0 - w_owner]).ravel(),
              np.column_stack([o, n]).ravel(),
              np.arange(0, 2 * len(o) + 1, 2)),
             shape=(len(o), mesh.n_cells))

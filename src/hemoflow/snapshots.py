@@ -127,17 +127,15 @@ class SnapshotDB:
 
         The directory is named by the exact repr of the parameter, so
         distinct parameters never share files. A field whose length
-        differs from the one the other entries record for it is a
-        SchemaError, and nothing is written."""
-        held = {name: rec["n"] for e in self.manifest["entries"]
-                if abs(e["param"] - param) >= 1e-12
-                for name, rec in e["fields"].items()}
+        differs from the one its weights or the other entries record for
+        it is a SchemaError, and nothing is written."""
         for name, values in fields.items():
             n = np.asarray(values).size
-            if held.get(name, n) != n:
-                raise SchemaError(f"field {name!r} at parameter {param:g} has "
-                                  f"{n} values; the database holds "
-                                  f"{held[name]}")
+            what = f"field {name!r} at parameter {param:g} has {n} values"
+            self._refuse_length(name, n, what, skip=param)
+            held = self.manifest["weights"].get(name, {}).get("n", n)
+            if held != n:
+                raise SchemaError(f"{what}; its weights hold {held}")
         sub = f"point_{float(param)!r}"
         os.makedirs(os.path.join(self.root, sub), exist_ok=True)
         recs = {}
@@ -154,17 +152,39 @@ class SnapshotDB:
         self.manifest["entries"].sort(key=lambda e: e["param"])
         self._save()
 
+    def _refuse_length(self, name, n, what, skip=None):
+        """SchemaError, ``what`` first, unless every stored entry of field
+        ``name`` (but the one at parameter ``skip``) holds ``n`` values."""
+        for e in self.manifest["entries"]:
+            rec = e["fields"].get(name)
+            if rec and rec["n"] != n and (
+                    skip is None or abs(e["param"] - skip) >= 1e-12):
+                raise SchemaError(f"{what}; the database holds {rec['n']}")
+
     def set_weights(self, name, values):
-        """Quadrature weights (cell volumes / face areas) for a field."""
+        """Quadrature weights (cell volumes / face areas) for a field, and
+        their length. Weights whose length differs from the stored
+        entries' are a SchemaError, and nothing is written."""
+        n = int(np.asarray(values).size)
+        self._refuse_length(name, n,
+                            f"weights of field {name!r} have {n} values")
         rel = f"weights_{name}.bin"
         write_field(os.path.join(self.root, rel), values)
         self.manifest["weights"][name] = {
-            "file": rel, "checksum": _sha256(os.path.join(self.root, rel))}
+            "file": rel, "n": n,
+            "checksum": _sha256(os.path.join(self.root, rel))}
         self._save()
 
     def weights(self, name):
+        """A field's weights, or None; a SchemaError when their length
+        differs from its entries' (weights written without a length)."""
         rec = self.manifest["weights"].get(name)
-        return None if rec is None else self._read_checked(rec)
+        if rec is None:
+            return None
+        w = self._read_checked(rec)
+        self._refuse_length(name, w.size,
+                            f"weights of field {name!r} have {w.size} values")
+        return w
 
     def params(self):
         return np.array([e["param"] for e in self.manifest["entries"]])

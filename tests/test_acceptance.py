@@ -13,7 +13,7 @@ import pytest
 from hemoflow import indicators, pump, refdata, units, windkessel
 from hemoflow.fv import (BoundaryConditionSet, FluidProperties, InflowBC,
                          NoSlipBC, PisoSolver, PressureZeroGradientBC,
-                         SolverConfig, VelocityZeroGradientBC, WindkesselBC)
+                         SolverConfig, VelocityZeroGradientBC)
 from hemoflow.indicators import TimeSeries, l2_rel_error, pas_pad_pam, wape
 from hemoflow.mesh import generate_pipe_mesh
 from hemoflow.podi import SnapshotSet, pod_basis, train
@@ -210,7 +210,7 @@ def test_criterion_5_lumped_outlet_coupling():
             "inlet": (InflowBC(flow, profile="parabolic"),
                       PressureZeroGradientBC()),
             "wall": (NoSlipBC(), PressureZeroGradientBC()),
-            "outlet": (VelocityZeroGradientBC(), WindkesselBC(outlet)),
+            "outlet": (VelocityZeroGradientBC(), outlet),
         })
         cfg = SolverConfig(dt=dt, t_end=t_end, convection_scheme="upwind",
                            lin_tol=1e-8, continuity_tol=1e-5,

@@ -7,9 +7,9 @@ import pytest
 
 from hemoflow.casefile import load_case, with_inflow
 from hemoflow.errors import SchemaError
-from hemoflow.fv import (FixedPressureBC, InflowBC, NoSlipBC, SolverConfig,
-                         WindkesselBC)
+from hemoflow.fv import FixedPressureBC, InflowBC, NoSlipBC, SolverConfig
 from hemoflow.mesh import generate_channel_mesh, write_mesh
+from hemoflow.windkessel import WindkesselOutlet
 
 
 def base_case(mesh_name="channel.hfm"):
@@ -89,9 +89,9 @@ def test_windkessel_pressure_spec(case_dir):
         "p0_mmhg": 80.0}
     case = load_case(write_case(case_dir, doc))
     bc = case.bcs.conditions["outlet"][1]
-    assert isinstance(bc, WindkesselBC)
-    assert bc.outlet.R_d == 1500.0
-    assert bc.outlet.p_p == pytest.approx(80.0 * 1333.22, rel=1e-9)
+    assert isinstance(bc, WindkesselOutlet)
+    assert bc.name == "outlet" and bc.R_d == 1500.0
+    assert bc.p_p == pytest.approx(80.0 * 1333.22, rel=1e-9)
 
 
 @pytest.mark.parametrize("key, value", [("write_interval", 10),

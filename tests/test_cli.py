@@ -16,7 +16,7 @@ import hemoflow.casefile
 import hemoflow.cli
 import hemoflow.fv
 from hemoflow.cli import main
-from hemoflow.errors import SchemaError, SolverFailure
+from hemoflow.errors import InvalidArgumentError, SchemaError, SolverFailure
 from hemoflow.mesh import generate_bifurcation_mesh, read_mesh, write_mesh
 from hemoflow.snapshots import (SnapshotDB, load_models, save_models,
                                 write_field)
@@ -442,6 +442,30 @@ def test_case_file_mistakes_are_usage_errors(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("error: boundary")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda bnd: bnd.pop("wall"), "mesh patch 'wall' has no entry"),
+    (lambda bnd: bnd.update(vein=bnd["wall"]),
+     "patch 'vein' not present in mesh"),
+    (lambda bnd: bnd.update(vein=bnd.pop("wall")),
+     "mesh patch 'wall' has no entry; patch 'vein' not present in mesh"),
+], ids=["missing", "extra", "both"])
+def test_a_boundary_names_each_patch_it_does_not_share_with_the_mesh(
+        tmp_path, capsys, edit, message):
+    """``fom-run`` and the solver refuse the same patch mismatch with the
+    same message, naming every missing and every extra patch."""
+    case = make_case(tmp_path)
+    doc = json.loads(case.read_text())
+    edit(doc["boundary"])
+    case.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["fom-run", str(case), "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: boundary: {message}\n"
+    loaded = hemoflow.casefile.load_case(case)
+    with pytest.raises(InvalidArgumentError) as refused:
+        hemoflow.fv.PisoSolver(read_mesh(loaded.mesh_path), loaded.bcs)
+    assert str(refused.value) == message
+
+
 def edited_run(edit):
     """The argv of ``fom-run`` on the CLI channel case after ``edit(doc)``."""
     def argv(tmp_path):
@@ -696,6 +720,20 @@ RANGE_ERRORS = {
                                "--out", "DB"],
                               "argument --branch-angle: nan is not a finite "
                               "number"),
+    "mesh-length-negative": (["mesh", "pipe", "--length", "-1", "--out", "DB"],
+                             "argument --length: -1 is not positive"),
+    "mesh-pipe-axial-1": (["mesh", "pipe", "--axial", "1", "--out", "DB"],
+                          "mesh pipe: --axial 1 is not at least 2"),
+    "mesh-resolution-2": (["mesh", "bifurcation", "--resolution", "2",
+                           "--out", "DB"],
+                          "argument --resolution: 2 is not at least 3"),
+    "mesh-branch-angle-200": (["mesh", "bifurcation", "--branch-angle", "200",
+                               "--out", "DB"],
+                              "argument --branch-angle: 200 is not in "
+                              "(0, 180)"),
+    "mesh-channel-radial-0": (["mesh", "channel", "--radial", "0",
+                               "--out", "DB"],
+                              "argument --radial: 0 is not at least 1"),
 }
 
 
@@ -945,6 +983,28 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "error: field 'p' has 8 values at parameter 3 but 9 at 4"]
         assert not (tmp_path / "m.npz").exists()
+
+    def test_weights_written_without_a_length_still_train(self, tmp_path,
+                                                          capsys):
+        """A database whose weights record no length (as written before
+        weights did) opens, takes entries and trains; when its p weights
+        hold 8 values and its entries 9, rom-train exits 2 naming the
+        field and both lengths, where it exited 1 naming neither."""
+        for n, rc in ((9, 0), (8, 2)):
+            root = tmp_path / f"db{n}"
+            db = SnapshotDB(root)
+            db.set_weights("p", np.ones(n))
+            del db.manifest["weights"]["p"]["n"]
+            (root / "manifest.json").write_text(json.dumps(db.manifest))
+            db = SnapshotDB.open(root)
+            for pf in (3.0, 4.0):
+                db.add_entry(pf, {"p": np.arange(9.0) * pf})
+            capsys.readouterr()
+            model = tmp_path / f"m{n}.npz"
+            assert main(["rom-train", str(root), "--out", str(model)]) == rc
+            assert model.exists() == (rc == 0)
+        assert capsys.readouterr().err.splitlines() == [
+            "error: weights of field 'p' have 8 values; the database holds 9"]
 
     def test_validate_reports_deviations(self, capsys):
         assert main(["validate", "--tolerance", "2.0"]) == 0

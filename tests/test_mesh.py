@@ -155,10 +155,12 @@ class TestQualityGate:
         assert mesh._fv is None
         assert gate == mesh_quality(mesh).max_non_orthogonality
         assert mesh._fv is None
-        # the angle the FV cache's d gives
+        # the angle between the FV cache's faces and their centroid vectors
         g = mesh.fv
         A = mesh.face_area[g.internal]
-        cos = np.einsum("ij,ij->i", A, g.d) / (np.linalg.norm(A, axis=1) * g.d_mag)
+        d = mesh.cell_centroid[g.i_neigh] - mesh.cell_centroid[g.i_owner]
+        cos = np.einsum("ij,ij->i", A, d) / (np.linalg.norm(A, axis=1)
+                                             * np.linalg.norm(d, axis=1))
         assert gate == np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).max()
         assert 0.0 <= gate < NON_ORTHOGONALITY_CAP_DEG
 

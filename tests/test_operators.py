@@ -155,7 +155,8 @@ def interpolate_by_gather(field, mesh):
     """Linear interpolation as written before ``mesh.fv.W`` existed."""
     g = mesh.fv
     f = np.asarray(field, dtype=float)
-    w = g.w_owner.reshape(g.w_owner.shape + (1,) * (f.ndim - 1))
+    w_owner = np.asarray(g.W[np.arange(len(g.i_owner)), g.i_owner]).ravel()
+    w = w_owner.reshape(w_owner.shape + (1,) * (f.ndim - 1))
     return w * f[g.i_owner] + (1.0 - w) * f[g.i_neigh]
 
 

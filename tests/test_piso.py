@@ -9,8 +9,7 @@ from hemoflow.errors import InvalidArgumentError, SolverFailure
 from hemoflow.fv import (BoundaryConditionSet, FixedPressureBC, FlowState,
                          FluidProperties, InflowBC, NoSlipBC, PisoSolver,
                          PressureZeroGradientBC, SolverConfig,
-                         VelocityZeroGradientBC, WindkesselBC, linsolve,
-                         poiseuille_bcs)
+                         VelocityZeroGradientBC, linsolve, poiseuille_bcs)
 from hemoflow.fv.operators import (BoundaryValues, convective_term,
                                    diffusion_term, face_dot_matrix,
                                    face_interpolate, gradient_matrix,
@@ -532,7 +531,7 @@ def rcr_bifurcation(p0=0.0, period_s=None, **config):
     bcs = BoundaryConditionSet({
         "inlet": (InflowBC(Q, period_s=period_s), PressureZeroGradientBC()),
         "wall": (NoSlipBC(), PressureZeroGradientBC()),
-        "outlet": (VelocityZeroGradientBC(), WindkesselBC(outlet)),
+        "outlet": (VelocityZeroGradientBC(), outlet),
     })
     cfg = SolverConfig(**{"dt": 0.01, "t_end": 0.5, "n_nonorth": 2,
                           "convection_scheme": "upwind", "cfl_max": 1e9,
@@ -559,7 +558,7 @@ def test_windkessel_pressure_lives_in_the_pressure_boundary_values():
     bcs = BoundaryConditionSet({
         "inlet": (VelocityZeroGradientBC(), FixedPressureBC(500.0)),
         "wall": (NoSlipBC(), PressureZeroGradientBC()),
-        "outlet": (VelocityZeroGradientBC(), WindkesselBC(outlet)),
+        "outlet": (VelocityZeroGradientBC(), outlet),
     })
     solver = PisoSolver(mesh, bcs, FluidProperties(rho=1060.0, mu=3e-4),
                         SolverConfig(dt=0.01, convection_scheme="upwind"))
@@ -676,6 +675,58 @@ def test_a_run_reports_its_own_step_count(stop, config, converged):
         assert final.steps == 3
     if stop == "t_end":
         assert final.time == pytest.approx(0.055)
+
+
+def short_channel_solver(**config):
+    """The 12 x 5 channel at 1 cm^3/s, rho 1, mu 0.01, upwind, dt 0.1."""
+    mesh = generate_channel_mesh(0.02, 0.004, 12, 5)
+    cfg = SolverConfig(**{"dt": 0.1, "convection_scheme": "upwind",
+                          **config})
+    return PisoSolver(mesh, poiseuille_bcs(mesh, 1e-6),
+                      FluidProperties(rho=1.0, mu=0.01), cfg)
+
+
+def test_a_fixed_length_run_ends_on_a_whole_step():
+    """92.9 s at dt 0.1 is 929 whole steps and no more. The summed clock
+    falls 1e-12 s short of t_end, and a run that stepped on to t_end
+    took a 1e-12 s step whose pressure correction divided the previous
+    step's continuity residual by it: max |p| went 0.034 -> 19 924 Pa."""
+    solver = short_channel_solver(t_end=92.9)
+    states = []
+    final = solver.run(solver.initialize(), observer=states.append)
+    assert final.steps == len(states) == 929
+    times = np.array([0.0] + [s.time for s in states])
+    assert np.abs(np.diff(times) - 0.1).max() < 1e-9
+    before, last = (np.abs(s.p).max() for s in states[-2:])
+    assert before / 2 <= last <= 2 * before
+
+
+REMAINDER = pytest.approx(0.05, abs=1e-15)
+
+
+@pytest.mark.parametrize("t0, config, dts", [
+    (0.5, {"t_end": 0.5}, []),
+    (0.7, {"t_end": 0.5}, []),
+    (0.1 + 0.2, {"t_end": 0.5}, [0.1, 0.1]),        # a summed clock
+    (0.0, {"t_end": 0.55}, [0.1] * 5 + [REMAINDER]),
+    (0.0, {"t_end": 0.55, "max_steps": 4}, [0.1] * 4),
+    (0.0, {"t_end": 0.55, "max_steps": 9}, [0.1] * 5 + [REMAINDER]),
+], ids=["t_end=t0", "t_end<t0", "summed-clock", "remainder",
+        "max_steps-caps", "max_steps-above"])
+def test_a_run_counts_its_steps_before_the_first(monkeypatch, t0, config,
+                                                 dts):
+    """A run takes every whole step of dt that fits in t_end - t0 (a span
+    within round-off of a whole number of steps is that number), then one
+    step of the remainder, and at most max_steps; none when t_end is not
+    after t0. Every whole step is exactly dt."""
+    solver = short_channel_solver(**config)
+    taken, step = [], solver.step
+    monkeypatch.setattr(solver, "step", lambda state, dt: taken.append(dt)
+                        or step(state, dt))
+    final = solver.run(solver.initialize(t=t0))
+    assert final.steps == len(taken) == len(dts)
+    assert taken == dts
+    assert final.time == pytest.approx(t0 + sum(taken), abs=1e-15)
 
 
 def test_a_steady_inflow_builds_its_inflow_state_once(monkeypatch):

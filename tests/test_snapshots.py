@@ -1,6 +1,7 @@
 """Snapshot database persistence, resumability, and model files."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -107,6 +108,32 @@ class TestSnapshotDB:
         victim.write_bytes(bytes(data))
         with pytest.raises(SchemaError, match="checksum mismatch"):
             db.weights("p")
+
+    def test_weights_record_their_length_and_refuse_a_mismatch(self,
+                                                               tmp_path):
+        """Weights stored before any entry fix the field's length, and
+        entries stored before the weights fix it for them; a mismatch
+        either way is refused with nothing written. Weights recorded no
+        length, and an entry of 9 values went in after weights of 8."""
+        root = tmp_path / "weights_first"
+        db = SnapshotDB(root)
+        db.set_weights("p", np.ones(8))
+        assert db.manifest["weights"]["p"]["n"] == 8
+        manifest = (root / "manifest.json").read_text()
+        with pytest.raises(SchemaError, match="^field 'p' at parameter 3 has "
+                           "9 values; its weights hold 8$"):
+            db.add_entry(3.0, {"p": np.ones(9)})
+        assert (root / "manifest.json").read_text() == manifest
+        assert sorted(os.listdir(root)) == ["manifest.json", "weights_p.bin"]
+        root = tmp_path / "entries_first"
+        db = SnapshotDB(root)
+        db.add_entry(3.0, {"p": np.ones(9)})
+        manifest = (root / "manifest.json").read_text()
+        with pytest.raises(SchemaError, match="^weights of field 'p' have 8 "
+                           "values; the database holds 9$"):
+            db.set_weights("p", np.ones(8))
+        assert (root / "manifest.json").read_text() == manifest
+        assert sorted(os.listdir(root)) == ["manifest.json", "point_3.0"]
 
     def test_close_parameters_keep_separate_files(self, tmp_path):
         db = SnapshotDB(tmp_path / "db")
