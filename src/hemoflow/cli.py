@@ -389,11 +389,17 @@ def cmd_report(args):
 # -- parser -----------------------------------------------------------------------
 
 def _resolution(text):
-    """``--resolution``: cells across the trunk, at least 3, or a name,
-    which the generator looks up."""
-    if not text.lstrip("-").isdigit():
-        return text
-    return _ranged(int, lambda n: n >= 3, "at least 3")(text)
+    """``--resolution``: cells across the trunk, at least 3, or one of the
+    generator's names (coarse/medium/fine)."""
+    if text.lstrip("-").isdigit():
+        return _ranged(int, lambda n: n >= 3, "at least 3")(text)
+    # here, not at the top: importing hemoflow.cli loads no scipy module
+    from .mesh.generators import RESOLUTION_NAMES
+    if text not in RESOLUTION_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"{text} is not a cell count or one of "
+            f"{', '.join(RESOLUTION_NAMES)}")
+    return text
 
 
 def _params(text):

@@ -50,6 +50,8 @@ differently from numpy (fused multiply-adds), so the iterates agree with
 scipy's to round-off, not bit for bit; on the pipe's step matrices the
 iteration counts are the same. Each Krylov solver records the
 iterations of its solves since its last ``factor`` in ``iterations``.
+The caller chooses each solve's ``tol`` (``piso`` loosens a steady run's
+momentum stop); the direct solvers ignore it.
 
 Only the sparse LU fallback calls scipy.sparse.linalg, so it is imported
 on first use, as this module's ``spla`` (a PEP 562 module

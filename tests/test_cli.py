@@ -727,6 +727,10 @@ RANGE_ERRORS = {
     "mesh-resolution-2": (["mesh", "bifurcation", "--resolution", "2",
                            "--out", "DB"],
                           "argument --resolution: 2 is not at least 3"),
+    "mesh-resolution-huge": (["mesh", "bifurcation", "--resolution", "huge",
+                              "--out", "DB"],
+                             "argument --resolution: huge is not a cell count "
+                             "or one of coarse, medium, fine"),
     "mesh-branch-angle-200": (["mesh", "bifurcation", "--branch-angle", "200",
                                "--out", "DB"],
                               "argument --branch-angle: 200 is not in "
@@ -894,8 +898,10 @@ def test_mesh_accepts_integer_resolution(tmp_path):
                  "--out", str(out)]) == 0
     want = generate_bifurcation_mesh(0.1, 0.02, 0.012, 60.0, resolution=8)
     assert read_mesh(out).n_cells == want.n_cells
-    assert main(["mesh", "bifurcation", "--resolution", "huge",
-                 "--out", str(out)]) == 1
+    with pytest.raises(SystemExit) as stop:
+        main(["mesh", "bifurcation", "--resolution", "huge",
+              "--out", str(out)])
+    assert stop.value.code == 2
 
 
 class TestExitCodes:

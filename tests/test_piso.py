@@ -758,3 +758,56 @@ def test_parabolic_profile_without_a_size_centres_on_the_faces():
                        1.0 - (r / (1.05 * r.max())) ** 2, rtol=1e-14)
     patch.meta.clear()
     assert np.array_equal(bc.shape_velocities(mesh, patch)[0], u)
+
+
+def pipe_bicgstab_run(steady_tol, max_steps=None, period_s=None):
+    """The 2304-cell pipe at Re 500 from the exact parabola (the pipe_runs
+    fixture's coarse run), the final state and the run's BiCGStab
+    iterations, read from the momentum solver's record after each step."""
+    fluid = FluidProperties(rho=1060.0, mu=0.004)
+    d = 0.02
+    mesh = generate_pipe_mesh(d, d, 16, 6, n_theta=24)
+    u_mean = 500.0 * fluid.nu / d
+    bcs = poiseuille_bcs(mesh, u_mean * np.pi * d * d / 4.0)
+    if period_s is not None:
+        inflow, pressure = bcs.conditions["inlet"]
+        bcs.conditions["inlet"] = (InflowBC(inflow.flow_rate, inflow.profile,
+                                            period_s), pressure)
+    cfg = SolverConfig(dt=0.01, t_end=50.0, steady_tol=steady_tol,
+                       max_steps=max_steps, convection_scheme="upwind",
+                       lin_tol=1e-6, continuity_tol=2e-5, cfl_max=1e9)
+    solver = PisoSolver(mesh, bcs, fluid, cfg)
+    assert isinstance(solver._momentum, linsolve.JacobiBiCGStab)
+    r = np.linalg.norm(mesh.cell_centroid[:, :2], axis=1)
+    u0 = np.zeros((mesh.n_cells, 3))
+    u0[:, 2] = 2.0 * u_mean * (1.0 - (2.0 * r / d) ** 2)
+    iters = []
+    state = solver.run(solver.initialize(u=u0), observer=lambda s: iters.append(
+        sum(solver._momentum.iterations)))
+    return state, sum(iters)
+
+
+def test_a_steady_run_solves_its_momentum_loosely_to_the_same_answer():
+    """A steady run stops its momentum BiCGStab at STEADY_MOMENTUM_TOL
+    times r0, not lin_tol: the same fixed point, in the same steps, in at
+    most half the iterations of the same steps solved to lin_tol (a run
+    without steady_tol, stopped at the steady run's step count)."""
+    steady, loose = pipe_bicgstab_run(5e-4)
+    assert steady.converged and steady.steps == 33
+    tight_state, tight = pipe_bicgstab_run(None, max_steps=steady.steps)
+    assert tight_state.steps == steady.steps
+    assert loose <= 0.5 * tight
+    for field in ("p", "u"):
+        a = np.linalg.norm(getattr(steady, field))
+        b = np.linalg.norm(getattr(tight_state, field))
+        assert abs(a - b) <= 1e-6 * b
+
+
+def test_a_pulsatile_run_solves_its_momentum_to_lin_tol():
+    """A pulsatile inflow makes a run time-accurate: with steady_tol set
+    or not, its steps are the same to the bit."""
+    (a, _), (b, _) = [pipe_bicgstab_run(tol, max_steps=5, period_s=0.8)
+                      for tol in (5e-4, None)]
+    assert a.steps == b.steps == 5 and not a.converged
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.p, b.p) \
+        and np.array_equal(a.phi, b.phi)
