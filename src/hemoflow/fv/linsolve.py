@@ -51,7 +51,7 @@ scipy's to round-off, not bit for bit; on the pipe's step matrices the
 iteration counts are the same. Each Krylov solver records the
 iterations of its solves since its last ``factor`` in ``iterations``.
 The caller chooses each solve's ``tol`` (``piso`` loosens a steady run's
-momentum stop); the direct solvers ignore it.
+momentum and non-final pressure stops); the direct solvers ignore it.
 
 Only the sparse LU fallback calls scipy.sparse.linalg, so it is imported
 on first use, as this module's ``spla`` (a PEP 562 module
@@ -98,11 +98,17 @@ AGG_THETA = 0.08
 # smoothing loss at 1 on meshes other than this one.
 SMOOTH_OMEGA = 2.0 / 3.0
 # The lagged coarse factor is rebuilt when a solve takes more than this
-# many times the iterations of the first solve after the last rebuild.
-# On the same run the first step's factor held the solves at 12-15
-# iterations, 828 in all against 829 with a fresh factor every step,
-# while A moved 1.6e-3 relative: the rule only has to catch a matrix
-# that changes a lot.
+# many times the iterations per decade of residual reduction, iterations
+# / log10(r0 / atol), of the first solve after the last rebuild; a solve
+# asked for less than a decade counts as one. On the same run, all
+# solves to 1e-6, the first step's factor held them at 12-15 iterations,
+# 828 in all against 829 with a fresh factor every step, while A moved
+# 1.6e-3 relative: the rule only has to catch a matrix that changes a
+# lot. Per decade, the loose and tight solves of a steady run are judged
+# alike: there the first corrector's solves to 1e-2 take 4-7 iterations
+# (2-3.5 a decade) and the last ones to 1e-6 12-15 (2-2.5), and one
+# factor lasts the run, where raw iterations rebuilt it 31 times in 30
+# steps. At equal tolerances the rule decides as raw iterations do.
 REFACTOR_GROWTH = 2
 
 
@@ -533,7 +539,7 @@ class TwoGrid(Krylov):
         self._to_band = pos[agg]
         self._diag = pattern.slots(np.arange(n), np.arange(n))
         self._factor = None
-        self._base_iters = None
+        self._base = None
 
     def coarse_matrix(self, A):
         """P^T A P, filled in place from ``A`` (CSR, this pattern)."""
@@ -541,10 +547,10 @@ class TwoGrid(Krylov):
 
     def refactor(self, A):
         """Factor the coarse matrix of ``A``; the next solve sets the
-        iteration count against which the factor is judged stale."""
+        iterations per decade against which the factor is judged stale."""
         self._factor = BandCholesky(self.order).factor(
             self.coarse_matrix(A))
-        self._base_iters = None
+        self._base = None
 
     def operator(self, A):
         """M^-1 for ``A``, a function of one vector: the smoother uses the
@@ -573,13 +579,20 @@ class TwoGrid(Krylov):
             return z
         return cycle
 
+    def solve(self, B, x0=None, tol=1e-6, maxiter=5000):
+        # the decades of residual reduction that the solve asks for, at
+        # least one, by which ``_iterate`` judges the coarse factor
+        self._decades = max(-math.log10(tol), 1.0)
+        return super().solve(B, x0, tol, maxiter)
+
     def _iterate(self, b, x, r, atol, maxiter):
         """The coarse factor is rebuilt when a solve takes more than
-        REFACTOR_GROWTH times the iterations of the first solve after the
-        last rebuild, and before one retry, from the last iterate, when a
-        solve with a factor of an older matrix does not converge. A coarse
-        matrix that cannot be factored (A singular) fails the iteration,
-        at the last iterate, so the solve falls back to a sparse LU."""
+        REFACTOR_GROWTH times the iterations per decade of residual
+        reduction of the first solve after the last rebuild, and before
+        one retry, from the last iterate, when a solve with a factor of an
+        older matrix does not converge. A coarse matrix that cannot be
+        factored (A singular) fails the iteration, at the last iterate, so
+        the solve falls back to a sparse LU."""
         fresh = self._factor is None
         try:
             x, info = self._cg(x, r, atol, maxiter)
@@ -589,9 +602,14 @@ class TwoGrid(Krylov):
         except SolverFailure as failure:
             return x, f"coarse {failure}"
         if info == 0:
-            if self._base_iters is None:
-                self._base_iters = self.iterations[-1]
-            elif self.iterations[-1] > REFACTOR_GROWTH * self._base_iters:
+            # iters / decades > REFACTOR_GROWTH base iters / base decades,
+            # multiplied out: at equal tolerances, the same test as on the
+            # iterations alone, to the bit
+            iters, decades = self.iterations[-1], self._decades
+            if self._base is None:
+                self._base = (iters, decades)
+            elif iters * self._base[1] > (REFACTOR_GROWTH * self._base[0]
+                                          * decades):
                 self.refactor(self.A)
         return x, info
 

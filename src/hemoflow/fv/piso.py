@@ -46,16 +46,21 @@ Per step: ``advance_windkessel`` steps each outlet's RCR model from
 ``FlowState.p_p`` and returns the next p_p with a copy of that vector,
 the outlet rows set; nothing is written back. Then the time term
 rho V / dt, the momentum system, its factor and solve, and the pressure
-matrix and its factor. The momentum solve of a steady run (``steady_tol``
-set and no pulsatile inflow) stops at max(lin_tol, ``STEADY_MOMENTUM_TOL``)
-times its initial residual: the predictor only supplies the correctors'
-H(u), and that residual vanishes at the steady fixed point, so the run
-ends where a tight solve ends (on the 8000-cell pipe in the same 30 steps,
-|p| within 4.6e-7 relative, in 42% of the BiCGStab iterations). A
-time-accurate run and every pressure solve stop at ``lin_tol``; the
-narrow 2D band solves directly. Per corrector: the pressure solves and the
-velocity update; the face flux is corrected after the last corrector
-only, as the step keeps no other.
+matrix and its factor. Per corrector: the pressure solves (one per
+non-orthogonal pass) and the velocity update; the face flux is corrected
+after the last corrector only, as the step keeps no other.
+
+Krylov stops, relative to each solve's initial residual, fixed per
+solver: a time-accurate run solves to ``lin_tol``. A steady run
+(``steady_tol`` set and no pulsatile inflow) stops its momentum solve at
+max(lin_tol, ``STEADY_MOMENTUM_TOL``) and every pressure solve of a step
+but the last at max(lin_tol, ``STEADY_PRESSURE_TOL``): the predictor and
+those solves only supply the next corrector's H(u), and their residuals
+vanish at the steady fixed point, so the run ends where a tight one ends.
+The step's last pressure solve, which sets the kept p and flux, stops at
+``lin_tol``. On the 8000-cell pipe that is the same 30 steps, |p| within
+5.2e-7 relative, in 42% of the BiCGStab and 70% of the CG iterations.
+The narrow 2D band solves directly.
 """
 
 from __future__ import annotations
@@ -94,12 +99,31 @@ END_ROUNDOFF = 1e-9
 # 17, 1996). On the 8000-cell pipe at Re 490-510 the BiCGStab iterations
 # of a run fell from 1822-1838 to 766-778 in the same 30 steps, with the
 # same 826-828 CG iterations, and |p| and |u| moved at most 4.6e-7 and
-# 1.1e-8 relative. 1e-2 took 421 iterations but moved |p| 2.2-3.1e-6. A
-# run from rest is not at a fixed point: there 1e-3 put u 8.3e-5 off, so
-# transient runs keep lin_tol. The pressure solves keep lin_tol too: a
-# first-corrector stop of 1e-1 moved |p| 2.1-2.7e-6, and 1e-2 gained no
-# measurable step time. The narrow 2D band solves directly and ignores it.
+# 1.1e-8 relative (pressure solves at lin_tol). 1e-2 took 421 iterations
+# but moved |p| 2.2-3.1e-6. A run from rest is not at a fixed point:
+# there 1e-3 put u 8.3e-5 off, so transient runs keep lin_tol. The narrow
+# 2D band solves directly and ignores it.
 STEADY_MOMENTUM_TOL = 1e-3
+
+# A steady run stops every pressure solve of a step but the last at
+# max(lin_tol, this) times r0: the first corrector's on an orthogonal
+# mesh, and also each corrector's non-final non-orthogonal passes. Only
+# the last solve sets the kept p and flux; the others feed the next
+# corrector's H(u), and their r0 -> 0 at the fixed point (OpenFOAM's p
+# relTol / pFinal split; PISO, Issa, JCP 62, 1986). On the 8000-cell pipe
+# at Re 490-510 the CG iterations of a run fell from 826-828 to 576-579
+# in the same 30 steps and 60 solves, with one coarse factor, and |p|
+# stayed within 5.2e-7 of the runs at lin_tol (4.6e-7 before). 3e-2 took
+# 548 iterations and moved |p| 8.7e-7, 1e-1 514 and 2.6e-6. On the
+# 11000-cell bifurcation (Krylov path, three loose solves of four a step)
+# 1500 steps at dt 0.002 took 62254 CG iterations against 123648, and
+# ended 3.0e-6 in u from a run at lin_tol everywhere (2.7e-6 with the
+# pressure at lin_tol and the momentum loose). The stop pays because
+# ``linsolve.TwoGrid`` judges its coarse factor by iterations per decade:
+# by raw iterations, the loose first solve became the base that every
+# tight one exceeded twice, and the factor was rebuilt 31 times in 30
+# steps.
+STEADY_PRESSURE_TOL = 1e-2
 
 
 @dataclass
@@ -111,8 +135,9 @@ class SolverConfig:
                                       # non-orthogonal meshes (else one)
     convection_scheme: str = "second-order-upwind"   # or "upwind"
     lin_tol: float = 1e-6             # Krylov solves: 3D and wide 2D;
-                                      # a steady run's momentum stops at
-                                      # max(lin_tol, STEADY_MOMENTUM_TOL)
+                                      # a steady run's momentum and
+                                      # non-final pressure solves stop
+                                      # at max(lin_tol, STEADY_*_TOL)
     cfl_max: float = 5.0
     cfl_action: str = "warn"          # "warn" | "error"
     steady_tol: float = None          # stop when du/(dt u_ref) falls below
@@ -289,12 +314,20 @@ class PisoSolver:
         self._fixed_p_faces = g.boundary[self._fixed_p]
         self._fixed_p_owner = g.b_owner[self._fixed_p]
         self._inflow = None     # (rates, _InflowState)
-        # the momentum stop: loose on a steady run, which ends at a fixed
-        # point, lin_tol on a time-accurate one
-        steady = self.config.steady_tol is not None and all(
+        # the Krylov stops: loose on a steady run, which ends at a fixed
+        # point, lin_tol on a time-accurate one. Of the pressure solves,
+        # one per pass of each corrector, only the step's last sets the
+        # kept p and flux; the others only feed the next corrector's H(u)
+        cfg = self.config
+        steady = cfg.steady_tol is not None and all(
             bc.period_s is None for _, bc, _ in self._inflows)
-        self._momentum_tol = (max(self.config.lin_tol, STEADY_MOMENTUM_TOL)
-                              if steady else self.config.lin_tol)
+        tol = cfg.lin_tol
+        self._momentum_tol = max(tol, STEADY_MOMENTUM_TOL) if steady else tol
+        loose = max(tol, STEADY_PRESSURE_TOL) if steady else tol
+        passes = cfg.n_nonorth if self._has_nonorth else 1
+        tols = [loose] * (cfg.n_piso * passes - 1) + [tol]
+        self._pressure_tols = [tols[k:k + passes]
+                               for k in range(0, len(tols), passes)]
 
     # -- boundary value assembly ----------------------------------------
 
@@ -334,13 +367,15 @@ class PisoSolver:
 
     # -- one time step -----------------------------------------------------
 
-    def step(self, state: FlowState, dt=None):
-        """Advance one BDF1 step; returns a new FlowState."""
+    def step(self, state: FlowState, dt=None, time=None):
+        """Advance one BDF1 step of ``dt`` to ``time`` (by default
+        state.time + dt), at which the inflows are evaluated; returns a new
+        FlowState at that time."""
         mesh = self.mesh
         g = mesh.fv
         cfg = self.config
         dt = cfg.dt if dt is None else dt
-        t_new = state.time + dt
+        t_new = state.time + dt if time is None else time
         nc = mesh.n_cells
         p_p, p_fixed = self.advance_windkessel(state, dt)
 
@@ -373,7 +408,7 @@ class PisoSolver:
         rhs_pb = g.D_b @ c_bp
 
         u, p = u_star, state.p.copy()
-        for _ in range(cfg.n_piso):
+        for tols in self._pressure_tols:
             # H = rhs (no pressure) minus off-diagonal action
             off = A_m @ u - diag[:, None] * u
             HbyA = (rhs0 - off) / diag[:, None]
@@ -382,13 +417,12 @@ class PisoSolver:
             rhs_p0 = rhs_pb - g.D @ phi_star
 
             corr = 0.0
-            for _ in range(cfg.n_nonorth if self._has_nonorth else 1):
+            for tol in tols:
                 rhs_p = rhs_p0
                 if self._has_nonorth:
                     corr = rAU_f * (self._NG @ pb)
                     rhs_p = rhs_p0 + g.D_int @ corr
-                p = linsolve.solve_cg(self._pressure, rhs_p, x0=p,
-                                      tol=cfg.lin_tol)
+                p = linsolve.solve_cg(self._pressure, rhs_p, x0=p, tol=tol)
                 pb[:nc] = p
 
             grad = (self._G @ pb) / self._vol
@@ -493,11 +527,13 @@ class PisoSolver:
     def run(self, state=None, observer=None):
         """March whole steps of dt to t_end, then one step of any remainder
         past ``END_ROUNDOFF``; stop early at max_steps or steady state.
-        Returns the final state (a new one, even after no step), its
-        ``converged`` and ``steps`` set."""
+        Step k from t0 ends at t0 + k dt, the run's last at t_end, so no
+        time is a sum of steps. Returns the final state (a new one, even
+        after no step), its ``converged`` and ``steps`` set."""
         cfg = self.config
         state = self.initialize() if state is None else state.copy()
-        r = max((cfg.t_end - state.time) / cfg.dt, 0.0)
+        t0 = state.time
+        r = max((cfg.t_end - t0) / cfg.dt, 0.0)
         whole = n = round(r)
         if abs(r - whole) > END_ROUNDOFF * max(r, 1.0):
             whole = math.floor(r)
@@ -507,7 +543,8 @@ class PisoSolver:
         steady = False
         for steps in range(1, min(n, cfg.max_steps or n) + 1):
             dt = cfg.dt if steps <= whole else cfg.t_end - state.time
-            new = self.step(state, dt)
+            new = self.step(state, dt,
+                            cfg.t_end if steps == n else t0 + steps * cfg.dt)
             cfl = new.cfl(dt)
             if cfl > cfg.cfl_max:
                 msg = f"CFL {cfl:.2f} exceeds limit {cfg.cfl_max} at t={new.time:.6g}"

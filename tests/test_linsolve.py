@@ -800,6 +800,30 @@ def test_coarse_factor_is_lagged_until_the_iterations_double(monkeypatch):
     assert len(factors) == 2
 
 
+def test_coarse_factor_is_judged_by_iterations_per_decade(monkeypatch):
+    """A loose solve takes fewer iterations than a tight one with the same
+    coarse factor, but as many per decade of residual reduction: the
+    tight solves after it, to LIN_TOL, keep the factor. Judged on the
+    iterations alone, the second solve rebuilt it."""
+    solver = pipe_solver()
+    solver.step(solver.initialize())
+    two_grid = solver._pressure
+    A = solver._A_p
+    b = A @ np.ones(A.shape[0])
+    two_grid.refactor(A)
+    two_grid.factor(A)
+    refactors = []
+    refactor = linsolve.TwoGrid.refactor
+    monkeypatch.setattr(linsolve.TwoGrid, "refactor", lambda self, A:
+                        refactors.append(1) or refactor(self, A))
+    for tol in (1e-2, LIN_TOL, LIN_TOL):
+        x = linsolve.solve_cg(two_grid, b, tol=tol)
+        assert np.linalg.norm(b - A @ x) <= tol * np.linalg.norm(b)
+    loose, *tight = two_grid.iterations
+    assert max(tight) > 2 * loose
+    assert refactors == []
+
+
 def test_each_cg_iteration_makes_one_coarse_solve(monkeypatch):
     """One two-grid cycle (a coarse ``dpbtrs``) per iteration and none
     more: no probe of the cycle, which a scipy LinearOperator built
