@@ -129,24 +129,24 @@ def _spla():
 class Pattern:
     """Fixed CSR structure of an n x n matrix.
 
-    ``rows``/``cols`` list every entry the pattern may hold, in any order
-    and with repeats; ``indptr``/``indices`` are the sorted, merged CSR
-    structure.
+    ``rows``/``cols`` list every entry it may hold, the diagonal among
+    them, in any order and with repeats. Every matrix on the pattern shares
+    its CSR ``indptr``/``indices``; ``diag`` holds the diagonal's slots.
     """
 
     def __init__(self, n, rows, cols):
-        self.shape = (n, n)
-        # row-major keys: sorted, they are the CSR slot order
-        self._keys = np.unique(np.asarray(rows) * n + cols)
-        self.indices = self._keys % n
-        self.indptr = np.searchsorted(self._keys // n, np.arange(n + 1))
-        self.nnz = len(self._keys)
+        A = sp.csr_matrix((np.zeros(len(rows)), (rows, cols)), shape=(n, n))
+        self.shape, self.indices, self.indptr = A.shape, A.indices, A.indptr
+        self.nnz = A.nnz
+        self.diag = self.slots(np.arange(n), np.arange(n))
 
     def slots(self, rows, cols):
         """Data slot of each (row, col) entry; every entry must be in the
         pattern."""
-        return np.searchsorted(self._keys, np.asarray(rows) * self.shape[0]
-                               + cols)
+        # row-major keys: sorted, they are the CSR slot order
+        n = self.shape[0]
+        keys = np.repeat(np.arange(n) * n, np.diff(self.indptr)) + self.indices
+        return np.searchsorted(keys, np.asarray(rows) * n + cols)
 
     def matrix(self):
         """A zero CSR matrix on this pattern, to be filled by ``fill``."""
@@ -529,7 +529,8 @@ class TwoGrid(Krylov):
         rows = agg[np.repeat(np.arange(n), np.diff(pattern.indptr))]
         cols = agg[pattern.indices]
         self.coarse = Pattern(na, rows, cols)
-        self._slots = self.coarse.slots(rows, cols)
+        self._slots = self.coarse.slots(rows, cols).astype(
+            self.coarse.indices.dtype)    # read once per refactor
         self._A_c = self.coarse.matrix()
         self.order = BandOrder(self.coarse.indptr, self.coarse.indices)
         # each fine row's aggregate, as its position in the band order:
@@ -537,7 +538,7 @@ class TwoGrid(Krylov):
         pos = np.empty(na, dtype=np.int64)
         pos[self.order.perm] = np.arange(na)
         self._to_band = pos[agg]
-        self._diag = pattern.slots(np.arange(n), np.arange(n))
+        self._diag = pattern.diag
         self._factor = None
         self._base = None
 

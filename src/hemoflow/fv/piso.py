@@ -275,7 +275,6 @@ class PisoSolver:
         self._second_order = self.config.convection_scheme != "upwind"
         # the step's fused face operators (cell major vector layout); the
         # gradients act on a cell field stacked on its fixed boundary values
-        self._vol = np.repeat(mesh.cell_volume, mesh.dim)
         self._G = gradient_matrix(mesh, self._fixed_p)
         self._F = flux_matrix(mesh, self._fixed_u)
         if self._has_nonorth or self._second_order:
@@ -286,7 +285,8 @@ class PisoSolver:
                          @ nonorth_flux_matrix(mesh, G_u)).tocsr()
         if self._second_order:
             # the velocity gradient: row c * dim + j holds d u / d x_j in c
-            self._grad_u = G_u.multiply(1.0 / self._vol[:, None]).tocsr()
+            self._grad_u = G_u.multiply(
+                1.0 / np.repeat(mesh.cell_volume, mesh.dim)[:, None]).tocsr()
         # both step matrices live on one pattern: the diagonal and both
         # off-diagonal entries of every internal face; the slots map the
         # COO values of _momentum_system and _pressure_matrix into it
@@ -295,10 +295,9 @@ class PisoSolver:
         self._pattern = linsolve.Pattern(mesh.n_cells,
                                          np.concatenate([cells, o, n]),
                                          np.concatenate([cells, n, o]))
-        diag = self._pattern.slots(cells, cells)
+        diag = self._pattern.diag
         faces = self._pattern.slots(np.concatenate([o, o, n, n]),
                                     np.concatenate([o, n, n, o]))
-        self._diag_slots = diag
         self._m_slots = np.concatenate([faces, diag, diag[g.b_owner]])
         self._p_slots = np.concatenate([faces,
                                         diag[g.b_owner[self._fixed_p]]])
@@ -308,7 +307,6 @@ class PisoSolver:
             self._pattern, mesh.dim, o, n, g.orth_coeff)
         # what no step changes, and the last step's inflow state, with the
         # inflow rates that it was built for
-        self._mu_orth = self.fluid.mu * g.orth_coeff
         self._mu_b_orth = self.fluid.mu * g.b_orth_coeff
         self._fixed_u_faces = g.boundary[self._fixed_u]
         self._fixed_p_faces = g.boundary[self._fixed_p]
@@ -389,11 +387,10 @@ class PisoSolver:
         # pressure gradient operators; its head follows every solve
         pb = np.concatenate([state.p, p_fixed])
         diag, A_m, rhs0 = self._momentum_system(state, phi, inflow, dt)
-        grad_p = self._G @ pb
         self._momentum.factor(A_m)
-        u_star = linsolve.solve_bicgstab(
-            self._momentum, rhs0 - grad_p.reshape(rhs0.shape), x0=state.u,
-            tol=self._momentum_tol)
+        u = linsolve.solve_bicgstab(
+            self._momentum, rhs0 - (self._G @ pb).reshape(rhs0.shape),
+            x0=state.u, tol=self._momentum_tol)
 
         # everything built from the momentum diagonal is fixed for the
         # whole corrector sequence, so assemble the pressure matrix, its
@@ -407,11 +404,10 @@ class PisoSolver:
         c_bp[fixed_p] = c_b[fixed_p] * p_fixed
         rhs_pb = g.D_b @ c_bp
 
-        u, p = u_star, state.p.copy()
+        p = state.p.copy()
         for tols in self._pressure_tols:
             # H = rhs (no pressure) minus off-diagonal action
-            off = A_m @ u - diag[:, None] * u
-            HbyA = (rhs0 - off) / diag[:, None]
+            HbyA = (rhs0 - (A_m @ u - diag[:, None] * u)) / diag[:, None]
 
             phi_star = self._F @ HbyA.ravel() + inflow.phi
             rhs_p0 = rhs_pb - g.D @ phi_star
@@ -425,15 +421,14 @@ class PisoSolver:
                 p = linsolve.solve_cg(self._pressure, rhs_p, x0=p, tol=tol)
                 pb[:nc] = p
 
-            grad = (self._G @ pb) / self._vol
-            u = HbyA - rAU[:, None] * grad.reshape(HbyA.shape)
+            u = HbyA - rAU[:, None] * ((self._G @ pb).reshape(HbyA.shape)
+                                       / mesh.cell_volume[:, None])
 
         # the last corrector's flux correction, the only flux kept (its
         # non-orth part too, so the cell balances close to the
         # linear-solver tolerance)
-        dp = p[g.i_neigh] - p[g.i_owner]
         phi = phi_star
-        phi[g.internal] -= c_int * dp + corr
+        phi[g.internal] -= c_int * (p[g.i_neigh] - p[g.i_owner]) + corr
         phi[self._fixed_p_faces] -= c_b[fixed_p] * (
             p_fixed - p[self._fixed_p_owner])
 
@@ -456,26 +451,28 @@ class PisoSolver:
         g = mesh.fv
         rho = self.fluid.rho
 
-        # matrix values in the COO order of self._m_slots: the four
-        # entries of each internal face, the time term, boundary faces;
-        # the neighbour row's pair is the owner row's negated (exactly)
+        # matrix values in the COO order of self._m_slots, in one array:
+        # the four entries of each internal face (the neighbour row's pair
+        # the owner row's negated, exactly), the time term, boundary faces
         phi_i = phi[g.internal]
-        conv_p = rho * np.maximum(phi_i, 0.0)   # owner-donor part
-        conv_m = rho * np.minimum(phi_i, 0.0)   # neighbor-donor part
-        owner = conv_p + self._mu_orth
-        neigh = conv_m - self._mu_orth
-
-        diag_t = rho * mesh.cell_volume / dt
+        vals = np.empty(len(self._m_slots))
+        face = vals[:4 * len(phi_i)].reshape(4, -1)
+        mu_orth = self.fluid.mu * g.orth_coeff
+        np.add(rho * np.maximum(phi_i, 0.0), mu_orth, out=face[0])
+        np.subtract(rho * np.minimum(phi_i, 0.0), mu_orth, out=face[1])
+        np.negative(face[1::-1], out=face[2:])
+        diag_t = np.divide(rho * mesh.cell_volume, dt,
+                           out=vals[face.size:][:mesh.n_cells])
         rhs = diag_t[:, None] * state.u
         # fixed-velocity faces couple diffusively; zero-gradient (outflow)
         # faces contribute implicit donor convection only
-        bval = np.where(self._fixed_u, self._mu_b_orth,
-                        rho * np.maximum(phi[g.boundary], 0.0))
+        bval = np.multiply(rho, np.maximum(phi[g.boundary], 0.0),
+                           out=vals[face.size + mesh.n_cells:])
+        np.copyto(bval, self._mu_b_orth, where=self._fixed_u)
         rhs += inflow.rhs_b
-        vals = np.concatenate([owner, neigh, -neigh, -owner, diag_t, bval])
 
         A = self._pattern.fill(self._A_m, self._m_slots, vals)
-        diag = A.data[self._diag_slots]
+        diag = A.data[self._pattern.diag]
 
         # deferred corrections from the previous time level
         if self._second_order or self._has_nonorth:
@@ -500,8 +497,10 @@ class PisoSolver:
         matrix is assembled once per time step. It is the solver's own:
         the next step overwrites it.
         """
-        vals = np.concatenate([c_int, -c_int, c_int, -c_int,
-                               c_b[self._fixed_p]])
+        vals = np.empty(len(self._p_slots))
+        face = vals[:4 * len(c_int)].reshape(4, -1)
+        face[0::2], face[1::2] = c_int, -c_int
+        np.compress(self._fixed_p, c_b, out=vals[face.size:])
         return self._pattern.fill(self._A_p, self._p_slots, vals)
 
     def advance_windkessel(self, state, dt):

@@ -99,7 +99,6 @@ class Mesh:
         # the vertex loops as given; _compute_geometry orients them
         self._loop_flat = np.array(loops, dtype=np.int64)
         self._loop_len = np.array(lengths, dtype=np.int64)
-        self._loop_start = np.cumsum(self._loop_len) - self._loop_len
         self.owner = np.asarray(owner, dtype=np.int64).copy()
         self.neighbor = np.asarray(neighbor, dtype=np.int64).copy()
         check_faces(self.dim, len(self.points), self._loop_flat,
@@ -120,11 +119,12 @@ class Mesh:
     def _loop_blocks(self):
         """Yield (face ids, (nv, k) vertex loops, one column per face) for
         blocks of at most _BLOCK faces with equal loop length nv."""
+        first = np.cumsum(self._loop_len) - self._loop_len
         for nv in np.unique(self._loop_len):
             faces = np.flatnonzero(self._loop_len == nv)
             for start in range(0, len(faces), _BLOCK):
                 sel = faces[start:start + _BLOCK]
-                yield sel, self._loop_flat[self._loop_start[sel]
+                yield sel, self._loop_flat[first[sel]
                                            + np.arange(nv)[:, None]]
 
     def _raw_face_geometry(self):
@@ -181,7 +181,7 @@ class Mesh:
             # a..b is read from a + b - p
             face = np.repeat(np.arange(self.n_faces), self._loop_len)
             at = np.arange(len(self._loop_flat))
-            ends = 2 * self._loop_start + self._loop_len - 1
+            ends = 2 * np.cumsum(self._loop_len) - self._loop_len - 1
             self._loop_flat = self._loop_flat[
                 np.where(flip[face], ends[face] - at, at)]
 
@@ -331,7 +331,8 @@ class _FvGeometry:
         self.internal, self.boundary = internal, boundary
         D = mesh.incidence
         self.D = D
-        self.D_abs = abs(D)
+        self.D_abs = sp.csr_matrix((np.abs(D.data), D.indices, D.indptr),
+                                   D.shape)     # on D's index arrays
         self.D_int = D[:, internal]
         self.D_b = D[:, boundary]
 
@@ -360,8 +361,7 @@ class _FvGeometry:
             shape=(len(o), mesh.n_cells))
 
         # boundary faces
-        bo = mesh.owner[boundary]
-        self.b_owner = bo
+        self.b_owner = mesh.owner[boundary]
         Ab = mesh.face_area[boundary]
         nb = Ab / np.linalg.norm(Ab, axis=1)[:, None]
         self.b_normal = nb
@@ -378,9 +378,9 @@ class _FvGeometry:
                       > 1e-9 * np.linalg.norm(Ab, axis=1)))
         # on an orthogonal mesh T is round-off: make it exactly 0, so the
         # non-orthogonal flux operators agree with diffusion_term, which
-        # skips the correction there
+        # skips the correction there (a broadcast zero: no per-face store)
         if not self.non_orthogonal:
-            self.T = np.zeros_like(self.T)
+            self.T = np.broadcast_to(0.0, self.T.shape)
         # position of each face inside the boundary ordering (-1: internal)
         self.b_index = np.full(mesh.n_faces, -1, dtype=np.int64)
         self.b_index[boundary] = np.arange(len(boundary))

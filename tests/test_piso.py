@@ -851,3 +851,57 @@ def test_a_pulsatile_run_solves_its_momentum_to_lin_tol():
     assert a.steps == b.steps == 5 and not a.converged
     assert np.array_equal(a.u, b.u) and np.array_equal(a.p, b.p) \
         and np.array_equal(a.phi, b.phi)
+
+
+def test_the_step_matrices_share_one_copy_of_their_index_arrays():
+    """The momentum and the pressure matrix hold the pattern's CSR index
+    arrays, not copies of them, and |D| holds D's, before and after a
+    step."""
+    mesh = generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12)
+    solver = PisoSolver(mesh, poiseuille_bcs(mesh, 1e-6), FLUID,
+                        SolverConfig(dt=0.01, convection_scheme="upwind"))
+    g, pattern = mesh.fv, solver._pattern
+
+    def shared():
+        return all(np.shares_memory(A.indices, B.indices)
+                   and np.shares_memory(A.indptr, B.indptr)
+                   for A, B in ((solver._A_m, pattern), (solver._A_p, pattern),
+                                (g.D_abs, g.D)))
+    assert shared()
+    solver.step(solver.initialize())
+    assert shared()
+
+
+def test_the_8000_cell_pipe_holds_and_peaks_within_its_budget():
+    """Traced from before the mesh is built, the 8000-cell pipe of
+    ``pipe_medium`` (Re 500, steady, upwind) holds at most 16.5 MiB in its
+    mesh, solver and stepped state, and its next step peaks at most 2.7
+    MiB above that: 14.9 and 2.2 MiB measured, against 17.8 and 3.1 MiB
+    when the step pattern's index arrays were held four times, the
+    orthogonal mesh stored T, and a step's dead arrays lived to its end."""
+    import tracemalloc
+    fluid = FluidProperties(rho=1060.0, mu=0.004)
+    d, MiB = 0.02, 2.0 ** 20
+    u_mean = 500.0 * fluid.nu / d
+    tracemalloc.start()
+    try:
+        mesh = generate_pipe_mesh(d, d, 20, 10, n_theta=40)
+        cfg = SolverConfig(dt=0.01, t_end=50.0, steady_tol=5e-4,
+                           convection_scheme="upwind", lin_tol=1e-6,
+                           continuity_tol=2e-5, cfl_max=1e9)
+        solver = PisoSolver(mesh, poiseuille_bcs(
+            mesh, u_mean * np.pi * d * d / 4.0), fluid, cfg)
+        r = np.linalg.norm(mesh.cell_centroid[:, :2], axis=1)
+        u0 = np.zeros((mesh.n_cells, 3))
+        u0[:, 2] = 2.0 * u_mean * (1.0 - (2.0 * r / d) ** 2)
+        state = solver.step(solver.initialize(u=u0))
+        del r, u0
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solver.step(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_cells == 8000
+    assert held <= 16.5 * MiB, held / MiB
+    assert peak - held <= 2.7 * MiB, (peak - held) / MiB
