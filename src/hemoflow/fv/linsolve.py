@@ -316,33 +316,33 @@ class Krylov:
 
     def solve(self, B, x0=None, tol=1e-6, maxiter=5000):
         """Solve A x = b for ``B``, one vector or columns, from ``x0``
-        (zero if None): each column to ``tol`` times its initial residual
-        r0, not ||b||, so that large boundary source terms do not mask a
-        poorly solved interior. A zero b gives x = 0. Columns that do not
-        converge, or whose r0 is not finite (they skip the iteration),
-        share one sparse LU of A; SolverFailure if it fails too, with the
-        column's ||b - A x|| / r0 at its last iterate.
+        (zero if None), every column to ``tol`` times r0, the norm of the
+        initial residuals of all columns together, not ||b||: large
+        boundary source terms do not mask a poorly solved interior, and a
+        velocity component across the flow stops at the same residual as
+        the others, not at a fraction of its own small one (a column
+        already below it takes no iteration). A zero b gives x = 0.
+        Columns that do not converge, or all when r0 is not finite (they
+        skip the iteration), share one sparse LU of A; SolverFailure if it
+        fails too, with the column's ||b - A x|| / r0 at its last iterate.
         """
         A = self.A
         cols = B.reshape(len(B), -1)
         starts = None if x0 is None else x0.reshape(cols.shape)
+        # the initial residual of each nonzero column
+        res = {j: cols[:, j].copy() if starts is None
+               else cols[:, j] - A @ starts[:, j]
+               for j in np.flatnonzero(cols.any(axis=0))}
+        r0 = math.sqrt(sum(r @ r for r in res.values()))
         X = np.zeros(cols.shape)
         lu = None
-        for j in range(cols.shape[1]):
+        for j, r in res.items():
             b = cols[:, j]
-            if not b.any():
-                continue
-            if starts is None:
-                x, r = np.zeros(len(b)), b.copy()
-            else:
-                x = starts[:, j].copy()
-                r = b - A @ x
-            r0 = math.sqrt(r @ r)
-            if r0 == 0.0:
-                X[:, j] = x
-                continue
+            x = np.zeros(len(b)) if starts is None else starts[:, j].copy()
             info = "non-finite initial residual"
-            if np.isfinite(r0):
+            if r0 == 0.0:
+                info = 0
+            elif np.isfinite(r0):
                 x, info = self._iterate(b, x, r, tol * r0, maxiter)
             if info == 0:
                 X[:, j] = x

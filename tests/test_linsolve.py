@@ -249,6 +249,25 @@ def test_bicgstab_falls_back_to_lu(monkeypatch, pipe_step):
     assert np.allclose(X, X_lu, rtol=0.0, atol=1e-12 * np.abs(X_lu).max())
 
 
+def test_the_velocity_columns_stop_at_one_residual(pipe_step):
+    """Every column of a momentum solve stops at tol times r0, the norm of
+    the initial residuals of all its columns together: each ends below
+    it, and a column that starts below it takes no iteration, where a
+    stop at tol times its own r0 iterated it."""
+    solver, state, (_, _, momentum, _, _) = pipe_step
+    (A, B, _), = momentum
+    X0 = state.u
+    B = B.copy()
+    # column 1 starts 1e-9 of column 2's residual away from its solution
+    B[:, 1] = A @ X0[:, 1] + 1e-9 * (B[:, 2] - A @ X0[:, 2])
+    r0 = np.linalg.norm(B - A @ X0)
+    system = jacobi_bicgstab(A)
+    X = linsolve.solve_bicgstab(system, B, x0=X0, tol=LIN_TOL)
+    assert system.iterations[1] == 0 < min(system.iterations[::2])
+    assert np.array_equal(X[:, 1], X0[:, 1])
+    assert np.linalg.norm(B - A @ X, axis=0).max() <= LIN_TOL * r0
+
+
 def test_krylov_loops_match_scipy(pipe_step):
     """On the pipe's step matrices, from the step's own starts, ``pcg``
     and ``pbicgstab`` take as many iterations as scipy's ``cg`` and
