@@ -17,8 +17,11 @@ PLATEAU_RATIO = 0.05        # diastolic plateau over the systolic peak
 
 
 def pulsatile_waveform(CO_m3s, T):
-    """Synthetic cardiac inflow: a half-sine systolic pulse plus a low
-    diastolic plateau, scaled so the period average equals ``CO_m3s``.
+    """Synthetic cardiac inflow: a half-sine systolic pulse that rises from
+    a low diastolic plateau and falls back to it, scaled so the period
+    average equals ``CO_m3s``. It is continuous, at the start of each
+    period too, so the rate a step sees does not depend on how its time
+    rounds about a period boundary.
 
     Returns a callable Q(t) [m^3/s]. This is a parametric stand-in for a
     measured aortic waveform, not a reproduction of one.
@@ -26,13 +29,14 @@ def pulsatile_waveform(CO_m3s, T):
     if CO_m3s <= 0 or T <= 0:
         raise InvalidArgumentError("CO and T must be positive")
     ts = SYSTOLE_FRACTION * T
-    # mean = Qs*(2/pi)*sf + Qs*plateau*(1-sf)
-    qs = CO_m3s / (2.0 / np.pi * SYSTOLE_FRACTION + PLATEAU_RATIO * (1.0 - SYSTOLE_FRACTION))
+    # mean = qd + (qs - qd) (2/pi) sf, with qd = plateau * qs
+    qs = CO_m3s / (PLATEAU_RATIO + (1.0 - PLATEAU_RATIO) * 2.0 / np.pi
+                   * SYSTOLE_FRACTION)
     qd = PLATEAU_RATIO * qs
 
     def q(t):
         tau = np.mod(t, T)
-        return qs * np.sin(np.pi * tau / ts) if tau < ts else qd
+        return qd + (qs - qd) * np.sin(np.pi * tau / ts) if tau < ts else qd
 
     return q
 

@@ -9,7 +9,8 @@ from hemoflow.errors import InvalidArgumentError, SolverFailure
 from hemoflow.fv import (BoundaryConditionSet, FixedPressureBC, FlowState,
                          FluidProperties, InflowBC, NoSlipBC, PisoSolver,
                          PressureZeroGradientBC, SolverConfig,
-                         VelocityZeroGradientBC, linsolve, poiseuille_bcs)
+                         VelocityZeroGradientBC, linsolve, poiseuille_bcs,
+                         pulsatile_waveform)
 from hemoflow.fv.operators import (BoundaryValues, convective_term,
                                    diffusion_term, face_dot_matrix,
                                    face_interpolate, gradient_matrix,
@@ -643,6 +644,27 @@ def test_a_pulsatile_step_sees_the_rates_of_its_own_time():
         assert inflow.rate(new.time) != inflow.rate(state.time)
         assert same_state(new, fresh_step(solver, state))
         state = new
+
+
+@pytest.mark.parametrize("co, period", [(6.67e-5, 0.8), (1e-6, 1.0),
+                                        (3.0, 0.75)])
+def test_the_pulsatile_waveform_is_continuous_with_its_mean(co, period):
+    """Systole rises from the diastolic plateau, so the waveform takes the
+    same rate on both sides of each period boundary (it jumped from the
+    plateau to 0 there), and its period mean, by Gauss-Legendre
+    quadrature of each smooth piece, is the cardiac output."""
+    from hemoflow.fv.boundary import SYSTOLE_FRACTION
+    q = pulsatile_waveform(co, period)
+    for k in (1, 2, 7):
+        before = np.nextafter(k * period, 0.0)
+        assert q(k * period) == pytest.approx(q(before), rel=1e-12, abs=0.0)
+    assert q(0.0) == pytest.approx(q(np.nextafter(period, 0.0)), rel=1e-12)
+    x, w = np.polynomial.legendre.leggauss(40)
+    ts = SYSTOLE_FRACTION * period
+    area = sum(0.5 * (b - a) * sum(wi * q(0.5 * (b - a) * xi + 0.5 * (a + b))
+                                   for xi, wi in zip(x, w))
+               for a, b in ((0.0, ts), (ts, period)))
+    assert area / period == pytest.approx(co, rel=1e-12, abs=0.0)
 
 
 def test_a_shortened_last_step_uses_its_own_dt():
