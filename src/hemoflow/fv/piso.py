@@ -129,6 +129,20 @@ STEADY_MOMENTUM_TOL = 1e-3
 # steps.
 STEADY_PRESSURE_TOL = 1e-2
 
+# ``run`` raises SolverFailure when max|u| exceeds this multiple of the
+# run's velocity scale: the start state's max|u| or the largest inflow
+# face speed of its steps so far, whichever is larger. The continuity
+# check cannot see a run diverge: it is relative to the gross face flux,
+# which grows with u. Over Tier-1, CI and the benchmark the largest ratio
+# of a run that ends was 1331, a pulsatile channel into an RCR outlet at
+# its second step (the explicit outlet coupling drives 0.06 m/s against
+# a 5e-5 m/s inflow); steady runs reached 140 (a sweep point's first
+# step from a uniform start) and the benchmark bifurcation 7.4. That
+# bifurcation at n_nonorth 1 and dt 0.01 diverges: 7 at step 1, 2900 at
+# step 10, 2.0e4 at step 11 and 1.7e16 at step 21; it stops at step 11,
+# where it went on to a NaN continuity error at step 128.
+DIVERGENCE_GROWTH = 1e4
+
 
 @dataclass
 class SolverConfig:
@@ -232,6 +246,7 @@ class _InflowState:
     phi: np.ndarray         # the boundary velocities' flux, 0 off fixed faces
     rhs_b: np.ndarray       # their term in the momentum right-hand side
     u_fixed: np.ndarray     # their values on the fixed faces
+    speed: float            # their largest |component|
 
 
 class PisoSolver:
@@ -356,8 +371,9 @@ class PisoSolver:
         # diffusion to their values, and the inflow of their flux
         coeff = np.where(self._fixed_u,
                          self._mu_b_orth - self.fluid.rho * phi[b], 0.0)
-        return _InflowState(phi, g.D_b @ (coeff[:, None] * values),
-                            values[self._fixed_u])
+        u_fixed = values[self._fixed_u]
+        return _InflowState(phi, g.D_b @ (coeff[:, None] * values), u_fixed,
+                            float(np.abs(u_fixed).max(initial=0.0)))
 
     def initialize(self, u=None, p=None, t=0.0):
         """Build a consistent initial state (fluxes from the velocity;
@@ -532,9 +548,14 @@ class PisoSolver:
         past ``END_ROUNDOFF``; stop early at max_steps or steady state.
         Step k from t0 ends at t0 + k dt, the run's last at t_end, so no
         time is a sum of steps. Returns the final state (a new one, even
-        after no step), its ``converged`` and ``steps`` set."""
+        after no step), its ``converged`` and ``steps`` set.
+
+        A run diverges when max|u| grows past ``DIVERGENCE_GROWTH`` times
+        its velocity scale, the larger of the start state's max|u| and the
+        largest inflow face speed of its steps so far: SolverFailure."""
         cfg = self.config
         state = self.initialize() if state is None else state.copy()
+        scale = float(np.abs(state.u).max(initial=0.0))
         t0 = state.time
         r = max((cfg.t_end - t0) / cfg.dt, 0.0)
         whole = n = round(r)
@@ -548,6 +569,13 @@ class PisoSolver:
             dt = cfg.dt if steps <= whole else cfg.t_end - state.time
             new = self.step(state, dt,
                             cfg.t_end if steps == n else t0 + steps * cfg.dt)
+            scale = max(scale, self._inflow[1].speed)
+            umax = np.abs(new.u).max()
+            if umax > DIVERGENCE_GROWTH * scale > 0.0:
+                raise SolverFailure(
+                    f"run diverges: max|u| {umax:.3e} grew past "
+                    f"{DIVERGENCE_GROWTH:g} times its velocity scale "
+                    f"{scale:.3e} at t={new.time:.6g}", [umax / scale])
             cfl = new.cfl(dt)
             if cfl > cfg.cfl_max:
                 msg = f"CFL {cfl:.2f} exceeds limit {cfg.cfl_max} at t={new.time:.6g}"
@@ -556,7 +584,7 @@ class PisoSolver:
                 import warnings
                 warnings.warn(msg, RuntimeWarning, stacklevel=2)
             du = np.abs(new.u - state.u).max()
-            uref = max(uref, np.abs(new.u).max(), 1e-300)
+            uref = max(uref, umax, 1e-300)
             state = new
             if observer is not None:
                 observer(state)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -21,6 +22,7 @@ from hemoflow.mesh import generate_bifurcation_mesh, read_mesh, write_mesh
 from hemoflow.snapshots import (SnapshotDB, load_models, save_models,
                                 write_field)
 from hemoflow.units import MMHG_TO_PA
+from conftest import BIF_CASE, BIF_MESH
 
 
 def make_case(tmp_path):
@@ -647,6 +649,28 @@ def test_pulsatile_run_shorter_than_a_period_fails(tmp_path, capsys):
     capsys.readouterr()
     assert main(["fom-run", str(case), "--out-dir", str(tmp_path / "run")]) == 1
     assert "does not span one period" in capsys.readouterr().err
+
+
+def test_a_diverging_run_stops_within_20_steps(tmp_path, capsys):
+    """The benchmark's bifurcation case with one pressure solve per
+    corrector diverges at dt 0.01 (max|u| 0.17 after step 1, 472 after
+    step 11, 4e14 after step 21). The run stops within 20 steps with a
+    SolverFailure that names the growth, where it once ran on to a NaN
+    continuity error at step 128; ``fom-run`` exits 1 with that message."""
+    assert main(BIF_MESH + ["--out", str(tmp_path / "bif.hfm")]) == 0
+    doc = dict(BIF_CASE, solver=dict(BIF_CASE["solver"], n_nonorth=1))
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    case = hemoflow.casefile.load_case(str(path))
+    steps = []
+    growth = r"run diverges: max\|u\| \S+ grew past 10000 times"
+    with pytest.raises(SolverFailure, match=growth) as failed:
+        hemoflow.cli._run_case(case, case.load_mesh(), case.bcs,
+                               observer=steps.append)
+    assert len(steps) < 20 and failed.value.residual_history[0] > 1e4
+    capsys.readouterr()
+    assert main(["fom-run", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+    assert re.search(growth, capsys.readouterr().err)
 
 
 def test_sweep_finds_every_pump_speed_before_solving(tmp_path, monkeypatch,
