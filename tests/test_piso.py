@@ -898,7 +898,7 @@ def test_the_8000_cell_pipe_holds_and_peaks_within_its_budget():
     """Traced from before the mesh is built, the 8000-cell pipe of
     ``pipe_medium`` (Re 500, steady, upwind) holds at most 16.5 MiB in its
     mesh, solver and stepped state, and its next step peaks at most 2.7
-    MiB above that: 14.9 and 2.2 MiB measured, against 17.8 and 3.1 MiB
+    MiB above that: 15.1 and 2.2 MiB measured, against 17.8 and 3.1 MiB
     when the step pattern's index arrays were held four times, the
     orthogonal mesh stored T, and a step's dead arrays lived to its end."""
     import tracemalloc
