@@ -27,13 +27,13 @@ solver fuses them once, as CSR matrices:
 - for second-order upwind, grad(u) = V^-1 G_u, for the deferred correction
   rho D_int (phi_f (x_f - x_D) . grad(u)_D) from each face's donor D.
 
-It also builds the diffusion coefficients mu * orth_coeff and
-mu * b_orth_coeff, the fixed-face index arrays, the momentum and the
-pressure matrix on the fixed pattern of ``linsolve.Pattern`` (each step
-overwrites their values in place), and one linear solver per system from
-``linsolve.system_solvers``; a step factors each with its matrix and
-solves through ``linsolve.solve_bicgstab`` and ``linsolve.solve_cg``,
-and does not know which method either uses. One pass over the boundary
+It also builds the boundary diffusion coefficients mu * b_orth_coeff,
+the fixed-face index arrays, the momentum and the pressure matrix on the
+fixed pattern of ``linsolve.Pattern`` (each step overwrites their
+values in place; both share the pattern's index arrays), and one linear
+solver per system from ``linsolve.system_solvers``; a step factors each
+with its matrix and solves through ``linsolve.solve_bicgstab`` and
+``linsolve.solve_cg``, and does not know which method either uses. One pass over the boundary
 conditions writes the velocity shapes, the fixed pressures (a Windkessel
 outlet's at 0) and their masks as boundary-ordered arrays.
 
@@ -139,8 +139,8 @@ STEADY_PRESSURE_TOL = 1e-2
 # a 5e-5 m/s inflow); steady runs reached 140 (a sweep point's first
 # step from a uniform start) and the benchmark bifurcation 7.4. That
 # bifurcation at n_nonorth 1 and dt 0.01 diverges: 7 at step 1, 2900 at
-# step 10, 2.0e4 at step 11 and 1.7e16 at step 21; it stops at step 11,
-# where it went on to a NaN continuity error at step 128.
+# step 10, 2.0e4 at step 11 and 1.7e16 at step 21; it stops at step 11
+# (without the check it ran on to a NaN continuity error at step 128).
 DIVERGENCE_GROWTH = 1e4
 
 

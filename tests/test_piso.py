@@ -1,5 +1,7 @@
 """Transient incompressible solver: analytic channel flow and guards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -901,7 +903,6 @@ def test_the_8000_cell_pipe_holds_and_peaks_within_its_budget():
     MiB above that: 15.1 and 2.2 MiB measured, against 17.8 and 3.1 MiB
     when the step pattern's index arrays were held four times, the
     orthogonal mesh stored T, and a step's dead arrays lived to its end."""
-    import tracemalloc
     fluid = FluidProperties(rho=1060.0, mu=0.004)
     d, MiB = 0.02, 2.0 ** 20
     u_mean = 500.0 * fluid.nu / d
