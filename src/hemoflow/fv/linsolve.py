@@ -3,8 +3,10 @@
 Both systems of a step live on one sparsity pattern per mesh: the
 diagonal plus the owner/neighbour pair of every internal face.
 ``Pattern`` builds that CSR structure once, and the CSR matrices on it;
-each step overwrites their values in place (``Pattern.fill``), so no step
-sorts or merges coordinates or constructs a sparse matrix.
+each step overwrites their values in place (``piso`` through the slots
+of each face's two off-diagonal entries), so no step sorts or merges
+coordinates or constructs a sparse matrix. ``Pattern.fill`` sums values
+into given slots; ``TwoGrid`` fills its coarse matrix with it.
 
 ``system_solvers`` is where the method of each system is chosen, once
 per mesh. It returns one solver object per system; a step calls
@@ -439,13 +441,19 @@ def pbicgstab(A, d_inv, x, r, atol, maxiter):
 
 
 class JacobiBiCGStab(Krylov):
-    """BiCGStab with the diagonal of A as the preconditioner."""
+    """BiCGStab with the diagonal of A as the preconditioner, on the
+    matrices of one ``Pattern``."""
 
     name = "BiCGStab"
 
+    def __init__(self, pattern):
+        self._diag = pattern.diag
+
     def factor(self, A):
         super().factor(A)
-        self._d_inv = 1.0 / A.diagonal()
+        # the same values as A.diagonal(), 24 against 106 us on the
+        # 8000-cell pipe
+        self._d_inv = 1.0 / A.data[self._diag]
 
     def _iterate(self, b, x, r, atol, maxiter):
         x, info, iters = pbicgstab(self.A, self._d_inv, x, r, atol, maxiter)
@@ -628,7 +636,7 @@ def system_solvers(pattern, dim, owner, neigh, weights):
     order = band_order(pattern.indptr, pattern.indices) if dim == 2 else None
     if order is not None:
         return BandLU(order), BandCholesky(order)
-    return JacobiBiCGStab(), TwoGrid(pattern, owner, neigh, weights)
+    return JacobiBiCGStab(pattern), TwoGrid(pattern, owner, neigh, weights)
 
 
 def solve_cg(system, b, x0=None, tol=1e-6, maxiter=5000):

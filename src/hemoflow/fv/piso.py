@@ -310,19 +310,16 @@ class PisoSolver:
             # the velocity gradient: row c * dim + j holds d u / d x_j in c
             self._grad_u = G_u.multiply(1.0 / self._vol[:, None]).tocsr()
         # both step matrices live on one pattern: the diagonal and both
-        # off-diagonal entries of every internal face; the slots map the
-        # COO values of _momentum_system and _pressure_matrix into it
+        # off-diagonal entries of every internal face. ``_fill`` writes
+        # their values into it through each face's two off-diagonal slots
         o, n = g.i_owner, g.i_neigh
         cells = np.arange(mesh.n_cells)
         self._pattern = linsolve.Pattern(mesh.n_cells,
                                          np.concatenate([cells, o, n]),
                                          np.concatenate([cells, n, o]))
-        diag = self._pattern.diag
-        faces = self._pattern.slots(np.concatenate([o, o, n, n]),
-                                    np.concatenate([o, n, n, o]))
-        self._m_slots = np.concatenate([faces, diag, diag[g.b_owner]])
-        self._p_slots = np.concatenate([faces,
-                                        diag[g.b_owner[self._fixed_p]]])
+        index = self._pattern.indices.dtype
+        self._on = self._pattern.slots(o, n).astype(index)
+        self._no = self._pattern.slots(n, o).astype(index)
         self._A_m = self._pattern.matrix()
         self._A_p = self._pattern.matrix()
         self._momentum, self._pressure = linsolve.system_solvers(
@@ -474,28 +471,26 @@ class PisoSolver:
         g = mesh.fv
         rho = self.fluid.rho
 
-        # matrix values in the COO order of self._m_slots, in one array:
-        # the four entries of each internal face (the neighbour row's pair
-        # the owner row's negated, exactly), the time term, boundary faces
+        # each internal face's owner row holds (a_oo, a_on) and its
+        # neighbour row the pair negated, exactly: (a_nn, a_no) = (-a_on,
+        # -a_oo); fixed-velocity boundary faces couple diffusively and
+        # zero-gradient (outflow) faces by implicit donor convection only
+        nc = mesh.n_cells
         phi_i = phi[g.internal]
-        vals = np.empty(len(self._m_slots))
-        face = vals[:4 * len(phi_i)].reshape(4, -1)
         mu_orth = self.fluid.mu * g.orth_coeff
-        np.add(rho * np.maximum(phi_i, 0.0), mu_orth, out=face[0])
-        np.subtract(rho * np.minimum(phi_i, 0.0), mu_orth, out=face[1])
-        np.negative(face[1::-1], out=face[2:])
-        diag_t = np.divide(rho * mesh.cell_volume, dt,
-                           out=vals[face.size:][:mesh.n_cells])
+        a_oo = rho * np.maximum(phi_i, 0.0) + mu_orth
+        a_on = rho * np.minimum(phi_i, 0.0) - mu_orth
+        diag_t = rho * mesh.cell_volume / dt
         rhs = diag_t[:, None] * state.u
-        # fixed-velocity faces couple diffusively; zero-gradient (outflow)
-        # faces contribute implicit donor convection only
-        bval = np.multiply(rho, np.maximum(phi[g.boundary], 0.0),
-                           out=vals[face.size + mesh.n_cells:])
-        np.copyto(bval, self._mu_b_orth, where=self._fixed_u)
         rhs += inflow.rhs_b
-
-        A = self._pattern.fill(self._A_m, self._m_slots, vals)
-        diag = A.data[self._pattern.diag]
+        b_diag = rho * np.maximum(phi[g.boundary], 0.0)
+        np.copyto(b_diag, self._mu_b_orth, where=self._fixed_u)
+        diag = np.bincount(g.i_owner, a_oo, nc)
+        diag -= np.bincount(g.i_neigh, a_on, nc)
+        diag += diag_t
+        diag += np.bincount(g.b_owner, b_diag, nc)
+        np.negative(a_oo, out=a_oo)
+        A = self._fill(self._A_m, diag, a_on, a_oo)
 
         # deferred corrections from the previous time level
         if self._second_order or self._has_nonorth:
@@ -520,11 +515,24 @@ class PisoSolver:
         matrix is assembled once per time step. It is the solver's own:
         the next step overwrites it.
         """
-        vals = np.empty(len(self._p_slots))
-        face = vals[:4 * len(c_int)].reshape(4, -1)
-        face[0::2], face[1::2] = c_int, -c_int
-        np.compress(self._fixed_p, c_b, out=vals[face.size:])
-        return self._pattern.fill(self._A_p, self._p_slots, vals)
+        g, nc = self.mesh.fv, self.mesh.n_cells
+        diag = np.bincount(g.i_owner, c_int, nc)
+        diag += np.bincount(g.i_neigh, c_int, nc)
+        diag += np.bincount(self._fixed_p_owner, c_b[self._fixed_p], nc)
+        off = -c_int
+        return self._fill(self._A_p, diag, off, off)
+
+    def _fill(self, A, diag, a_on, a_no):
+        """Overwrite the values of ``A``, a step matrix: ``diag`` on the
+        diagonal, and each internal face's ``a_on`` and ``a_no`` added into
+        its (owner, neighbour) and (neighbour, owner) entries, so two faces
+        between one pair of cells sum into the entries they share. Returns
+        ``A``."""
+        A.data.fill(0.0)
+        np.add.at(A.data, self._on, a_on)
+        np.add.at(A.data, self._no, a_no)
+        A.data[self._pattern.diag] = diag
+        return A
 
     def advance_windkessel(self, state, dt):
         """One RCR step of each Windkessel outlet from ``state.p_p`` and

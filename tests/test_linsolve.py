@@ -222,9 +222,22 @@ def test_factored_pressure_matches_spsolve(bif_step):
 
 
 def jacobi_bicgstab(A):
-    system = linsolve.JacobiBiCGStab()
+    """A ``JacobiBiCGStab`` on the pattern of ``A`` (CSR, sorted indices),
+    factored with ``A``."""
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    system = linsolve.JacobiBiCGStab(linsolve.Pattern(n, rows, A.indices))
     system.factor(A)
     return system
+
+
+def test_jacobi_preconditioner_is_the_diagonal(pipe_step):
+    """The solver's Jacobi preconditioner, read from the pattern's
+    diagonal slots, is 1 / A.diagonal() to the bit."""
+    solver, _, (_, _, momentum, _, _) = pipe_step
+    (A, _, system), = momentum
+    assert system is solver._momentum
+    assert np.array_equal(system._d_inv, 1.0 / A.diagonal())
 
 
 @pytest.mark.parametrize("case", ["bif_step", "pipe_step"])
@@ -620,49 +633,77 @@ def test_rcm_order_is_scipys(graph):
     assert np.array_equal(linsolve.rcm_order(G.indptr, G.indices), expected)
 
 
-def coo_assembly(solver):
-    """The (rows, cols) order in which ``_momentum_system`` and
-    ``_pressure_matrix`` emit their values."""
-    g = solver.mesh.fv
+def coo_assembly(solver, phi, dt, c_int, c_b):
+    """Every value that a step's assembly puts into each step matrix, as
+    COO (rows, cols, values) face by face, from the inputs of
+    ``_momentum_system`` (``phi``, ``dt``) and ``_pressure_matrix``
+    (``c_int``, ``c_b``): the four entries of each internal face, the
+    neighbour row's pair the owner row's negated; the momentum time term;
+    each boundary face's diagonal entry."""
+    mesh, rho, mu = solver.mesh, solver.fluid.rho, solver.fluid.mu
+    g = mesh.fv
     o, n = g.i_owner, g.i_neigh
-    cells = np.arange(solver.mesh.n_cells)
+    cells = np.arange(mesh.n_cells)
     rows = np.concatenate([o, o, n, n])
     cols = np.concatenate([o, n, n, o])
+    phi_i = phi[g.internal]
+    a_oo = rho * np.maximum(phi_i, 0.0) + mu * g.orth_coeff
+    a_on = rho * np.minimum(phi_i, 0.0) - mu * g.orth_coeff
+    b_m = np.where(solver._fixed_u, mu * g.b_orth_coeff,
+                   rho * np.maximum(phi[g.boundary], 0.0))
     bo_p = g.b_owner[solver._fixed_p]
     return {
         "momentum": (np.concatenate([rows, cells, g.b_owner]),
-                     np.concatenate([cols, cells, g.b_owner])),
+                     np.concatenate([cols, cells, g.b_owner]),
+                     np.concatenate([a_oo, a_on, -a_on, -a_oo,
+                                     rho * mesh.cell_volume / dt, b_m])),
         "pressure": (np.concatenate([rows, bo_p]),
-                     np.concatenate([cols, bo_p])),
+                     np.concatenate([cols, bo_p]),
+                     np.concatenate([c_int, -c_int, c_int, -c_int,
+                                     c_b[solver._fixed_p]])),
     }
 
 
 def assert_matches_coo_assembly(monkeypatch, solver, state):
-    """Step once, and check that each fixed-pattern matrix, filled in
-    place, equals the COO -> CSR conversion of the same values."""
-    built = []
-    fill = solver._pattern.fill
+    """Step once, and check that each step matrix, filled in place,
+    equals the COO -> CSR conversion of its assembly's face values, and
+    that the momentum diagonal that the step uses is the matrix's.
+    Returns the new state and, per matrix, a copy of it and its COO
+    (rows, cols, values)."""
+    inputs, built = {}, {}
+    momentum_system = solver._momentum_system
+    pressure_matrix = solver._pressure_matrix
 
-    def recording_fill(A, slots, vals):
-        filled = fill(A, slots, vals)
-        assert filled is A
-        built.append((vals.copy(), A.copy()))
+    def recorded_momentum(state, phi, inflow, dt):
+        diag, A, rhs = momentum_system(state, phi, inflow, dt)
+        assert A is solver._A_m
+        assert np.array_equal(diag, A.diagonal())
+        inputs.update(phi=phi.copy(), dt=dt)
+        built["momentum"] = A.copy()
+        return diag, A, rhs
+
+    def recorded_pressure(c_int, c_b):
+        A = pressure_matrix(c_int, c_b)
+        assert A is solver._A_p
+        inputs.update(c_int=c_int.copy(), c_b=c_b.copy())
+        built["pressure"] = A.copy()
         return A
 
-    monkeypatch.setattr(solver._pattern, "fill", recording_fill)
+    monkeypatch.setattr(solver, "_momentum_system", recorded_momentum)
+    monkeypatch.setattr(solver, "_pressure_matrix", recorded_pressure)
     state = solver.step(state)
     monkeypatch.undo()
-    coo = coo_assembly(solver)
-    assert len(built) == 2
-    for (vals, A), name in zip(built, ("momentum", "pressure")):
-        rows, cols = coo[name]
+    coo = coo_assembly(solver, **inputs)
+    assert built.keys() == coo.keys()
+    for name, A in built.items():
+        rows, cols, vals = coo[name]
         ref = sp.csr_matrix((vals, (rows, cols)), shape=A.shape)
         assert ref.has_canonical_format
         assert np.array_equal(A.indptr, ref.indptr)
         assert np.array_equal(A.indices, ref.indices)
         scale = np.abs(vals).max()
         assert np.abs(A.data - ref.data).max() <= 1e-14 * scale
-    return state, built
+    return state, {name: (A, coo[name]) for name, A in built.items()}
 
 
 @pytest.mark.parametrize("make", [bifurcation_solver, pipe_solver])
@@ -703,9 +744,13 @@ def test_two_faces_between_one_cell_pair_are_summed(monkeypatch):
     assert solver._pattern.nnz == mesh.n_cells + 2 * len(pairs)
     state = solver.step(solver.initialize())
     state, built = assert_matches_coo_assembly(monkeypatch, solver, state)
-    _, A_p = built[1]
-    c_int = built[1][0][:len(g.internal)]   # A_p's internal coefficients
-    assert A_p[0, 1] == pytest.approx(-c_int[twins].sum(), rel=1e-15)
+    # each matrix's entries (0, 1) and (1, 0) hold both faces' values
+    nf = len(g.internal)
+    for A, (_, _, vals) in built.values():
+        a_on, a_no = vals[nf:2 * nf], vals[3 * nf:4 * nf]
+        assert A[0, 1] == pytest.approx(a_on[twins].sum(), rel=1e-15)
+        assert A[1, 0] == pytest.approx(a_no[twins].sum(), rel=1e-15)
+        assert a_on[twins[0]] != 0.0 != a_on[twins[1]]
     assert state.continuity_error() < 1e-10
 
 
