@@ -330,6 +330,7 @@ class PisoSolver:
         self._fixed_u_faces = g.boundary[self._fixed_u]
         self._fixed_p_faces = g.boundary[self._fixed_p]
         self._fixed_p_owner = g.b_owner[self._fixed_p]
+        self._fixed_p_orth = g.b_orth_coeff[self._fixed_p]
         self._inflow = None     # (rates, _InflowState)
         # the Krylov stops: loose on a steady run, which ends at a fixed
         # point, lin_tol on a time-accurate one. Of the pressure solves,
@@ -402,7 +403,6 @@ class PisoSolver:
         phi[self._fixed_u_faces] = inflow.phi[self._fixed_u_faces]
 
         # ---- momentum predictor ----
-        fixed_p = self._fixed_p
         # p stacked on the fixed boundary pressures, the input of the
         # pressure gradient operators; its head follows every solve
         pb = np.concatenate([state.p, p_fixed])
@@ -418,11 +418,11 @@ class PisoSolver:
         rAU = mesh.cell_volume / diag
         rAU_f = g.W @ rAU
         c_int = rAU_f * g.orth_coeff
-        c_b = rAU[g.b_owner] * g.b_orth_coeff
+        # of the boundary faces, only the fixed-pressure ones enter the
+        # pressure equation
+        c_b = rAU[self._fixed_p_owner] * self._fixed_p_orth
         self._pressure.factor(self._pressure_matrix(c_int, c_b))
-        c_bp = np.zeros_like(c_b)
-        c_bp[fixed_p] = c_b[fixed_p] * p_fixed
-        rhs_pb = g.D_b @ c_bp
+        rhs_pb = np.bincount(self._fixed_p_owner, c_b * p_fixed, nc)
 
         p = state.p.copy()
         for tols in self._pressure_tols:
@@ -449,8 +449,7 @@ class PisoSolver:
         # linear-solver tolerance)
         phi = phi_star
         phi[g.internal] -= c_int * (p[g.i_neigh] - p[g.i_owner]) + corr
-        phi[self._fixed_p_faces] -= c_b[fixed_p] * (
-            p_fixed - p[self._fixed_p_owner])
+        phi[self._fixed_p_faces] -= c_b * (p_fixed - p[self._fixed_p_owner])
 
         new = FlowState(mesh, u=u, p=p, phi=phi, time=t_new, p_p=p_p)
         err = new.continuity_error()
@@ -478,19 +477,17 @@ class PisoSolver:
         nc = mesh.n_cells
         phi_i = phi[g.internal]
         mu_orth = self.fluid.mu * g.orth_coeff
-        a_oo = rho * np.maximum(phi_i, 0.0) + mu_orth
         a_on = rho * np.minimum(phi_i, 0.0) - mu_orth
+        a_no = -rho * np.maximum(phi_i, 0.0) - mu_orth
         diag_t = rho * mesh.cell_volume / dt
         rhs = diag_t[:, None] * state.u
         rhs += inflow.rhs_b
         b_diag = rho * np.maximum(phi[g.boundary], 0.0)
         np.copyto(b_diag, self._mu_b_orth, where=self._fixed_u)
-        diag = np.bincount(g.i_owner, a_oo, nc)
+        diag = diag_t - np.bincount(g.i_owner, a_no, nc)
         diag -= np.bincount(g.i_neigh, a_on, nc)
-        diag += diag_t
         diag += np.bincount(g.b_owner, b_diag, nc)
-        np.negative(a_oo, out=a_oo)
-        A = self._fill(self._A_m, diag, a_on, a_oo)
+        A = self._fill(self._A_m, diag, a_on, a_no)
 
         # deferred corrections from the previous time level
         if self._second_order or self._has_nonorth:
@@ -509,7 +506,9 @@ class PisoSolver:
         return diag, A, rhs
 
     def _pressure_matrix(self, c_int, c_b):
-        """Pressure-correction matrix.
+        """Pressure-correction matrix, from the coefficient of every
+        internal face (``c_int``) and of every fixed-pressure boundary
+        face (``c_b``, in boundary order).
 
         Only the right-hand side changes between PISO correctors, so the
         matrix is assembled once per time step. It is the solver's own:
@@ -518,7 +517,7 @@ class PisoSolver:
         g, nc = self.mesh.fv, self.mesh.n_cells
         diag = np.bincount(g.i_owner, c_int, nc)
         diag += np.bincount(g.i_neigh, c_int, nc)
-        diag += np.bincount(self._fixed_p_owner, c_b[self._fixed_p], nc)
+        diag += np.bincount(self._fixed_p_owner, c_b, nc)
         off = -c_int
         return self._fill(self._A_p, diag, off, off)
 

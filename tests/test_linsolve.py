@@ -659,8 +659,7 @@ def coo_assembly(solver, phi, dt, c_int, c_b):
                                      rho * mesh.cell_volume / dt, b_m])),
         "pressure": (np.concatenate([rows, bo_p]),
                      np.concatenate([cols, bo_p]),
-                     np.concatenate([c_int, -c_int, c_int, -c_int,
-                                     c_b[solver._fixed_p]])),
+                     np.concatenate([c_int, -c_int, c_int, -c_int, c_b])),
     }
 
 
