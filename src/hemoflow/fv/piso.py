@@ -29,8 +29,11 @@ solver fuses them once, as CSR matrices:
 
 It also builds the boundary diffusion coefficients mu * b_orth_coeff,
 the fixed-face index arrays, the momentum and the pressure matrix on the
-fixed pattern of ``linsolve.Pattern`` (each step overwrites their
-values in place; both share the pattern's index arrays), and one linear
+fixed pattern of ``linsolve.Pattern`` (both share the pattern's index
+arrays, and each step overwrites their values in place: every internal
+face adds its two off-diagonal values through its (owner, neighbour) and
+(neighbour, owner) slots, two maps in the pattern's index dtype, and
+the diagonal is summed per cell from the face values), and one linear
 solver per system from ``linsolve.system_solvers``; a step factors each
 with its matrix and solves through ``linsolve.solve_bicgstab`` and
 ``linsolve.solve_cg``, and does not know which method either uses. One pass over the boundary
