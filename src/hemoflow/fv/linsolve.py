@@ -451,8 +451,8 @@ class JacobiBiCGStab(Krylov):
 
     def factor(self, A):
         super().factor(A)
-        # the same values as A.diagonal(), 24 against 106 us on the
-        # 8000-cell pipe
+        # the same values as A.diagonal(): 14 against 92 us on the
+        # 8000-cell pipe (timeit, 2-core x86-64)
         self._d_inv = 1.0 / A.data[self._diag]
 
     def _iterate(self, b, x, r, atol, maxiter):

@@ -150,7 +150,7 @@ def pod_basis(snapshots: SnapshotSet, energy_threshold=0.999):
     if gram:
         X = sw * S
         lam, V = np.linalg.eigh(X.T @ X)
-        del X
+        del X       # N x N_s: freed before the modes are formed
         sv, V = np.sqrt(np.maximum(lam[::-1], 0.0)), V[:, ::-1]
     else:
         U, sv, _ = np.linalg.svd(sw * S, full_matrices=False)
