@@ -2,8 +2,7 @@
 
 Snapshots of a field at sampled parameter values are compressed to a
 small orthonormal basis (one thin SVD of W^(1/2) S, with W the
-quadrature weights, or on tall inputs the eigen-decomposition of
-S^T W S), the modal coefficients are interpolated over the
+quadrature weights), the modal coefficients are interpolated over the
 parameter, and new parameter points are evaluated by expanding the
 interpolated coefficients in the basis.
 
@@ -40,21 +39,6 @@ from .errors import (DegenerateInputError, ExtrapolationError,
                      InvalidArgumentError)
 
 INTERPOLATION_KINDS = ("linear", "rbf")
-
-# ``pod_basis`` takes the eigen-decomposition of the N_s x N_s Gram matrix
-# S^T W S in place of the thin SVD of W^(1/2) S when the energy threshold
-# is below 1 and S has at least this many rows per snapshot. The Gram
-# matrix squares the condition number: singular values below ~1e-8 of the
-# largest drown in its round-off, where the SVD resolves them to 1e-16,
-# so threshold 1.0, which keeps the numerical rank (1e-12), keeps the
-# SVD, and so do inputs on which the SVD costs little. Median of 7,
-# weighted, threshold 0.999, one BLAS thread, 2-core x86-64, SVD against
-# Gram at 2, 5 and 21 snapshots: 0.19/0.18, 0.45/0.27 and 4.9/1.2 ms at
-# 300 rows per snapshot; 0.30/0.21, 0.98/0.49 and 20/4.4 ms at 1000;
-# 2.1/0.88, 13/3.5 and 424/45 ms at 10000; a process that took the basis
-# of 200000 x 21 peaked at 202 against 106 MiB. The benchmark's ROM trains
-# on 226 rows per snapshot (452 x 2), where the Gram route saved 0.01 ms.
-GRAM_MIN_ROWS_PER_SNAPSHOT = 1000
 
 
 @dataclass
@@ -126,7 +110,7 @@ def cumulative_energy(singular_values):
 
 
 def pod_basis(snapshots: SnapshotSet, energy_threshold=0.999):
-    """POD basis from one thin SVD of W^(1/2) S = U Sigma V^T.
+    """POD basis from one thin SVD of W^(1/2) S.
 
     The modes are the leading left-singular vectors scaled back by
     W^(-1/2), so they are W-orthonormal. ``singular_values`` is padded
@@ -134,26 +118,13 @@ def pod_basis(snapshots: SnapshotSet, energy_threshold=0.999):
     whose cumulative energy reaches the threshold; at threshold 1 it keeps
     the numerical rank (singular values above 1e-12 of the largest), and
     never keeps a numerically null direction.
-
-    Below threshold 1, an S of at least ``GRAM_MIN_ROWS_PER_SNAPSHOT``
-    rows per snapshot takes Sigma^2 and V from the eigen-decomposition of
-    S^T W S instead, and the modes S V_k Sigma_k^-1; they lose W-
-    orthonormality as eps (sigma_0 / sigma_k)^2.
     """
     if not 0.0 < energy_threshold <= 1.0:
         raise InvalidArgumentError("energy threshold must be in (0, 1]")
     S = snapshots.S
     w = snapshots.weight
     sw = 1.0 if w is None else np.sqrt(w)[:, None]
-    gram = (energy_threshold < 1.0
-            and S.shape[0] >= GRAM_MIN_ROWS_PER_SNAPSHOT * S.shape[1])
-    if gram:
-        X = sw * S
-        lam, V = np.linalg.eigh(X.T @ X)
-        del X       # N x N_s: freed before the modes are formed
-        sv, V = np.sqrt(np.maximum(lam[::-1], 0.0)), V[:, ::-1]
-    else:
-        U, sv, _ = np.linalg.svd(sw * S, full_matrices=False)
+    U, sv, _ = np.linalg.svd(sw * S, full_matrices=False)
     if sv[0] == 0.0:
         raise DegenerateInputError("all-zero snapshot matrix")
     sv = np.pad(sv, (0, S.shape[1] - sv.size))
@@ -161,7 +132,7 @@ def pod_basis(snapshots: SnapshotSet, energy_threshold=0.999):
     rank = max(int(np.sum(sv > sv[0] * 1e-12)), 1)
     k = rank if energy_threshold >= 1.0 else min(
         int(np.searchsorted(en, energy_threshold - 1e-14) + 1), rank)
-    U = S @ (V[:, :k] / sv[:k]) if gram else U[:, :k] / sw
+    U = U[:, :k] / sw
     # deterministic sign: largest-magnitude entry of each mode positive
     idx = np.argmax(np.abs(U), axis=0)
     signs = np.sign(U[idx, np.arange(k)])

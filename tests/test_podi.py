@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemoflow import podi
 from hemoflow.errors import (DegenerateInputError, ExtrapolationError,
                              InvalidArgumentError)
 from hemoflow.podi import (PodBasis, RomModel, SnapshotSet, cumulative_energy,
@@ -129,70 +128,6 @@ class TestPodBasis:
                            cumulative_energy(ref)[basis.k - 1], rtol=1e-14)
         if threshold == 1.0:
             assert basis.k == np.sum(ref > 1e-12 * ref[0])
-
-
-    @staticmethod
-    def routes(monkeypatch):
-        """The routes that ``pod_basis`` calls take: 'svd' or 'gram'."""
-        taken = []
-
-        def counted(route, decompose):
-            def call(*args, **kwargs):
-                taken.append(route)
-                return decompose(*args, **kwargs)
-            return call
-
-        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-        monkeypatch.setattr(np.linalg, "eigh",
-                            counted("gram", np.linalg.eigh))
-        return taken
-
-    @pytest.mark.parametrize("threshold", [0.9, 0.999, 0.99999])
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_tall_input_takes_the_gram_route_to_the_svds_basis(
-            self, monkeypatch, weighted, threshold):
-        """With ``GRAM_MIN_ROWS_PER_SNAPSHOT`` rows per snapshot and a
-        threshold below 1 the basis comes from S^T W S: it keeps the thin
-        SVD's k, its energy within 1e-12 and its span, and its modes are
-        W-orthonormal within 1e-10."""
-        ns = 12
-        n = podi.GRAM_MIN_ROWS_PER_SNAPSHOT * ns
-        rng = np.random.default_rng(ns)
-        Q1 = np.linalg.qr(rng.standard_normal((n, ns)))[0]
-        Q2 = np.linalg.qr(rng.standard_normal((ns, ns)))[0]
-        w = rng.uniform(0.5, 2.0, n) if weighted else None
-        S = (Q1 * np.logspace(0.0, -3.0, ns)) @ Q2.T
-        if weighted:
-            S /= np.sqrt(w)[:, None]
-        snaps = SnapshotSet(S, np.arange(ns), weight=w)
-        taken = self.routes(monkeypatch)
-        basis = pod_basis(snaps, energy_threshold=threshold)
-        monkeypatch.setattr(podi, "GRAM_MIN_ROWS_PER_SNAPSHOT", n + 1)
-        ref = pod_basis(snaps, energy_threshold=threshold)
-        assert taken == ["gram", "svd"]
-        assert 1 < basis.k == ref.k < ns
-        assert abs(basis.energy_fraction - ref.energy_fraction) <= 1e-12
-        W = np.ones(n) if w is None else w
-        U, k = basis.modes, basis.k
-        assert np.abs(U.T @ (W[:, None] * U) - np.eye(k)).max() <= 1e-10
-        # the SVD's modes lie in the span of the Gram route's
-        V = ref.modes
-        assert np.abs(V - U @ (U.T @ (W[:, None] * V))).max() <= 1e-10
-
-    @pytest.mark.parametrize("n, ns, threshold", [
-        (452, 2, 0.999),
-        (452, 21, 0.999),
-        (podi.GRAM_MIN_ROWS_PER_SNAPSHOT * 3, 3, 1.0),
-        (podi.GRAM_MIN_ROWS_PER_SNAPSHOT * 3 - 1, 3, 0.999),
-    ], ids=["benchmark-rom", "bifurcation-21", "threshold-1", "one-row-short"])
-    def test_short_inputs_and_threshold_1_take_the_svd(self, monkeypatch, n,
-                                                       ns, threshold):
-        """The benchmark's ROM input (452 x 2), 21 bifurcation snapshots
-        and threshold 1.0 keep the thin SVD."""
-        snaps = random_snapshots(n, ns, seed=n)
-        taken = self.routes(monkeypatch)
-        pod_basis(snaps, energy_threshold=threshold)
-        assert taken == ["svd"]
 
 
 class TestSnapshotSetValidation:
