@@ -2,11 +2,12 @@
 
 Both systems of a step live on one sparsity pattern per mesh: the
 diagonal plus the owner/neighbour pair of every internal face.
-``Pattern`` builds that CSR structure once, and the CSR matrices on it;
-each step overwrites their values in place (``piso`` through the slots
-of each face's two off-diagonal entries), so no step sorts or merges
-coordinates or constructs a sparse matrix. ``Pattern.fill`` sums values
-into given slots; ``TwoGrid`` fills its coarse matrix with it.
+``FacePattern`` builds that CSR structure once, and the CSR matrices on
+it; each step overwrites their values in place with ``fill_faces``
+(each face's two off-diagonal values added through its two slots, the
+diagonal given per cell), so no step sorts or merges coordinates or
+constructs a sparse matrix. ``Pattern.fill`` sums values into given
+slots; ``TwoGrid`` fills its coarse matrix with it.
 
 ``system_solvers`` is where the method of each system is chosen, once
 per mesh. It returns one solver object per system; a step calls
@@ -159,6 +160,32 @@ class Pattern:
         """Overwrite the values of ``A`` (from ``matrix``) with ``vals``
         summed into ``slots``; returns ``A``."""
         A.data[:] = np.bincount(slots, weights=vals, minlength=self.nnz)
+        return A
+
+
+class FacePattern(Pattern):
+    """``Pattern`` of a cell matrix on a mesh: the diagonal and, for every
+    internal face between cells ``owner`` and ``neigh``, the (owner,
+    neighbour) and (neighbour, owner) entries. ``on`` and ``no`` hold those
+    two slots of each face, in the index dtype (int32)."""
+
+    def __init__(self, n, owner, neigh):
+        cells = np.arange(n)
+        super().__init__(n, np.concatenate([cells, owner, neigh]),
+                         np.concatenate([cells, neigh, owner]))
+        self.on = self.slots(owner, neigh).astype(self.indices.dtype)
+        self.no = self.slots(neigh, owner).astype(self.indices.dtype)
+
+    def fill_faces(self, A, diag, a_on, a_no):
+        """Overwrite the values of ``A`` (from ``matrix``): ``diag`` on the
+        diagonal, and each face's ``a_on`` and ``a_no`` added into its
+        (owner, neighbour) and (neighbour, owner) entries, so two faces
+        between one pair of cells sum into the entries they share. Returns
+        ``A``."""
+        A.data.fill(0.0)
+        np.add.at(A.data, self.on, a_on)
+        np.add.at(A.data, self.no, a_no)
+        A.data[self.diag] = diag
         return A
 
 

@@ -29,11 +29,9 @@ solver fuses them once, as CSR matrices:
 
 It also builds the boundary diffusion coefficients mu * b_orth_coeff,
 the fixed-face index arrays, the momentum and the pressure matrix on the
-fixed pattern of ``linsolve.Pattern`` (both share the pattern's index
-arrays, and each step overwrites their values in place: every internal
-face adds its two off-diagonal values through its (owner, neighbour) and
-(neighbour, owner) slots, two maps in the pattern's index dtype, and
-the diagonal is summed per cell from the face values), and one linear
+fixed pattern of ``linsolve.FacePattern`` (both share the pattern's
+index arrays, and each step sums their diagonals per cell from the face
+values and overwrites them in place with ``fill_faces``), and one linear
 solver per system from ``linsolve.system_solvers``; a step factors each
 with its matrix and solves through ``linsolve.solve_bicgstab`` and
 ``linsolve.solve_cg``, and does not know which method either uses. One pass over the boundary
@@ -313,16 +311,9 @@ class PisoSolver:
             # the velocity gradient: row c * dim + j holds d u / d x_j in c
             self._grad_u = G_u.multiply(1.0 / self._vol[:, None]).tocsr()
         # both step matrices live on one pattern: the diagonal and both
-        # off-diagonal entries of every internal face. ``_fill`` writes
-        # their values into it through each face's two off-diagonal slots
+        # off-diagonal entries of every internal face
         o, n = g.i_owner, g.i_neigh
-        cells = np.arange(mesh.n_cells)
-        self._pattern = linsolve.Pattern(mesh.n_cells,
-                                         np.concatenate([cells, o, n]),
-                                         np.concatenate([cells, n, o]))
-        index = self._pattern.indices.dtype
-        self._on = self._pattern.slots(o, n).astype(index)
-        self._no = self._pattern.slots(n, o).astype(index)
+        self._pattern = linsolve.FacePattern(mesh.n_cells, o, n)
         self._A_m = self._pattern.matrix()
         self._A_p = self._pattern.matrix()
         self._momentum, self._pressure = linsolve.system_solvers(
@@ -490,7 +481,7 @@ class PisoSolver:
         diag = diag_t - np.bincount(g.i_owner, a_no, nc)
         diag -= np.bincount(g.i_neigh, a_on, nc)
         diag += np.bincount(g.b_owner, b_diag, nc)
-        A = self._fill(self._A_m, diag, a_on, a_no)
+        A = self._pattern.fill_faces(self._A_m, diag, a_on, a_no)
 
         # deferred corrections from the previous time level
         if self._second_order or self._has_nonorth:
@@ -522,19 +513,7 @@ class PisoSolver:
         diag += np.bincount(g.i_neigh, c_int, nc)
         diag += np.bincount(self._fixed_p_owner, c_b, nc)
         off = -c_int
-        return self._fill(self._A_p, diag, off, off)
-
-    def _fill(self, A, diag, a_on, a_no):
-        """Overwrite the values of ``A``, a step matrix: ``diag`` on the
-        diagonal, and each internal face's ``a_on`` and ``a_no`` added into
-        its (owner, neighbour) and (neighbour, owner) entries, so two faces
-        between one pair of cells sum into the entries they share. Returns
-        ``A``."""
-        A.data.fill(0.0)
-        np.add.at(A.data, self._on, a_on)
-        np.add.at(A.data, self._no, a_no)
-        A.data[self._pattern.diag] = diag
-        return A
+        return self._pattern.fill_faces(self._A_p, diag, off, off)
 
     def advance_windkessel(self, state, dt):
         """One RCR step of each Windkessel outlet from ``state.p_p`` and

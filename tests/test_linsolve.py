@@ -577,10 +577,8 @@ def test_band_storage_holds_the_permuted_matrix(bif_step):
 def cell_pattern(mesh):
     """The step systems' pattern of ``mesh``: the diagonal and both
     entries of every internal face."""
-    g, cells = mesh.fv, np.arange(mesh.n_cells)
-    return linsolve.Pattern(mesh.n_cells,
-                            np.concatenate([cells, g.i_owner, g.i_neigh]),
-                            np.concatenate([cells, g.i_neigh, g.i_owner]))
+    return linsolve.FacePattern(mesh.n_cells, mesh.fv.i_owner,
+                                mesh.fv.i_neigh)
 
 
 def coarse_pattern(mesh):
