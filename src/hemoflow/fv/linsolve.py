@@ -38,8 +38,8 @@ solve on aggregates of cells, whose small banded Cholesky factor is
 lagged across steps (Knoll & Keyes, JCP 193, 2004). The aggregates
 depend only on the mesh, so the solver builds them once. Momentum
 (mildly non-symmetric, diagonal rho V / dt > 0) uses Jacobi-preconditioned
-BiCGStab. Both Krylov solvers share one guard (``Krylov.solve``) and fall
-back to a sparse LU when they do not converge.
+BiCGStab. Both Krylov solvers share one guard (``Krylov.solve``): a solve
+converges or raises ``SolverFailure``.
 
 The Krylov methods are two short loops, ``pcg`` and ``pbicgstab``, with
 the recurrences, stop tests and breakdown tests of scipy 1.17's
@@ -56,17 +56,12 @@ iterations of its solves since its last ``factor`` in ``iterations``.
 The caller chooses each solve's ``tol`` (``piso`` loosens a steady run's
 momentum and non-final pressure stops); the direct solvers ignore it.
 
-Only the sparse LU fallback calls scipy.sparse.linalg, so it is imported
-on first use, as this module's ``spla`` (a PEP 562 module
-``__getattr__``): a run whose Krylov solves all converge never loads it.
-Every call looks ``spla`` up on the module (``_spla``), so a stand-in set
-there is the one called.
+No solve path calls scipy.sparse.linalg, so no run loads it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,17 +111,15 @@ REFACTOR_GROWTH = 2
 
 
 def __getattr__(name):
-    """``spla`` is scipy.sparse.linalg, imported on first use (PEP 562)."""
+    """``spla`` is scipy.sparse.linalg, imported on first use (PEP 562).
+    No solve calls it. It is kept only because perfbench/tracing.py wraps
+    ``linsolve.spla`` by name and a traced run requires every wrapped name
+    to exist, until the benchmark's tracer is rewritten (ROADMAP item 5)."""
     if name != "spla":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import scipy.sparse.linalg as spla
     globals()["spla"] = spla
     return spla
-
-
-def _spla():
-    """This module's ``spla``, looked up anew on every call."""
-    return sys.modules[__name__].spla
 
 
 class Pattern:
@@ -328,9 +321,10 @@ class BandCholesky(BandFactor):
 
 class Krylov:
     """A system solved by a preconditioned Krylov method. Subclasses give
-    ``name`` and ``_iterate(b, x, r, atol, maxiter)``, which runs ``pcg``
-    or ``pbicgstab`` from the iterate ``x`` and its residual ``r`` (both
-    its own, updated in place) and returns (x, info) as they do.
+    ``name`` and ``_iterate(b, x, r, tol, atol, maxiter)``, which runs
+    ``pcg`` or ``pbicgstab`` to ``atol`` (the solve's ``tol`` times r0)
+    from the iterate ``x`` and its residual ``r`` (both its own, updated in
+    place) and returns (x, info) as they do.
 
     ``iterations`` holds the iterations of every run of the loop since
     the last ``factor``, in order: one per column solved, and one more
@@ -351,9 +345,10 @@ class Krylov:
         velocity component across the flow stops at the same residual as
         the others, not at a fraction of its own small one (a column
         already below it takes no iteration). A zero b gives x = 0.
-        Columns that do not converge, or all when r0 is not finite (they
-        skip the iteration), share one sparse LU of A; SolverFailure if it
-        fails too, with the column's ||b - A x|| / r0 at its last iterate.
+        A column that does not converge raises SolverFailure, naming the
+        method, its info and the column's iterations, with the column's
+        ||b - A x|| / r0 at its last iterate; so does a solve whose r0 is
+        not finite, before it iterates.
         """
         A = self.A
         cols = B.reshape(len(B), -1)
@@ -364,27 +359,21 @@ class Krylov:
                for j in np.flatnonzero(cols.any(axis=0))}
         r0 = math.sqrt(sum(r @ r for r in res.values()))
         X = np.zeros(cols.shape)
-        lu = None
         for j, r in res.items():
             b = cols[:, j]
             x = np.zeros(len(b)) if starts is None else starts[:, j].copy()
+            done = len(self.iterations)
             info = "non-finite initial residual"
             if r0 == 0.0:
                 info = 0
-            elif np.isfinite(r0):
-                x, info = self._iterate(b, x, r, tol * r0, maxiter)
-            if info == 0:
-                X[:, j] = x
-                continue
-            if lu is None:
-                try:
-                    lu = _spla().splu(A.tocsc())
-                except RuntimeError:
-                    raise SolverFailure(
-                        f"{self.name} failed (info={info}) and LU "
-                        f"fallback failed",
-                        [float(np.linalg.norm(b - A @ x) / r0)])
-            X[:, j] = lu.solve(b)
+            elif math.isfinite(r0):
+                x, info = self._iterate(b, x, r, tol, tol * r0, maxiter)
+            if info != 0:
+                raise SolverFailure(
+                    f"{self.name} failed (info={info}, "
+                    f"iterations {self.iterations[done:]})",
+                    [float(np.linalg.norm(b - A @ x) / r0)])
+            X[:, j] = x
         return X.reshape(B.shape)
 
 
@@ -482,7 +471,7 @@ class JacobiBiCGStab(Krylov):
         # 8000-cell pipe (timeit, 2-core x86-64)
         self._d_inv = 1.0 / A.data[self._diag]
 
-    def _iterate(self, b, x, r, atol, maxiter):
+    def _iterate(self, b, x, r, tol, atol, maxiter):
         x, info, iters = pbicgstab(self.A, self._d_inv, x, r, atol, maxiter)
         self.iterations.append(iters)
         return x, info
@@ -535,14 +524,14 @@ def aggregates(W):
 
 
 class TwoGrid(Krylov):
-    """CG on the SPD matrices of one ``Pattern``, preconditioned by a
+    """CG on the SPD matrices of one ``FacePattern``, preconditioned by a
     symmetric aggregation two-grid cycle with a lagged coarse factor.
 
-    ``i``, ``j`` and ``w`` give the weight of every symmetric pair of
-    off-diagonal entries (repeated pairs add up); the aggregates come from
-    these weights alone, so they are built once. With P the
-    piecewise-constant prolongation from the aggregates, one application
-    of M^-1 to r is
+    ``weights`` gives the weight of every face of the pattern, between its
+    owner and neighbour (two faces between one pair of cells add up); the
+    aggregates come from these weights alone, so they are built once. With
+    P the piecewise-constant prolongation from the aggregates, one
+    application of M^-1 to r is
 
         z = S r;  z += P A_c^-1 P^T (r - A z);  z += S (r - A z),
 
@@ -554,11 +543,10 @@ class TwoGrid(Krylov):
 
     name = "CG"
 
-    def __init__(self, pattern, i, j, w):
+    def __init__(self, pattern, weights):
         n = pattern.shape[0]
-        W = pattern.fill(pattern.matrix(), pattern.slots(
-            np.concatenate([i, j]), np.concatenate([j, i])),
-            np.concatenate([w, w]))
+        W = pattern.fill_faces(pattern.matrix(), np.zeros(n), weights,
+                               weights)
         self.aggregate = agg = aggregates(W)
         na = int(agg.max()) + 1
         rows = agg[np.repeat(np.arange(n), np.diff(pattern.indptr))]
@@ -615,33 +603,24 @@ class TwoGrid(Krylov):
             return z
         return cycle
 
-    def solve(self, B, x0=None, tol=1e-6, maxiter=5000):
-        # the decades of residual reduction that the solve asks for, at
-        # least one, by which ``_iterate`` judges the coarse factor
-        self._decades = max(-math.log10(tol), 1.0)
-        return super().solve(B, x0, tol, maxiter)
-
-    def _iterate(self, b, x, r, atol, maxiter):
+    def _iterate(self, b, x, r, tol, atol, maxiter):
         """The coarse factor is rebuilt when a solve takes more than
         REFACTOR_GROWTH times the iterations per decade of residual
-        reduction of the first solve after the last rebuild, and before
-        one retry, from the last iterate, when a solve with a factor of an
-        older matrix does not converge. A coarse matrix that cannot be
-        factored (A singular) fails the iteration, at the last iterate, so
-        the solve falls back to a sparse LU."""
+        reduction (``tol`` asks for at least one) of the first solve after
+        the last rebuild, and before one retry, from the last iterate,
+        when a solve with a factor of an older matrix does not converge. A
+        coarse matrix that cannot be factored (A singular) raises the
+        factor's SolverFailure."""
         fresh = self._factor is None
-        try:
-            x, info = self._cg(x, r, atol, maxiter)
-            if info != 0 and not fresh:
-                self.refactor(self.A)
-                x, info = self._cg(x, b - self.A @ x, atol, maxiter)
-        except SolverFailure as failure:
-            return x, f"coarse {failure}"
+        x, info = self._cg(x, r, atol, maxiter)
+        if info != 0 and not fresh:
+            self.refactor(self.A)
+            x, info = self._cg(x, b - self.A @ x, atol, maxiter)
         if info == 0:
             # iters / decades > REFACTOR_GROWTH base iters / base decades,
             # multiplied out: at equal tolerances, the same test as on the
             # iterations alone, to the bit
-            iters, decades = self.iterations[-1], self._decades
+            iters, decades = self.iterations[-1], max(-math.log10(tol), 1.0)
             if self._base is None:
                 self._base = (iters, decades)
             elif iters * self._base[1] > (REFACTOR_GROWTH * self._base[0]
@@ -656,14 +635,14 @@ class TwoGrid(Krylov):
         return x, info
 
 
-def system_solvers(pattern, dim, owner, neigh, weights):
-    """The (momentum, pressure) solvers of the two step systems on
-    ``pattern``, by the table above; ``TwoGrid`` aggregates the cells by
-    the ``weights`` of the faces between ``owner`` and ``neigh``."""
+def system_solvers(pattern, dim, weights):
+    """The (momentum, pressure) solvers of the two step systems on the
+    ``FacePattern`` ``pattern``, by the table above; ``TwoGrid``
+    aggregates the cells by the ``weights`` of the pattern's faces."""
     order = band_order(pattern.indptr, pattern.indices) if dim == 2 else None
     if order is not None:
         return BandLU(order), BandCholesky(order)
-    return JacobiBiCGStab(pattern), TwoGrid(pattern, owner, neigh, weights)
+    return JacobiBiCGStab(pattern), TwoGrid(pattern, weights)
 
 
 def solve_cg(system, b, x0=None, tol=1e-6, maxiter=5000):

@@ -34,7 +34,9 @@ index arrays, and each step sums their diagonals per cell from the face
 values and overwrites them in place with ``fill_faces``), and one linear
 solver per system from ``linsolve.system_solvers``; a step factors each
 with its matrix and solves through ``linsolve.solve_bicgstab`` and
-``linsolve.solve_cg``, and does not know which method either uses. One pass over the boundary
+``linsolve.solve_cg``, and does not know which method either uses. A
+solve that does not converge raises ``SolverFailure`` out of the step;
+no solve path loads scipy.sparse.linalg. One pass over the boundary
 conditions writes the velocity shapes, the fixed pressures (a Windkessel
 outlet's at 0) and their masks as boundary-ordered arrays.
 
@@ -49,7 +51,10 @@ the outlet rows set; nothing is written back. Then the time term
 rho V / dt, the momentum system, its factor and solve, and the pressure
 matrix and its factor. Per corrector: the pressure solves (one per
 non-orthogonal pass) and the velocity update; the face flux is corrected
-after the last corrector only, as the step keeps no other.
+after the last corrector only, as the step keeps no other. The inflow-set
+flux copy dies with the momentum system, each corrector's previous u once
+its H/A is formed, and the correctors' work arrays before the new state
+copies its fields, so none lives where the step's memory peaks.
 
 Krylov stops, relative to each solve's initial residual (the momentum
 solve's: that of its velocity columns together), fixed per solver: a
@@ -312,12 +317,12 @@ class PisoSolver:
             self._grad_u = G_u.multiply(1.0 / self._vol[:, None]).tocsr()
         # both step matrices live on one pattern: the diagonal and both
         # off-diagonal entries of every internal face
-        o, n = g.i_owner, g.i_neigh
-        self._pattern = linsolve.FacePattern(mesh.n_cells, o, n)
+        self._pattern = linsolve.FacePattern(mesh.n_cells, g.i_owner,
+                                             g.i_neigh)
         self._A_m = self._pattern.matrix()
         self._A_p = self._pattern.matrix()
         self._momentum, self._pressure = linsolve.system_solvers(
-            self._pattern, mesh.dim, o, n, g.orth_coeff)
+            self._pattern, mesh.dim, g.orth_coeff)
         # what no step changes, and the last step's inflow state, with the
         # inflow rates that it was built for
         self._mu_b_orth = self.fluid.mu * g.b_orth_coeff
@@ -393,14 +398,12 @@ class PisoSolver:
         p_p, p_fixed = self.advance_windkessel(state, dt)
 
         inflow = self._inflow_state(t_new)
-        phi = state.phi.copy()
-        phi[self._fixed_u_faces] = inflow.phi[self._fixed_u_faces]
 
         # ---- momentum predictor ----
         # p stacked on the fixed boundary pressures, the input of the
         # pressure gradient operators; its head follows every solve
         pb = np.concatenate([state.p, p_fixed])
-        diag, A_m, rhs0 = self._momentum_system(state, phi, inflow, dt)
+        diag, A_m, rhs0 = self._momentum_system(state, inflow, dt)
         self._momentum.factor(A_m)
         u = linsolve.solve_bicgstab(
             self._momentum, rhs0 - (self._G @ pb).reshape(rhs0.shape),
@@ -420,8 +423,13 @@ class PisoSolver:
 
         p = state.p.copy()
         for tols in self._pressure_tols:
-            # H = rhs (no pressure) minus off-diagonal action
-            HbyA = (rhs0 - (A_m @ u - diag[:, None] * u)) / diag[:, None]
+            # H = rhs (no pressure) minus off-diagonal action, in place;
+            # the previous u is dead once it is formed
+            HbyA = A_m @ u
+            HbyA -= diag[:, None] * u
+            np.subtract(rhs0, HbyA, out=HbyA)
+            HbyA /= diag[:, None]
+            del u
 
             phi_star = self._F @ HbyA.ravel() + inflow.phi
             rhs_p0 = rhs_pb - g.D @ phi_star
@@ -437,6 +445,7 @@ class PisoSolver:
 
             u = HbyA - rAU[:, None] * ((self._G @ pb) / self._vol).reshape(
                 HbyA.shape)
+        del rhs0, HbyA, rAU_f   # dead before the new state's copies
 
         # the last corrector's flux correction, the only flux kept (its
         # non-orth part too, so the cell balances close to the
@@ -453,16 +462,19 @@ class PisoSolver:
                 f"at t={t_new:.6g}", [err])
         return new
 
-    def _momentum_system(self, state, phi, inflow, dt):
+    def _momentum_system(self, state, inflow, dt):
         """Implicit matrix (shared by all components), its diagonal, and
         the pressure-free right-hand side, with the velocity boundary
-        values of the ``_InflowState`` ``inflow``.
+        values of the ``_InflowState`` ``inflow`` and the state's face
+        flux, its fixed-velocity faces set to the inflow's.
 
         The matrix is the solver's own: the next step overwrites it.
         """
         mesh = self.mesh
         g = mesh.fv
         rho = self.fluid.rho
+        phi = state.phi.copy()
+        phi[self._fixed_u_faces] = inflow.phi[self._fixed_u_faces]
 
         # each internal face's owner row holds (a_oo, a_on) and its
         # neighbour row the pair negated, exactly: (a_nn, a_no) = (-a_on,

@@ -289,8 +289,8 @@ class TestWorkflow:
                                                    tmp_path):
         """A narrow-band 2D run factors both systems banded, so it loads
         neither scipy.sparse.linalg nor scipy.sparse.csgraph; a 3D run's
-        Krylov solvers are numpy loops, and only their LU fallback, which
-        a converging run never calls, would load scipy.sparse.linalg."""
+        Krylov solvers are numpy loops that converge or raise, so no solve
+        path loads scipy.sparse.linalg."""
         rc, loaded = scipy_loaded("fom-run", workflow["case"],
                                   "--out-dir", tmp_path / "run2d")
         assert rc == 0 and "scipy.sparse" in loaded
