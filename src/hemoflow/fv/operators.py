@@ -2,7 +2,9 @@
 
 Every face-to-cell sum is a product with the signed cell-face incidence
 matrix of the mesh (``mesh.fv.D`` and its internal/boundary column blocks
-``D_int``/``D_b``): +1 at the owner, -1 at the neighbor.
+``D_int``/``D_b``): +1 at the owner, -1 at the neighbor. ``mesh.fv``
+keeps ``D_b`` and builds ``D_int`` on each read, so the function forms
+below build it per call and ``gradient_matrix`` once per solver.
 
 The function forms, the tests' reference operators (no product code
 calls them), take boundary face values through ``BoundaryValues``: a

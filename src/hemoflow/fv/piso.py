@@ -27,6 +27,10 @@ solver fuses them once, as CSR matrices:
 - for second-order upwind, grad(u) = V^-1 G_u, for the deferred correction
   rho D_int (phi_f (x_f - x_D) . grad(u)_D) from each face's donor D.
 
+Where either of the last two applies, the solver keeps D_int, the
+incidence's internal columns, itself: ``mesh.fv`` does not, as the
+orthogonal upwind step (the benchmark pipe's) never reads it.
+
 It also builds the boundary diffusion coefficients mu * b_orth_coeff,
 the fixed-face index arrays, the momentum and the pressure matrix on the
 fixed pattern of ``linsolve.FacePattern`` (both share the pattern's
@@ -54,7 +58,15 @@ non-orthogonal pass) and the velocity update; the face flux is corrected
 after the last corrector only, as the step keeps no other. The inflow-set
 flux copy dies with the momentum system, each corrector's previous u once
 its H/A is formed, and the correctors' work arrays before the new state
-copies its fields, so none lives where the step's memory peaks.
+copies its fields, so none lives where the step's memory peaks. The
+continuity gate and ``run``'s CFL check share one gross flux per step,
+``gross_face_flux``: |phi| summed per cell by ``bincount`` over the
+intp owners and neighbours of ``mesh.fv``, with no |D| kept. Every
+index array that a step gathers or sums with is intp, the dtype numpy
+indexes with: an int32 one is converted on every call (a gather of
+22 800 indices into 8000 cells took 72.7 us with int32 indices against
+23.6 with intp, and a ``bincount`` over them 43.9 against 40.6; timeit,
+one core of a 2-core x86-64 host).
 
 Krylov stops, relative to each solve's initial residual (the momentum
 solve's: that of its velocity columns together), fixed per solver: a
@@ -224,12 +236,12 @@ class FlowState:
         return float(self.phi[self.mesh.patches[name].face_ids].sum())
 
     def _gross_flux(self):
-        """Per cell, the sum of |phi| over its faces. Both checks below
-        use it, so it is summed once per ``phi`` array; a change to
-        ``phi`` in place after a check is not seen (assign a new array)."""
+        """``gross_face_flux`` of the state's flux. Both checks below use
+        it, and nothing else, so it is summed once per ``phi`` array; a
+        change to ``phi`` in place after a check is not seen (assign a new
+        array)."""
         if self._gross is None or self._gross[0] is not self.phi:
-            self._gross = (self.phi,
-                           self.mesh.fv.D_abs @ np.abs(self.phi))
+            self._gross = (self.phi, gross_face_flux(self.mesh, self.phi))
         return self._gross[1]
 
     def continuity_error(self):
@@ -242,6 +254,19 @@ class FlowState:
         """Max cell Courant number (half the gross flux sweep per volume)."""
         return float((0.5 * dt * self._gross_flux()
                       / self.mesh.cell_volume).max())
+
+
+def gross_face_flux(mesh, phi):
+    """Per cell, the sum of |phi| over its faces: ``bincount`` over the
+    owners and neighbours of the internal faces and the owners of the
+    boundary faces, which equals |D| |phi| to round-off without keeping
+    |D|."""
+    g, nc = mesh.fv, mesh.n_cells
+    a = np.abs(phi[g.internal])
+    gross = np.bincount(g.i_owner, a, nc)
+    gross += np.bincount(g.i_neigh, a, nc)
+    gross += np.bincount(g.b_owner, np.abs(phi[g.boundary]), nc)
+    return gross
 
 
 @dataclass(frozen=True)
@@ -280,7 +305,7 @@ class PisoSolver:
         self._inflows, windkessels = [], []
         for name, (vbc, pbc) in bcs.conditions.items():
             patch = mesh.patches[name]
-            rows = g.b_index[patch.face_ids]
+            rows = g.b_index[patch.face_ids].astype(np.intp)
             if isinstance(vbc, InflowBC):
                 self._u_shape[rows], influx = vbc.shape_velocities(mesh, patch)
                 self._inflows.append((rows, vbc, influx))
@@ -307,10 +332,11 @@ class PisoSolver:
         self._G = gradient_matrix(mesh, self._fixed_p)
         self._F = flux_matrix(mesh, self._fixed_u)
         if self._has_nonorth or self._second_order:
+            self._D_int = g.D_int   # these steps apply it; mesh.fv keeps none
             G_u = gradient_matrix(mesh, self._fixed_u)
         if self._has_nonorth:
             self._NG = nonorth_flux_matrix(mesh, self._G)
-            self._K_u = (self.fluid.mu * g.D_int
+            self._K_u = (self.fluid.mu * self._D_int
                          @ nonorth_flux_matrix(mesh, G_u)).tocsr()
         if self._second_order:
             # the velocity gradient: row c * dim + j holds d u / d x_j in c
@@ -439,7 +465,7 @@ class PisoSolver:
                 rhs_p = rhs_p0
                 if self._has_nonorth:
                     corr = rAU_f * (self._NG @ pb)
-                    rhs_p = rhs_p0 + g.D_int @ corr
+                    rhs_p = rhs_p0 + self._D_int @ corr
                 p = linsolve.solve_cg(self._pressure, rhs_p, x0=p, tol=tol)
                 pb[:nc] = p
 
@@ -503,7 +529,7 @@ class PisoSolver:
             donors = np.where(phi_i >= 0.0, g.i_owner, g.i_neigh)
             grad = (self._grad_u @ ub).reshape(-1, mesh.dim, mesh.dim)
             dx = mesh.face_centroid[g.internal] - mesh.cell_centroid[donors]
-            rhs -= rho * (g.D_int @ (phi_i[:, None] * np.einsum(
+            rhs -= rho * (self._D_int @ (phi_i[:, None] * np.einsum(
                 "fji,fj->fi", grad[donors], dx)))
         if self._has_nonorth:
             # non-orthogonal part of the diffusive face flux; its

@@ -90,7 +90,7 @@ def wall_shear_stress(state, mesh, props, wall_patch):
     if patch.kind != "wall":
         raise InvalidArgumentError(f"patch {wall_patch!r} is not a wall")
     g = mesh.fv
-    rows = g.b_index[patch.face_ids]
+    rows = g.b_index[patch.face_ids].astype(np.intp)  # gathers below
     n = g.b_normal[rows]
     delta = g.b_delta[rows]
     u_c = state.u[g.b_owner[rows]]

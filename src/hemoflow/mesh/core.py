@@ -28,6 +28,9 @@ NON_ORTHOGONALITY_CAP_DEG = 70.0
 # size of the temporaries of both passes of Mesh._compute_geometry.
 _BLOCK = 4096
 
+# The most points or loop entries a mesh takes: it stores its ids as int32.
+_INDEX_MAX = np.iinfo(np.int32).max
+
 
 @dataclass
 class Patch:
@@ -39,6 +42,12 @@ class Patch:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # the native file reads a name up to the first whitespace
+        if not (isinstance(self.name, str) and self.name
+                and not any(c.isspace() for c in self.name)):
+            raise InvalidArgumentError(
+                f"patch name {self.name!r} is not a non-empty string "
+                f"without whitespace")
         if self.kind not in PATCH_KINDS:
             raise InvalidArgumentError(f"unknown patch kind {self.kind!r}")
         self.face_ids = np.asarray(self.face_ids, dtype=np.int64)
@@ -82,6 +91,16 @@ class Mesh:
     pass their loops in this form. Every point must be finite.
     ``incidence`` is the signed cell-face incidence matrix D (+1 at the
     owner, -1 at the neighbor): every face-to-cell sum is a product with it.
+
+    The connectivity (loops, lengths, owner, neighbor) is stored as int32,
+    half the bytes of int64, so a mesh refuses more than 2**31 - 1 points
+    or loop entries (a face has two loop entries or more, a cell one face
+    or more, so faces and cells then fit too). An int32 array is kept as
+    given, not copied: the generators and ``read_mesh`` hand theirs over
+    and hold them no longer, and a caller that passes int32 arrays does
+    not write them afterwards. The per-face and per-cell index arrays that
+    a step reads (``mesh.fv``) stay intp: numpy gathers and ``bincount``
+    convert a narrower index array on every call.
     """
 
     def __init__(self, dim, points, loops, lengths, owner, neighbor, patches):
@@ -91,18 +110,26 @@ class Mesh:
         self.points = np.asarray(points, dtype=float)
         if self.points.shape[1] != dim:
             raise InvalidArgumentError("points shape does not match dim")
+        loops, lengths, owner, neighbor = (
+            a if a.dtype.kind in "iu" else a.astype(np.int64)
+            for a in map(np.asarray, (loops, lengths, owner, neighbor)))
+        if max(len(self.points), loops.size) > _INDEX_MAX:
+            raise InvalidArgumentError(
+                f"{len(self.points)} points and {loops.size} loop entries: "
+                f"a mesh stores its ids as int32, at most {_INDEX_MAX} "
+                f"of each")
         finite = np.isfinite(self.points).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise InvalidArgumentError(f"point {bad} is not finite: "
                                        f"{self.points[bad].tolist()}")
-        # the vertex loops as given; _compute_geometry orients them
-        self._loop_flat = np.array(loops, dtype=np.int64)
-        self._loop_len = np.array(lengths, dtype=np.int64)
-        self.owner = np.asarray(owner, dtype=np.int64).copy()
-        self.neighbor = np.asarray(neighbor, dtype=np.int64).copy()
-        check_faces(self.dim, len(self.points), self._loop_flat,
-                    self._loop_len, self.owner, self.neighbor)
+        check_faces(self.dim, len(self.points), loops, lengths, owner,
+                    neighbor)
+        # every id is in range now, so int32 holds it exactly; the vertex
+        # loops as given, which _compute_geometry orients
+        self._loop_flat, self._loop_len, self.owner, self.neighbor = (
+            a.astype(np.int32, copy=False)
+            for a in (loops, lengths, owner, neighbor))
         self.patches = {p.name: p for p in patches}
         if len(self.patches) != len(patches):
             raise InvalidArgumentError("duplicate patch names")
@@ -129,10 +156,10 @@ class Mesh:
 
     def _raw_face_geometry(self):
         """Area vector and centroid of every face from its vertex loop
-        (3D: fan triangulation about the vertex mean), and in 3D the warp
-        moment Q = sum_j (r_j + r_j+1) (r_j x r_j+1)^T of the loop about
-        the centroid, r = p - centroid (0 on a planar face). All three are
-        returned component-major: (dim, n_faces) and (3, 3, n_faces)."""
+        (3D: fan triangulation about the vertex mean, ``_fan_geometry``),
+        and in 3D the warp moment Q of the loop about the centroid. All
+        three are returned component-major: (dim, n_faces) and (3, 3,
+        n_faces)."""
         dim, nf = self.dim, self.n_faces
         area = np.empty((dim, nf))
         centroid = np.empty((dim, nf))
@@ -144,24 +171,10 @@ class Mesh:
                 area[0, sel] = v[1, 1] - v[1, 0]  # unit depth
                 area[1, sel] = v[0, 0] - v[0, 1]
                 centroid[:, sel] = 0.5 * (v[:, 0] + v[:, 1])
-                continue
-            m = v.mean(axis=1, keepdims=True)
-            d = v - m
-            d1 = np.roll(d, -1, axis=1)
-            t = _cross(d, d1)  # twice each fan triangle's area vector
-            w = np.sqrt(np.einsum("ajk,ajk->jk", t, t))
-            w_sum = w.sum(axis=0)
-            # the centroid is m + dc: the fan triangles' centroids
-            # (m + v_j + v_j+1) / 3 weighted by area, or m on a face of
-            # zero area
-            with np.errstate(invalid="ignore", divide="ignore"):
-                dc = np.einsum("jk,ajk->ak", w, d + d1) / (3.0 * w_sum)
-            dc[:, w_sum == 0] = 0.0
-            area[:, sel] = 0.5 * t.sum(axis=1)
-            centroid[:, sel] = m[:, 0] + dc
-            r = d - dc[:, None]
-            r1 = np.roll(r, -1, axis=1)
-            warp[:, :, sel] = np.einsum("ajk,bjk->abk", r + r1, _cross(r, r1))
+            else:
+                area[:, sel], centroid[:, sel], warp[:, :, sel] = \
+                    _fan_geometry(v)
+            del v
         return area, centroid, warp
 
     def _compute_geometry(self):
@@ -172,22 +185,16 @@ class Mesh:
         # Approximate cell centers to fix face orientation (owner -> out).
         approx = (abs(D) @ fc.T).T / np.diff(D.indptr)
         far = np.where(self.neighbor >= 0, approx[:, self.neighbor], fc)
-        flip = np.einsum("ai,ai->i", area, far - approx[:, self.owner]) < 0.0
+        far -= approx[:, self.owner]
+        flip = np.einsum("ai,ai->i", area, far) < 0.0
+        del far
         area[:, flip] = -area[:, flip]
         if warp is not None:
             warp[:, :, flip] = -warp[:, :, flip]
         if flip.any():
-            # store the loops oriented: a flipped loop stored at positions
-            # a..b is read from a + b - p
-            face = np.repeat(np.arange(self.n_faces), self._loop_len)
-            at = np.arange(len(self._loop_flat))
-            ends = 2 * np.cumsum(self._loop_len) - self._loop_len - 1
-            self._loop_flat = self._loop_flat[
-                np.where(flip[face], ends[face] - at, at)]
-
-        self.face_area = np.ascontiguousarray(area.T)
-        self.face_centroid = np.ascontiguousarray(fc.T)
-        self.face_area_mag = np.linalg.norm(self.face_area, axis=1)
+            # store the loops oriented
+            self._loop_flat = _reversed_loops(self._loop_flat,
+                                              self._loop_len, flip)
 
         # Exact volumes and centroids by simplex decomposition about the
         # approximate cell center x0 (any interior reference point works).
@@ -201,26 +208,38 @@ class Mesh:
         # Q = sum_j (r_j + r_j+1) t_j^T is the face's warp moment. It is 0
         # on a planar convex face, whose c is its area centroid, but not on
         # a warped one, where dropping it moves centroids by a few percent
-        # of h. So one pass over the nonzeros, in blocks of _BLOCK, gathers
-        # A, c and Q per face and sums nothing over vertices.
-        cell = np.repeat(np.arange(self.n_cells), np.diff(D.indptr))
-        vol = np.empty(len(cell))
-        mom = np.empty((dim, len(cell)))
-        for at in range(0, len(cell), _BLOCK):
-            b = slice(at, at + _BLOCK)
-            f, s, x0 = D.indices[b], D.data[b], approx[:, cell[b]]
+        # of h. So one pass over the nonzeros gathers A, c and Q per face
+        # and sums nothing over vertices. Its blocks are whole rows of D,
+        # about _BLOCK nonzeros each: a cell's sum is one bincount, in
+        # D's order whatever the block size, and no per-nonzero array of
+        # the whole mesh is made.
+        nc, ptr = self.n_cells, D.indptr
+        self.cell_volume = np.empty(nc)
+        cmom = np.empty((nc, dim))
+        rows = np.unique(np.append(
+            np.searchsorted(ptr, np.arange(0, D.nnz, _BLOCK)), nc))
+        for c0, c1 in zip(rows[:-1].tolist(), rows[1:].tolist()):
+            b = slice(ptr[c0], ptr[c1])
+            cell = np.repeat(np.arange(c1 - c0), np.diff(ptr[c0:c1 + 1]))
+            f, s, x0 = D.indices[b], D.data[b], approx[:, c0 + cell]
             xf = fc[:, f]
             e = xf - x0
             v = s * np.einsum("ak,ak->k", area[:, f], e) / dim
-            vol[b] = v
-            mom[:, b] = v * (x0 + dim * xf) / (dim + 1)
+            mom = v * (x0 + dim * xf) / (dim + 1)
             if warp is not None:
-                mom[:, b] += s / 24.0 * np.einsum("abk,bk->ak", warp[:, :, f], e)
-        self.cell_volume = np.bincount(cell, vol, self.n_cells)
-        cmom = np.column_stack([np.bincount(cell, mk, self.n_cells)
-                                for mk in mom])
+                mom += s / 24.0 * np.einsum("abk,bk->ak", warp[:, :, f], e)
+            self.cell_volume[c0:c1] = np.bincount(cell, v, c1 - c0)
+            for a in range(dim):
+                cmom[c0:c1, a] = np.bincount(cell, mom[a], c1 - c0)
         with np.errstate(invalid="ignore"):
             self.cell_centroid = cmom / self.cell_volume[:, None]
+        # the stored face vectors, row per face, once Q is released
+        del warp, cmom
+        self.face_area = np.ascontiguousarray(area.T)
+        del area
+        self.face_centroid = np.ascontiguousarray(fc.T)
+        del fc
+        self.face_area_mag = np.linalg.norm(self.face_area, axis=1)
 
     def _validate(self):
         # each test passes only where it holds, so NaN and inf fail it
@@ -302,11 +321,58 @@ def check_faces(dim, n_points, loops, lengths, owner, neighbor):
           "neighbor is neither -1 nor another cell")
 
 
+def _reversed_loops(loops, lengths, flip):
+    """The concatenated ``loops`` with the loop of every face in the mask
+    ``flip`` reversed: position b - j of a flipped loop of n entries that
+    ends at b reads b - (n - 1) + j, j < n. Its index arrays span the
+    flipped loops only."""
+    faces = np.flatnonzero(flip)
+    n = lengths[faces]
+    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    b = np.repeat(np.cumsum(lengths)[faces] - 1, n)
+    out = loops.copy()
+    out[b - j] = loops[b - np.repeat(n - 1, n) + j]
+    return out
+
+
+def _fan_geometry(v):
+    """Area vectors (3, k), centroids (3, k) and warp moments Q = sum_j
+    (r_j + r_j+1) (r_j x r_j+1)^T (3, 3, k), r = p - centroid (0 on a
+    planar face), of k faces whose (nv, k) loops have the vertex
+    coordinates ``v`` (3, nv, k), which it overwrites. Each temporary is
+    released or reused as soon as it is read: this is the peak of the
+    face pass."""
+    m = v.mean(axis=1, keepdims=True)
+    d = np.subtract(v, m, out=v)
+    d1 = np.roll(d, -1, axis=1)
+    t = _cross(d, d1)  # twice each fan triangle's area vector
+    w = np.sqrt(np.einsum("ajk,ajk->jk", t, t))
+    area = 0.5 * t.sum(axis=1)
+    del t
+    w_sum = w.sum(axis=0)
+    # the centroid is m + dc: the fan triangles' centroids (m + v_j +
+    # v_j+1) / 3 weighted by area, or m on a face of zero area
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dc = np.einsum("jk,ajk->ak", w, np.add(d, d1, out=d1)) / (3.0 * w_sum)
+    del d1, w
+    dc[:, w_sum == 0] = 0.0
+    centroid = m[:, 0] + dc
+    r = np.subtract(d, dc[:, None], out=d)
+    r1 = np.roll(r, -1, axis=1)
+    c = _cross(r, r1)
+    return area, centroid, np.einsum("ajk,bjk->abk",
+                                     np.add(r, r1, out=r1), c)
+
+
 def _cross(a, b):
-    """a x b over the leading axis of length 3, by components."""
-    return np.stack([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    """a x b over the leading axis of length 3, by components, with one
+    product as its only temporary. The result is C-ordered whatever the
+    layout of a and b, as einsum's reductions over it round by layout."""
+    out = np.empty(a.shape)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    return out
 
 
 def _incidence(owner, neighbor, n_cells):
@@ -324,20 +390,27 @@ def _incidence(owner, neighbor, n_cells):
 
 
 class _FvGeometry:
-    """Precomputed per-face data for the FV operators."""
+    """Precomputed per-face data for the FV operators.
+
+    It keeps what a step reads: the incidence D (``mesh.incidence``), its
+    boundary columns ``D_b``, the interpolation ``W`` and the per-face
+    coefficients. ``D_int``, D's internal columns, is built on each read
+    and not kept: an orthogonal mesh's upwind step never reads it, and a
+    solver whose step does keeps its own. The index arrays a step or a
+    wall shear query gathers or sums with (``internal``, ``boundary``,
+    ``i_owner``, ``i_neigh``, ``b_owner``) are intp, as numpy converts
+    any other index dtype on every such call; ``b_index``, read only to
+    find a patch's boundary rows, is int32 like the mesh's connectivity.
+    """
 
     def __init__(self, mesh: Mesh):
         internal, boundary, d, db, AdotD, AbdotDb = _face_vectors(mesh)
         self.internal, self.boundary = internal, boundary
-        D = mesh.incidence
-        self.D = D
-        self.D_abs = sp.csr_matrix((np.abs(D.data), D.indices, D.indptr),
-                                   D.shape)     # on D's index arrays
-        self.D_int = D[:, internal]
-        self.D_b = D[:, boundary]
+        self.D = mesh.incidence
+        self.D_b = self.D[:, boundary]
 
-        o = mesh.owner[internal]
-        n = mesh.neighbor[internal]
+        o = mesh.owner[internal].astype(np.intp)
+        n = mesh.neighbor[internal].astype(np.intp)
         self.i_owner, self.i_neigh = o, n
         A = mesh.face_area[internal]
         self.orth_coeff = np.einsum("ij,ij->i", A, A) / AdotD  # |A|^2/(A.d)
@@ -361,7 +434,7 @@ class _FvGeometry:
             shape=(len(o), mesh.n_cells))
 
         # boundary faces
-        self.b_owner = mesh.owner[boundary]
+        self.b_owner = mesh.owner[boundary].astype(np.intp)
         Ab = mesh.face_area[boundary]
         nb = Ab / np.linalg.norm(Ab, axis=1)[:, None]
         self.b_normal = nb
@@ -382,8 +455,14 @@ class _FvGeometry:
         if not self.non_orthogonal:
             self.T = np.broadcast_to(0.0, self.T.shape)
         # position of each face inside the boundary ordering (-1: internal)
-        self.b_index = np.full(mesh.n_faces, -1, dtype=np.int64)
+        self.b_index = np.full(mesh.n_faces, -1, dtype=np.int32)
         self.b_index[boundary] = np.arange(len(boundary))
+
+    @property
+    def D_int(self):
+        """D's internal-face columns (n_cells x n_internal), built anew on
+        each read."""
+        return self.D[:, self.internal]
 
 
 def _face_vectors(mesh: Mesh):

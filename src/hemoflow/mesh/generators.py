@@ -68,9 +68,10 @@ def _block_faces(P, C):
 def _edge_mesh(pts, blocks, patches):
     """A 2D mesh whose faces are the (loops, owner, neighbor) face groups
     ``blocks``, concatenated."""
-    loops, owner, neighbor = (np.concatenate(a) for a in zip(*blocks))
-    return Mesh(2, pts, loops.ravel(), np.full(len(loops), 2), owner,
-                neighbor, patches)
+    loops, owner, neighbor = (np.concatenate(a, dtype=np.int32)
+                              for a in zip(*blocks))
+    return Mesh(2, pts, loops.ravel(), np.full(len(loops), 2, np.int32),
+                owner, neighbor, patches)
 
 
 def generate_box_mesh(nx, ny, lengths, shear=0.0, patch_kinds=None):
@@ -144,12 +145,29 @@ def generate_pipe_mesh(length, diameter, axial_cells, radial_cells,
     zs = np.linspace(0.0, length, nz + 1)
 
     # a plane is the axis point then rings j = 1..nr of nt points each
-    ppp = 1 + nr * nt
     ring = np.concatenate([
         np.zeros((1, 2)),
         np.stack([radii[:, None] * np.cos(thetas), radii[:, None] * np.sin(thetas)],
                  axis=-1).reshape(-1, 2)])
-    pts = np.column_stack([np.tile(ring, (nz + 1, 1)), np.repeat(zs, ppp)])
+    pts = np.column_stack([np.tile(ring, (nz + 1, 1)),
+                           np.repeat(zs, 1 + nr * nt)])
+    faces, inlet, outlet, wall = _pipe_faces(nz, nr, nt)
+    patches = [
+        Patch("inlet", "inlet", inlet,
+              meta={"center": [0.0, 0.0, 0.0], "radius": R}),
+        Patch("outlet", "outlet", outlet,
+              meta={"center": [0.0, 0.0, length], "radius": R}),
+        Patch("wall", "wall", wall),
+    ]
+    return _check_quality(Mesh(3, pts, *faces, patches))
+
+
+def _pipe_faces(nz, nr, nt):
+    """The faces of the pipe's polar grid, as the int32 (loops, lengths,
+    owner, neighbor) that ``Mesh`` keeps, and its inlet, outlet and wall
+    face ids. The index grids that build them die on return, before
+    ``Mesh`` builds the geometry."""
+    ppp = 1 + nr * nt
 
     def pid(k, j, s):
         # j = 0 is the axis point, whatever s
@@ -188,16 +206,8 @@ def generate_pipe_mesh(length, diameter, axial_cells, radial_cells,
     lengths[wedge] = 3
     owner = np.concatenate([c_owner, cid(k, j, s), cid(k, j, s - 1)])
     neighbor = np.concatenate([c_neigh, r_neigh, cid(k, j, s)])
-
-    patches = [
-        Patch("inlet", "inlet", inlet,
-              meta={"center": [0.0, 0.0, 0.0], "radius": R}),
-        Patch("outlet", "outlet", outlet,
-              meta={"center": [0.0, 0.0, length], "radius": R}),
-        Patch("wall", "wall", wall),
-    ]
-    return _check_quality(Mesh(3, pts, loops[np.arange(4) < lengths[:, None]],
-                               lengths, owner, neighbor, patches))
+    faces = (loops[np.arange(4) < lengths[:, None]], lengths, owner, neighbor)
+    return tuple(a.astype(np.int32) for a in faces), inlet, outlet, wall
 
 
 def generate_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,

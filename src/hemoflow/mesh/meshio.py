@@ -20,15 +20,20 @@ the coordinates, and the FACES section from the ``nv, loop, owner,
 neighbor`` numbers of every face laid end to end, with the oriented
 loops that the mesh stores (``Mesh.oriented_loops``): each id is
 formatted once into a table, the numbers pick their strings from it by
-array indexing, and one join makes the section (``_int_rows``). ``read_mesh`` parses each section in one
-array operation, counts the numbers on each FACES line in one scan of the
-section's bytes (``_widths``), and hands ``Mesh`` the face loops as the
-flat (loops, lengths) arrays it stores, once the file's lines and section
-texts are released (``_parse``); faces whose vertex, owner or
+array indexing, and one join makes the section (``_int_rows``).
+
+``read_mesh`` parses each section in one array operation and counts the
+numbers on each FACES line in one scan of the section's bytes
+(``_widths``). It releases each section's lines once they are joined into
+the section's text, and hands ``Mesh`` the flat (loops, lengths) arrays
+that it stores, with the owners and neighbours, as int32 arrays that
+``Mesh`` keeps without a copy (``_parse``). Faces whose vertex, owner or
 neighbor ids are out of range are a ``SchemaError`` of the FACES section,
 and so is every other file content that ``Patch`` or ``Mesh`` refuses (an
 unknown patch kind, duplicate patch names, patches that do not partition
-the boundary, open cells, points that are not finite).
+the boundary, open cells, points that are not finite). ``Patch`` refuses a
+name that is empty or holds whitespace, so every name that ``write_mesh``
+writes reads back.
 ``write_vtk`` takes each cell's faces from the rows of ``Mesh.incidence``
 and their loops from ``Mesh.oriented_loops``, walks the 2D cells' vertex
 loops for all cells at once, and formats the CELLS section with the same
@@ -98,10 +103,14 @@ class _Lines:
         self.at = 0
 
     def take(self, n):
+        """The next ``n`` lines, which this then holds no longer: a
+        section's lines are freed once its text is parsed."""
         if self.at + n > len(self.lines):
             raise SchemaError(f"truncated mesh file: {self.path}")
         self.at += n
-        return self.lines[self.at - n:self.at]
+        taken = self.lines[self.at - n:self.at]
+        self.lines[self.at - n:self.at] = [None] * n
+        return taken
 
     def section(self, name):
         """The count of a ``<name> <n>`` header line."""
@@ -126,12 +135,16 @@ def _widths(text, n_lines):
     (space, tab, newline, or a control byte, which ``_numbers`` refuses
     like any other whitespace ``str.split`` knows) or starts the text."""
     b = np.frombuffer(text.encode(), dtype=np.uint8)
+    newlines = np.flatnonzero(b == 10)
     gap = b <= 32
-    start = np.empty(len(b), dtype=bool)
+    del b
+    start = np.empty(len(gap), dtype=bool)
     start[:1] = ~gap[:1]
     np.greater(gap[:-1], gap[1:], out=start[1:])
+    del gap
     tokens = np.flatnonzero(start)
-    ends = np.searchsorted(tokens, np.flatnonzero(b == 10))
+    del start
+    ends = np.searchsorted(tokens, newlines)
     # "" is no line as well as one empty line: n_lines tells them apart
     return np.diff(ends, prepend=0, append=len(tokens))[:n_lines]
 
@@ -145,10 +158,14 @@ def read_mesh(path) -> Mesh:
 
 
 def _parse(path):
-    """The ``Mesh`` arguments of a native mesh file. Its lines and section
-    texts are released when this returns, before ``Mesh`` builds the
-    geometry: held while it did, they made the read of the 8000-cell pipe
-    peak at 4.5 times the memory of the mesh it returns, against 3.0."""
+    """The ``Mesh`` arguments of a native mesh file, the connectivity as
+    int32 arrays that ``Mesh`` keeps uncopied. Each section's lines are
+    released once its text is joined, and the texts and the int64 parse
+    once the arrays are made, before ``Mesh`` builds the geometry: held
+    while it did, they made the read of the 8000-cell pipe peak at 4.5
+    times the memory of the mesh it returns, against 3.0; with the int64
+    arrays copied by ``Mesh`` while this held them, 10.8 MiB against the
+    6.5 of now."""
     src = _Lines(path)
     head = src.take(1)[0].split()
     if head != [_MAGIC, str(_VERSION)]:
@@ -171,10 +188,15 @@ def _parse(path):
     end = start + width
     owner, neighbor = flat[end - 2], flat[end - 1]
     loops = np.delete(flat, np.concatenate([start, end - 2, end - 1]))
+    del text, flat, start, end
     try:
         check_faces(dim, npts, loops, width - 3, owner, neighbor)
     except InvalidArgumentError as e:
         raise SchemaError(f"malformed FACES section: {e}") from None
+    # every id is in range: Mesh keeps the int32 arrays it is handed
+    loops, lengths, owner, neighbor = (
+        a.astype(np.int32) for a in (loops, width - 3, owner, neighbor))
+    del width
 
     patches = []
     for _ in range(src.section("PATCHES")):
@@ -191,7 +213,7 @@ def _parse(path):
             patches.append(Patch(name, kind, ids, meta=meta))
         except ValueError as e:
             raise SchemaError(f"patch {name}: {e}") from None
-    return dim, pts, loops, width - 3, owner, neighbor, patches
+    return dim, pts, loops, lengths, owner, neighbor, patches
 
 
 def _polygon_loops(mesh, edges):

@@ -227,6 +227,37 @@ def test_mesh_rejects_malformed_faces(corrupt, match):
         Mesh(**args)
 
 
+@pytest.mark.parametrize("name, index, match", [
+    ("loops", 0, r"face 0: vertex id 4294967296 outside \[0, 12\)"),
+    ("owner", 2, r"face 2: owner outside \[0, 6\)"),
+    ("neighbor", 1, "face 1: neighbor is neither -1 nor another cell"),
+])
+def test_an_int64_id_past_int32_is_refused_not_narrowed(name, index, match):
+    """Ids are checked as given, before the mesh stores them as int32:
+    2**32 would narrow to 0, a valid id."""
+    args = box_arrays()
+    args[name] = args[name].astype(np.int64)
+    args[name][index] = 2 ** 32
+    with pytest.raises(InvalidArgumentError, match=match):
+        Mesh(**args)
+
+
+@pytest.mark.parametrize("limit", [11, 33], ids=["points", "loop-entries"])
+def test_mesh_refuses_counts_that_int32_cannot_hold(limit, monkeypatch):
+    """A mesh stores its ids as int32, so it refuses more than 2**31 - 1
+    points or loop entries. The limit is lowered here to just below the
+    box's 12 points, then its 34 loop entries, so no test makes 2**31
+    of anything."""
+    assert core._INDEX_MAX == np.iinfo(np.int32).max
+    args = box_arrays()
+    assert (len(args["points"]), len(args["loops"])) == (12, 34)
+    monkeypatch.setattr(core, "_INDEX_MAX", limit)
+    with pytest.raises(InvalidArgumentError, match="int32"):
+        Mesh(**args)
+    monkeypatch.setattr(core, "_INDEX_MAX", 34)
+    Mesh(**args)
+
+
 def reference_geometry(dim, pts, face_nodes, owner, neighbor):
     """Face-by-face geometry, kept as the reference for the vectorised
     Mesh: face areas and centroids from fan triangulation, orientation

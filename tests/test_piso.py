@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,14 +12,15 @@ from hemoflow.errors import InvalidArgumentError, SolverFailure
 from hemoflow.fv import (BoundaryConditionSet, FixedPressureBC, FlowState,
                          FluidProperties, InflowBC, NoSlipBC, PisoSolver,
                          PressureZeroGradientBC, SolverConfig,
-                         VelocityZeroGradientBC, linsolve, poiseuille_bcs,
-                         pulsatile_waveform)
+                         VelocityZeroGradientBC, linsolve, piso,
+                         poiseuille_bcs, pulsatile_waveform)
 from hemoflow.fv.operators import (BoundaryValues, convective_term,
                                    diffusion_term, face_dot_matrix,
                                    face_interpolate, gradient_matrix,
                                    nonorth_flux_matrix)
 from hemoflow.mesh import (generate_bifurcation_mesh, generate_box_mesh,
-                           generate_channel_mesh, generate_pipe_mesh)
+                           generate_channel_mesh, generate_pipe_mesh,
+                           read_mesh, write_mesh)
 from hemoflow.units import DYN_CM2_TO_PA, M3S_TO_CM3S
 from hemoflow.windkessel import (ClinicalRecord, OutletGeometry,
                                  WindkesselOutlet, advance_outlet)
@@ -141,47 +143,35 @@ def test_cfl_breach_warns_by_default():
         solver.run()
 
 
-class _CountingProducts:
-    """Stands in for a sparse matrix and counts its products."""
-
-    def __init__(self, M):
-        self.M, self.products = M, 0
-
-    def __matmul__(self, x):
-        self.products += 1
-        return self.M @ x
-
-
-def test_run_sums_the_gross_flux_once_per_step():
+def test_run_sums_the_gross_flux_once_per_step(monkeypatch):
     """The continuity gate in ``step`` and the CFL check in ``run`` share
-    one |D| |phi| product per step, and ``run`` warns and raises with the
+    one gross flux sum per step, and ``run`` warns and raises with the
     same Courant numbers as a fresh sum over each state's fluxes."""
     mesh = generate_channel_mesh(1.0, H, 24, 10)
     bcs = poiseuille_bcs(mesh, U_MEAN * H, profile="parabolic")
     dt, n_steps = 0.005, 4
-    g = mesh.fv
-    D_abs = g.D_abs
+    fresh = piso.gross_face_flux
 
     def cfl(state):
-        return float((0.5 * dt * (D_abs @ np.abs(state.phi))
+        return float((0.5 * dt * fresh(mesh, state.phi)
                       / mesh.cell_volume).max())
 
-    counting = _CountingProducts(D_abs)
-    g.D_abs = counting
-    try:
-        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, cfl_max=1e-6)
-        solver = PisoSolver(mesh, bcs, FLUID, cfg)
-        states = []
-        with pytest.warns(RuntimeWarning) as warned:
-            solver.run(observer=states.append)
-        assert counting.products == n_steps
-        cfg = SolverConfig(dt=dt, t_end=1.0, cfl_max=1e-6,
-                           cfl_action="error")
-        solver = PisoSolver(mesh, bcs, FLUID, cfg)
-        with pytest.raises(SolverFailure, match="CFL") as failed:
-            solver.run()
-    finally:
-        g.D_abs = D_abs
+    sums = []
+
+    def counted(*args):
+        sums.append(1)
+        return fresh(*args)
+    monkeypatch.setattr(piso, "gross_face_flux", counted)
+    cfg = SolverConfig(dt=dt, t_end=n_steps * dt, cfl_max=1e-6)
+    solver = PisoSolver(mesh, bcs, FLUID, cfg)
+    states = []
+    with pytest.warns(RuntimeWarning) as warned:
+        solver.run(observer=states.append)
+    assert len(sums) == n_steps
+    cfg = SolverConfig(dt=dt, t_end=1.0, cfl_max=1e-6, cfl_action="error")
+    solver = PisoSolver(mesh, bcs, FLUID, cfg)
+    with pytest.raises(SolverFailure, match="CFL") as failed:
+        solver.run()
     assert len(states) == len(warned) == n_steps
     for state, w in zip(states, warned):
         assert str(w.message) == (f"CFL {cfl(state):.2f} exceeds limit 1e-06 "
@@ -190,6 +180,23 @@ def test_run_sums_the_gross_flux_once_per_step():
     first = PisoSolver(mesh, bcs, FLUID, cfg)
     assert failed.value.residual_history == [
         cfl(first.step(first.initialize()))]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, 8),
+    lambda: generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12),
+], ids=["bifurcation", "pipe"])
+def test_the_gross_flux_is_the_absolute_incidence_product(make):
+    """The gross flux that the continuity and CFL checks read, summed
+    with ``bincount`` from the face owners and the internal faces'
+    neighbours, is |D| |phi| to round-off, on a flux with both signs on
+    every kind of face."""
+    mesh = make()
+    phi = np.random.default_rng(3).normal(size=mesh.n_faces)
+    D = mesh.fv.D
+    want = abs(D) @ np.abs(phi)
+    got = piso.gross_face_flux(mesh, phi)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
 def test_continuity_gate_raises():
@@ -259,7 +266,8 @@ def test_solver_builds_the_face_operators_of_its_masks(make, nonorth):
     """The stacked pressure gradient and the flux operator always; the
     fused non-orthogonal operators of the pressure and the momentum only
     on non-orthogonal meshes; the velocity gradient only for second-order
-    upwind convection (the default); and no operator twice."""
+    upwind convection (the default); D's internal columns only where a
+    step applies them (either of those); and no operator twice."""
     mesh = make()
     bcs = poiseuille_bcs(mesh, 1e-6, profile="plug")
     solver = PisoSolver(mesh, bcs, FLUID)
@@ -267,6 +275,7 @@ def test_solver_builds_the_face_operators_of_its_masks(make, nonorth):
     upwind = PisoSolver(mesh, bcs, FLUID,
                         SolverConfig(convection_scheme="upwind"))
     assert not hasattr(upwind, "_grad_u")
+    assert hasattr(upwind, "_D_int") == nonorth
 
     def same(A, B):
         return A.shape == B.shape and (A != B).nnz == 0
@@ -278,7 +287,8 @@ def test_solver_builds_the_face_operators_of_its_masks(make, nonorth):
                 face_dot_matrix(mesh, mesh.face_area[g.internal]))
     ops = {k for k, v in vars(solver).items() if hasattr(v, "tocsr")}
     assert ops == ({"_G", "_F", "_NG", "_K_u"} if nonorth else {"_G", "_F"}
-                   ) | {"_A_m", "_A_p", "_grad_u"}
+                   ) | {"_A_m", "_A_p", "_grad_u", "_D_int"}
+    assert same(solver._D_int, g.D_int)
     grad_u = gradient_matrix(mesh, solver._fixed_u).multiply(
         1.0 / np.repeat(mesh.cell_volume, mesh.dim)[:, None]).tocsr()
     assert same(solver._grad_u, grad_u)
@@ -882,34 +892,78 @@ def test_a_pulsatile_run_solves_its_momentum_to_lin_tol():
 
 def test_the_step_matrices_share_one_copy_of_their_index_arrays():
     """The momentum and the pressure matrix hold the pattern's CSR index
-    arrays, not copies of them, and |D| holds D's, before and after a
-    step."""
+    arrays, not copies of them, before and after a step; and on an
+    orthogonal mesh with upwind convection neither ``mesh.fv`` nor the
+    solver keeps |D| or D's internal columns, which no step reads there.
+    A second-order solver keeps its own D_int, which its step applies."""
     mesh = generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12)
     solver = PisoSolver(mesh, poiseuille_bcs(mesh, 1e-6), FLUID,
                         SolverConfig(dt=0.01, convection_scheme="upwind"))
     g, pattern = mesh.fv, solver._pattern
 
     def shared():
-        return all(np.shares_memory(A.indices, B.indices)
-                   and np.shares_memory(A.indptr, B.indptr)
-                   for A, B in ((solver._A_m, pattern), (solver._A_p, pattern),
-                                (g.D_abs, g.D)))
-    assert shared()
+        return all(np.shares_memory(A.indices, pattern.indices)
+                   and np.shares_memory(A.indptr, pattern.indptr)
+                   for A in (solver._A_m, solver._A_p))
+
+    def operators():
+        # the shapes of the sparse matrices that mesh.fv and the solver hold
+        return sorted(M.shape for M in (*vars(g).values(),
+                                        *vars(solver).values())
+                      if sp.issparse(M))
+    D = g.D
+    held = operators()
+    assert shared() and not hasattr(solver, "_D_int")
+    assert held.count(D.shape) == 1     # D itself, no |D|
+    assert (D.shape[0], len(g.internal)) not in held
     solver.step(solver.initialize())
-    assert shared()
+    assert shared() and operators() == held
+    second = PisoSolver(mesh, poiseuille_bcs(mesh, 1e-6), FLUID,
+                        SolverConfig(dt=0.01))
+    assert second._D_int.shape == (D.shape[0], len(g.internal))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_channel_mesh(1.0, H, 8, 4),
+    lambda: generate_pipe_mesh(0.02, 0.02, 6, 3, n_theta=12),
+    lambda: generate_bifurcation_mesh(0.024, 0.004, 0.002, 45.0, 8),
+], ids=["channel", "pipe", "bifurcation"])
+@pytest.mark.parametrize("read", [False, True], ids=["generated", "read"])
+def test_connectivity_is_int32_and_the_step_indices_are_intp(make, read,
+                                                             tmp_path):
+    """The mesh stores its connectivity and ``fv.b_index`` as int32; every
+    index array that a step or a wall shear query gathers or sums with
+    stays intp, as numpy converts any other on every call."""
+    mesh = make()
+    if read:
+        write_mesh(mesh, tmp_path / "mesh.hfm")
+        mesh = read_mesh(tmp_path / "mesh.hfm")
+    g = mesh.fv
+    for stored in (*mesh.oriented_loops(), mesh.owner, mesh.neighbor,
+                   g.b_index):
+        assert stored.dtype == np.int32
+    solver = PisoSolver(mesh, poiseuille_bcs(mesh, 1e-6), FLUID)
+    step = [g.internal, g.boundary, g.i_owner, g.i_neigh, g.b_owner,
+            solver._pattern.diag]
+    if mesh.dim == 3:
+        step.append(solver._pressure._to_band)
+    for index in step:
+        assert index.dtype == np.intp
 
 
 def test_the_8000_cell_pipe_holds_and_peaks_within_its_budget():
     """Traced from before the mesh is built, the 8000-cell pipe of
-    ``pipe_medium`` (Re 500, steady, upwind) holds at most 14.5 MiB in its
+    ``pipe_medium`` (Re 500, steady, upwind) holds at most 12.8 MiB in its
     mesh, solver and stepped state, and its next step peaks at most 2.35
-    MiB above that: 13.8 and 1.84 MiB measured, against a 2.2 MiB step
-    peak when the inflow-set flux copy, the previous corrector's u and the
-    correctors' work arrays lived through the pressure solves and the new
-    state's copies, 15.1 MiB held when the step matrices were filled
-    through int64 COO slot arrays, and 17.8 and 3.1 MiB when the step
-    pattern's index arrays were held four times, the orthogonal mesh
-    stored T, and a step's dead arrays lived to its end."""
+    MiB above that: 12.16 and 1.84 MiB measured, against 13.8 MiB held
+    when ``mesh.fv`` kept |D| and D's internal columns and the mesh stored
+    its connectivity as int64, a 2.2 MiB step peak when the inflow-set
+    flux copy, the previous corrector's u and the correctors' work arrays
+    lived through the pressure solves and the new state's copies, 15.1
+    MiB held when the step matrices were filled through int64 COO slot
+    arrays, and 17.8 and 3.1 MiB when the step pattern's index arrays
+    were held four times, the orthogonal mesh stored T, and a step's dead
+    arrays lived to its end."""
     fluid = FluidProperties(rho=1060.0, mu=0.004)
     d, MiB = 0.02, 2.0 ** 20
     u_mean = 500.0 * fluid.nu / d
@@ -933,5 +987,5 @@ def test_the_8000_cell_pipe_holds_and_peaks_within_its_budget():
     finally:
         tracemalloc.stop()
     assert mesh.n_cells == 8000
-    assert held <= 14.5 * MiB, held / MiB
+    assert held <= 12.8 * MiB, held / MiB
     assert peak - held <= 2.35 * MiB, (peak - held) / MiB
