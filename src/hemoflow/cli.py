@@ -52,25 +52,13 @@ def _write_csv(path, header, rows):
 # -- mesh -----------------------------------------------------------------------
 
 def cmd_mesh(args):
-    from .mesh import (generate_bifurcation_mesh, generate_channel_mesh,
-                       generate_pipe_mesh, mesh_quality, write_mesh,
-                       write_vtk)
-    if args.shape == "pipe":
-        mesh = generate_pipe_mesh(args.length, args.diameter,
-                                  axial_cells=args.axial,
-                                  radial_cells=args.radial)
-    elif args.shape == "channel":
-        mesh = generate_channel_mesh(args.length, args.height,
-                                     nx=args.axial, ny=args.radial)
-    else:
-        mesh = generate_bifurcation_mesh(args.length, args.diameter,
-                                         args.branch_diameter,
-                                         args.branch_angle,
-                                         resolution=args.resolution)
-    write_mesh(mesh, args.out)
+    from . import mesh as meshes
+    generate = getattr(meshes, f"generate_{args.shape}_mesh")
+    mesh = generate(args.length, *(getattr(args, a) for a in args.geometry))
+    meshes.write_mesh(mesh, args.out)
     if args.vtk:
-        write_vtk(mesh, args.vtk)
-    print(mesh_quality(mesh))
+        meshes.write_vtk(mesh, args.vtk)
+    print(meshes.mesh_quality(mesh))
     print(f"wrote {args.out}")
     return 0
 
@@ -388,18 +376,19 @@ def cmd_report(args):
 
 # -- parser -----------------------------------------------------------------------
 
+#: ``mesh bifurcation --resolution`` names: cells across the trunk
+RESOLUTIONS = {"coarse": 6, "medium": 10, "fine": 16}
+
+
 def _resolution(text):
-    """``--resolution``: cells across the trunk, at least 3, or one of the
-    generator's names (coarse/medium/fine)."""
+    """``--resolution``: cells across the trunk, at least 3, or a name in
+    ``RESOLUTIONS``."""
     if text.lstrip("-").isdigit():
         return _ranged(int, lambda n: n >= 3, "at least 3")(text)
-    # here, not at the top: importing hemoflow.cli loads no scipy module
-    from .mesh.generators import RESOLUTION_NAMES
-    if text not in RESOLUTION_NAMES:
+    if text not in RESOLUTIONS:
         raise argparse.ArgumentTypeError(
-            f"{text} is not a cell count or one of "
-            f"{', '.join(RESOLUTION_NAMES)}")
-    return text
+            f"{text} is not a cell count or one of {', '.join(RESOLUTIONS)}")
+    return RESOLUTIONS[text]
 
 
 def _params(text):
@@ -433,23 +422,31 @@ def build_parser():
 
     finite = _ranged(float, math.isfinite, "a finite number")
     size = _ranged(finite, lambda x: x > 0, "positive")
-    cells = _ranged(int, lambda n: n >= 1, "at least 1")
+    at_least_1 = _ranged(int, lambda n: n >= 1, "at least 1")
+    at_least_2 = _ranged(int, lambda n: n >= 2, "at least 2")
 
+    # one sub-command per shape, taking the options its generator reads
+    # after the length, in the order of the generator's arguments
     pm = sub.add_parser("mesh", help="generate a test geometry mesh")
-    pm.add_argument("shape", choices=["pipe", "channel", "bifurcation"])
-    pm.add_argument("--length", type=size, default=0.1)
-    pm.add_argument("--diameter", type=size, default=0.02)
-    pm.add_argument("--height", type=size, default=0.01)
-    pm.add_argument("--branch-diameter", type=size, default=0.012)
-    pm.add_argument("--branch-angle", default=60.0, type=_ranged(
-        finite, lambda x: 0.0 < x < 180.0, "in (0, 180)"))
-    pm.add_argument("--resolution", type=_resolution, default="medium",
-                    help="cells across the trunk, or coarse/medium/fine")
-    pm.add_argument("--axial", type=cells, default=30)
-    pm.add_argument("--radial", type=cells, default=10)
-    pm.add_argument("--out", required=True)
-    pm.add_argument("--vtk")
-    pm.set_defaults(func=cmd_mesh)
+    shapes = pm.add_subparsers(dest="shape", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--length", type=size, default=0.1)
+    common.add_argument("--out", required=True)
+    common.add_argument("--vtk")
+    angle = _ranged(finite, lambda x: 0.0 < x < 180.0, "in (0, 180)")
+    for shape, options in (
+            ("pipe", [("--diameter", size, 0.02), ("--axial", at_least_2, 30),
+                      ("--radial", at_least_2, 10)]),
+            ("channel", [("--height", size, 0.01), ("--axial", at_least_1, 30),
+                         ("--radial", at_least_1, 10)]),
+            ("bifurcation", [("--diameter", size, 0.02),
+                             ("--branch-diameter", size, 0.012),
+                             ("--branch-angle", angle, 60.0),
+                             ("--resolution", _resolution, 10)])):
+        pg = shapes.add_parser(shape, parents=[common])
+        pg.set_defaults(func=cmd_mesh, geometry=[
+            pg.add_argument(flag, type=kind, default=default).dest
+            for flag, kind, default in options])
 
     pf = sub.add_parser("fom-run", help="run one transient/steady case")
     pf.add_argument("case")
@@ -460,8 +457,7 @@ def build_parser():
     ps.add_argument("case")
     ps.add_argument("--lo", type=finite, required=True)
     ps.add_argument("--hi", type=finite, required=True)
-    ps.add_argument("--count", required=True,
-                    type=_ranged(int, lambda n: n >= 2, "at least 2"))
+    ps.add_argument("--count", type=at_least_2, required=True)
     ps.add_argument("--delta-p", type=finite, default=75.0)
     # sweeps run serially; the flag stays only for callers that still pass
     # "--workers 1" and goes with the next change to the benchmark
@@ -511,11 +507,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "sweep" and not args.lo < args.hi:
         parser.error(f"sweep: --lo {args.lo:g} is not below --hi {args.hi:g}")
-    if args.command == "mesh" and args.shape == "pipe":
-        for name in ("axial", "radial"):
-            if getattr(args, name) < 2:
-                parser.error(f"mesh pipe: --{name} {getattr(args, name)} "
-                             "is not at least 2")
     try:
         return args.func(args)
     except SchemaError as e:

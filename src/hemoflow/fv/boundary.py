@@ -63,6 +63,12 @@ class InflowBC:
     def __post_init__(self):
         if self.profile not in INFLOW_PROFILES:
             raise InvalidArgumentError(f"unknown inflow profile {self.profile!r}")
+        if not np.isfinite(self.flow_rate):
+            raise InvalidArgumentError(f"inflow rate {self.flow_rate} is not finite")
+        if self.period_s is not None and not (
+                np.isfinite(self.period_s) and self.period_s > 0):
+            raise InvalidArgumentError(
+                f"inflow period {self.period_s} s is not positive and finite")
 
     def rate(self, t):
         if self.period_s is None:

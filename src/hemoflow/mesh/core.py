@@ -110,9 +110,9 @@ class Mesh:
         self.points = np.asarray(points, dtype=float)
         if self.points.shape[1] != dim:
             raise InvalidArgumentError("points shape does not match dim")
-        loops, lengths, owner, neighbor = (
-            a if a.dtype.kind in "iu" else a.astype(np.int64)
-            for a in map(np.asarray, (loops, lengths, owner, neighbor)))
+        loops, lengths, owner, neighbor = map(
+            _ids, ("loops", "lengths", "owner", "neighbor"),
+            (loops, lengths, owner, neighbor))
         if max(len(self.points), loops.size) > _INDEX_MAX:
             raise InvalidArgumentError(
                 f"{len(self.points)} points and {loops.size} loop entries: "
@@ -279,6 +279,20 @@ class Mesh:
         if self._fv is None:
             self._fv = _FvGeometry(self)
         return self._fv
+
+
+def _ids(name, a):
+    """``a`` kept if integer (no pass), else as int64 if every value is whole."""
+    a = np.asarray(a)
+    if a.dtype.kind in "iu":
+        return a
+    with np.errstate(invalid="ignore"):
+        ids = a.astype(np.int64)
+    bad = np.flatnonzero(ids != a)
+    if bad.size:
+        raise InvalidArgumentError(f"{name} entry {bad[0]} is "
+                                   f"{a.flat[bad[0]]}, not a whole number")
+    return ids
 
 
 def check_faces(dim, n_points, loops, lengths, owner, neighbor):

@@ -23,8 +23,6 @@ import numpy as np
 from ..errors import InvalidArgumentError
 from .core import Mesh, Patch, non_orthogonality, NON_ORTHOGONALITY_CAP_DEG
 
-RESOLUTION_NAMES = {"coarse": 6, "medium": 10, "fine": 16}
-
 # the bifurcation's junction centre, as a fraction of the trunk length
 JUNCTION_AT = 0.45
 
@@ -114,8 +112,6 @@ def generate_box_mesh(nx, ny, lengths, shear=0.0, patch_kinds=None):
 
 def generate_channel_mesh(length, height, nx, ny):
     """2D channel: inlet at x=0, outlet at x=length, walls top/bottom."""
-    if length <= 0 or height <= 0:
-        raise InvalidArgumentError("dimensions must be positive")
     mesh = generate_box_mesh(
         nx, ny, (length, height),
         patch_kinds={"xmin": "inlet", "xmax": "outlet"},
@@ -130,15 +126,18 @@ def generate_pipe_mesh(length, diameter, axial_cells, radial_cells,
     """3D circular pipe on a polar grid (wedge core + quad rings).
 
     Inlet at z=0, outlet at z=length, wall at r=R. The circle is
-    approximated by an ``n_theta``-gon, so the inlet area is slightly
-    below pi R^2 (within ~3 percent for n_theta >= 16).
+    approximated by an ``n_theta``-gon, at least a triangle, so the inlet
+    area is slightly below pi R^2 (within ~3 percent for n_theta >= 16).
+    ``n_theta`` None takes max(16, 2 * radial_cells).
     """
     if length <= 0 or diameter <= 0:
         raise InvalidArgumentError("dimensions must be positive")
     if axial_cells < 2 or radial_cells < 2:
         raise InvalidArgumentError("cell counts must be >= 2")
+    if n_theta is not None and n_theta < 3:
+        raise InvalidArgumentError(f"n_theta must be >= 3, not {n_theta}")
     nz, nr = int(axial_cells), int(radial_cells)
-    nt = int(n_theta) if n_theta else max(16, 2 * nr)
+    nt = max(16, 2 * nr) if n_theta is None else int(n_theta)
     R = diameter / 2.0
     radii = R * np.arange(1, nr + 1) / nr
     thetas = 2.0 * np.pi * np.arange(nt) / nt
@@ -211,20 +210,16 @@ def _pipe_faces(nz, nr, nt):
 
 
 def generate_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
-                              branch_angle, resolution="medium"):
+                              branch_angle, resolution=10):
     """2D trunk with an oblique inflow branch (T-bifurcation).
 
     The branch carries the inlet; the proximal trunk end is a wall (closed
     valve analog) and the distal trunk end is the outlet. The branch is
     2.5 branch diameters long and meets the trunk at ``JUNCTION_AT`` of
     its length. ``resolution`` is the number of cells across the trunk
-    diameter, or one of coarse/medium/fine.
+    diameter, at least 3; ``hemoflow mesh bifurcation`` also takes the
+    names coarse/medium/fine for 6/10/16.
     """
-    if isinstance(resolution, str):
-        try:
-            resolution = RESOLUTION_NAMES[resolution]
-        except KeyError:
-            raise InvalidArgumentError(f"unknown resolution {resolution!r}")
     ny = int(resolution)
     if ny < 3:
         raise InvalidArgumentError("resolution must be >= 3")

@@ -128,7 +128,10 @@ class SnapshotDB:
         The directory is named by the exact repr of the parameter, so
         distinct parameters never share files. A field whose length
         differs from the one its weights or the other entries record for
-        it is a SchemaError, and nothing is written."""
+        it is a SchemaError, and a parameter that is not finite (NaN would
+        replace every entry) an InvalidArgumentError; nothing is written."""
+        if not np.isfinite(param):
+            raise InvalidArgumentError(f"parameter {param} is not finite")
         for name, values in fields.items():
             n = np.asarray(values).size
             what = f"field {name!r} at parameter {param:g} has {n} values"

@@ -747,7 +747,7 @@ RANGE_ERRORS = {
     "mesh-length-negative": (["mesh", "pipe", "--length", "-1", "--out", "DB"],
                              "argument --length: -1 is not positive"),
     "mesh-pipe-axial-1": (["mesh", "pipe", "--axial", "1", "--out", "DB"],
-                          "mesh pipe: --axial 1 is not at least 2"),
+                          "argument --axial: 1 is not at least 2"),
     "mesh-resolution-2": (["mesh", "bifurcation", "--resolution", "2",
                            "--out", "DB"],
                           "argument --resolution: 2 is not at least 3"),
@@ -764,17 +764,37 @@ RANGE_ERRORS = {
                               "argument --radial: 0 is not at least 1"),
 }
 
+#: the ``mesh`` options that each shape's generator does not read, with a
+#: value: every one of these pairs used to be accepted and dropped
+UNREAD_MESH_OPTIONS = {
+    "pipe": {"--height": "0.01", "--branch-diameter": "0.012",
+             "--branch-angle": "10", "--resolution": "8"},
+    "channel": {"--diameter": "0.02", "--branch-diameter": "0.012",
+                "--branch-angle": "10", "--resolution": "fine"},
+    "bifurcation": {"--height": "5", "--axial": "50", "--radial": "40"},
+}
+UNREAD_ERRORS = {
+    f"mesh-{shape}-unread-{flag[2:]}": (["mesh", shape, flag, value,
+                                         "--out", "DB"],
+                                        f"unrecognized arguments: {flag} "
+                                        f"{value}")
+    for shape, options in UNREAD_MESH_OPTIONS.items()
+    for flag, value in options.items()}
 
-@pytest.mark.parametrize("argv, message", RANGE_ERRORS.values(),
-                         ids=RANGE_ERRORS.keys())
+
+@pytest.mark.parametrize("argv, message",
+                         [*RANGE_ERRORS.values(), *UNREAD_ERRORS.values()],
+                         ids=[*RANGE_ERRORS, *UNREAD_ERRORS])
 def test_argument_range_errors_are_usage_errors(tmp_path, capsys, argv,
                                                 message):
-    """An option value out of its range exits 2 from the parser, as
-    README's exit-code table says: usage, one error line, no traceback,
-    and no database or model written. A sweep's range used to exit 1
-    (an infinite --hi after creating the database), a threshold too;
-    a NaN pump head stored NaN pump speeds, and a negative tolerance ran,
-    both with exit 0, as did a NaN mesh length, which wrote NaN points."""
+    """An option value out of its range, or a mesh option that the shape
+    does not read, exits 2 from the parser, as README's exit-code table
+    says: usage, one error line, no traceback, and no database, model or
+    mesh written. A sweep's range used to exit 1 (an infinite --hi after
+    creating the database), a threshold too; a NaN pump head stored NaN
+    pump speeds, and a negative tolerance ran, both with exit 0, as did a
+    NaN mesh length, which wrote NaN points, and every unread mesh
+    option, which wrote the shape's default mesh."""
     paths = {"CASE": str(make_case(tmp_path)), "DB": str(tmp_path / "db"),
              "OUT": str(tmp_path / "m.npz")}
     capsys.readouterr()
@@ -926,6 +946,41 @@ def test_mesh_accepts_integer_resolution(tmp_path):
         main(["mesh", "bifurcation", "--resolution", "huge",
               "--out", str(out)])
     assert stop.value.code == 2
+
+
+
+def test_named_resolutions_are_nested(tmp_path):
+    """coarse, medium and fine write the meshes of 6, 10 and 16 cells
+    across the trunk, each finer than the one before."""
+    geometry = ["mesh", "bifurcation", "--length", "0.06", "--diameter",
+                "0.01", "--branch-diameter", "0.006", "--branch-angle", "45"]
+    cells = []
+    for name, n in hemoflow.cli.RESOLUTIONS.items():
+        named, counted = tmp_path / f"{name}.hfm", tmp_path / f"{n}.hfm"
+        assert main(geometry + ["--resolution", name,
+                                "--out", str(named)]) == 0
+        assert main(geometry + ["--resolution", str(n),
+                                "--out", str(counted)]) == 0
+        assert named.read_bytes() == counted.read_bytes()
+        cells.append(read_mesh(named).n_cells)
+    assert list(hemoflow.cli.RESOLUTIONS.values()) == [6, 10, 16]
+    assert cells == sorted(set(cells))
+
+
+def test_each_mesh_shape_lists_only_the_options_it_reads(capsys):
+    """``hemoflow mesh SHAPE --help`` names every geometry option its
+    generator reads and none of the options of another shape."""
+    read = {"pipe": {"--diameter", "--axial", "--radial"},
+            "channel": {"--height", "--axial", "--radial"},
+            "bifurcation": {"--diameter", "--branch-diameter",
+                            "--branch-angle", "--resolution"}}
+    for shape, options in read.items():
+        with pytest.raises(SystemExit) as stop:
+            main(["mesh", shape, "--help"])
+        assert stop.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed == options | {"--help", "--length", "--out", "--vtk"}
+        assert not listed & set(UNREAD_MESH_OPTIONS[shape])
 
 
 class TestExitCodes:

@@ -81,25 +81,33 @@ class TestPipe:
         with pytest.raises(InvalidArgumentError):
             generate_pipe_mesh(0.01, 0.01, 1, 4)
 
+    @pytest.mark.parametrize("n_theta", [0, 2, -1])
+    def test_refuses_fewer_than_three_sectors(self, n_theta):
+        """0 used to build the default polygon, and 2 failed inside Mesh
+        as a Gauss-closure violation."""
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^n_theta must be >= 3, not {n_theta}$"):
+            generate_pipe_mesh(0.03, 0.02, 3, 2, n_theta=n_theta)
+
+    def test_n_theta_none_is_the_default_polygon(self):
+        assert generate_pipe_mesh(0.03, 0.02, 3, 2, n_theta=3).n_cells == 18
+        assert generate_pipe_mesh(0.03, 0.02, 3, 2, n_theta=None).n_cells \
+            == generate_pipe_mesh(0.03, 0.02, 3, 2).n_cells == 3 * 2 * 16
+
 
 class TestBifurcation:
     def test_reference_geometry(self):
-        mesh = generate_bifurcation_mesh(0.12, 0.028, 0.0129, 60.0, "medium")
+        mesh = generate_bifurcation_mesh(0.12, 0.028, 0.0129, 60.0, 10)
         assert set(mesh.patches) == {"inlet", "outlet", "wall"}
         check_gauss_closure(mesh)
         check_patch_partition(mesh)
         assert np.all(mesh.cell_volume > 0)
 
     def test_right_angle_branch_stays_valid(self):
-        mesh = generate_bifurcation_mesh(0.06, 0.01, 0.006, 90.0, "coarse")
+        mesh = generate_bifurcation_mesh(0.06, 0.01, 0.006, 90.0, 6)
         q = mesh_quality(mesh)
         assert q.max_non_orthogonality < 70.0
         check_gauss_closure(mesh)
-
-    def test_named_resolutions_are_nested(self):
-        coarse = generate_bifurcation_mesh(0.06, 0.01, 0.006, 45.0, "coarse")
-        medium = generate_bifurcation_mesh(0.06, 0.01, 0.006, 45.0, "medium")
-        assert medium.n_cells > coarse.n_cells
 
 
 class TestBox:
@@ -240,6 +248,36 @@ def test_an_int64_id_past_int32_is_refused_not_narrowed(name, index, match):
     args[name][index] = 2 ** 32
     with pytest.raises(InvalidArgumentError, match=match):
         Mesh(**args)
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("loops", 0, 0.4), ("loops", 3, np.nan), ("lengths", 0, 2.5),
+    ("owner", 2, 1.3), ("neighbor", 1, np.inf),
+])
+def test_connectivity_that_is_not_whole_numbers_is_refused(name, index,
+                                                           value):
+    """A float id used to be cast to int64, which truncates: a loop id of
+    0.4 became vertex 0, an owner of k + 0.3 cell k, and the mesh built."""
+    args = box_arrays()
+    args[name] = args[name].astype(float)
+    args[name][index] += value
+    with pytest.raises(InvalidArgumentError,
+                       match=f"^{name} entry {index} is .*, not a whole "
+                             f"number$"):
+        Mesh(**args)
+
+
+def test_whole_number_float_connectivity_builds_the_same_mesh():
+    """Floats that hold whole numbers, and lists, are taken as ids; the
+    int32 arrays the generators hand over are kept uncopied."""
+    args = box_arrays()
+    want = Mesh(**args)
+    for convert in (lambda a: a.astype(float), list):
+        got = Mesh(**{**args, **{k: convert(args[k]) for k in
+                                 ("loops", "lengths", "owner", "neighbor")}})
+        assert np.array_equal(got.cell_volume, want.cell_volume)
+        assert np.array_equal(got.owner, want.owner)
+    assert Mesh(**args).owner is args["owner"]
 
 
 @pytest.mark.parametrize("limit", [11, 33], ids=["points", "loop-entries"])

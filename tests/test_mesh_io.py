@@ -24,7 +24,7 @@ from test_mesh import flat_loops, loop_list
 @pytest.mark.parametrize("make", [
     lambda: generate_box_mesh(3, 2, (1.0, 0.5), shear=0.2),
     lambda: generate_pipe_mesh(0.02, 0.01, 4, 3),
-    lambda: generate_bifurcation_mesh(0.03, 0.006, 0.003, 45.0, "coarse"),
+    lambda: generate_bifurcation_mesh(0.03, 0.006, 0.003, 45.0, 6),
 ])
 def test_round_trip_is_lossless(tmp_path, make):
     mesh = make()
@@ -51,7 +51,7 @@ def test_round_trip_is_lossless(tmp_path, make):
 @pytest.mark.parametrize("make", [
     lambda: generate_pipe_mesh(0.02, 0.01, 4, 3),
     lambda: generate_channel_mesh(1.0, 0.2, 10, 5),
-    lambda: generate_bifurcation_mesh(0.03, 0.006, 0.003, 45.0, "coarse"),
+    lambda: generate_bifurcation_mesh(0.03, 0.006, 0.003, 45.0, 6),
 ], ids=["pipe", "channel", "bifurcation"])
 def test_generate_and_write_build_no_fv_cache(tmp_path, make):
     mesh = make()
@@ -168,7 +168,7 @@ def line_by_line(path):
 @pytest.mark.parametrize("make", [
     lambda: generate_box_mesh(3, 2, (1.0, 0.5), shear=0.2),
     lambda: generate_pipe_mesh(0.02, 0.02, 4, 3, n_theta=12),
-    lambda: generate_bifurcation_mesh(0.03, 0.006, 0.003, 45.0, "coarse"),
+    lambda: generate_bifurcation_mesh(0.03, 0.006, 0.003, 45.0, 6),
 ])
 def test_read_matches_a_line_by_line_parse(tmp_path, make):
     path = tmp_path / "mesh.hfm"

@@ -402,6 +402,22 @@ def test_value_objects_refuse_non_finite_numbers(make):
         make()
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"flow_rate": NAN}, "inflow rate nan is not finite"),
+    ({"flow_rate": INF, "period_s": 1.0}, "inflow rate inf is not finite"),
+    ({"flow_rate": 1e-6, "period_s": -1.0},
+     "inflow period -1.0 s is not positive and finite"),
+    ({"flow_rate": 1e-6, "period_s": 0.0}, "not positive and finite"),
+    ({"flow_rate": 1e-6, "period_s": NAN}, "not positive and finite"),
+], ids=["rate-nan", "rate-inf", "period-negative", "period-0", "period-nan"])
+def test_inflow_refuses_its_values_where_they_are_given(kwargs, match):
+    """A NaN rate used to stop the run at its first step with a NaN
+    continuity error, and a negative period once the solver evaluated
+    the rate."""
+    with pytest.raises(InvalidArgumentError, match=match):
+        InflowBC(**kwargs)
+
+
 def test_deferred_nonorth_momentum_correction_is_the_diffusion_difference():
     """The explicit non-orthogonal momentum source equals the Laplacian
     with one correction minus the one without (their orthogonal and

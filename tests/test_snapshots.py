@@ -149,6 +149,22 @@ class TestSnapshotDB:
         assert db.params().size == 3
         assert np.all(db.load_field(3.5, "p") == 0.0)
 
+    @pytest.mark.parametrize("param", [float("nan"), float("inf")])
+    def test_a_non_finite_parameter_is_refused(self, tmp_path, param):
+        """NaN matched no stored entry in the overwrite test, so adding it
+        used to drop every other entry: a database of 3.0 and 4.0 read
+        [nan] afterwards."""
+        root = tmp_path / "db"
+        db = self.populate(root, params=(3.0, 4.0))
+        manifest = (root / "manifest.json").read_text()
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            db.add_entry(param, {"p": np.zeros(40), "u_x": np.zeros(40)})
+        assert (root / "manifest.json").read_text() == manifest
+        assert np.array_equal(db.params(), [3.0, 4.0])
+        assert db.has_entry(3.0) and db.has_entry(4.0)
+        assert not any(p.name.startswith(f"point_{param!r}")
+                       for p in root.iterdir())
+
     def test_unknown_entries_are_errors(self, tmp_path):
         db = self.populate(tmp_path / "db")
         with pytest.raises(InvalidArgumentError):
