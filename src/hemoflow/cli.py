@@ -444,7 +444,8 @@ def build_parser():
                              ("--branch-angle", angle, 60.0),
                              ("--resolution", _resolution, 10)])):
         pg = shapes.add_parser(shape, parents=[common])
-        pg.set_defaults(func=cmd_mesh, geometry=[
+        # ``main`` refuses an option the shape does not read with its usage
+        pg.set_defaults(func=cmd_mesh, parser=pg, geometry=[
             pg.add_argument(flag, type=kind, default=default).dest
             for flag, kind, default in options])
 
@@ -504,7 +505,10 @@ def main(argv=None):
         level=os.environ.get("HEMOFLOW_LOG", "INFO").upper(),
         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        getattr(args, "parser", parser).error(
+            f"unrecognized arguments: {' '.join(unread)}")
     if args.command == "sweep" and not args.lo < args.hi:
         parser.error(f"sweep: --lo {args.lo:g} is not below --hi {args.hi:g}")
     try:

@@ -69,6 +69,9 @@ class InflowBC:
                 np.isfinite(self.period_s) and self.period_s > 0):
             raise InvalidArgumentError(
                 f"inflow period {self.period_s} s is not positive and finite")
+        if self.period_s is not None and not self.flow_rate > 0:
+            raise InvalidArgumentError(f"pulsatile inflow mean rate "
+                                       f"{self.flow_rate} m^3/s is not positive")
 
     def rate(self, t):
         if self.period_s is None:

@@ -1,13 +1,11 @@
 """Sparse linear solvers for the segregated solver.
 
-Both systems of a step live on one sparsity pattern per mesh: the
-diagonal plus the owner/neighbour pair of every internal face.
-``FacePattern`` builds that CSR structure once, and the CSR matrices on
-it; each step overwrites their values in place with ``fill_faces``
-(each face's two off-diagonal values added through its two slots, the
-diagonal given per cell), so no step sorts or merges coordinates or
-constructs a sparse matrix. ``Pattern.fill`` sums values into given
-slots; ``TwoGrid`` fills its coarse matrix with it.
+Every matrix here sits on a fixed ``Pattern`` (the diagonal and both
+entries of every cell pair, built once), and ``Pattern.fill`` overwrites
+its values in place, so no step sorts or merges coordinates or constructs
+a sparse matrix: the step's momentum and pressure matrices on the pattern
+of the internal faces, ``TwoGrid``'s weight graph, and its coarse matrix
+on the pattern of the pairs of aggregates.
 
 ``system_solvers`` is where the method of each system is chosen, once
 per mesh. It returns one solver object per system; a step calls
@@ -123,18 +121,23 @@ def __getattr__(name):
 
 
 class Pattern:
-    """Fixed CSR structure of an n x n matrix.
+    """Fixed CSR structure of an n x n matrix: the diagonal and, for each
+    pair of cells ``owner[k]``, ``neigh[k]`` (pairs may repeat), the
+    (owner, neighbour) and (neighbour, owner) entries. Every matrix on it
+    shares its ``indptr``/``indices``. ``on`` and ``no`` are the int32
+    slots of each pair's entries; ``diag``, which a step gathers with, is
+    intp, as numpy converts other index dtypes on every call."""
 
-    ``rows``/``cols`` list every entry it may hold, the diagonal among
-    them, in any order and with repeats. Every matrix on the pattern shares
-    its CSR ``indptr``/``indices``; ``diag`` holds the diagonal's slots.
-    """
-
-    def __init__(self, n, rows, cols):
+    def __init__(self, n, owner, neigh):
+        cells = np.arange(n)
+        rows, cols = (np.concatenate([cells, a, b])
+                      for a, b in ((owner, neigh), (neigh, owner)))
         A = sp.csr_matrix((np.zeros(len(rows)), (rows, cols)), shape=(n, n))
         self.shape, self.indices, self.indptr = A.shape, A.indices, A.indptr
         self.nnz = A.nnz
-        self.diag = self.slots(np.arange(n), np.arange(n))
+        self.diag = self.slots(cells, cells)
+        self.on = self.slots(owner, neigh).astype(self.indices.dtype)
+        self.no = self.slots(neigh, owner).astype(self.indices.dtype)
 
     def slots(self, rows, cols):
         """Data slot of each (row, col) entry; every entry must be in the
@@ -149,36 +152,12 @@ class Pattern:
         return sp.csr_matrix((np.zeros(self.nnz), self.indices, self.indptr),
                              shape=self.shape)
 
-    def fill(self, A, slots, vals):
-        """Overwrite the values of ``A`` (from ``matrix``) with ``vals``
-        summed into ``slots``; returns ``A``."""
-        A.data[:] = np.bincount(slots, weights=vals, minlength=self.nnz)
-        return A
-
-
-class FacePattern(Pattern):
-    """``Pattern`` of a cell matrix on a mesh: the diagonal and, for every
-    internal face between cells ``owner`` and ``neigh``, the (owner,
-    neighbour) and (neighbour, owner) entries. ``on`` and ``no`` hold those
-    two slots of each face, in the index dtype (int32)."""
-
-    def __init__(self, n, owner, neigh):
-        cells = np.arange(n)
-        super().__init__(n, np.concatenate([cells, owner, neigh]),
-                         np.concatenate([cells, neigh, owner]))
-        self.on = self.slots(owner, neigh).astype(self.indices.dtype)
-        self.no = self.slots(neigh, owner).astype(self.indices.dtype)
-
-    def fill_faces(self, A, diag, a_on, a_no):
-        """Overwrite the values of ``A`` (from ``matrix``): ``diag`` on the
-        diagonal, and each face's ``a_on`` and ``a_no`` added into its
-        (owner, neighbour) and (neighbour, owner) entries, so two faces
-        between one pair of cells sum into the entries they share. Returns
-        ``A``."""
+    def fill(self, A, *parts):
+        """Zero the values of ``A`` (from ``matrix``) in place, then add each
+        ``(slots, values)`` part in turn (a shared slot sums); returns A."""
         A.data.fill(0.0)
-        np.add.at(A.data, self.on, a_on)
-        np.add.at(A.data, self.no, a_no)
-        A.data[self.diag] = diag
+        for slots, values in parts:
+            np.add.at(A.data, slots, values)
         return A
 
 
@@ -524,7 +503,7 @@ def aggregates(W):
 
 
 class TwoGrid(Krylov):
-    """CG on the SPD matrices of one ``FacePattern``, preconditioned by a
+    """CG on the SPD matrices of one ``Pattern``, preconditioned by a
     symmetric aggregation two-grid cycle with a lagged coarse factor.
 
     ``weights`` gives the weight of every face of the pattern, between its
@@ -537,7 +516,7 @@ class TwoGrid(Krylov):
 
     with S = omega D^-1 and A_c = P^T A P: symmetric, and positive
     definite for an SPD ``A``. A_c is summed from ``A.data`` into its own
-    fixed pattern, and its banded Cholesky factor is kept from solve to
+    ``Pattern``, and its banded Cholesky factor is kept from solve to
     solve until a solve finds it stale.
     """
 
@@ -545,13 +524,16 @@ class TwoGrid(Krylov):
 
     def __init__(self, pattern, weights):
         n = pattern.shape[0]
-        W = pattern.fill_faces(pattern.matrix(), np.zeros(n), weights,
-                               weights)
+        W = pattern.fill(pattern.matrix(), (pattern.on, weights),
+                         (pattern.no, weights))
         self.aggregate = agg = aggregates(W)
         na = int(agg.max()) + 1
+        # the coarse pattern: each pair of aggregates that a fine entry joins
         rows = agg[np.repeat(np.arange(n), np.diff(pattern.indptr))]
         cols = agg[pattern.indices]
-        self.coarse = Pattern(na, rows, cols)
+        up = rows < cols
+        self.coarse = Pattern(na, *np.divmod(np.unique(rows[up] * na
+                                                       + cols[up]), na))
         self._slots = self.coarse.slots(rows, cols).astype(
             self.coarse.indices.dtype)    # read once per refactor
         self._A_c = self.coarse.matrix()
@@ -567,7 +549,7 @@ class TwoGrid(Krylov):
 
     def coarse_matrix(self, A):
         """P^T A P, filled in place from ``A`` (CSR, this pattern)."""
-        return self.coarse.fill(self._A_c, self._slots, A.data)
+        return self.coarse.fill(self._A_c, (self._slots, A.data))
 
     def refactor(self, A):
         """Factor the coarse matrix of ``A``; the next solve sets the
@@ -637,7 +619,7 @@ class TwoGrid(Krylov):
 
 def system_solvers(pattern, dim, weights):
     """The (momentum, pressure) solvers of the two step systems on the
-    ``FacePattern`` ``pattern``, by the table above; ``TwoGrid``
+    ``Pattern`` ``pattern``, by the table above; ``TwoGrid``
     aggregates the cells by the ``weights`` of the pattern's faces."""
     order = band_order(pattern.indptr, pattern.indices) if dim == 2 else None
     if order is not None:

@@ -33,10 +33,9 @@ orthogonal upwind step (the benchmark pipe's) never reads it.
 
 It also builds the boundary diffusion coefficients mu * b_orth_coeff,
 the fixed-face index arrays, the momentum and the pressure matrix on the
-fixed pattern of ``linsolve.FacePattern`` (both share the pattern's
-index arrays, and each step sums their diagonals per cell from the face
-values and overwrites them in place with ``fill_faces``), and one linear
-solver per system from ``linsolve.system_solvers``; a step factors each
+fixed ``linsolve.Pattern`` of the internal faces (each step fills both
+in place through ``_fill``), and one linear solver per system from
+``linsolve.system_solvers``; a step factors each
 with its matrix and solves through ``linsolve.solve_bicgstab`` and
 ``linsolve.solve_cg``, and does not know which method either uses. A
 solve that does not converge raises ``SolverFailure`` out of the step;
@@ -341,10 +340,8 @@ class PisoSolver:
         if self._second_order:
             # the velocity gradient: row c * dim + j holds d u / d x_j in c
             self._grad_u = G_u.multiply(1.0 / self._vol[:, None]).tocsr()
-        # both step matrices live on one pattern: the diagonal and both
-        # off-diagonal entries of every internal face
-        self._pattern = linsolve.FacePattern(mesh.n_cells, g.i_owner,
-                                             g.i_neigh)
+        # both step matrices live on the pattern of the internal faces
+        self._pattern = linsolve.Pattern(mesh.n_cells, g.i_owner, g.i_neigh)
         self._A_m = self._pattern.matrix()
         self._A_p = self._pattern.matrix()
         self._momentum, self._pressure = linsolve.system_solvers(
@@ -502,11 +499,8 @@ class PisoSolver:
         phi = state.phi.copy()
         phi[self._fixed_u_faces] = inflow.phi[self._fixed_u_faces]
 
-        # each internal face's owner row holds (a_oo, a_on) and its
-        # neighbour row the pair negated, exactly: (a_nn, a_no) = (-a_on,
-        # -a_oo); fixed-velocity boundary faces couple diffusively and
+        # fixed-velocity boundary faces couple diffusively and
         # zero-gradient (outflow) faces by implicit donor convection only
-        nc = mesh.n_cells
         phi_i = phi[g.internal]
         mu_orth = self.fluid.mu * g.orth_coeff
         a_on = rho * np.minimum(phi_i, 0.0) - mu_orth
@@ -516,10 +510,8 @@ class PisoSolver:
         rhs += inflow.rhs_b
         b_diag = rho * np.maximum(phi[g.boundary], 0.0)
         np.copyto(b_diag, self._mu_b_orth, where=self._fixed_u)
-        diag = diag_t - np.bincount(g.i_owner, a_no, nc)
-        diag -= np.bincount(g.i_neigh, a_on, nc)
-        diag += np.bincount(g.b_owner, b_diag, nc)
-        A = self._pattern.fill_faces(self._A_m, diag, a_on, a_no)
+        diag, A = self._fill(self._A_m, diag_t, a_on, a_no, g.b_owner,
+                             b_diag)
 
         # deferred corrections from the previous time level
         if self._second_order or self._has_nonorth:
@@ -538,20 +530,28 @@ class PisoSolver:
         return diag, A, rhs
 
     def _pressure_matrix(self, c_int, c_b):
-        """Pressure-correction matrix, from the coefficient of every
-        internal face (``c_int``) and of every fixed-pressure boundary
-        face (``c_b``, in boundary order).
-
-        Only the right-hand side changes between PISO correctors, so the
-        matrix is assembled once per time step. It is the solver's own:
-        the next step overwrites it.
-        """
-        g, nc = self.mesh.fv, self.mesh.n_cells
-        diag = np.bincount(g.i_owner, c_int, nc)
-        diag += np.bincount(g.i_neigh, c_int, nc)
-        diag += np.bincount(self._fixed_p_owner, c_b, nc)
+        """Pressure-correction matrix from the coefficient of every internal
+        face (``c_int``) and fixed-pressure boundary face (``c_b``, in
+        boundary order), assembled once per step, as only the right-hand
+        side changes between correctors. The solver's own: the next step
+        overwrites it."""
+        # no time term and a_on = a_no = -c: -sum(-c) is sum(c) to the bit
         off = -c_int
-        return self._pattern.fill_faces(self._A_p, diag, off, off)
+        return self._fill(self._A_p, 0.0, off, off, self._fixed_p_owner,
+                          c_b)[1]
+
+    def _fill(self, A, diag, a_on, a_no, b_owner, b_diag):
+        """Fill the step matrix ``A`` in place: each internal face's
+        ``a_on``, ``a_no`` off the diagonal, and ``diag`` plus a_oo = -a_no
+        and a_nn = -a_on (a neighbour row is its owner row negated) and
+        each boundary face's ``b_diag`` on it. Returns (diagonal, A)."""
+        g, nc = self.mesh.fv, self.mesh.n_cells
+        diag = diag - np.bincount(g.i_owner, a_no, nc)
+        diag -= np.bincount(g.i_neigh, a_on, nc)
+        diag += np.bincount(b_owner, b_diag, nc)
+        pattern = self._pattern
+        return diag, pattern.fill(A, (pattern.on, a_on), (pattern.no, a_no),
+                                  (pattern.diag, diag))
 
     def advance_windkessel(self, state, dt):
         """One RCR step of each Windkessel outlet from ``state.p_p`` and

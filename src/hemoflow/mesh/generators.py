@@ -38,6 +38,16 @@ def _check_quality(mesh):
     return mesh
 
 
+def _count(name, value, least):
+    """The cell count ``value`` (a whole float too) as an int of at least
+    ``least``, else InvalidArgumentError naming ``name``."""
+    if not float(value).is_integer():
+        raise InvalidArgumentError(f"{name} must be a whole number, not {value}")
+    if value < least:
+        raise InvalidArgumentError(f"{name} must be >= {least}, not {value}")
+    return int(value)
+
+
 def _grid(n_rows, n_cols, first=0):
     """Consecutive ids from ``first`` on, as an (n_rows, n_cols) grid in
     row-major order."""
@@ -80,8 +90,7 @@ def generate_box_mesh(nx, ny, lengths, shear=0.0, patch_kinds=None):
     maps side names (xmin, xmax, ymin, ymax) to patch kinds; by default all
     sides are walls.
     """
-    if nx < 1 or ny < 1:
-        raise InvalidArgumentError("cell counts must be >= 1")
+    nx, ny = _count("nx", nx, 1), _count("ny", ny, 1)
     lx, ly = lengths
     if lx <= 0 or ly <= 0:
         raise InvalidArgumentError("lengths must be positive")
@@ -132,12 +141,9 @@ def generate_pipe_mesh(length, diameter, axial_cells, radial_cells,
     """
     if length <= 0 or diameter <= 0:
         raise InvalidArgumentError("dimensions must be positive")
-    if axial_cells < 2 or radial_cells < 2:
-        raise InvalidArgumentError("cell counts must be >= 2")
-    if n_theta is not None and n_theta < 3:
-        raise InvalidArgumentError(f"n_theta must be >= 3, not {n_theta}")
-    nz, nr = int(axial_cells), int(radial_cells)
-    nt = max(16, 2 * nr) if n_theta is None else int(n_theta)
+    nz = _count("axial_cells", axial_cells, 2)
+    nr = _count("radial_cells", radial_cells, 2)
+    nt = max(16, 2 * nr) if n_theta is None else _count("n_theta", n_theta, 3)
     R = diameter / 2.0
     radii = R * np.arange(1, nr + 1) / nr
     thetas = 2.0 * np.pi * np.arange(nt) / nt
@@ -220,9 +226,7 @@ def generate_bifurcation_mesh(trunk_length, trunk_diameter, branch_diameter,
     diameter, at least 3; ``hemoflow mesh bifurcation`` also takes the
     names coarse/medium/fine for 6/10/16.
     """
-    ny = int(resolution)
-    if ny < 3:
-        raise InvalidArgumentError("resolution must be >= 3")
+    ny = _count("resolution", resolution, 3)
     if trunk_length <= 0 or trunk_diameter <= 0 or branch_diameter <= 0:
         raise InvalidArgumentError("dimensions must be positive")
     if branch_diameter > trunk_diameter:

@@ -205,12 +205,20 @@ def test_factored_pressure_matches_spsolve(bif_step):
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
-def jacobi_bicgstab(A):
-    """A ``JacobiBiCGStab`` on the pattern of ``A`` (CSR, sorted indices),
-    factored with ``A``."""
+def upper_pattern(A):
+    """The ``Pattern`` of ``A`` (CSR, sorted indices, structurally
+    symmetric, a full diagonal), its upper triangle's entries the pairs,
+    and those entries' values."""
     n = A.shape[0]
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    system = linsolve.JacobiBiCGStab(linsolve.Pattern(n, rows, A.indices))
+    upper = rows < A.indices
+    return linsolve.Pattern(n, rows[upper], A.indices[upper]), A.data[upper]
+
+
+def jacobi_bicgstab(A):
+    """A ``JacobiBiCGStab`` on the ``upper_pattern`` of ``A``, factored
+    with ``A``."""
+    system = linsolve.JacobiBiCGStab(upper_pattern(A)[0])
     system.factor(A)
     return system
 
@@ -344,8 +352,9 @@ def test_strided_inputs_solve_as_contiguous_ones(pipe_step):
 def test_bicgstab_breakdown_raises():
     """With b = (1, 1) and the Jacobi preconditioner the identity,
     (r~, A r) = 0 on the first iteration: BiCGStab breaks down (info -11)
-    at its start, and the solve raises with ||b - A x|| / r0 = 1 there."""
-    A = sp.csr_matrix(np.array([[1.0, -2.0], [0.0, 1.0]]))
+    at its start, and the solve raises with ||b - A x|| / r0 = 1 there.
+    A holds its zero (1, 0) entry, as a matrix on a ``Pattern`` does."""
+    A = sp.csr_matrix(([1.0, -2.0, 0.0, 1.0], [0, 1, 0, 1], [0, 2, 4]))
     b = np.ones(2)
     system = jacobi_bicgstab(A)
     with pytest.raises(SolverFailure, match=r"^BiCGStab failed \(info=-11, "
@@ -364,15 +373,10 @@ def neumann_laplacian(n=10):
 
 
 def two_grid_of(A):
-    """A ``TwoGrid`` on the pattern of ``A`` (CSR, sorted indices,
-    structurally symmetric, a full diagonal), the upper triangle's entries
-    its faces, its aggregates grouped by |a_ij|, factored with ``A``."""
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    upper = rows < A.indices
-    system = linsolve.TwoGrid(
-        linsolve.FacePattern(n, rows[upper], A.indices[upper]),
-        np.abs(A.data[upper]))
+    """A ``TwoGrid`` on the ``upper_pattern`` of ``A``, its aggregates
+    grouped by |a_ij|, factored with ``A``."""
+    pattern, upper = upper_pattern(A)
+    system = linsolve.TwoGrid(pattern, np.abs(upper))
     system.factor(A)
     return system
 
@@ -549,8 +553,7 @@ def test_band_storage_holds_the_permuted_matrix(bif_step):
 def cell_pattern(mesh):
     """The step systems' pattern of ``mesh``: the diagonal and both
     entries of every internal face."""
-    return linsolve.FacePattern(mesh.n_cells, mesh.fv.i_owner,
-                                mesh.fv.i_neigh)
+    return linsolve.Pattern(mesh.n_cells, mesh.fv.i_owner, mesh.fv.i_neigh)
 
 
 def coarse_pattern(mesh):

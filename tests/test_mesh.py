@@ -702,6 +702,40 @@ def test_box_generator_refuses_an_unknown_kind_or_side(patch_kinds, message):
         generate_box_mesh(3, 2, (1.0, 1.0), patch_kinds=patch_kinds)
 
 
+#: each generator's cell counts, as (name, build from the count, a whole
+#: count, a fraction of one)
+CELL_COUNTS = {
+    "box-nx": ("nx", lambda n: generate_box_mesh(n, 4, (1.0, 1.0)), 3, 3.5),
+    "channel-ny": ("ny", lambda n: generate_channel_mesh(0.1, 0.02, 12, n),
+                   5, 5.5),
+    "pipe-axial": ("axial_cells",
+                   lambda n: generate_pipe_mesh(0.03, 0.02, n, 2), 3, 3.9),
+    "pipe-radial": ("radial_cells",
+                    lambda n: generate_pipe_mesh(0.03, 0.02, 3, n), 2, 2.9),
+    "pipe-n-theta": ("n_theta",
+                     lambda n: generate_pipe_mesh(0.03, 0.02, 3, 2,
+                                                  n_theta=n), 3, 3.5),
+    "bifurcation-resolution": ("resolution",
+                               lambda n: generate_bifurcation_mesh(
+                                   0.024, 0.004, 0.002, 45.0, resolution=n),
+                               8, 8.7),
+}
+
+
+@pytest.mark.parametrize("name, build, whole, fraction",
+                         CELL_COUNTS.values(), ids=CELL_COUNTS.keys())
+def test_generators_take_whole_cell_counts_only(name, build, whole,
+                                                fraction):
+    """A count that is not a whole number is refused by name; the pipe and
+    the bifurcation used to truncate it and the box to raise numpy's
+    TypeError. A whole float builds the mesh of its int, face for face."""
+    with pytest.raises(InvalidArgumentError,
+                       match=f"^{name} must be a whole number, not "
+                             f"{fraction}$"):
+        build(fraction)
+    assert_same_mesh(build(float(whole)), build(whole))
+
+
 
 @given(resolution=st.integers(3, 12), branch_angle=st.floats(30.0, 150.0),
        trunk_length=st.floats(0.03, 0.1),

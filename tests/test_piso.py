@@ -409,11 +409,16 @@ def test_value_objects_refuse_non_finite_numbers(make):
      "inflow period -1.0 s is not positive and finite"),
     ({"flow_rate": 1e-6, "period_s": 0.0}, "not positive and finite"),
     ({"flow_rate": 1e-6, "period_s": NAN}, "not positive and finite"),
-], ids=["rate-nan", "rate-inf", "period-negative", "period-0", "period-nan"])
+    ({"flow_rate": -1e-6, "period_s": 1.0},
+     "^pulsatile inflow mean rate -1e-06 m\\^3/s is not positive$"),
+    ({"flow_rate": 0.0, "period_s": 1.0},
+     "^pulsatile inflow mean rate 0.0 m\\^3/s is not positive$"),
+], ids=["rate-nan", "rate-inf", "period-negative", "period-0", "period-nan",
+        "pulsatile-rate-negative", "pulsatile-rate-0"])
 def test_inflow_refuses_its_values_where_they_are_given(kwargs, match):
     """A NaN rate used to stop the run at its first step with a NaN
-    continuity error, and a negative period once the solver evaluated
-    the rate."""
+    continuity error, and a negative period, or a pulsatile mean rate that
+    is not positive, once the solver evaluated the rate."""
     with pytest.raises(InvalidArgumentError, match=match):
         InflowBC(**kwargs)
 
