@@ -237,6 +237,10 @@ def _energy_rows(models):
                 m.basis.singular_values))]
 
 
+#: the file ``rom-eval`` writes for each field ``name`` and parameter ``pi``
+ROM_FIELD_FILE = "rom_{name}_{pi:g}.csv"
+
+
 def cmd_rom_eval(args):
     db = SnapshotDB.open(args.db) if args.db else None
     models, meta = load_models(args.model)
@@ -251,23 +255,24 @@ def cmd_rom_eval(args):
 
     for pi, fields in predictions.items():
         for name, values in fields.items():
-            _write_csv(os.path.join(out, f"rom_{name}_{pi:g}.csv"),
-                       [name], [(float(v),) for v in values])
+            path = os.path.join(out, ROM_FIELD_FILE.format(name=name, pi=pi))
+            _write_csv(path, [name], [(float(v),) for v in values])
 
     lines = [f"ROM evaluation: {rom_seconds:.4g} s per parameter point"]
     if db is not None:
-        fom = {}
-        for pi in params:
-            for name in models:
-                fom[(name, pi)] = db.load_field(pi, name)
-        weights = {n: db.weights(n) for n in models}
-        table = podi.evaluate_rom(models, fom, params, weights)
-        txt = podi.format_error_table(table, field_order=sorted(models))
-        print(txt)
-        rows = [(pi, name, table[pi][name]) for pi in params
-                for name in sorted(models)]
+        # the table scores the predictions written above, with the same
+        # --allow-extrapolation
+        names = sorted(models)
+        weights = {name: db.weights(name) for name in names}
+        table = {pi: {name: indicators.l2_rel_error(
+                          db.load_field(pi, name), predictions[pi][name],
+                          weights=weights[name]) for name in names}
+                 for pi in params}
+        print(podi.format_error_table(table, names))
         _write_csv(os.path.join(out, "rom_errors.csv"),
-                   ["parameter", "field", "E_percent"], rows)
+                   ["parameter", "field", "E_percent"],
+                   [(pi, name, table[pi][name]) for pi in params
+                    for name in names])
         fom_secs = [db.entry_meta(p).get("fom_seconds")
                     for p in db.params()]
         fom_secs = [s for s in fom_secs if s]
@@ -392,7 +397,8 @@ def _resolution(text):
 
 
 def _params(text):
-    """The numbers of a comma-separated list, at least one."""
+    """The numbers of a comma-separated list, at least one, no two of which
+    name the same ``ROM_FIELD_FILE``."""
     try:
         params = [float(s) for s in text.split(",") if s]
     except ValueError:
@@ -400,6 +406,11 @@ def _params(text):
     if not params:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma-separated list of numbers")
+    files = [ROM_FIELD_FILE.format(name="<field>", pi=pi) for pi in params]
+    twice = next((f for f in files if files.count(f) > 1), None)
+    if twice is not None:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} gives two values that both write {twice}")
     return params
 
 
@@ -444,7 +455,6 @@ def build_parser():
                              ("--branch-angle", angle, 60.0),
                              ("--resolution", _resolution, 10)])):
         pg = shapes.add_parser(shape, parents=[common])
-        # ``main`` refuses an option the shape does not read with its usage
         pg.set_defaults(func=cmd_mesh, parser=pg, geometry=[
             pg.add_argument(flag, type=kind, default=default).dest
             for flag, kind, default in options])
@@ -497,6 +507,10 @@ def build_parser():
     pr.add_argument("--model")
     pr.add_argument("--out-dir")
     pr.set_defaults(func=cmd_report)
+    # ``main`` reports a command's mistakes with that command's usage (a
+    # mesh shape's own default replaces that of ``mesh``)
+    for command in sub.choices.values():
+        command.set_defaults(parser=command)
     return p
 
 
@@ -507,10 +521,10 @@ def main(argv=None):
     parser = build_parser()
     args, unread = parser.parse_known_args(argv)
     if unread:
-        getattr(args, "parser", parser).error(
-            f"unrecognized arguments: {' '.join(unread)}")
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     if args.command == "sweep" and not args.lo < args.hi:
-        parser.error(f"sweep: --lo {args.lo:g} is not below --hi {args.hi:g}")
+        args.parser.error(
+            f"argument --lo: {args.lo:g} is not below --hi {args.hi:g}")
     try:
         return args.func(args)
     except SchemaError as e:

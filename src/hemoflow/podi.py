@@ -178,13 +178,16 @@ class RomModel:
         return self._interpolant()(pi)
 
     def predict(self, pi, allow_extrapolation=False):
+        """The field at ``pi``. Outside the training box it is refused
+        unless ``allow_extrapolation``: then ``rbf`` extrapolates and
+        ``linear`` returns the field at the nearest box edge."""
         pi = _finite(pi)
         if not allow_extrapolation:
             self._check_box(pi)
         elif self.interpolation_kind == "linear":
             lo, hi = self.param_box
             pi = min(max(pi, lo), hi)
-        return self.basis.modes @ self.coeffs_at(pi)
+        return self.basis.modes @ self._interpolant()(pi)
 
 
 def _finite(pi):
@@ -250,37 +253,12 @@ def train(snapshots: SnapshotSet, energy_threshold=0.999,
                     snapshots.field_name)
 
 
-def evaluate_rom(models, fom_fields, test_params, weights=None):
-    """Relative L2 error of each field model at each test parameter.
-
-    ``models``: dict field name -> RomModel; ``fom_fields``: dict
-    (field name, parameter) -> reference field; ``weights``: dict field
-    name -> quadrature weights (optional). Returns {param: {field: E%}}.
-    """
-    from .indicators import l2_rel_error
-
-    table = {}
-    for pi in test_params:
-        row = {}
-        for name, model in models.items():
-            key = (name, pi)
-            if key not in fom_fields:
-                raise InvalidArgumentError(
-                    f"missing reference solution for {name} at {pi}")
-            w = None if weights is None else weights.get(name)
-            row[name] = l2_rel_error(fom_fields[key], model.predict(pi),
-                                     weights=w)
-        table[pi] = row
-    return table
-
-
-def format_error_table(table, field_order=None):
-    """Render the evaluate_rom output as an aligned text table."""
-    params = sorted(table)
-    fields = field_order or sorted({f for row in table.values() for f in row})
+def format_error_table(table, fields):
+    """Render {parameter: {field: E%}} as an aligned text table, one row
+    per parameter in ascending order and one column per name in
+    ``fields``."""
     lines = ["parameter  " + "  ".join(f"{f:>10s}" for f in fields)]
-    for pi in params:
-        row = table[pi]
+    for pi in sorted(table):
         lines.append(f"{pi:9.4g}  "
-                     + "  ".join(f"{row.get(f, float('nan')):9.3f}%" for f in fields))
+                     + "  ".join(f"{table[pi][f]:9.3f}%" for f in fields))
     return "\n".join(lines)

@@ -7,9 +7,12 @@ every test that needs a converged flow field.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,33 +66,27 @@ def pipe_runs():
             "seconds": time.perf_counter() - t0}
 
 
-#: ``hemoflow mesh`` arguments and case file of the benchmark's bifurcation
-#: (``perfbench/workloads.bif_setup``): 452 cells, one RCR outlet whose
-#: proximal pressure starts at the steady R_d*Q of 4 l/min
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded by its path (perfbench is not a
+    package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: the benchmark's bifurcation set-up (``perfbench/workloads.bif_setup``):
+#: 452 cells, one RCR outlet whose proximal pressure starts at the steady
+#: R_d*Q of 4 l/min. It writes its mesh and case file into a directory.
+bif_setup = _benchmark_workloads().bif_setup
+with tempfile.TemporaryDirectory() as _work:
+    #: the case file that ``bif_setup`` writes
+    BIF_CASE = json.loads(bif_setup(_work).read_text())
+#: ``hemoflow mesh`` arguments that write ``bif_setup``'s mesh
 BIF_MESH = ["mesh", "bifurcation", "--length", "0.024", "--diameter", "0.004",
             "--branch-diameter", "0.002", "--branch-angle", "45",
             "--resolution", "8"]
-RCR = {"R_p": 4.8, "R_d": 43.2, "C": 1.2e-3}
-BIF_CASE = {
-    "schema": "hemoflow-case/1",
-    "mesh": "bif.hfm",
-    "fluid": {"rho": 1060.0, "mu": 3e-4},
-    "boundary": {
-        "inlet": {"velocity": {"type": "inflow", "flow_lmin": 4.0,
-                               "profile": "plug"},
-                  "pressure": {"type": "zero-gradient"}},
-        "wall": {"velocity": {"type": "no-slip"},
-                 "pressure": {"type": "zero-gradient"}},
-        "outlet": {"velocity": {"type": "zero-gradient"},
-                   "pressure": {"type": "windkessel", **RCR,
-                                "p0_mmhg": RCR["R_d"] * (4.0 / 60.0 * 1e3)
-                                / 1333.22}},
-    },
-    "solver": {"dt": 0.01, "t_end": 20.0, "steady_tol": 5e-5, "n_nonorth": 2,
-               "convection_scheme": "upwind", "lin_tol": 1e-7,
-               "continuity_tol": 1e-6, "cfl_max": 1e9, "cfl_action": "warn"},
-    "initial": {"from_inflow": True},
-}
 
 
 @pytest.fixture(scope="session")

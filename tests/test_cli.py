@@ -16,13 +16,15 @@ import pytest
 import hemoflow.casefile
 import hemoflow.cli
 import hemoflow.fv
+import hemoflow.indicators
+import hemoflow.podi
 from hemoflow.cli import main
 from hemoflow.errors import InvalidArgumentError, SchemaError, SolverFailure
 from hemoflow.mesh import generate_bifurcation_mesh, read_mesh, write_mesh
 from hemoflow.snapshots import (SnapshotDB, load_models, save_models,
                                 write_field)
 from hemoflow.units import MMHG_TO_PA
-from conftest import BIF_CASE, BIF_MESH
+from conftest import BIF_CASE, BIF_MESH, bif_setup
 
 
 def make_case(tmp_path):
@@ -328,6 +330,56 @@ class TestWorkflow:
         rc = main(["rom-eval", workflow["model"], "--params", "10.0",
                    "--allow-extrapolation", "--out-dir", str(out)])
         assert rc == 0
+
+    def test_rom_eval_predicts_each_field_once(self, workflow, tmp_path,
+                                               monkeypatch):
+        """``rom-eval --db`` scores the predictions that it writes: one
+        ``RomModel.predict`` per (parameter, field), where its error table
+        once predicted every field again."""
+        calls = []
+        predict = hemoflow.podi.RomModel.predict
+
+        def counted(self, pi, *args, **kwargs):
+            calls.append((pi, self.field_name))
+            return predict(self, pi, *args, **kwargs)
+        monkeypatch.setattr(hemoflow.podi.RomModel, "predict", counted)
+        assert main(["rom-eval", workflow["model"], "--params", "3.0,4.0",
+                     "--db", workflow["db"],
+                     "--out-dir", str(tmp_path / "eval")]) == 0
+        fields = load_models(workflow["model"])[0]
+        assert sorted(calls) == [(pi, name) for pi in (3.0, 4.0)
+                                 for name in sorted(fields)]
+
+    def test_rom_eval_scores_extrapolated_predictions(self, workflow,
+                                                      tmp_path):
+        """``--allow-extrapolation`` holds for ``--db`` too: an ``rbf``
+        model of PF 3 and 4 evaluated at PF 5, outside its box, exits 0,
+        and rom_errors.csv holds the error of that extrapolated prediction
+        against the stored field. The error table once predicted again
+        without the flag, and the command exited 1."""
+        full = SnapshotDB(workflow["db"])
+        names = full.field_names()
+        part = SnapshotDB(tmp_path / "db34")
+        for name in names:
+            part.set_weights(name, full.weights(name))
+        for pf in (3.0, 4.0):
+            part.add_entry(pf, {n: full.load_field(pf, n) for n in names})
+        model = tmp_path / "rbf.npz"
+        assert main(["rom-train", str(tmp_path / "db34"), "--kind", "rbf",
+                     "--out", str(model)]) == 0
+        argv = ["rom-eval", str(model), "--params", "5", "--db",
+                workflow["db"], "--out-dir", str(tmp_path / "eval")]
+        assert main(argv) == 1
+        assert main(argv + ["--allow-extrapolation"]) == 0
+        models, _ = load_models(model)
+        errors = {name: hemoflow.indicators.l2_rel_error(
+            full.load_field(5.0, name),
+            models[name].predict(5.0, allow_extrapolation=True),
+            weights=full.weights(name)) for name in names}
+        rows = (tmp_path / "eval" / "rom_errors.csv").read_text().splitlines()
+        assert rows == ["parameter,field,E_percent"] + [
+            f"5,{name},{errors[name]:.15g}" for name in names]
+        assert all(e > 0 for e in errors.values())
 
     @pytest.mark.parametrize("command", ["rom-train", "rom-eval", "report"])
     def test_reading_a_missing_database_creates_nothing(self, workflow,
@@ -651,6 +703,16 @@ def test_pulsatile_run_shorter_than_a_period_fails(tmp_path, capsys):
     assert "does not span one period" in capsys.readouterr().err
 
 
+def test_bif_mesh_writes_the_benchmark_mesh(tmp_path):
+    """``BIF_MESH`` through ``hemoflow mesh`` writes the mesh of the
+    benchmark's ``bif_setup`` byte for byte, so the fixtures that mesh
+    with it solve the case that the benchmark runs."""
+    bif_setup(tmp_path)
+    assert main(BIF_MESH + ["--out", str(tmp_path / "cli.hfm")]) == 0
+    assert ((tmp_path / "cli.hfm").read_bytes()
+            == (tmp_path / "bif.hfm").read_bytes())
+
+
 def test_a_diverging_run_stops_within_20_steps(tmp_path, capsys):
     """The benchmark's bifurcation case with one pressure solve per
     corrector diverges at dt 0.01 (max|u| 0.17 after step 1, 472 after
@@ -707,10 +769,10 @@ def test_sweep_runs_serially_only(tmp_path, workers):
 RANGE_ERRORS = {
     "sweep-lo-above-hi": (["sweep", "CASE", "--lo", "5", "--hi", "3",
                            "--count", "3", "--out", "DB"],
-                          "sweep: --lo 5 is not below --hi 3"),
+                          "argument --lo: 5 is not below --hi 3"),
     "sweep-lo-equals-hi": (["sweep", "CASE", "--lo", "4", "--hi", "4",
                             "--count", "3", "--out", "DB"],
-                           "sweep: --lo 4 is not below --hi 4"),
+                           "argument --lo: 4 is not below --hi 4"),
     "sweep-hi-inf": (["sweep", "CASE", "--lo", "3", "--hi", "inf",
                       "--count", "3", "--out", "DB"],
                      "argument --hi: inf is not a finite number"),
@@ -762,7 +824,31 @@ RANGE_ERRORS = {
     "mesh-channel-radial-0": (["mesh", "channel", "--radial", "0",
                                "--out", "DB"],
                               "argument --radial: 0 is not at least 1"),
+    # a repeated value, or two that one output file name would hold: the
+    # second prediction overwrote the first, and --db wrote its rows twice
+    "rom-eval-params-repeated": (["rom-eval", "OUT", "--params", "4,4",
+                                  "--db", "DB", "--out-dir", "DB"],
+                                 "argument --params: '4,4' gives two values "
+                                 "that both write rom_<field>_4.csv"),
+    "rom-eval-params-one-file-name": (["rom-eval", "OUT", "--params",
+                                       "3,4,4.0000001", "--out-dir", "DB"],
+                                      "argument --params: '3,4,4.0000001' "
+                                      "gives two values that both write "
+                                      "rom_<field>_4.csv"),
 }
+
+#: each command with the arguments it requires, and an option it does not
+#: take: every command but ``mesh <shape>`` refused it with the top-level
+#: usage, which names none of the command's options
+UNRECOGNIZED = {
+    f"{argv[0]}-unrecognized": (argv + ["--bogus", "1"],
+                                "unrecognized arguments: --bogus 1")
+    for argv in (["mesh", "pipe", "--out", "DB"], ["fom-run", "CASE"],
+                 ["sweep", "CASE", "--lo", "3", "--hi", "5", "--count", "3",
+                  "--out", "DB"],
+                 ["rom-train", "DB", "--out", "OUT"],
+                 ["rom-eval", "OUT", "--params", "4", "--out-dir", "DB"],
+                 ["validate"], ["report", "--out-dir", "DB"])}
 
 #: the ``mesh`` options that each shape's generator does not read, with a
 #: value: every one of these pairs used to be accepted and dropped
@@ -783,8 +869,9 @@ UNREAD_ERRORS = {
 
 
 @pytest.mark.parametrize("argv, message",
-                         [*RANGE_ERRORS.values(), *UNREAD_ERRORS.values()],
-                         ids=[*RANGE_ERRORS, *UNREAD_ERRORS])
+                         [*RANGE_ERRORS.values(), *UNREAD_ERRORS.values(),
+                          *UNRECOGNIZED.values()],
+                         ids=[*RANGE_ERRORS, *UNREAD_ERRORS, *UNRECOGNIZED])
 def test_argument_range_errors_are_usage_errors(tmp_path, capsys, argv,
                                                 message):
     """An option value out of its range, or a mesh option that the shape
@@ -794,8 +881,9 @@ def test_argument_range_errors_are_usage_errors(tmp_path, capsys, argv,
     creating the database), a threshold too; a NaN pump head stored NaN
     pump speeds, and a negative tolerance ran, both with exit 0, as did a
     NaN mesh length, which wrote NaN points, and every unread mesh
-    option, which wrote the shape's default mesh. A mesh option's usage is
-    its shape's: an unread one used to print the top-level usage, which
+    option, which wrote the shape's default mesh. The usage is the
+    command's (a mesh shape's own): an unread or unknown option, and a
+    sweep's --lo not below --hi, used to print the top-level usage, which
     names no option."""
     paths = {"CASE": str(make_case(tmp_path)), "DB": str(tmp_path / "db"),
              "OUT": str(tmp_path / "m.npz")}
@@ -807,8 +895,8 @@ def test_argument_range_errors_are_usage_errors(tmp_path, capsys, argv,
     assert "Traceback" not in err
     usage = [line for line in err.splitlines() if line.startswith("usage:")]
     assert len(usage) == 1
-    if argv[0] == "mesh":
-        assert usage[0].startswith(f"usage: hemoflow mesh {argv[1]} ")
+    command = " ".join(argv[:2] if argv[0] == "mesh" else argv[:1])
+    assert usage[0].startswith(f"usage: hemoflow {command} ")
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert err.splitlines()[-1].endswith(message)
     assert not (tmp_path / "db").exists()
